@@ -10,15 +10,16 @@ budget exhausted beyond the configured threshold.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 from .bounds import HypothesisError, constants_summary
-from .harness import (BudgetExceededError, ConfigError, oracle_suite,
-                      run_experiment)
+from .harness import (TAIL_KINDS, BudgetExceededError, ConfigError, _base_ball,
+                      _config_dict, oracle_suite, run_experiment)
 from .lattice import BoxRegion, ExplicitConfig, PercolationField
 from .reach import Budget
-from .surface import build_surface, minimal_cover
+from .surface import COVER_BUDGET, build_surface, minimal_cover
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -67,8 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("tails", help="Monte Carlo tail curve vs closed-form bound")
     _add_common(sp)
-    sp.add_argument("--kind", choices=["f_tail", "radh_tail", "rho_tail"],
-                    default=None)
+    sp.add_argument("--kind", choices=TAIL_KINDS, default=None)
 
     sp = sub.add_parser("bounds", help="print all closed-form constants as JSON")
     _add_common(sp)
@@ -100,15 +100,7 @@ _FLAG_TO_FIELD = {
 
 
 def _gather_config(args: argparse.Namespace) -> dict:
-    config: dict = {}
-    if getattr(args, "config", None):
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                config = json.load(fh)
-        except (OSError, json.JSONDecodeError) as e:
-            raise ConfigError("<file>", f"cannot read config: {e}") from e
-        if not isinstance(config, dict):
-            raise ConfigError("<root>", "config must be a JSON object")
+    config = _config_dict(args.config) if args.config else {}
     for flag, field_name in _FLAG_TO_FIELD.items():
         val = getattr(args, flag, None)
         if val is not None:
@@ -129,13 +121,13 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _budget_from(config: dict) -> Budget:
-    return Budget(config.get("box_margin", 6), config.get("box_height", 8),
-                  config.get("growth_cap", 3))
+def _budget(config: dict, default: Budget) -> Budget:
+    return Budget(config.get("box_margin", default.margin),
+                  config.get("box_height", default.height),
+                  config.get("growth_cap", default.growth_cap))
 
 
-def _cmd_sample(args) -> int:
-    config = _gather_config(args)
+def _cmd_sample(args, config: dict) -> int:
     d = config.get("d", 2)
     p = config.get("p", 0.99)
     m = config.get("box_margin", 4)
@@ -154,13 +146,11 @@ def _cmd_sample(args) -> int:
     return EXIT_OK
 
 
-def _cmd_surface(args) -> int:
-    config = _gather_config(args)
+def _cmd_surface(args, config: dict) -> int:
     d = config.get("d", 2)
     radius = config.get("base_radius", 5)
     field = PercolationField(d, config.get("p", 0.99), config.get("seed", 0))
-    base = [c for c in _ball(d - 1, radius)]
-    patch = build_surface(field, base, _budget_from(config))
+    patch = build_surface(field, _base_ball(d, radius), _budget(config, Budget()))
     if config.get("format", "json") == "csv":
         lines = ["column,value,status"]
         for col in patch.columns:
@@ -172,21 +162,21 @@ def _cmd_surface(args) -> int:
     return EXIT_OK
 
 
-def _cmd_cover(args) -> int:
-    config = _gather_config(args)
+def _cmd_cover(args, config: dict) -> int:
     d = config.get("d", 2)
     field = PercolationField(d, config.get("p", 0.99), config.get("seed", 0))
-    budget = Budget(config.get("box_margin", 4), config.get("box_height", 4),
-                    config.get("growth_cap", 5))
-    cover = minimal_cover(field, (0,) * (d - 1), budget)
+    cover = minimal_cover(field, (0,) * (d - 1), _budget(config, COVER_BUDGET))
     _emit(json.dumps(cover.to_json(), sort_keys=True) + "\n", config.get("out"))
     return EXIT_OK
 
 
-def _cmd_tails(args) -> int:
-    config = _gather_config(args)
-    if "kind" not in config:
-        raise ConfigError("kind", "required: one of f_tail, radh_tail, rho_tail")
+def _cmd_run(args, config: dict, kind: str | None = None) -> int:
+    """tails, brw and existence: one run_experiment call; `kind` is fixed by
+    the subcommand, or for tails taken from --kind or the config file."""
+    if kind is not None:
+        config["kind"] = kind
+    elif "kind" not in config:
+        raise ConfigError("kind", "required: one of " + ", ".join(TAIL_KINDS))
     out = config.pop("out", None)
     result = run_experiment(config, out_path=out)
     if not out:
@@ -195,52 +185,25 @@ def _cmd_tails(args) -> int:
     return EXIT_OK
 
 
-def _cmd_bounds(args) -> int:
-    config = _gather_config(args)
+def _cmd_bounds(args, config: dict) -> int:
     summary = constants_summary(config.get("d", 2), config.get("p", 0.99),
                                 config.get("step_mode") == "no-straight-down")
     _emit(json.dumps(summary, sort_keys=True, indent=2) + "\n", config.get("out"))
     return EXIT_OK
 
 
-def _cmd_brw(args) -> int:
-    config = _gather_config(args)
-    config["kind"] = "brw"
-    out = config.pop("out", None)
-    result = run_experiment(config, out_path=out)
-    if not out:
-        sys.stdout.write(result["csv"] if config.get("format", "csv") == "csv"
-                         else json.dumps(result["payload"], sort_keys=True) + "\n")
-    return EXIT_OK
-
-
-def _cmd_existence(args) -> int:
-    config = _gather_config(args)
-    config["kind"] = "existence_curve"
-    out = config.pop("out", None)
-    result = run_experiment(config, out_path=out)
-    if not out:
-        sys.stdout.write(result["csv"] if config.get("format", "csv") == "csv"
-                         else json.dumps(result["payload"], sort_keys=True) + "\n")
-    return EXIT_OK
-
-
-def _cmd_oracle(args) -> int:
-    config = _gather_config(args)
+def _cmd_oracle(args, config: dict) -> int:
     suite = oracle_suite(p=config.get("p", 0.99))
     _emit(json.dumps(suite, sort_keys=True, indent=2) + "\n", config.get("out"))
     return EXIT_OK if suite["all_passed"] else EXIT_CONFIG
 
 
-def _ball(k: int, radius: int):
-    import itertools
-    return itertools.product(range(-radius, radius + 1), repeat=k)
-
-
 _COMMANDS = {
     "sample": _cmd_sample, "surface": _cmd_surface, "cover": _cmd_cover,
-    "tails": _cmd_tails, "bounds": _cmd_bounds, "brw": _cmd_brw,
-    "existence": _cmd_existence, "oracle": _cmd_oracle,
+    "tails": _cmd_run, "bounds": _cmd_bounds,
+    "brw": functools.partial(_cmd_run, kind="brw"),
+    "existence": functools.partial(_cmd_run, kind="existence_curve"),
+    "oracle": _cmd_oracle,
 }
 
 
@@ -251,7 +214,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command](args, _gather_config(args))
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -34,9 +34,7 @@ from .surface import Cert, build_surface, minimal_cover, verify_surface
 
 TAIL_CSV_HEADER = "k,trials,hits_lo,hits_hi,p_lo,p_hi,ci_lo,ci_hi,bound,unresolved_frac"
 
-KINDS = ("f_tail", "radh_tail", "rho_tail", "surface_validity",
-         "existence_curve", "equivariance", "monotonicity", "brw")
-_BOUND_KINDS = ("f_tail", "radh_tail", "rho_tail")
+TAIL_KINDS = ("f_tail", "radh_tail", "rho_tail")
 
 
 class ConfigError(ValueError):
@@ -182,15 +180,10 @@ class TailCurve:
         return max((r.unresolved_frac for r in self.rows), default=0.0)
 
     def to_csv(self) -> str:
-        lines = [TAIL_CSV_HEADER]
-        for r in self.rows:
-            lines.append(",".join([
-                repr(r.k), repr(r.trials), repr(r.hits_lo), repr(r.hits_hi),
-                repr(r.p_lo), repr(r.p_hi), repr(r.ci_lo), repr(r.ci_hi),
-                repr(r.bound), repr(r.unresolved_frac)]))
-        return "\n".join(lines) + "\n"
+        return _rows_to_csv(self.to_json()["rows"], TAIL_CSV_HEADER)
 
     def to_json(self) -> dict:
+        # row keys are the TAIL_CSV_HEADER columns, which to_csv relies on
         return {"kind": self.kind, "d": self.d, "p": self.p,
                 "rows": [{"k": r.k, "trials": r.trials, "hits_lo": r.hits_lo,
                           "hits_hi": r.hits_hi, "p_lo": r.p_lo, "p_hi": r.p_hi,
@@ -199,15 +192,28 @@ class TailCurve:
                          for r in self.rows]}
 
 
-def _tail_rows(kind, d, p, hits_lo, hits_hi, trials, bound_at) -> TailCurve:
-    rows = []
-    for k in range(len(hits_lo)):
-        lo, hi = hits_lo[k], hits_hi[k]
-        rows.append(TailRow(k, trials, lo, hi,
-                            wilson_interval(lo, trials, Z_99)[0],
-                            wilson_interval(hi, trials, Z_99)[1],
-                            bound_at(k)))
-    return TailCurve(kind, d, p, tuple(rows))
+def _tail_curve(exp: Experiment, kind: str, levels: int, runs, bound_at,
+                restricted: bool = False) -> TailCurve:
+    """Tail rows for levels 0..levels-1.  `runs` yields, per chunk of
+    replicates, integer arrays (lo, hi) of the statistic's certified lower
+    and upper values: level k is a sure hit where lo >= k and a possible
+    hit where hi >= k.  The hypothesis is checked before any replicate runs."""
+    if spread_rate(exp.d, exp.p, restricted) >= 1.0:
+        raise HypothesisError(
+            f"a^2*q >= 1 at d={exp.d}, p={exp.p}; tail bound hypothesis violated")
+    ks = np.arange(levels)
+    hits_lo = np.zeros(levels, dtype=np.int64)
+    hits_hi = np.zeros(levels, dtype=np.int64)
+    for lo, hi in runs:
+        hits_lo += (lo[:, None] >= ks).sum(axis=0)
+        hits_hi += (hi[:, None] >= ks).sum(axis=0)
+    n = exp.replicates
+    # Python ints: the CSV body is written with repr()
+    rows = tuple(TailRow(k, n, lo, hi, wilson_interval(lo, n, Z_99)[0],
+                         wilson_interval(hi, n, Z_99)[1], bound_at(k))
+                 for k, (lo, hi) in enumerate(zip(hits_lo.tolist(),
+                                                  hits_hi.tolist())))
+    return TailCurve(kind, exp.d, exp.p, rows)
 
 
 # sites hashed and swept per chunk of replicates: keeps a chunk's arrays
@@ -247,26 +253,16 @@ def _origin_floor_runs(field, k_max: int, budget: Budget,
     return ro, rp
 
 
-def surface_tail_curve(exp: Experiment) -> TailCurve:
-    """Tail of the surface height at the origin column: per replicate the
-    sandwich certifies how far the origin column lies in the floor-reachable
-    set, and F(0) > k exactly when the run reaches height k.
-
-    Replicates run in chunks: one numpy pass hashes and sweeps the first
-    box of every replicate in the chunk, and only the replicates that box
-    leaves unsettled go through the per-replicate growth loop, which
-    repeats the first box and goes on from there."""
-    restricted = exp.step_mode is StepSet.NO_STRAIGHT_DOWN
-    if spread_rate(exp.d, exp.p, restricted) >= 1.0:
-        raise HypothesisError(
-            f"a^2*q >= 1 at d={exp.d}, p={exp.p}; tail bound hypothesis violated")
+def _floor_runs(exp: Experiment):
+    """Optimistic and pessimistic origin-column runs, chunk by chunk: one
+    numpy pass hashes and sweeps the first box of every replicate in the
+    chunk, and only the replicates that box leaves unsettled go through the
+    per-replicate growth loop, which repeats the first box and goes on from
+    there."""
     kmax = exp.k_max
     h = max(exp.budget.height, kmax + 2)
     box = _origin_box(exp.d, h, exp.budget.margin)
     origin = (0,) * (exp.d - 1)
-    levels = np.arange(kmax + 1)
-    hits_lo = np.zeros(kmax + 1, dtype=np.int64)
-    hits_hi = np.zeros(kmax + 1, dtype=np.int64)
     chunk = max(1, _CHUNK_SITES // box.size)
     for start in range(0, exp.replicates, chunk):
         reps = np.arange(start, min(start + chunk, exp.replicates))
@@ -278,62 +274,51 @@ def surface_tail_curve(exp: Experiment) -> TailCurve:
             field = PercolationField(exp.d, exp.p, exp.seed, int(reps[i]))
             ro[i], rp[i] = _origin_floor_runs(field, kmax, exp.budget,
                                               exp.step_mode)
-        hits_lo += (ro[:, None] >= levels).sum(axis=0)
-        hits_hi += (rp[:, None] >= levels).sum(axis=0)
-    # Python ints: the CSV body is written with repr()
-    return _tail_rows("f_tail", exp.d, exp.p, hits_lo.tolist(), hits_hi.tolist(),
-                      exp.replicates,
-                      lambda k: surface_tail_bound(exp.d, exp.p, k, restricted))
+        yield ro, rp
+
+
+def _cover_radii(exp: Experiment, radius: str, levels: int):
+    """One chunk of every replicate's minimal-cover radius (the attribute
+    named `radius`) at the origin column: the radius itself on the lower
+    side, and on the upper side the radius if the cover is certified, else
+    `levels`, a possible hit at every level."""
+    origin = (0,) * (exp.d - 1)
+    lo, hi = [], []
+    for rep in range(exp.replicates):
+        field = PercolationField(exp.d, exp.p, exp.seed, rep)
+        cover = minimal_cover(field, origin, exp.budget)
+        r = getattr(cover, radius)
+        lo.append(r)
+        hi.append(r if cover.certified else levels)
+    yield np.array(lo), np.array(hi)
+
+
+def surface_tail_curve(exp: Experiment) -> TailCurve:
+    """Tail of the surface height at the origin column: per replicate the
+    sandwich certifies how far the origin column lies in the floor-reachable
+    set, and F(0) > k exactly when the run reaches height k."""
+    restricted = exp.step_mode is StepSet.NO_STRAIGHT_DOWN
+    return _tail_curve(exp, "f_tail", exp.k_max + 1, _floor_runs(exp),
+                       lambda k: surface_tail_bound(exp.d, exp.p, k, restricted),
+                       restricted)
 
 
 def spread_tail_curve(exp: Experiment) -> TailCurve:
     """Tail of the climb-set spread radius at the origin column."""
-    if spread_rate(exp.d, exp.p) >= 1.0:
-        raise HypothesisError(
-            f"a^2*q >= 1 at d={exp.d}, p={exp.p}; tail bound hypothesis violated")
-    kmax = exp.k_max
-    hits_lo = [0] * (kmax + 1)
-    hits_hi = [0] * (kmax + 1)
-    origin = (0,) * (exp.d - 1)
-    for rep in range(exp.replicates):
-        field = PercolationField(exp.d, exp.p, exp.seed, rep)
-        cover = minimal_cover(field, origin, exp.budget)
-        for k in range(kmax + 1):
-            if cover.spread_radius >= k:
-                hits_lo[k] += 1
-                hits_hi[k] += 1
-            elif not cover.certified:
-                hits_hi[k] += 1
-    return _tail_rows("radh_tail", exp.d, exp.p, hits_lo, hits_hi, exp.replicates,
-                      lambda k: spread_tail_bound(exp.d, exp.p, k))
+    levels = exp.k_max + 1
+    return _tail_curve(exp, "radh_tail", levels,
+                       _cover_radii(exp, "spread_radius", levels),
+                       lambda k: spread_tail_bound(exp.d, exp.p, k))
 
 
 def cover_tail_curve(exp: Experiment) -> TailCurve:
     """Tail of the minimal-cover radius at the origin column, levels
     n = 0..k_max+1; the bound column is the spread bound shifted by one
     (the cover radius exceeds the spread radius by exactly one)."""
-    if spread_rate(exp.d, exp.p) >= 1.0:
-        raise HypothesisError(
-            f"a^2*q >= 1 at d={exp.d}, p={exp.p}; tail bound hypothesis violated")
-    nmax = exp.k_max + 1
-    hits_lo = [0] * (nmax + 1)
-    hits_hi = [0] * (nmax + 1)
-    origin = (0,) * (exp.d - 1)
-    for rep in range(exp.replicates):
-        field = PercolationField(exp.d, exp.p, exp.seed, rep)
-        cover = minimal_cover(field, origin, exp.budget)
-        for n in range(nmax + 1):
-            if cover.cover_radius >= n:
-                hits_lo[n] += 1
-                hits_hi[n] += 1
-            elif not cover.certified:
-                hits_hi[n] += 1
-
-    def bound_at(n: int) -> float:
-        return spread_tail_bound(exp.d, exp.p, max(0, n - 1))
-
-    return _tail_rows("rho_tail", exp.d, exp.p, hits_lo, hits_hi,
-                      exp.replicates, bound_at)
+    levels = exp.k_max + 2
+    return _tail_curve(exp, "rho_tail", levels,
+                       _cover_radii(exp, "cover_radius", levels),
+                       lambda n: spread_tail_bound(exp.d, exp.p, max(0, n - 1)))
 
 
 def surface_validity(exp: Experiment) -> dict:
@@ -452,6 +437,7 @@ def monotonicity_check(exp: Experiment) -> dict:
 
 
 BRW_CSV_HEADER = "n,mean_S,se_S,alpha_pow_n,survival_hat,survival_ci_hi,bound"
+EXISTENCE_CSV_HEADER = "p,successes,trials,fraction,regime"
 
 
 def brw_rows(exp: Experiment) -> list[dict]:
@@ -468,21 +454,64 @@ def brw_rows(exp: Experiment) -> list[dict]:
 
 
 def _rows_to_csv(rows: list[dict], header: str) -> str:
+    """Numbers go out as repr(), strings (the existence regime) as they are."""
     cols = header.split(",")
     lines = [header]
     for r in rows:
-        lines.append(",".join(repr(r[c]) for c in cols))
+        lines.append(",".join([r[c] if isinstance(r[c], str) else repr(r[c])
+                               for c in cols]))
     return "\n".join(lines) + "\n"
 
 
-def _existence_csv(rows: list[dict]) -> str:
-    header = "p,successes,trials,fraction,regime"
-    lines = [header]
-    for r in rows:
-        lines.append(",".join([repr(r["p"]), repr(r["successes"]),
-                               repr(r["trials"]), repr(r["fraction"]),
-                               r["regime"]]))
-    return "\n".join(lines) + "\n"
+def _tail_job(curve: TailCurve):
+    return curve.to_json(), curve.to_csv(), curve.max_unresolved_frac()
+
+
+def _summary_job(payload: dict, header: str, unresolved=None):
+    return payload, _rows_to_csv([payload], header), unresolved
+
+
+def _table_job(kind: str, rows: list[dict], header: str):
+    return {"kind": kind, "rows": rows}, _rows_to_csv(rows, header), None
+
+
+def _validity_job(exp: Experiment):
+    payload = surface_validity(exp)
+    return _summary_job(payload, ",".join(k for k in payload if k != "kind"),
+                        1.0 - payload["certified_fraction"])
+
+
+# kind -> job returning (payload, CSV body, unresolved share); a share of
+# None means the kind leaves nothing unresolved and never fails the budget.
+# Jobs look the module-level functions up at call time, so rebinding one
+# (tracing, tests) reaches the runner.
+_JOBS = {
+    "f_tail": lambda exp: _tail_job(surface_tail_curve(exp)),
+    "radh_tail": lambda exp: _tail_job(spread_tail_curve(exp)),
+    "rho_tail": lambda exp: _tail_job(cover_tail_curve(exp)),
+    "surface_validity": _validity_job,
+    "existence_curve": lambda exp: _table_job(
+        "existence_curve", existence_curve(exp), EXISTENCE_CSV_HEADER),
+    "equivariance": lambda exp: _summary_job(
+        equivariance_check(exp), "d,p,replicates,isometries,mismatches"),
+    "monotonicity": lambda exp: _summary_job(
+        monotonicity_check(exp), "replicates,pairs_checked,violations"),
+    "brw": lambda exp: _table_job("brw", brw_rows(exp), BRW_CSV_HEADER),
+}
+KINDS = tuple(_JOBS)
+
+
+def _config_dict(config) -> dict:
+    """A config mapping as given, or read from the JSON file a path names."""
+    if isinstance(config, (str, bytes)):
+        try:
+            with open(config, "r", encoding="utf-8") as fh:
+                config = json.load(fh)
+        except (OSError, json.JSONDecodeError) as e:
+            raise ConfigError("<file>", f"cannot read config: {e}") from e
+    if not isinstance(config, dict):
+        raise ConfigError("<root>", "config must be a JSON object")
+    return config
 
 
 def run_experiment(config, out_path: str | None = None) -> dict:
@@ -493,12 +522,7 @@ def run_experiment(config, out_path: str | None = None) -> dict:
     there plus a sibling .meta.json with seed, version, and wall time.  The
     body is a pure function of the config; only the metadata carries timing.
     """
-    if isinstance(config, (str, bytes)):
-        try:
-            with open(config, "r", encoding="utf-8") as fh:
-                config = json.load(fh)
-        except (OSError, json.JSONDecodeError) as e:
-            raise ConfigError("<file>", f"cannot read config: {e}") from e
+    config = _config_dict(config)
     out_path = out_path or config.get("out")
     fmt = config.get("format", "csv")
     if fmt not in ("csv", "json"):
@@ -506,43 +530,7 @@ def run_experiment(config, out_path: str | None = None) -> dict:
     exp = experiment_from_config(config)
 
     start = time.time()
-    if exp.kind == "f_tail":
-        curve = surface_tail_curve(exp)
-        payload, csv_text = curve.to_json(), curve.to_csv()
-        overflow = curve.max_unresolved_frac() > exp.unresolved_threshold
-    elif exp.kind == "radh_tail":
-        curve = spread_tail_curve(exp)
-        payload, csv_text = curve.to_json(), curve.to_csv()
-        overflow = curve.max_unresolved_frac() > exp.unresolved_threshold
-    elif exp.kind == "rho_tail":
-        curve = cover_tail_curve(exp)
-        payload, csv_text = curve.to_json(), curve.to_csv()
-        overflow = curve.max_unresolved_frac() > exp.unresolved_threshold
-    elif exp.kind == "surface_validity":
-        payload = surface_validity(exp)
-        csv_text = _rows_to_csv(
-            [payload], ",".join(k for k in payload if k != "kind"))
-        overflow = (1.0 - payload["certified_fraction"]) > exp.unresolved_threshold
-    elif exp.kind == "existence_curve":
-        rows = existence_curve(exp)
-        payload = {"kind": "existence_curve", "rows": rows}
-        csv_text = _existence_csv(rows)
-        overflow = False
-    elif exp.kind == "equivariance":
-        payload = equivariance_check(exp)
-        csv_text = _rows_to_csv([payload], "d,p,replicates,isometries,mismatches")
-        overflow = False
-    elif exp.kind == "monotonicity":
-        payload = monotonicity_check(exp)
-        csv_text = _rows_to_csv([payload], "replicates,pairs_checked,violations")
-        overflow = False
-    elif exp.kind == "brw":
-        rows = brw_rows(exp)
-        payload = {"kind": "brw", "rows": rows}
-        csv_text = _rows_to_csv(rows, BRW_CSV_HEADER)
-        overflow = False
-    else:  # pragma: no cover - kinds validated upstream
-        raise ConfigError("kind", f"unhandled kind {exp.kind}")
+    payload, csv_text, unresolved = _JOBS[exp.kind](exp)
     elapsed = time.time() - start
 
     paths = []
@@ -563,7 +551,7 @@ def run_experiment(config, out_path: str | None = None) -> dict:
             fh.write("\n")
         paths = [out_path, meta_path]
 
-    if overflow:
+    if unresolved is not None and unresolved > exp.unresolved_threshold:
         raise BudgetExceededError(
             f"unresolved fraction exceeded threshold {exp.unresolved_threshold}")
     return {"payload": payload, "csv": csv_text, "paths": paths,

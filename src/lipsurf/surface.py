@@ -40,6 +40,10 @@ class Cert(Enum):
     UNRESOLVED = "unresolved"
 
 
+# default growth policy of climb sets and minimal covers
+COVER_BUDGET = Budget(margin=4, height=4, growth_cap=5)
+
+
 @dataclass(frozen=True)
 class SurfacePatch:
     """Surface values over a finite set of columns, with per-column status.
@@ -191,8 +195,7 @@ def verify_surface(field: Field, patch: SurfacePatch) -> SurfaceReport:
     return SurfaceReport(len(certified), pairs, tuple(open_bad), tuple(lip_bad))
 
 
-def climb_set(field: Field, x, budget: Budget = Budget(margin=4, height=4, growth_cap=5)
-              ) -> tuple[frozenset[Site], Cert]:
+def climb_set(field: Field, x, budget: Budget = COVER_BUDGET) -> tuple[frozenset[Site], Cert]:
     """Endpoints of admissible paths from (x, 0) that avoid negative heights.
 
     Grows the box until the reach stops touching the inner side and top
@@ -217,9 +220,7 @@ def climb_set(field: Field, x, budget: Budget = Budget(margin=4, height=4, growt
     return result.reached, Cert.UNRESOLVED
 
 
-def minimal_cover(field: Field, x,
-                  budget: Budget = Budget(margin=4, height=4, growth_cap=5)
-                  ) -> LocalCoverResult:
+def minimal_cover(field: Field, x, budget: Budget = COVER_BUDGET) -> LocalCoverResult:
     """Minimal local cover of the column x: the sites one above its climb set.
 
     For every column the climb set meets, its sites there form a contiguous
@@ -254,8 +255,7 @@ def _dist(a: Site, b: Site) -> int:
 
 
 def surface_from_covers(field: Field, base, window,
-                        budget: Budget = Budget(margin=4, height=4, growth_cap=5)
-                        ) -> SurfacePatch:
+                        budget: Budget = COVER_BUDGET) -> SurfacePatch:
     """Surface over the base as one plus the supremum, over cover centers in
     the window, of climb-set heights seen in each column.
 

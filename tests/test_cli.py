@@ -1,6 +1,9 @@
 import json
 
+import pytest
+
 from lipsurf.cli import main
+from lipsurf.harness import run_experiment
 
 
 def test_sample_json(capsys):
@@ -117,3 +120,46 @@ def test_oracle_subcommand(capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["all_passed"] is True
     assert len(out["checks"]) == 7
+
+
+# (argv, the run_experiment config those flags stand for)
+_RUN_CASES = {
+    "f_tail": (["tails", "--kind", "f_tail", "--seed", "3", "--replicates", "200",
+                "--kmax", "3"],
+               {"kind": "f_tail", "seed": 3, "replicates": 200, "k_max": 3}),
+    "radh_tail": (["tails", "--kind", "radh_tail", "--seed", "2", "--replicates",
+                   "100", "--kmax", "2", "--box-margin", "4", "--box-height", "4",
+                   "--growth-cap", "5"],
+                  {"kind": "radh_tail", "seed": 2, "replicates": 100, "k_max": 2,
+                   "box_margin": 4, "box_height": 4, "growth_cap": 5}),
+    "rho_tail": (["tails", "--kind", "rho_tail", "--seed", "2", "--replicates",
+                  "100", "--kmax", "2", "--box-margin", "4", "--box-height", "4",
+                  "--growth-cap", "5"],
+                 {"kind": "rho_tail", "seed": 2, "replicates": 100, "k_max": 2,
+                  "box_margin": 4, "box_height": 4, "growth_cap": 5}),
+    "brw": (["brw", "--seed", "1", "--runs", "100", "--generations", "3"],
+            {"kind": "brw", "seed": 1, "runs": 100, "generations": 3}),
+    "existence": (["existence", "--p-grid", "0.6,0.95,0.999", "--seed", "2",
+                   "--replicates", "5", "--base-radius", "2"],
+                  {"kind": "existence_curve", "p_grid": [0.6, 0.95, 0.999],
+                   "seed": 2, "replicates": 5, "base_radius": 2}),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("case", sorted(_RUN_CASES))
+def test_run_subcommands_match_run_experiment(case, fmt, tmp_path, capsys):
+    """tails, brw and existence print the body run_experiment returns (JSON
+    compact on stdout) and write to --out the body run_experiment writes."""
+    argv, config = _RUN_CASES[case]
+    config = dict(config, format=fmt)
+    result = run_experiment(config, out_path=str(tmp_path / "want"))
+    want_stdout = (result["csv"] if fmt == "csv"
+                   else json.dumps(result["payload"], sort_keys=True) + "\n")
+    assert main(argv + ["--format", fmt]) == 0
+    assert capsys.readouterr().out == want_stdout
+    got = tmp_path / "got"
+    assert main(argv + ["--format", fmt, "--out", str(got)]) == 0
+    assert capsys.readouterr().out == ""
+    assert got.read_bytes() == (tmp_path / "want").read_bytes()
+    assert (tmp_path / "got.meta.json").exists()
