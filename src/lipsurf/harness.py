@@ -27,8 +27,8 @@ from .bounds import (HypothesisError, spread_rate, spread_tail_bound,
 from .brw import OffspringLaw, martingale_table, survival_curve
 from .lattice import (BoxRegion, Column, PercolationField, SignedPermutationField,
                       replicate_closed_masks)
-from .reach import (Budget, StepSet, column_run, column_runs, floor_reach_masks,
-                    floor_reach_sandwich)
+from .reach import (Budget, StepSet, _contacts, column_run, column_runs,
+                    floor_reach_masks, floor_reach_sandwich, reach_masks)
 from .stats import Z_99, wilson_interval
 from .surface import Cert, build_surface, minimal_cover, verify_surface
 
@@ -277,20 +277,36 @@ def _floor_runs(exp: Experiment):
         yield ro, rp
 
 
-def _cover_radii(exp: Experiment, radius: str, levels: int):
-    """One chunk of every replicate's minimal-cover radius (the attribute
-    named `radius`) at the origin column: the radius itself on the lower
-    side, and on the upper side the radius if the cover is certified, else
-    `levels`, a possible hit at every level."""
-    origin = (0,) * (exp.d - 1)
-    lo, hi = [], []
-    for rep in range(exp.replicates):
-        field = PercolationField(exp.d, exp.p, exp.seed, rep)
-        cover = minimal_cover(field, origin, exp.budget)
-        r = getattr(cover, radius)
-        lo.append(r)
-        hi.append(r if cover.certified else levels)
-    yield np.array(lo), np.array(hi)
+def _cover_radii(exp: Experiment, shift: int, levels: int):
+    """Minimal-cover radii at the origin column, chunk by chunk: the spread
+    radius plus `shift` (1 gives the cover radius) on the lower side, and on
+    the upper side the same if the cover is certified, else `levels`, a
+    possible hit at every level.  One numpy pass hashes and sweeps the
+    first climb box of every replicate in the chunk; a reach that touches
+    no side or top of it is the exact climb set, and only the others go
+    through minimal_cover, which repeats the first box and grows from there."""
+    budget = exp.budget
+    m, d = budget.margin, exp.d
+    box = BoxRegion(tuple([-m] * (d - 1) + [0]), tuple([m] * (d - 1) + [budget.height]))
+    # 1-norm distance of every box site from the origin (0, ..., 0)
+    dist = sum(np.ix_(*(np.abs(np.arange(a, b + 1)) for a, b in zip(box.lo, box.hi))))
+    origin = (0,) * (d - 1)
+    chunk = max(1, _CHUNK_SITES // box.size)
+    for start in range(0, exp.replicates, chunk):
+        reps = np.arange(start, min(start + chunk, exp.replicates))
+        closed = replicate_closed_masks(d, exp.p, exp.seed, reps, box)
+        seeds = np.zeros_like(closed)
+        seeds[(slice(None), *([m] * (d - 1)), 0)] = True
+        reached = reach_masks(closed, seeds)
+        lo = np.where(reached, dist, 0).max(axis=tuple(range(1, d + 1))) + shift
+        hi = lo.copy()
+        side, top, _ = _contacts(reached)
+        for i in np.flatnonzero(side | top):
+            field = PercolationField(d, exp.p, exp.seed, int(reps[i]))
+            cover = minimal_cover(field, origin, budget)
+            lo[i] = cover.spread_radius + shift
+            hi[i] = lo[i] if cover.certified else levels
+        yield lo, hi
 
 
 def surface_tail_curve(exp: Experiment) -> TailCurve:
@@ -307,7 +323,7 @@ def spread_tail_curve(exp: Experiment) -> TailCurve:
     """Tail of the climb-set spread radius at the origin column."""
     levels = exp.k_max + 1
     return _tail_curve(exp, "radh_tail", levels,
-                       _cover_radii(exp, "spread_radius", levels),
+                       _cover_radii(exp, 0, levels),
                        lambda k: spread_tail_bound(exp.d, exp.p, k))
 
 
@@ -317,7 +333,7 @@ def cover_tail_curve(exp: Experiment) -> TailCurve:
     (the cover radius exceeds the spread radius by exactly one)."""
     levels = exp.k_max + 2
     return _tail_curve(exp, "rho_tail", levels,
-                       _cover_radii(exp, "cover_radius", levels),
+                       _cover_radii(exp, 1, levels),
                        lambda n: spread_tail_bound(exp.d, exp.p, max(0, n - 1)))
 
 
@@ -597,7 +613,7 @@ def cover_sweep(p: float = 0.99, radius: int = 2, h_max: int = 2) -> dict:
 
 
 def walk_path_sweep() -> dict:
-    """Every configuration of a 3x3 (d=2) box: breadth-first walk reach,
+    """Every configuration of a 3x3 (d=2) box: the engine's reach,
     the oracle's naive walk fixed point, and the oracle's distinct-site
     path enumeration must reach identical site sets."""
     from .lattice import ExplicitConfig, ExplicitField

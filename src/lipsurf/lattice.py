@@ -180,8 +180,8 @@ def count_l1_sphere(dim: int, n: int) -> int:
 class Field:
     """A (possibly virtual) site configuration on Z^d.
 
-    Subclasses provide is_closed(); bulk queries come in two flavours,
-    a dense boolean mask and the usually-sparse set of closed sites.
+    Subclasses provide is_closed() and, for bulk queries, closed_mask(),
+    a dense boolean array over a box.
     """
 
     d: int
@@ -197,17 +197,7 @@ class Field:
             raise ValueError(f"site {site} has dimension {len(site)}, field has d={self.d}")
 
     def closed_mask(self, box: BoxRegion) -> np.ndarray:
-        mask = np.empty(box.shape, dtype=bool)
-        for site in box.sites():
-            idx = tuple(c - a for c, a in zip(site, box.lo))
-            mask[idx] = self.is_closed(site)
-        return mask
-
-    def closed_sites(self, box: BoxRegion) -> frozenset[Site]:
-        mask = self.closed_mask(box)
-        lo = np.asarray(box.lo)
-        coords = np.argwhere(mask) + lo
-        return frozenset(map(tuple, coords.tolist()))
+        raise NotImplementedError
 
 
 class PercolationField(Field):
@@ -289,11 +279,6 @@ class ConstantField(Field):
     def closed_mask(self, box: BoxRegion) -> np.ndarray:
         return np.full(box.shape, self._closed, dtype=bool)
 
-    def closed_sites(self, box: BoxRegion) -> frozenset[Site]:
-        if not self._closed:
-            return frozenset()
-        return frozenset(box.sites())
-
 
 class OverrideField(Field):
     """All sites open except an explicit finite set of closed sites."""
@@ -314,9 +299,6 @@ class OverrideField(Field):
             if box.contains(s):
                 mask[tuple(c - a for c, a in zip(s, box.lo))] = True
         return mask
-
-    def closed_sites(self, box: BoxRegion) -> frozenset[Site]:
-        return frozenset(s for s in self.closed if box.contains(s))
 
 
 class SignedPermutationField(Field):
@@ -394,10 +376,6 @@ class ExplicitConfig:
     def is_closed(self, site: Site) -> bool:
         return self.states[self.index_of(site)] == 0
 
-    def closed_site_set(self) -> frozenset[Site]:
-        return frozenset(
-            s for s, st in zip(self.box.sites(), self.states) if st == 0)
-
     def to_json(self) -> dict:
         return {"box": self.box.to_json(), "states": list(self.states)}
 
@@ -425,13 +403,17 @@ class ExplicitField(Field):
         self._check_site(site)
         return self.config.is_closed(site)
 
-    def closed_sites(self, box: BoxRegion) -> frozenset[Site]:
-        return frozenset(s for s in self.config.closed_site_set() if box.contains(s))
-
     def closed_mask(self, box: BoxRegion) -> np.ndarray:
+        """Closed sites of the box; sites outside the config box read open."""
+        own = self.config.box
+        lo = [max(a, b) for a, b in zip(box.lo, own.lo)]
+        hi = [min(a, b) for a, b in zip(box.hi, own.hi)]
         mask = np.zeros(box.shape, dtype=bool)
-        for s in self.closed_sites(box):
-            mask[tuple(c - a for c, a in zip(s, box.lo))] = True
+        if all(a <= b for a, b in zip(lo, hi)):
+            def window(origin):
+                return tuple(slice(a - c, b - c + 1) for a, b, c in zip(lo, hi, origin))
+            states = np.array(self.config.states, dtype=bool).reshape(own.shape)
+            mask[window(box.lo)] = ~states[window(own.lo)]
         return mask
 
 

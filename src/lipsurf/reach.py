@@ -3,13 +3,13 @@
 Steps move up (+e_d), straight down (-e_d), or diagonally down
 (-e_d +- e_j); an upward step is admissible only when it lands on a closed
 site, while every downward or diagonal step is unconditionally allowed.
-Reachability inside a finite box is computed by breadth-first expansion
-over a visited set for arbitrary sources, and by a dense layer sweep over
-boolean arrays, batched across boxes, for the floor reaches that surfaces
-and surface tails need.  The distinct-sites requirement on paths changes
-nothing: loop-erasing an admissible walk keeps every remaining step (and
-its admissibility), so walk- and path-reachability agree.  The oracle
-module re-verifies this exhaustively on tiny boxes.
+Reachability inside a finite box is computed by one kernel: a dense layer
+sweep over boolean arrays, batched across boxes, that closes any seed
+masks under admissible steps; the box bottom is the height floor.  The
+distinct-sites requirement on paths changes nothing: loop-erasing an
+admissible walk keeps every remaining step (and its admissibility), so
+walk- and path-reachability agree.  The oracle module re-verifies this
+exhaustively on tiny boxes.
 
 Certification.  Membership is easy to certify (a path found inside the box
 is a path, full stop), non-membership is the delicate direction.  For a
@@ -39,8 +39,6 @@ t - distance) until the optimistic and pessimistic answers agree.
 
 from __future__ import annotations
 
-import itertools
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
@@ -108,71 +106,6 @@ class ReachResult:
     touched_bottom: bool
 
 
-def _bfs(d: int, seeds, box: BoxRegion, steps, height_floor,
-         closed: frozenset[Site], seen: set[Site]) -> None:
-    """Expand seen in place from the seeds; seeds must already be in seen."""
-    lo, hi = box.lo, box.hi
-    rng = range(d)
-    queue = deque(seeds)
-    while queue:
-        site = queue.popleft()
-        for st, is_up in steps:
-            nxt = tuple(site[i] + st[i] for i in rng)
-            if nxt in seen:
-                continue
-            ok = True
-            for i in rng:
-                if not lo[i] <= nxt[i] <= hi[i]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            if height_floor is not None and nxt[-1] < height_floor:
-                continue
-            if is_up and nxt not in closed:
-                continue
-            seen.add(nxt)
-            queue.append(nxt)
-
-
-def _result(seen: set[Site], src: frozenset[Site], box: BoxRegion) -> ReachResult:
-    d = box.dim
-    lo, hi = box.lo, box.hi
-    touched_side = any(
-        any(s[i] == lo[i] or s[i] == hi[i] for i in range(d - 1)) for s in seen)
-    touched_top = any(s[-1] == hi[-1] for s in seen)
-    touched_bottom = any(s[-1] == lo[-1] for s in seen)
-    return ReachResult(frozenset(seen), src, box, touched_side, touched_top,
-                       touched_bottom)
-
-
-def reach(field: Field, sources, box: BoxRegion,
-          step_set: StepSet = StepSet.FULL,
-          height_floor: int | None = None,
-          _closed: frozenset[Site] | None = None) -> ReachResult:
-    """All sites of the box connected to the sources by admissible steps
-    staying inside the box (and at or above height_floor, when given).
-
-    Order-free: the result depends only on the source *set*.  Walks and
-    distinct-site paths reach the same sites (loop erasure), so BFS over a
-    visited set is exact.
-    """
-    d = field.d
-    src = frozenset(tuple(s) for s in sources)
-    if not src:
-        return ReachResult(frozenset(), frozenset(), box, False, False, False)
-    for s in src:
-        if len(s) != d:
-            raise ValueError(f"source {s} has wrong dimension")
-        if not box.contains(s):
-            raise ValueError(f"source {s} outside box lo={box.lo} hi={box.hi}")
-    closed = _closed if _closed is not None else field.closed_sites(box)
-    steps = [(st, st[-1] == 1) for st in step_vectors(d, step_set)]
-    seen = set(src)
-    _bfs(d, src, box, steps, height_floor, closed, seen)
-    return _result(seen, src, box)
-
-
 @dataclass(frozen=True)
 class ReachSandwich:
     """Optimistic and pessimistic floor reaches over one box.
@@ -185,24 +118,6 @@ class ReachSandwich:
 
     optimistic: ReachResult
     pessimistic: ReachResult
-
-
-def _bottom_layer(box: BoxRegion) -> list[Site]:
-    base = BoxRegion(box.lo[:-1], box.hi[:-1])
-    h = box.lo[-1]
-    return [(*col, h) for col in base.sites()]
-
-
-def _side_layer(box: BoxRegion) -> list[Site]:
-    d = box.dim
-    out: set[Site] = set()
-    for axis in range(d - 1):
-        ranges = [range(box.lo[i], box.hi[i] + 1) for i in range(d)]
-        for bound in (box.lo[axis], box.hi[axis]):
-            ranges_ax = list(ranges)
-            ranges_ax[axis] = (bound,)
-            out.update(itertools.product(*ranges_ax))
-    return list(out)
 
 
 def _close(reached: np.ndarray, closed: np.ndarray, step_set: StepSet) -> None:
@@ -241,6 +156,14 @@ def _close(reached: np.ndarray, closed: np.ndarray, step_set: StepSet) -> None:
         count = new
 
 
+def _seed_sides(mask: np.ndarray, axes) -> None:
+    """Seed the inner side boundary: both end slices of each column axis."""
+    for axis in axes:
+        lead = (slice(None),) * axis
+        mask[lead + (0,)] = True
+        mask[lead + (-1,)] = True
+
+
 def floor_reach_masks(closed: np.ndarray, step_set: StepSet = StepSet.FULL
                       ) -> tuple[np.ndarray, np.ndarray]:
     """Optimistic and pessimistic floor reaches of a batch of boxes.
@@ -261,21 +184,81 @@ def floor_reach_masks(closed: np.ndarray, step_set: StepSet = StepSet.FULL
     # reachability from a union is the closure of the union, so the
     # pessimistic sweep starts from the optimistic reach
     pes = opt.copy()
-    for axis in range(2, pes.ndim):
-        lead = (slice(None),) * axis
-        pes[lead + (0,)] = True
-        pes[lead + (-1,)] = True
+    _seed_sides(pes, range(2, pes.ndim))
     _close(pes, lids, step_set)
     return np.moveaxis(opt, 0, -1), np.moveaxis(pes, 0, -1)
 
 
+def reach_masks(closed: np.ndarray, seeds: np.ndarray,
+                step_set: StepSet = StepSet.FULL) -> np.ndarray:
+    """Sites of a batch of boxes reachable from seed masks by admissible
+    steps that stay inside each box.
+
+    closed and seeds share floor_reach_masks' layout, (B, n_1, ...,
+    n_(d-1), H+1) with height last; the bottom layer is the height floor.
+    Returns the closure of the seeds as a boolean array of that shape.
+    """
+    if closed.shape != seeds.shape or closed.ndim < 3:
+        raise ValueError(f"need closed and seed masks of one batch shape, "
+                         f"got {closed.shape} and {seeds.shape}")
+    layers_first = (closed.ndim - 1, *range(closed.ndim - 1))
+    lids = np.ascontiguousarray(closed.transpose(layers_first), dtype=bool)
+    reached = seeds.transpose(layers_first).astype(bool, order="C")
+    _close(reached, lids, step_set)
+    return reached.transpose((*range(1, closed.ndim), 0))
+
+
+def _contacts(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per box of a batch of reaches (height last): whether the reach
+    touches the inner side boundary, the top layer and the bottom layer."""
+    rim = np.zeros((1, *masks.shape[1:]), dtype=bool)
+    _seed_sides(rim, range(1, masks.ndim - 1))
+    axes = tuple(range(1, masks.ndim))
+    return ((masks & rim).any(axis=axes), masks[..., -1].any(axis=axes[:-1]),
+            masks[..., 0].any(axis=axes[:-1]))
+
+
+def _sites(mask: np.ndarray, box: BoxRegion) -> frozenset[Site]:
+    return frozenset(map(tuple, (np.argwhere(mask) + np.asarray(box.lo)).tolist()))
+
+
 def _dense_result(mask: np.ndarray, sources: frozenset[Site],
                   box: BoxRegion) -> ReachResult:
-    coords = np.argwhere(mask) + np.asarray(box.lo)
-    touched_side = any(mask.take([0, -1], axis=i).any() for i in range(box.dim - 1))
-    return ReachResult(frozenset(map(tuple, coords.tolist())), sources, box,
-                       bool(touched_side), bool(mask[..., -1].any()),
-                       bool(mask[..., 0].any()))
+    side, top, bottom = _contacts(mask[None])
+    return ReachResult(_sites(mask, box), sources, box,
+                       bool(side[0]), bool(top[0]), bool(bottom[0]))
+
+
+def reach(field: Field, sources, box: BoxRegion,
+          step_set: StepSet = StepSet.FULL,
+          height_floor: int | None = None) -> ReachResult:
+    """All sites of the box connected to the sources by admissible steps
+    staying inside the box (and at or above height_floor, when given).
+
+    Order-free: the result depends only on the source *set*.  Walks and
+    distinct-site paths reach the same sites (loop erasure), so the
+    closure reach_masks computes is exact.  A height_floor inside the box
+    crops the box from below; a source under it is an error.
+    """
+    d = field.d
+    src = frozenset(tuple(s) for s in sources)
+    if not src:
+        return ReachResult(frozenset(), frozenset(), box, False, False, False)
+    floor = box.lo[-1] if height_floor is None else max(box.lo[-1], height_floor)
+    seeds = np.zeros((1, *box.shape), dtype=bool)
+    for s in src:
+        if len(s) != d:
+            raise ValueError(f"source {s} has wrong dimension")
+        if not box.contains(s):
+            raise ValueError(f"source {s} outside box lo={box.lo} hi={box.hi}")
+        if s[-1] < floor:
+            raise ValueError(f"source {s} below floor {height_floor}")
+        seeds[(0, *(c - a for c, a in zip(s, box.lo)))] = True
+    crop = (..., slice(floor - box.lo[-1], None))  # the layers from the floor up
+    mask = np.zeros(box.shape, dtype=bool)
+    closed = field.closed_mask(box)[None]
+    mask[crop] = reach_masks(closed[crop], seeds[crop], step_set)[0]
+    return _dense_result(mask, src, box)
 
 
 def floor_reach_sandwich(field: Field, box: BoxRegion,
@@ -295,10 +278,12 @@ def floor_reach_sandwich(field: Field, box: BoxRegion,
     if box.hi[-1] < 1:
         raise ValueError(f"degenerate box: top height {box.hi[-1]} < 1")
     opt, pes = floor_reach_masks(field.closed_mask(box)[None], step_set)
-    bottom = frozenset(_bottom_layer(box))
-    return ReachSandwich(
-        _dense_result(opt[0], bottom, box),
-        _dense_result(pes[0], bottom | frozenset(_side_layer(box)), box))
+    seeds = np.zeros((1, *box.shape), dtype=bool)
+    seeds[..., 0] = True
+    bottom = _sites(seeds[0], box)
+    _seed_sides(seeds, range(1, box.dim))
+    return ReachSandwich(_dense_result(opt[0], bottom, box),
+                         _dense_result(pes[0], _sites(seeds[0], box), box))
 
 
 def column_run(result: ReachResult, column) -> int:
@@ -381,21 +366,18 @@ def estimate_reach_prob(d: int, p: float, target: Site, *, master_seed: int,
             # side extent exceeds the height so that worst-case side entries
             # need several closed-site climbs to influence the target column
             extent = h + budget.margin + t_radial
-            ht = h
-            lo = tuple([-extent] * (d - 1) + [-ht])
-            hi = tuple([extent] * (d - 1) + [ht])
-            box = BoxRegion(lo, hi)
-            closed = field.closed_sites(box)
-            origin = (0,) * d
-            opt = reach(field, [origin], box, step_set, _closed=closed)
-            if target in opt.reached:
+            lo = tuple([-extent] * (d - 1) + [-h])
+            box = BoxRegion(lo, tuple([extent] * (d - 1) + [h]))
+            closed = field.closed_mask(box)[None]
+            seeds = np.zeros_like(closed)
+            seeds[(0, *(-c for c in lo))] = True
+            at_target = (0, *(t - c for t, c in zip(target, lo)))
+            if reach_masks(closed, seeds, step_set)[at_target]:
                 resolved = True
                 break
-            pes_sources = {origin}
-            pes_sources.update(_side_layer(box))
-            pes_sources.update(s for s in _bottom_layer(box) if s in closed)
-            pes = reach(field, pes_sources, box, step_set, _closed=closed)
-            if target not in pes.reached:
+            _seed_sides(seeds, range(1, d))
+            seeds[..., 0] |= closed[..., 0]
+            if not reach_masks(closed, seeds, step_set)[at_target]:
                 resolved = False
                 break
             h *= 2

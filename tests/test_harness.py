@@ -123,6 +123,60 @@ def test_surface_tail_batching_matches_per_replicate_path(cfg, chunk_sites,
         assert grown, "no replicate took the growth fallback"
 
 
+_COVER_CONFIGS = [
+    dict(d=2, p=0.99, replicates=301, seed=41),
+    dict(d=3, p=0.99, replicates=41, seed=42),
+    # low p and a small first box: climb sets often leave it, so growth runs
+    dict(d=2, p=0.95, replicates=301, seed=43, box_margin=1, box_height=1),
+    dict(d=3, p=0.975, replicates=161, seed=44, box_margin=1, box_height=1),
+    # no growth and a narrow first box: replicates whose climb set reaches
+    # its side, mostly below its top, stay uncertified
+    dict(d=2, p=0.95, replicates=301, seed=45, box_margin=1, box_height=4,
+         growth_cap=0),
+]
+
+
+@pytest.mark.parametrize("chunk_sites", [200, harness._CHUNK_SITES])
+@pytest.mark.parametrize("cfg", _COVER_CONFIGS)
+def test_cover_tail_batching_matches_per_replicate_path(cfg, chunk_sites,
+                                                        monkeypatch):
+    """The chunked first-climb-box pass plus minimal_cover fallback counts
+    exactly what a loop of minimal_cover over single fields counts, for the
+    spread and the cover radius; 200 sites per chunk splits every config
+    into chunks of at most four replicates with a partial last one."""
+    exp = Experiment(kind="radh_tail", k_max=4,
+                     **{**dict(box_margin=4, box_height=4, growth_cap=5), **cfg})
+    covers = [harness.minimal_cover(PercolationField(exp.d, exp.p, exp.seed, rep),
+                                    (0,) * (exp.d - 1), exp.budget)
+              for rep in range(exp.replicates)]
+    grown = []
+    per_replicate = harness.minimal_cover
+
+    def spy(field, *args):
+        grown.append(field.replicate)
+        return per_replicate(field, *args)
+
+    monkeypatch.setattr(harness, "_CHUNK_SITES", chunk_sites)
+    monkeypatch.setattr(harness, "minimal_cover", spy)
+    for curve, radius in ((spread_tail_curve(exp), "spread_radius"),
+                          (cover_tail_curve(exp), "cover_radius")):
+        levels = len(curve.rows)
+        lo = [getattr(c, radius) for c in covers]
+        hi = [r if c.certified else levels for r, c in zip(lo, covers)]
+        assert [r.hits_lo for r in curve.rows] == [
+            sum(v >= k for v in lo) for k in range(levels)]
+        assert [r.hits_hi for r in curve.rows] == [
+            sum(v >= k for v in hi) for k in range(levels)]
+        assert all(type(r.hits_lo) is int and type(r.hits_hi) is int
+                   for r in curve.rows)
+        assert "np." not in curve.to_csv()
+    if exp.p < 0.99:
+        assert grown, "no replicate took the minimal_cover fallback"
+    assert len(grown) < 2 * exp.replicates
+    if exp.growth_cap == 0:
+        assert not all(c.certified for c in covers)
+
+
 def test_spread_and_cover_tails():
     exp = Experiment(kind="radh_tail", d=2, p=0.99, replicates=2000, seed=6,
                      k_max=3, box_margin=4, box_height=4, growth_cap=5)

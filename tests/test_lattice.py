@@ -126,7 +126,8 @@ def test_override_and_constant_fields():
     closed = OverrideField(2, closed=[(0, 1), (2, 2)])
     assert closed.is_closed((0, 1)) and not closed.is_closed((1, 1))
     box = BoxRegion((-1, 0), (2, 2))
-    assert closed.closed_sites(box) == {(0, 1), (2, 2)}
+    coords = np.argwhere(closed.closed_mask(box)) + box.lo
+    assert set(map(tuple, coords.tolist())) == {(0, 1), (2, 2)}
     all_open = ConstantField(2, SiteState.OPEN)
     assert not all_open.closed_mask(box).any()
     all_closed = ConstantField(2, SiteState.CLOSED)
@@ -140,13 +141,27 @@ def test_explicit_config_roundtrip_and_order():
     assert list(box.sites()) == [(-1, 0), (-1, 1), (0, 0), (0, 1)]
     assert not config.is_closed((-1, 0))
     assert config.is_closed((-1, 1))
-    assert config.closed_site_set() == {(-1, 1), (0, 0)}
+    assert {s for s in box.sites() if config.is_closed(s)} == {(-1, 1), (0, 0)}
     back = ExplicitConfig.from_json(config.to_json())
     assert back == config
     field = ExplicitField(config)
     assert field.is_closed((0, 0))
     with pytest.raises(ValueError):
         field.is_closed((5, 5))
+
+
+def test_explicit_field_mask_on_larger_offset_box():
+    config = ExplicitConfig.from_bits(BoxRegion((-1, 0), (1, 2)), 0b100110101)
+    field = ExplicitField(config)
+    box = BoxRegion((-3, -1), (0, 4))  # overhangs the config box on three sides
+    mask = field.closed_mask(box)
+    assert mask.shape == box.shape
+    for s in box.sites():
+        idx = tuple(c - a for c, a in zip(s, box.lo))
+        want = config.box.contains(s) and field.is_closed(s)
+        assert mask[idx] == want
+    assert mask.any() and not mask.all()
+    assert not field.closed_mask(BoxRegion((2, 0), (4, 2))).any()
 
 
 def test_explicit_config_from_bits():

@@ -1,14 +1,16 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lipsurf.lattice import (BoxRegion, ConstantField, ExplicitConfig,
                              ExplicitField, OverrideField, PercolationField,
                              SiteState)
 from lipsurf.oracle import exact_event_prob, walk_reach
 from lipsurf.reach import (Budget, StepSet, estimate_reach_prob,
-                           floor_reach_sandwich, reach, step_vectors,
-                           successors)
+                           floor_reach_sandwich, reach, reach_masks,
+                           step_vectors, successors)
 
 ALL_OPEN = ConstantField(2, SiteState.OPEN)
 ALL_CLOSED = ConstantField(2, SiteState.CLOSED)
@@ -125,7 +127,7 @@ def test_antitone_in_openness():
     bottom = [(-1, 0), (0, 0), (1, 0)]
     for bits in range(1 << 9):
         config = ExplicitConfig.from_bits(box, bits)
-        closed = config.closed_site_set()
+        closed = frozenset(s for s in box.sites() if config.is_closed(s))
         if not closed:
             continue
         before = reach(ExplicitField(config), bottom, box, height_floor=0).reached
@@ -154,24 +156,85 @@ def test_box_monotonicity():
         assert (sw_wide.pessimistic.reached & inside) <= sw_small.pessimistic.reached
 
 
+def _explicit(field, box):
+    # ExplicitConfig states are 1 for open, in lexicographic (C) site order
+    return ExplicitConfig(box, tuple(int(c) for c in ~field.closed_mask(box).ravel()))
+
+
+def _on_side(site, box):
+    return any(site[i] in (box.lo[i], box.hi[i]) for i in range(box.dim - 1))
+
+
+def _contact_flags(sites, box):
+    return (any(_on_side(s, box) for s in sites),
+            any(s[-1] == box.hi[-1] for s in sites),
+            any(s[-1] == box.lo[-1] for s in sites))
+
+
 def test_sandwich_equals_set_reach():
     """The dense layer sweep behind the sandwich reaches exactly what the
-    set BFS of reach() does from the same seeds, with every contact flag."""
-    from lipsurf.reach import _bottom_layer, _side_layer
+    oracle's walk reach does from the same seeds, with every contact flag."""
     cases = [(2, BoxRegion((-4, 0), (4, 4)), 40), (2, BoxRegion((-2, 0), (3, 1)), 40),
              (3, BoxRegion((-3, -2, 0), (3, 4, 5)), 6)]
     for d, box, reps in cases:
+        bottom = {s for s in box.sites() if s[-1] == 0}
+        side = {s for s in box.sites() if _on_side(s, box)}
         for step_set in StepSet:
             for p in (0.95, 0.8, 0.5):
                 for rep in range(reps):
                     field = PercolationField(d, p, master_seed=44, replicate=rep)
+                    config = _explicit(field, box)
                     sw = floor_reach_sandwich(field, box, step_set)
-                    bottom = _bottom_layer(box)
-                    opt = reach(field, bottom, box, step_set, height_floor=0)
-                    pes = reach(field, bottom + _side_layer(box), box, step_set,
-                                height_floor=0)
-                    assert sw.optimistic == opt
-                    assert sw.pessimistic == pes
+                    for got, seeds in ((sw.optimistic, bottom),
+                                       (sw.pessimistic, bottom | side)):
+                        want = walk_reach(config, seeds, step_set, height_floor=0)
+                        assert got.reached == want
+                        assert got.sources == seeds and got.box == box
+                        assert (got.touched_side, got.touched_top,
+                                got.touched_bottom) == _contact_flags(want, box)
+
+
+def test_reach_rejects_source_below_floor():
+    # the oracle refuses the same input; a floor inside the box crops it
+    box = BoxRegion((-1, -1), (1, 2))
+    with pytest.raises(ValueError, match="below floor"):
+        reach(ALL_CLOSED, [(0, -1)], box, height_floor=0)
+    config = ExplicitConfig(box, (0,) * box.size)
+    with pytest.raises(ValueError, match="below floor"):
+        walk_reach(config, [(0, -1)], height_floor=0)
+    result = reach(ALL_CLOSED, [(0, 0)], box, height_floor=0)
+    assert result.reached == walk_reach(config, [(0, 0)], height_floor=0)
+    assert result.box == box and not result.touched_bottom
+    assert result.touched_side and result.touched_top
+
+
+@st.composite
+def _seeded_batches(draw):
+    d = draw(st.sampled_from((2, 3)))
+    cols = draw(st.lists(st.integers(1, 4 if d == 2 else 3), min_size=d - 1,
+                         max_size=d - 1))
+    shape = (draw(st.integers(1, 4)), *cols, draw(st.integers(1, 4)))
+    n = int(np.prod(shape))
+    closed = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    seeds = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return (np.array(closed).reshape(shape), np.array(seeds).reshape(shape),
+            draw(st.sampled_from(StepSet)))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(_seeded_batches())
+def test_reach_masks_matches_oracle(batch):
+    """Each box of a batch, closed from random seeds, equals the oracle's
+    walk reach floored at its bottom layer; boxes never leak into each other."""
+    closed, seeds, step_set = batch
+    reached = reach_masks(closed, seeds, step_set)
+    assert reached.shape == closed.shape and reached.dtype == bool
+    box = BoxRegion((0,) * (closed.ndim - 1), tuple(n - 1 for n in closed.shape[1:]))
+    for b in range(len(closed)):
+        config = ExplicitConfig(box, tuple(int(c) for c in ~closed[b].ravel()))
+        sources = [tuple(i) for i in np.argwhere(seeds[b]).tolist()]
+        want = walk_reach(config, sources, step_set, height_floor=0)
+        assert {tuple(i) for i in np.argwhere(reached[b]).tolist()} == want
 
 
 def test_sandwich_brackets_truth_under_all_side_extensions():
@@ -221,8 +284,7 @@ def test_estimate_reach_prob_vs_exact_bracket():
 
     def pes_hit(config):
         seeds = {(0, 0), *side}
-        closed = config.closed_site_set()
-        seeds.update(s for s in bottom if s in closed)
+        seeds.update(s for s in bottom if config.is_closed(s))
         return (0, 1) in walk_reach(config, seeds)
 
     exact_lo = exact_event_prob(d, p, box, opt_hit)
@@ -247,7 +309,7 @@ def test_climb_height_needs_closed_sites():
     for bits in range(0, 1 << 9, 7):
         box = BoxRegion((-1, 0), (1, 2))
         config = ExplicitConfig.from_bits(box, bits)
-        closed_count = len(config.closed_site_set())
+        closed_count = config.states.count(0)
         result = reach(ExplicitField(config), [(0, 0)], box, height_floor=0)
         top = max(s[1] for s in result.reached)
         assert top <= closed_count
