@@ -14,8 +14,8 @@ from .lattice import (BoxRegion, Column, ConstantField, ExplicitConfig,
                       SignedPermutationField, Site, SiteState, count_l1_sphere,
                       height, radial, site_state)
 from .reach import (Budget, ReachProbEstimate, ReachResult, ReachSandwich,
-                    StepSet, column_run, estimate_reach_prob,
-                    floor_reach_sandwich, reach, step_vectors, successors)
+                    StepSet, estimate_reach_prob, floor_reach_sandwich, reach,
+                    step_vectors, successors)
 from .surface import (Cert, LocalCoverResult, SurfacePatch, SurfaceReport,
                       build_surface, climb_set, minimal_cover,
                       surface_from_covers, verify_surface)

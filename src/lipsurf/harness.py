@@ -27,8 +27,8 @@ from .bounds import (HypothesisError, spread_rate, spread_tail_bound,
 from .brw import OffspringLaw, martingale_table, survival_curve
 from .lattice import (BoxRegion, Column, PercolationField, SignedPermutationField,
                       replicate_closed_masks)
-from .reach import (Budget, StepSet, _contacts, column_run, column_runs,
-                    floor_reach_masks, floor_reach_sandwich, reach_masks)
+from .reach import (Budget, StepSet, _contacts, column_runs, floor_reach_masks,
+                    floor_reach_sandwich, reach_masks)
 from .stats import Z_99, wilson_interval
 from .surface import Cert, build_surface, minimal_cover, verify_surface
 
@@ -134,6 +134,8 @@ def experiment_from_config(obj: dict) -> Experiment:
         raise ConfigError("box_margin/box_height", "must be >= 1")
     if exp.growth_cap < 0:
         raise ConfigError("growth_cap", "must be >= 0")
+    if exp.unresolved_threshold != exp.unresolved_threshold:
+        raise ConfigError("unresolved_threshold", "must be a number, not NaN")
     if exp.kind == "existence_curve" and exp.p_grid is None:
         raise ConfigError("p_grid", "required for existence_curve")
     if exp.kind in ("radh_tail", "rho_tail") and exp.step_mode is not StepSet.FULL:
@@ -239,13 +241,13 @@ def _origin_floor_runs(field, k_max: int, budget: Budget,
     """Optimistic and pessimistic runs of the floor-reachable set in the
     origin column, grown until agreement strictly below the box top."""
     h = max(budget.height, k_max + 2)
-    col = (0,) * (field.d - 1)
+    origin = [(0,) * (field.d - 1)]
     ro = rp = 0
     for attempt in range(budget.growth_cap + 1):
-        sw = floor_reach_sandwich(field, _origin_box(field.d, h, budget.margin),
-                                  step_set)
-        ro = column_run(sw.optimistic, col)
-        rp = column_run(sw.pessimistic, col)
+        box = _origin_box(field.d, h, budget.margin)
+        sw = floor_reach_sandwich(field, box, step_set)
+        ro, rp = column_runs(np.stack([sw.optimistic.mask, sw.pessimistic.mask]),
+                             box, origin)[:, 0].tolist()
         if _runs_settled(ro, rp, h, k_max):
             break
         if attempt < budget.growth_cap:
@@ -262,14 +264,14 @@ def _floor_runs(exp: Experiment):
     kmax = exp.k_max
     h = max(exp.budget.height, kmax + 2)
     box = _origin_box(exp.d, h, exp.budget.margin)
-    origin = (0,) * (exp.d - 1)
+    origin = [(0,) * (exp.d - 1)]
     chunk = max(1, _CHUNK_SITES // box.size)
     for start in range(0, exp.replicates, chunk):
         reps = np.arange(start, min(start + chunk, exp.replicates))
         closed = replicate_closed_masks(exp.d, exp.p, exp.seed, reps, box)
         opt, pes = floor_reach_masks(closed, exp.step_mode)
-        ro = column_runs(opt, box, origin)
-        rp = column_runs(pes, box, origin)
+        ro = column_runs(opt, box, origin)[:, 0]
+        rp = column_runs(pes, box, origin)[:, 0]
         for i in np.flatnonzero(~_runs_settled(ro, rp, h, kmax)):
             field = PercolationField(exp.d, exp.p, exp.seed, int(reps[i]))
             ro[i], rp[i] = _origin_floor_runs(field, kmax, exp.budget,

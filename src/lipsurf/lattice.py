@@ -393,7 +393,8 @@ class ExplicitConfig:
 
 
 class ExplicitField(Field):
-    """Field backed by an ExplicitConfig; queries outside its box are errors."""
+    """Field backed by an ExplicitConfig.  At a site outside the config box
+    is_closed raises ValueError, while closed_mask reads the site as open."""
 
     def __init__(self, config: ExplicitConfig):
         self.config = config

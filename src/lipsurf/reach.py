@@ -39,6 +39,7 @@ t - distance) until the optimistic and pessimistic answers agree.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -90,20 +91,27 @@ def successors(field: Field, site: Site, step_set: StepSet = StepSet.FULL,
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReachResult:
     """Sites of a box reachable from a source set by admissible steps.
 
-    Boundary-contact flags record whether the reached set touches the inner
-    boundary layers; they drive the grow-until-certified loops.
+    mask is shaped like the box (BoxRegion.shape, height last) and marks
+    the reached sites; reached is the same set as site tuples, built on
+    first read.  Boundary-contact flags record whether the reached set
+    touches the inner boundary layers; they drive the grow-until-certified
+    loops.
     """
 
-    reached: frozenset[Site]
-    sources: frozenset[Site]
+    mask: np.ndarray
     box: BoxRegion
     touched_side: bool
     touched_top: bool
     touched_bottom: bool
+
+    @functools.cached_property
+    def reached(self) -> frozenset[Site]:
+        sites = np.argwhere(self.mask) + self.box.lo
+        return frozenset(map(tuple, sites.tolist()))
 
 
 @dataclass(frozen=True)
@@ -218,15 +226,9 @@ def _contacts(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             masks[..., 0].any(axis=axes[:-1]))
 
 
-def _sites(mask: np.ndarray, box: BoxRegion) -> frozenset[Site]:
-    return frozenset(map(tuple, (np.argwhere(mask) + np.asarray(box.lo)).tolist()))
-
-
-def _dense_result(mask: np.ndarray, sources: frozenset[Site],
-                  box: BoxRegion) -> ReachResult:
+def _dense_result(mask: np.ndarray, box: BoxRegion) -> ReachResult:
     side, top, bottom = _contacts(mask[None])
-    return ReachResult(_sites(mask, box), sources, box,
-                       bool(side[0]), bool(top[0]), bool(bottom[0]))
+    return ReachResult(mask, box, bool(side[0]), bool(top[0]), bool(bottom[0]))
 
 
 def reach(field: Field, sources, box: BoxRegion,
@@ -242,8 +244,6 @@ def reach(field: Field, sources, box: BoxRegion,
     """
     d = field.d
     src = frozenset(tuple(s) for s in sources)
-    if not src:
-        return ReachResult(frozenset(), frozenset(), box, False, False, False)
     floor = box.lo[-1] if height_floor is None else max(box.lo[-1], height_floor)
     seeds = np.zeros((1, *box.shape), dtype=bool)
     for s in src:
@@ -258,7 +258,7 @@ def reach(field: Field, sources, box: BoxRegion,
     mask = np.zeros(box.shape, dtype=bool)
     closed = field.closed_mask(box)[None]
     mask[crop] = reach_masks(closed[crop], seeds[crop], step_set)[0]
-    return _dense_result(mask, src, box)
+    return _dense_result(mask, box)
 
 
 def floor_reach_sandwich(field: Field, box: BoxRegion,
@@ -278,30 +278,16 @@ def floor_reach_sandwich(field: Field, box: BoxRegion,
     if box.hi[-1] < 1:
         raise ValueError(f"degenerate box: top height {box.hi[-1]} < 1")
     opt, pes = floor_reach_masks(field.closed_mask(box)[None], step_set)
-    seeds = np.zeros((1, *box.shape), dtype=bool)
-    seeds[..., 0] = True
-    bottom = _sites(seeds[0], box)
-    _seed_sides(seeds, range(1, box.dim))
-    return ReachSandwich(_dense_result(opt[0], bottom, box),
-                         _dense_result(pes[0], _sites(seeds[0], box), box))
+    return ReachSandwich(_dense_result(opt[0], box), _dense_result(pes[0], box))
 
 
-def column_run(result: ReachResult, column) -> int:
-    """Largest m with (column, 1..m) all reached; 0 when (column, 1) is not."""
-    col = tuple(column)
-    top = result.box.hi[-1]
-    m = 0
-    while m < top and (*col, m + 1) in result.reached:
-        m += 1
-    return m
-
-
-def column_runs(reached: np.ndarray, box: BoxRegion, column) -> np.ndarray:
-    """column_run for a batch of dense reaches over one box, as returned by
-    floor_reach_masks: per box, the largest m with (column, 1..m) all
-    reached."""
-    idx = tuple(c - a for c, a in zip(column, box.lo))
-    col = reached[(slice(None), *idx, slice(1, None))]
+def column_runs(reached: np.ndarray, box: BoxRegion, columns) -> np.ndarray:
+    """Runs of a batch of reaches over one box (shape (B, *box.shape), height
+    last) in a list of columns: entry [b, i] is the largest m with
+    (columns[i], 1..m) all reached in box b, 0 when (columns[i], 1) is not.
+    Returns an integer array of shape (B, len(columns))."""
+    idx = np.asarray(columns, dtype=np.intp).reshape(-1, box.dim - 1) - box.lo[:-1]
+    col = reached[(slice(None), *idx.T, slice(1, None))]
     return np.logical_and.accumulate(col, axis=-1).sum(axis=-1)
 
 

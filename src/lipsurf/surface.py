@@ -31,8 +31,10 @@ import json
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
 
+import numpy as np
+
 from .lattice import BoxRegion, Column, Field, Site
-from .reach import Budget, ReachResult, StepSet, column_run, floor_reach_sandwich, reach
+from .reach import Budget, ReachResult, StepSet, column_runs, floor_reach_sandwich, reach
 
 
 class Cert(Enum):
@@ -142,9 +144,11 @@ def build_surface(field: Field, base, budget: Budget = Budget()) -> SurfacePatch
         pad = h + budget.margin
         box = _surface_box(base_lo, base_hi, pad, h)
         sw = floor_reach_sandwich(field, box)
-        for col in sorted(pending):
-            v_opt = column_run(sw.optimistic, col) + 1
-            v_pes = column_run(sw.pessimistic, col) + 1
+        cols = sorted(pending)
+        runs = column_runs(np.stack([sw.optimistic.mask, sw.pessimistic.mask]),
+                           box, cols) + 1
+        # Python ints: patch values go out through json
+        for col, v_opt, v_pes in zip(cols, *runs.tolist()):
             values[col] = v_opt
             if v_opt == v_pes and v_pes < h:
                 status[col] = Cert.CERTIFIED
@@ -195,6 +199,23 @@ def verify_surface(field: Field, patch: SurfacePatch) -> SurfaceReport:
     return SurfaceReport(len(certified), pairs, tuple(open_bad), tuple(lip_bad))
 
 
+def _climb(field: Field, x: Column, budget: Budget) -> tuple[ReachResult, Cert]:
+    """The climb set of x as a reach over its last box, and its status."""
+    if len(x) != field.d - 1:
+        raise ValueError("center column must have dimension d-1")
+    m, h = budget.margin, budget.height
+    for _ in range(budget.growth_cap + 1):
+        lo = tuple(c - m for c in x) + (0,)
+        hi = tuple(c + m for c in x) + (h,)
+        box = BoxRegion(lo, hi)
+        result = reach(field, [(*x, 0)], box, StepSet.FULL, height_floor=0)
+        if not (result.touched_side or result.touched_top):
+            return result, Cert.CERTIFIED
+        m *= 2
+        h *= 2
+    return result, Cert.UNRESOLVED
+
+
 def climb_set(field: Field, x, budget: Budget = COVER_BUDGET) -> tuple[frozenset[Site], Cert]:
     """Endpoints of admissible paths from (x, 0) that avoid negative heights.
 
@@ -203,21 +224,8 @@ def climb_set(field: Field, x, budget: Budget = COVER_BUDGET) -> tuple[frozenset
     every configuration outside the box.  Growth-cap exhaustion returns the
     partial set with status UNRESOLVED.
     """
-    x = tuple(x)
-    if len(x) != field.d - 1:
-        raise ValueError("center column must have dimension d-1")
-    m, h = budget.margin, budget.height
-    result: ReachResult | None = None
-    for _ in range(budget.growth_cap + 1):
-        lo = tuple(c - m for c in x) + (0,)
-        hi = tuple(c + m for c in x) + (h,)
-        box = BoxRegion(lo, hi)
-        result = reach(field, [(*x, 0)], box, StepSet.FULL, height_floor=0)
-        if not (result.touched_side or result.touched_top):
-            return result.reached, Cert.CERTIFIED
-        m *= 2
-        h *= 2
-    return result.reached, Cert.UNRESOLVED
+    result, cert = _climb(field, tuple(x), budget)
+    return result.reached, cert
 
 
 def minimal_cover(field: Field, x, budget: Budget = COVER_BUDGET) -> LocalCoverResult:
@@ -236,22 +244,16 @@ def minimal_cover(field: Field, x, budget: Budget = COVER_BUDGET) -> LocalCoverR
     unresolved result whose radii are certified lower bounds.
     """
     x = tuple(x)
-    sites, cert = climb_set(field, x, budget)
-    runs: dict[Column, int] = {}
-    for s in sites:
-        col = s[:-1]
-        h = s[-1]
-        if col not in runs or h > runs[col]:
-            runs[col] = h
-    entries = {col: m + 1 for col, m in runs.items()}
-    origin = (*x, 0)
-    spread = max(_dist(origin, s) for s in sites)
-    rho = max(_dist(origin, (*col, v)) for col, v in entries.items())
-    return LocalCoverResult(x, entries, cert is Cert.CERTIFIED, spread, rho, budget)
-
-
-def _dist(a: Site, b: Site) -> int:
-    return sum(abs(p - q) for p, q in zip(a, b))
+    result, cert = _climb(field, x, budget)
+    # straight down is always admissible above the floor, so a column holds
+    # the climb-set run {0..m}: its site count m + 1 is the cover height
+    heights = result.mask.sum(axis=-1)
+    cols = np.argwhere(heights) + result.box.lo[:-1]
+    covers = heights[heights > 0]
+    entries = dict(zip(map(tuple, cols.tolist()), covers.tolist()))
+    # 1-norm distance of the farthest cover site from (x, 0)
+    rho = int((np.abs(cols - x).sum(axis=-1) + covers).max())
+    return LocalCoverResult(x, entries, cert is Cert.CERTIFIED, rho - 1, rho, budget)
 
 
 def surface_from_covers(field: Field, base, window,

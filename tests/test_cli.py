@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -111,6 +112,15 @@ def test_exit_code_budget_exhausted(tmp_path, capsys):
     assert main(["tails", "--config", str(cfg)]) == 3
 
 
+def test_exit_code_nan_unresolved_threshold(tmp_path, capsys):
+    cfg = tmp_path / "nan.json"
+    cfg.write_text('{"kind": "f_tail", "d": 2, "p": 0.95, "replicates": 200, '
+                   '"growth_cap": 0, "box_height": 2, "box_margin": 1, '
+                   '"unresolved_threshold": NaN}')
+    assert main(["tails", "--config", str(cfg)]) == 1
+    assert "unresolved_threshold" in capsys.readouterr().err
+
+
 def test_exit_code_usage_error(capsys):
     assert main(["no-such-command"]) == 1
 
@@ -163,3 +173,48 @@ def test_run_subcommands_match_run_experiment(case, fmt, tmp_path, capsys):
     assert capsys.readouterr().out == ""
     assert got.read_bytes() == (tmp_path / "want").read_bytes()
     assert (tmp_path / "got.meta.json").exists()
+
+
+# SHA-256 of the stdout of `surface` (JSON and CSV) and `cover` at d=2 and
+# d=3, with the default budget and with a growth-cap-0 budget that leaves
+# columns or the cover unresolved
+_SURFACE_D2 = ["surface", "--d", "2", "--p", "0.9", "--base-radius", "6"]
+_SURFACE_D3 = ["surface", "--d", "3", "--p", "0.9", "--base-radius", "2"]
+_TIGHT = ["--box-margin", "1", "--growth-cap", "0"]
+_CLI_GOLDEN = [
+    (_SURFACE_D2 + ["--seed", "3"],
+     "f001c127f1f9a7c0ff558c19f642041b53d8e6d046018dc84a6b4e40d057ad19"),
+    (_SURFACE_D2 + ["--seed", "3", "--format", "csv"],
+     "eddffef77489812deda7bfc71f2e93bbdb634b01f88379aa832e4319ed381e20"),
+    (_SURFACE_D2 + ["--seed", "5", "--box-height", "2"] + _TIGHT,
+     "6502edb4e0b5b59479d281c14b13f0847b63032bc1ac633129e5987c24b6df14"),
+    (_SURFACE_D2 + ["--seed", "5", "--box-height", "2"] + _TIGHT + ["--format", "csv"],
+     "6be7eb6436e6e4c0bde970beb43f7ecbcb75636bc1ba04a8e0b442e0f0f1aeb7"),
+    (_SURFACE_D3 + ["--seed", "3"],
+     "dad648c8824057ee0ef40d660ebe8a20920e8fdb6cb7192cf4d388c3ebe1a8f0"),
+    (_SURFACE_D3 + ["--seed", "3", "--format", "csv"],
+     "643ff85f75ec60a5f7b3cf048aa6ead88ef69ca3b94f1751df888537e2585c66"),
+    (_SURFACE_D3 + ["--seed", "5", "--box-height", "2"] + _TIGHT,
+     "2a7dbf685a16bb8f00e158a64f5557d2eff2f8d8fe4a46b50b313cc29cec7000"),
+    (_SURFACE_D3 + ["--seed", "5", "--box-height", "2"] + _TIGHT + ["--format", "csv"],
+     "94247e0b21f9d56c421b56f79f224c4a6a8c4b68e98d251c40f56a765deb7f68"),
+    (["cover", "--d", "2", "--p", "0.7", "--seed", "11"],
+     "ea4f4cacd52437c0ad827bd5e034e078ac173ff7e94568050d6556ff47589e4e"),
+    (["cover", "--d", "2", "--p", "0.7", "--seed", "11", "--box-height", "1"] + _TIGHT,
+     "3f79efdb4b1bc4f3f45942a38ef91776183f43d806d07d58a27a28ca2d966947"),
+    (["cover", "--d", "3", "--p", "0.8", "--seed", "2"],
+     "5c935ff7a77ff0d962a1b0728bfc77362a1c92fc8f64593763942ee99bf5e3ba"),
+    (["cover", "--d", "3", "--p", "0.8", "--seed", "2", "--box-height", "1"] + _TIGHT,
+     "09c2c3b32c5de6d904c12eb545b2dafe72f0059a6c06dce05975377518ec26b0"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", _CLI_GOLDEN,
+                         ids=[" ".join(a) for a, _ in _CLI_GOLDEN])
+def test_surface_and_cover_golden_stdout(argv, digest, capsys):
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    if "--format" not in argv:
+        status = json.loads(out)["status"]
+        assert ("unresolved" in status) == ("--growth-cap" in argv)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

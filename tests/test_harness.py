@@ -275,6 +275,22 @@ def test_run_experiment_budget_exceeded(tmp_path):
     assert out.exists()  # artifacts are written before the loud failure
 
 
+def test_run_experiment_rejects_nan_unresolved_threshold(tmp_path):
+    # 8.5% of these replicates are unresolved: a threshold of 0 fails the
+    # run, and NaN would compare false against the share and let it pass
+    config = {"kind": "f_tail", "d": 2, "p": 0.95, "replicates": 200,
+              "growth_cap": 0, "box_height": 2, "box_margin": 1}
+    with pytest.raises(BudgetExceededError):
+        run_experiment(dict(config, unresolved_threshold=0.0))
+    with pytest.raises(ConfigError, match="unresolved_threshold"):
+        run_experiment(dict(config, unresolved_threshold=float("nan")))
+    cfg = tmp_path / "nan.json"
+    cfg.write_text(json.dumps(dict(config, unresolved_threshold=float("nan"))))
+    assert "NaN" in cfg.read_text()
+    with pytest.raises(ConfigError, match="unresolved_threshold"):
+        run_experiment(str(cfg))
+
+
 def test_oracle_suite_fast_checks():
     from lipsurf.harness import en_check, walk_path_sweep
     assert walk_path_sweep()["passed"]

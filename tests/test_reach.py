@@ -8,7 +8,7 @@ from lipsurf.lattice import (BoxRegion, ConstantField, ExplicitConfig,
                              ExplicitField, OverrideField, PercolationField,
                              SiteState)
 from lipsurf.oracle import exact_event_prob, walk_reach
-from lipsurf.reach import (Budget, StepSet, estimate_reach_prob,
+from lipsurf.reach import (Budget, StepSet, column_runs, estimate_reach_prob,
                            floor_reach_sandwich, reach, reach_masks,
                            step_vectors, successors)
 
@@ -70,6 +70,60 @@ def test_reach_empty_sources():
     result = reach(ALL_OPEN, [], box)
     assert result.reached == frozenset()
     assert not (result.touched_side or result.touched_top or result.touched_bottom)
+
+
+def test_reach_empty_sources_mask():
+    box = BoxRegion((-2, -1, 0), (2, 1, 3))
+    result = reach(ConstantField(3, SiteState.CLOSED), [], box)
+    assert result.mask.shape == box.shape and not result.mask.any()
+
+
+def test_reach_result_reached_is_mask_sites():
+    field = PercolationField(3, 0.7, master_seed=5)
+    box = BoxRegion((-3, -2, 0), (2, 3, 4))
+    result = reach(field, [(0, 0, 0), (2, -2, 1)], box)
+    assert result.mask.shape == box.shape and result.mask.any()
+    want = {tuple(int(c) for c in i + np.array(box.lo))
+            for i in np.argwhere(result.mask)}
+    assert result.reached == want
+    assert result.reached is result.reached
+
+
+def _run_from_mask(mask, box, col):
+    # the run read one site at a time up the column, from height 1
+    run = 0
+    idx = tuple(c - a for c, a in zip(col, box.lo))
+    while run + 1 <= box.hi[-1] and mask[(*idx, run + 1)]:
+        run += 1
+    return run
+
+
+@pytest.mark.parametrize("box", [BoxRegion((-3, 0), (3, 5)),
+                                 BoxRegion((-2, -1, 0), (2, 3, 4))])
+def test_column_runs_batch_matches_per_column_reads(box):
+    rng = np.random.default_rng(17)
+    masks = rng.random((2, *box.shape)) < 0.8
+    cols = sorted({s[:-1] for s in box.sites()})
+    a, b, c = cols[0], cols[1], cols[-1]
+    lo = tuple(x - y for x, y in zip(a, box.lo[:-1]))
+    ib = tuple(x - y for x, y in zip(b, box.lo[:-1]))
+    ic = tuple(x - y for x, y in zip(c, box.lo[:-1]))
+    masks[(0, *lo, 1)] = False          # unreached (col, 1): run 0
+    masks[(0, *ib)] = True              # full column: run H
+    masks[(0, *ic)] = True
+    masks[(0, *ic, 3)] = False          # broken by a gap: run 2
+    masks[(1, *lo)] = True
+    masks[(1, *lo, 2)] = False          # a gap at height 2: run 1
+    runs = column_runs(masks, box, cols)
+    assert runs.shape == (2, len(cols))
+    want = [[_run_from_mask(m, box, col) for col in cols] for m in masks]
+    assert runs.tolist() == want
+    h = box.hi[-1]
+    assert want[0][0] == 0 and want[0][1] == h and want[0][-1] == 2
+    assert want[1][0] == 1
+    # a sublist of columns, out of order, reads the same entries
+    pick = [c, a]
+    assert column_runs(masks, box, pick).tolist() == [[w[-1], w[0]] for w in want]
 
 
 def test_reach_source_order_free():
@@ -189,7 +243,7 @@ def test_sandwich_equals_set_reach():
                                        (sw.pessimistic, bottom | side)):
                         want = walk_reach(config, seeds, step_set, height_floor=0)
                         assert got.reached == want
-                        assert got.sources == seeds and got.box == box
+                        assert got.box == box
                         assert (got.touched_side, got.touched_top,
                                 got.touched_bottom) == _contact_flags(want, box)
 
