@@ -179,7 +179,12 @@ def evolve(law: OffspringLaw, generations: int, master_seed: int,
 
     With shift=C every location is offset by +C from the start (S_0 becomes
     e^(mu*C)); the keyed randomness makes the shifted run's locations equal
-    the unshifted run's plus C, exactly.
+    the unshifted run's plus C, exactly.  The particle cap cuts by count in
+    the same order, so truncation is the same too; only a positive
+    weight_floor, which prunes by location, tells the two runs apart.  The
+    martingale table reads the unshifted run, the survival table the run
+    shifted by its C: with a zero floor that is the unshifted run's maxima
+    plus C, so one evolve per run index serves both tables.
     """
     if generations < 1:
         raise ValueError("generations must be >= 1")
@@ -226,31 +231,6 @@ class MartingaleRow:
     mean_discarded: float
 
 
-def martingale_table(law: OffspringLaw, generations: int, runs: int,
-                     master_seed: int) -> list[MartingaleRow]:
-    """Empirical generation means of S_n against alpha^n.
-
-    cap_bias is the exact gap alpha^n - alpha_truncated^n between the ideal
-    and simulated means; mean_discarded tracks floor pruning.
-    """
-    alpha = law.alpha()
-    alpha_cap = law.alpha_truncated()
-    per_gen = [[] for _ in range(generations + 1)]
-    disc = [[] for _ in range(generations + 1)]
-    for r in range(runs):
-        run = evolve(law, generations, master_seed, run_index=r)
-        for n in range(generations + 1):
-            per_gen[n].append(run.s_values[n])
-            disc[n].append(run.discarded_cum[n])
-    rows = []
-    for n in range(generations + 1):
-        mean, se = mean_and_se(per_gen[n])
-        rows.append(MartingaleRow(
-            n, mean, se, alpha ** n, alpha ** n - alpha_cap ** n,
-            sum(disc[n]) / runs))
-    return rows
-
-
 @dataclass(frozen=True)
 class SurvivalRow:
     n: int
@@ -262,34 +242,124 @@ class SurvivalRow:
     allowance: float
 
 
+class _MartingaleTally:
+    """Per-generation columns of S_n and of the discarded weight, fed by
+    unshifted runs."""
+
+    def __init__(self, generations: int):
+        self.s = [[] for _ in range(generations + 1)]
+        self.disc = [[] for _ in range(generations + 1)]
+
+    def add(self, run: BrwRun) -> None:
+        for n in range(len(self.s)):
+            self.s[n].append(run.s_values[n])
+            self.disc[n].append(run.discarded_cum[n])
+
+    def rows(self, runs: int, alpha: float, alpha_cap: float
+             ) -> list[MartingaleRow]:
+        rows = []
+        for n in range(len(self.s)):
+            mean, se = mean_and_se(self.s[n])
+            rows.append(MartingaleRow(
+                n, mean, se, alpha ** n, alpha ** n - alpha_cap ** n,
+                sum(self.disc[n]) / runs))
+        return rows
+
+
+class _SurvivalTally:
+    """Per-generation counts of shifted runs holding a particle above 0."""
+
+    def __init__(self, law: OffspringLaw, generations: int, runs: int,
+                 master_seed: int):
+        self.law, self.generations = law, generations
+        self.runs, self.master_seed = runs, master_seed
+        self.hits = [0] * (generations + 1)
+        self.disc_mean = [0.0] * (generations + 1)
+
+    def add(self, run_index: int, plain: BrwRun | None = None) -> None:
+        """Count run run_index started at its own shift C: off the plain
+        run moved up by C (evolved here unless given) with a zero floor,
+        off an evolve shifted by C with a positive one."""
+        law, seed = self.law, self.master_seed
+        c = sample_shift(law, seed, run_index)
+        if law.weight_floor > 0.0:
+            run = evolve(law, self.generations, seed, run_index=run_index,
+                         shift=c)
+            c = 0
+        elif plain is not None:
+            run = plain
+        else:
+            run = evolve(law, self.generations, seed, run_index=run_index)
+        for n in range(self.generations + 1):
+            ml = run.max_locations[n]
+            if ml is not None and ml + c > 0:
+                self.hits[n] += 1
+            self.disc_mean[n] += run.discarded_cum[n] / self.runs
+
+    def rows(self, alpha: float, alpha_cap: float, z: float
+             ) -> list[SurvivalRow]:
+        mgf = geometric_mgf(self.law.p, self.law.mu)
+        rows = []
+        for n, hits in enumerate(self.hits):
+            freq = hits / self.runs
+            ci_hi = wilson_interval(hits, self.runs, z)[1]
+            bound = alpha ** n * mgf
+            allowance = self.disc_mean[n] + (alpha ** n - alpha_cap ** n) * mgf
+            rows.append(SurvivalRow(n, hits, self.runs, freq, ci_hi, bound,
+                                    allowance))
+        return rows
+
+
+def martingale_table(law: OffspringLaw, generations: int, runs: int,
+                     master_seed: int) -> list[MartingaleRow]:
+    """Empirical generation means of S_n against alpha^n, one unshifted
+    run per run index.
+
+    cap_bias is the exact gap alpha^n - alpha_truncated^n between the ideal
+    and simulated means; mean_discarded tracks floor pruning.
+    """
+    alpha, alpha_cap = law.alpha(), law.alpha_truncated()
+    tally = _MartingaleTally(generations)
+    for r in range(runs):
+        tally.add(evolve(law, generations, master_seed, run_index=r))
+    return tally.rows(runs, alpha, alpha_cap)
+
+
 def survival_curve(law: OffspringLaw, generations: int, runs: int,
                    master_seed: int, z: float = Z_99) -> list[SurvivalRow]:
     """Per-generation frequency of a shifted-run particle above location 0,
     against the Markov bound alpha^n * E e^(mu*C).
 
-    Each run draws its own shift C (geometric) and evolves the shifted
-    process.  Pruning only removes particles, so the measured frequency is
-    a lower bound of the unpruned one; the reported allowance adds the
-    discarded mass and the cap bias back for reference.
+    Each run draws its own shift C (geometric) and counts the run started
+    at C.  With a zero weight floor nothing is pruned, and that run is the
+    unshifted run moved up by C, exactly (see evolve), so its maxima are
+    read off the unshifted run; a positive floor prunes by location, so
+    there the shifted run is evolved itself.  Pruning only removes
+    particles, so the measured frequency is a lower bound of the unpruned
+    one; the reported allowance adds the discarded mass and the cap bias
+    back for reference.
     """
-    alpha = law.alpha()
-    alpha_cap = law.alpha_truncated()
-    mgf = geometric_mgf(law.p, law.mu)
-    hits = [0] * (generations + 1)
-    disc_mean = [0.0] * (generations + 1)
+    alpha, alpha_cap = law.alpha(), law.alpha_truncated()
+    tally = _SurvivalTally(law, generations, runs, master_seed)
     for r in range(runs):
-        c = sample_shift(law, master_seed, r)
-        run = evolve(law, generations, master_seed, run_index=r, shift=c)
-        for n in range(generations + 1):
-            ml = run.max_locations[n]
-            if ml is not None and ml > 0:
-                hits[n] += 1
-            disc_mean[n] += run.discarded_cum[n] / runs
-    rows = []
-    for n in range(generations + 1):
-        freq = hits[n] / runs
-        ci_hi = wilson_interval(hits[n], runs, z)[1]
-        bound = alpha ** n * mgf
-        allowance = disc_mean[n] + (alpha ** n - alpha_cap ** n) * mgf
-        rows.append(SurvivalRow(n, hits[n], runs, freq, ci_hi, bound, allowance))
-    return rows
+        tally.add(r)
+    return tally.rows(alpha, alpha_cap, z)
+
+
+def brw_tables(law: OffspringLaw, generations: int, runs: int,
+               master_seed: int, z: float = Z_99
+               ) -> tuple[list[MartingaleRow], list[SurvivalRow]]:
+    """martingale_table and survival_curve, row for row, from one pass.
+
+    Each run index is evolved once unshifted and feeds both tables; only a
+    positive weight floor adds the shifted evolve survival_curve needs.
+    alpha and the truncated alpha are computed once for both tables.
+    """
+    alpha, alpha_cap = law.alpha(), law.alpha_truncated()
+    mart = _MartingaleTally(generations)
+    surv = _SurvivalTally(law, generations, runs, master_seed)
+    for r in range(runs):
+        plain = evolve(law, generations, master_seed, run_index=r)
+        mart.add(plain)
+        surv.add(r, plain)
+    return mart.rows(runs, alpha, alpha_cap), surv.rows(alpha, alpha_cap, z)

@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__ as _version
 from .bounds import (HypothesisError, spread_rate, spread_tail_bound,
                      surface_tail_bound)
-from .brw import OffspringLaw, martingale_table, survival_curve
+from .brw import OffspringLaw, brw_tables
 from .lattice import (BoxRegion, Column, PercolationField, SignedPermutationField,
                       replicate_closed_masks)
 from .reach import (Budget, StepSet, _contacts, column_runs, floor_reach_masks,
@@ -461,8 +461,7 @@ EXISTENCE_CSV_HEADER = "p,successes,trials,fraction,regime"
 def brw_rows(exp: Experiment) -> list[dict]:
     """Merged martingale and survival table for the CSV interface."""
     law = OffspringLaw(exp.d, exp.p, exp.mu, exp.depth_cap, exp.weight_floor)
-    mart = martingale_table(law, exp.generations, exp.runs, exp.seed)
-    surv = survival_curve(law, exp.generations, exp.runs, exp.seed)
+    mart, surv = brw_tables(law, exp.generations, exp.runs, exp.seed)
     rows = []
     for m, s in zip(mart, surv):
         rows.append({"n": m.n, "mean_S": m.mean_s, "se_S": m.se_s,

@@ -243,6 +243,8 @@ def reach(field: Field, sources, box: BoxRegion,
     crops the box from below; a source under it is an error.
     """
     d = field.d
+    if box.dim != d:
+        raise ValueError(f"box of dimension {box.dim} for a {d}-d field")
     src = frozenset(tuple(s) for s in sources)
     floor = box.lo[-1] if height_floor is None else max(box.lo[-1], height_floor)
     seeds = np.zeros((1, *box.shape), dtype=bool)

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from lipsurf.brw import (OffspringLaw, evolve, martingale_table, run_key,
-                         sample_offspring, sample_shift, survival_curve)
+from lipsurf.brw import (OffspringLaw, brw_tables, evolve, martingale_table,
+                         run_key, sample_offspring, sample_shift,
+                         survival_curve)
 from lipsurf.lattice import count_l1_sphere
 from lipsurf.stats import mean_and_se
 
@@ -108,6 +109,35 @@ def test_shift_consistency():
                 assert b == a + 3
     assert evolve(LAW, 2, 13, shift=2).s_values[0] == math.exp(LAW.mu * 2)
     assert evolve(LAW, 2, 13).s_values[0] == 1.0
+
+
+@pytest.mark.parametrize("law", [OffspringLaw(2, 0.95, math.log(2)),
+                                 OffspringLaw(3, 0.99, 0.5)])
+def test_shift_moves_a_capped_zero_floor_run_up_exactly(law):
+    # brw_tables reads the survival table off the unshifted run at a zero
+    # floor; that needs the shifted run to be the plain one plus C, with a
+    # binding particle cap and nothing discarded
+    truncated = 0
+    for i in range(30):
+        c = sample_shift(law, 23, i)
+        plain = evolve(law, 4, 23, run_index=i, particle_cap=50)
+        shifted = evolve(law, 4, 23, run_index=i, shift=c, particle_cap=50)
+        assert shifted.max_locations == tuple(
+            None if m is None else m + c for m in plain.max_locations)
+        assert shifted.population == plain.population
+        assert shifted.truncated == plain.truncated
+        assert plain.discarded_cum == shifted.discarded_cum == (0.0,) * 5
+        truncated += plain.truncated
+    assert truncated > 0
+
+
+@pytest.mark.parametrize("floor", [0.0, 0.05])
+def test_brw_tables_match_the_separate_tables(floor):
+    law = OffspringLaw(2, 0.95, 0.5, weight_floor=floor)
+    mart, surv = brw_tables(law, 4, 40, master_seed=8)
+    assert mart == martingale_table(law, 4, 40, master_seed=8)
+    assert surv == survival_curve(law, 4, 40, master_seed=8)
+    assert any(r.hits for r in surv[1:])
 
 
 def test_determinism():

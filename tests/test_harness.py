@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from lipsurf import harness
+from lipsurf import brw, harness
 from lipsurf.bounds import HypothesisError, spread_tail_bound, surface_tail_bound
 from lipsurf.harness import (TAIL_CSV_HEADER, BudgetExceededError, ConfigError,
                              Experiment, cover_tail_curve, equivariance_check,
@@ -357,10 +357,10 @@ _GOLDEN_CASES = {
 }
 
 
-def _golden_bodies(tmp_path, name: str) -> tuple:
+def _golden_bodies(tmp_path, name: str, cases=_GOLDEN_CASES) -> tuple:
     """SHA-256 of the CSV and JSON bodies run_experiment writes for one case
     (None where no body is written)."""
-    config, raises = _GOLDEN_CASES[name]
+    config, raises = cases[name]
     digests = []
     for fmt in ("csv", "json"):
         out = tmp_path / f"{name}.{fmt}"
@@ -430,3 +430,60 @@ def test_run_experiment_golden_bodies(tmp_path):
     harness must leave these digests unchanged."""
     got = {name: _golden_bodies(tmp_path, name) for name in _GOLDEN_CASES}
     assert got == _GOLDEN_DIGESTS
+
+
+# BRW cases beyond the mostly-extinct one above: populations that grow
+# (d=2, p=0.95) and a d=3 law, each with and without floor pruning, so the
+# one-evolve and the two-evolve paths of brw_tables are both pinned.  At
+# floor 0.9 the pruning changes the survival hits, so reading them off the
+# unshifted run there would change the body.
+_BRW_GOLDEN_CASES = {
+    f"brw_d{d}_floor{floor}": ({"kind": "brw", "d": d, "p": p, "mu": 0.5,
+                                "runs": 40, "generations": 4, "seed": seed,
+                                "weight_floor": floor,
+                                "unresolved_threshold": -1.0}, None)
+    for d, p, seed, floor in ((2, 0.95, 53, 0.0), (2, 0.95, 53, 0.05),
+                              (2, 0.95, 53, 0.9), (3, 0.999, 54, 0.0),
+                              (3, 0.999, 54, 0.05))
+}
+_BRW_GOLDEN_DIGESTS = {
+    "brw_d2_floor0.0": (
+        "040b645d24b9ab757b7b0e5b383055885e0eead8b12a7b1dd341819aec42238e",
+        "b2f9ffb15982ba950a2e739caa1784bdb4f7e2fbd0c7c13e35684d5ac8ef6fa1"),
+    "brw_d2_floor0.05": (
+        "813c581e6cedf7ca6ee406c40fdae259575a9e557f64115769f73f85ad84061d",
+        "9f10071addeb8b4ab4c9e88696bf8f6297e30283e762a58a2628278cddb38c62"),
+    "brw_d2_floor0.9": (
+        "749dd3a61183f2098c099b4123928af37759d0190d3dcecabda56bafca575510",
+        "021b51877bf86b6616c0a419829a3c36ef18f2291c7688755274db4259f02032"),
+    "brw_d3_floor0.0": (
+        "b2d9bf84092248fd7cbd8c66a0d3a788fe4acce1b25dad49d6e131f349e67515",
+        "d2c1da43398334e8aaede67707324a89fcc05a81b669b31a3f22b97466328bb2"),
+    "brw_d3_floor0.05": (
+        "468d6acf5774b9bf86add0a0786571dc8a3728e1d3e47eee43f36c8cb7203432",
+        "394a97e545d4445d94180fa525b4be7bbdf76b7d4adcdba16fafc9ea9c6c1f71"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BRW_GOLDEN_CASES))
+def test_brw_golden_bodies(tmp_path, name):
+    assert (_golden_bodies(tmp_path, name, _BRW_GOLDEN_CASES)
+            == _BRW_GOLDEN_DIGESTS[name])
+
+
+@pytest.mark.parametrize("floor, evolves_per_run", [(0.0, 1), (0.05, 2)])
+def test_brw_rows_evolves_each_run_once_at_zero_floor(monkeypatch, floor,
+                                                       evolves_per_run):
+    calls = []
+    real_evolve = brw.evolve
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("shift"))
+        return real_evolve(*args, **kwargs)
+
+    monkeypatch.setattr(brw, "evolve", spy)
+    exp = Experiment(kind="brw", p=0.95, mu=0.5, runs=12, generations=3,
+                     weight_floor=floor)
+    harness.brw_rows(exp)
+    assert len(calls) == evolves_per_run * 12
+    assert calls.count(None) == 12

@@ -78,6 +78,14 @@ def test_reach_empty_sources_mask():
     assert result.mask.shape == box.shape and not result.mask.any()
 
 
+def test_reach_rejects_box_of_wrong_dimension():
+    # the check must not depend on a source being there to carry it
+    box = BoxRegion((-2, -1, 0), (2, 1, 3))
+    for sources in ([], [(0, 0)]):
+        with pytest.raises(ValueError, match="dimension"):
+            reach(ConstantField(2, SiteState.CLOSED), sources, box)
+
+
 def test_reach_result_reached_is_mask_sites():
     field = PercolationField(3, 0.7, master_seed=5)
     box = BoxRegion((-3, -2, 0), (2, 3, 4))
