@@ -242,72 +242,16 @@ class SurvivalRow:
     allowance: float
 
 
-class _MartingaleTally:
-    """Per-generation columns of S_n and of the discarded weight, fed by
-    unshifted runs."""
-
-    def __init__(self, generations: int):
-        self.s = [[] for _ in range(generations + 1)]
-        self.disc = [[] for _ in range(generations + 1)]
-
-    def add(self, run: BrwRun) -> None:
-        for n in range(len(self.s)):
-            self.s[n].append(run.s_values[n])
-            self.disc[n].append(run.discarded_cum[n])
-
-    def rows(self, runs: int, alpha: float, alpha_cap: float
-             ) -> list[MartingaleRow]:
-        rows = []
-        for n in range(len(self.s)):
-            mean, se = mean_and_se(self.s[n])
-            rows.append(MartingaleRow(
-                n, mean, se, alpha ** n, alpha ** n - alpha_cap ** n,
-                sum(self.disc[n]) / runs))
-        return rows
-
-
-class _SurvivalTally:
-    """Per-generation counts of shifted runs holding a particle above 0."""
-
-    def __init__(self, law: OffspringLaw, generations: int, runs: int,
-                 master_seed: int):
-        self.law, self.generations = law, generations
-        self.runs, self.master_seed = runs, master_seed
-        self.hits = [0] * (generations + 1)
-        self.disc_mean = [0.0] * (generations + 1)
-
-    def add(self, run_index: int, plain: BrwRun | None = None) -> None:
-        """Count run run_index started at its own shift C: off the plain
-        run moved up by C (evolved here unless given) with a zero floor,
-        off an evolve shifted by C with a positive one."""
-        law, seed = self.law, self.master_seed
-        c = sample_shift(law, seed, run_index)
-        if law.weight_floor > 0.0:
-            run = evolve(law, self.generations, seed, run_index=run_index,
-                         shift=c)
-            c = 0
-        elif plain is not None:
-            run = plain
-        else:
-            run = evolve(law, self.generations, seed, run_index=run_index)
-        for n in range(self.generations + 1):
-            ml = run.max_locations[n]
-            if ml is not None and ml + c > 0:
-                self.hits[n] += 1
-            self.disc_mean[n] += run.discarded_cum[n] / self.runs
-
-    def rows(self, alpha: float, alpha_cap: float, z: float
-             ) -> list[SurvivalRow]:
-        mgf = geometric_mgf(self.law.p, self.law.mu)
-        rows = []
-        for n, hits in enumerate(self.hits):
-            freq = hits / self.runs
-            ci_hi = wilson_interval(hits, self.runs, z)[1]
-            bound = alpha ** n * mgf
-            allowance = self.disc_mean[n] + (alpha ** n - alpha_cap ** n) * mgf
-            rows.append(SurvivalRow(n, hits, self.runs, freq, ci_hi, bound,
-                                    allowance))
-        return rows
+def _martingale_rows(runs: list[BrwRun], generations: int, alpha: float,
+                     alpha_cap: float) -> list[MartingaleRow]:
+    """Martingale table rows from the unshifted runs, one per run index."""
+    rows = []
+    for n in range(generations + 1):
+        mean, se = mean_and_se([run.s_values[n] for run in runs])
+        rows.append(MartingaleRow(
+            n, mean, se, alpha ** n, alpha ** n - alpha_cap ** n,
+            sum(run.discarded_cum[n] for run in runs) / len(runs)))
+    return rows
 
 
 def martingale_table(law: OffspringLaw, generations: int, runs: int,
@@ -318,11 +262,10 @@ def martingale_table(law: OffspringLaw, generations: int, runs: int,
     cap_bias is the exact gap alpha^n - alpha_truncated^n between the ideal
     and simulated means; mean_discarded tracks floor pruning.
     """
-    alpha, alpha_cap = law.alpha(), law.alpha_truncated()
-    tally = _MartingaleTally(generations)
-    for r in range(runs):
-        tally.add(evolve(law, generations, master_seed, run_index=r))
-    return tally.rows(runs, alpha, alpha_cap)
+    runs_list = [evolve(law, generations, master_seed, run_index=r)
+                 for r in range(runs)]
+    return _martingale_rows(runs_list, generations, law.alpha(),
+                            law.alpha_truncated())
 
 
 def survival_curve(law: OffspringLaw, generations: int, runs: int,
@@ -339,11 +282,7 @@ def survival_curve(law: OffspringLaw, generations: int, runs: int,
     one; the reported allowance adds the discarded mass and the cap bias
     back for reference.
     """
-    alpha, alpha_cap = law.alpha(), law.alpha_truncated()
-    tally = _SurvivalTally(law, generations, runs, master_seed)
-    for r in range(runs):
-        tally.add(r)
-    return tally.rows(alpha, alpha_cap, z)
+    return brw_tables(law, generations, runs, master_seed, z)[1]
 
 
 def brw_tables(law: OffspringLaw, generations: int, runs: int,
@@ -352,14 +291,35 @@ def brw_tables(law: OffspringLaw, generations: int, runs: int,
     """martingale_table and survival_curve, row for row, from one pass.
 
     Each run index is evolved once unshifted and feeds both tables; only a
-    positive weight floor adds the shifted evolve survival_curve needs.
+    positive weight floor adds the shifted evolve the survival table needs.
     alpha and the truncated alpha are computed once for both tables.
     """
     alpha, alpha_cap = law.alpha(), law.alpha_truncated()
-    mart = _MartingaleTally(generations)
-    surv = _SurvivalTally(law, generations, runs, master_seed)
+    mgf = geometric_mgf(law.p, law.mu)
+    plain_runs = []
+    hits = [0] * (generations + 1)
+    disc_mean = [0.0] * (generations + 1)
     for r in range(runs):
+        c = sample_shift(law, master_seed, r)
         plain = evolve(law, generations, master_seed, run_index=r)
-        mart.add(plain)
-        surv.add(r, plain)
-    return mart.rows(runs, alpha, alpha_cap), surv.rows(alpha, alpha_cap, z)
+        plain_runs.append(plain)
+        if law.weight_floor > 0.0:
+            run, lift = evolve(law, generations, master_seed, run_index=r,
+                               shift=c), 0
+        else:
+            run, lift = plain, c
+        for n in range(generations + 1):
+            ml = run.max_locations[n]
+            if ml is not None and ml + lift > 0:
+                hits[n] += 1
+            disc_mean[n] += run.discarded_cum[n] / runs
+    mart = _martingale_rows(plain_runs, generations, alpha, alpha_cap)
+    surv = []
+    for n in range(generations + 1):
+        freq = hits[n] / runs
+        ci_hi = wilson_interval(hits[n], runs, z)[1]
+        bound = alpha ** n * mgf
+        allowance = disc_mean[n] + (alpha ** n - alpha_cap ** n) * mgf
+        surv.append(SurvivalRow(n, hits[n], runs, freq, ci_hi, bound,
+                                allowance))
+    return mart, surv

@@ -99,45 +99,44 @@ def test_pruning_monotone_and_accounted():
 
 
 def test_shift_consistency():
-    for i in range(50):
-        plain = evolve(LAW, 5, 13, run_index=i)
-        shifted = evolve(LAW, 5, 13, run_index=i, shift=3)
-        for a, b in zip(plain.max_locations, shifted.max_locations):
-            if a is None:
-                assert b is None
-            else:
-                assert b == a + 3
+    # the shifted run is the plain one moved up by C, also under a binding
+    # particle cap; brw_tables reads zero-floor survival hits off that
+    cases = [(LAW, 100_000, lambda law, i: 3),
+             (OffspringLaw(2, 0.95, math.log(2)), 50,
+              lambda law, i: sample_shift(law, 13, i)),
+             (OffspringLaw(3, 0.99, 0.5), 50,
+              lambda law, i: sample_shift(law, 13, i))]
+    for law, cap, shift_of in cases:
+        truncated = 0
+        for i in range(50):
+            c = shift_of(law, i)
+            plain = evolve(law, 5, 13, run_index=i, particle_cap=cap)
+            shifted = evolve(law, 5, 13, run_index=i, shift=c, particle_cap=cap)
+            assert shifted.max_locations == tuple(
+                None if m is None else m + c for m in plain.max_locations)
+            assert shifted.population == plain.population
+            assert shifted.truncated == plain.truncated
+            assert plain.discarded_cum == shifted.discarded_cum == (0.0,) * 6
+            truncated += plain.truncated
+        assert truncated > 0 or cap == 100_000
     assert evolve(LAW, 2, 13, shift=2).s_values[0] == math.exp(LAW.mu * 2)
     assert evolve(LAW, 2, 13).s_values[0] == 1.0
 
 
-@pytest.mark.parametrize("law", [OffspringLaw(2, 0.95, math.log(2)),
-                                 OffspringLaw(3, 0.99, 0.5)])
-def test_shift_moves_a_capped_zero_floor_run_up_exactly(law):
-    # brw_tables reads the survival table off the unshifted run at a zero
-    # floor; that needs the shifted run to be the plain one plus C, with a
-    # binding particle cap and nothing discarded
-    truncated = 0
-    for i in range(30):
-        c = sample_shift(law, 23, i)
-        plain = evolve(law, 4, 23, run_index=i, particle_cap=50)
-        shifted = evolve(law, 4, 23, run_index=i, shift=c, particle_cap=50)
-        assert shifted.max_locations == tuple(
-            None if m is None else m + c for m in plain.max_locations)
-        assert shifted.population == plain.population
-        assert shifted.truncated == plain.truncated
-        assert plain.discarded_cum == shifted.discarded_cum == (0.0,) * 5
-        truncated += plain.truncated
-    assert truncated > 0
-
-
-@pytest.mark.parametrize("floor", [0.0, 0.05])
-def test_brw_tables_match_the_separate_tables(floor):
+@pytest.mark.parametrize("floor", [0.0, 0.05, 0.9])
+def test_brw_tables_match_martingale_table_and_shifted_evolves(floor):
     law = OffspringLaw(2, 0.95, 0.5, weight_floor=floor)
-    mart, surv = brw_tables(law, 4, 40, master_seed=8)
-    assert mart == martingale_table(law, 4, 40, master_seed=8)
-    assert surv == survival_curve(law, 4, 40, master_seed=8)
-    assert any(r.hits for r in surv[1:])
+    # at seed 53 and floor 0.9 one run's hits differ between the shifted
+    # run and the plain run plus C, so a floored table must evolve both
+    mart, surv = brw_tables(law, 4, 40, master_seed=53)
+    assert mart == martingale_table(law, 4, 40, master_seed=53)
+    hits = [0] * 5
+    for r in range(40):
+        run = evolve(law, 4, 53, run_index=r, shift=sample_shift(law, 53, r))
+        for n, m in enumerate(run.max_locations):
+            hits[n] += m is not None and m > 0
+    assert [row.hits for row in surv] == hits
+    assert any(hits[1:])
 
 
 def test_determinism():
