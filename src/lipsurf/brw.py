@@ -52,11 +52,11 @@ class OffspringLaw:
             raise ValueError("d must be >= 2")
         if not 0.0 < self.p < 1.0:
             raise ValueError("p must lie in (0,1)")
-        if self.mu <= 0.0:
+        if not self.mu > 0.0:  # NaN fails too
             raise ValueError("mu must be > 0")
         if self.depth_cap < 1:
             raise ValueError("depth_cap must be >= 1")
-        if self.weight_floor < 0.0:
+        if not self.weight_floor >= 0.0:
             raise ValueError("weight_floor must be >= 0")
 
     @property

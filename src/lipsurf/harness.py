@@ -136,6 +136,10 @@ def experiment_from_config(obj: dict) -> Experiment:
         raise ConfigError("growth_cap", "must be >= 0")
     if exp.unresolved_threshold != exp.unresolved_threshold:
         raise ConfigError("unresolved_threshold", "must be a number, not NaN")
+    if not exp.mu > 0.0:  # NaN fails too
+        raise ConfigError("mu", "must be > 0")
+    if not exp.weight_floor >= 0.0:
+        raise ConfigError("weight_floor", "must be >= 0")
     if exp.kind == "existence_curve" and exp.p_grid is None:
         raise ConfigError("p_grid", "required for existence_curve")
     if exp.kind in ("radh_tail", "rho_tail") and exp.step_mode is not StepSet.FULL:

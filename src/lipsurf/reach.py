@@ -3,9 +3,11 @@
 Steps move up (+e_d), straight down (-e_d), or diagonally down
 (-e_d +- e_j); an upward step is admissible only when it lands on a closed
 site, while every downward or diagonal step is unconditionally allowed.
-Reachability inside a finite box is computed by one kernel: a dense layer
-sweep over boolean arrays, batched across boxes, that closes any seed
-masks under admissible steps; the box bottom is the height floor.  The
+Reachability inside a finite box is computed by one kernel over boolean
+arrays, batched across boxes, that closes any seed masks under admissible
+steps; the box bottom is the height floor.  It alternates layer-by-layer
+descents, each from the highest layer changed since the last one, with
+whole-array climbs, and stops on a climb that adds nothing.  The
 distinct-sites requirement on paths changes nothing: loop-erasing an
 admissible walk keeps every remaining step (and its admissibility), so
 walk- and path-reachability agree.  The oracle module re-verifies this
@@ -132,16 +134,21 @@ def _close(reached: np.ndarray, closed: np.ndarray, step_set: StepSet) -> None:
     """Expand reached in place to its closure under admissible steps.
 
     Both arrays are layers first: [t] holds height t of every box in the
-    batch, shape (B, n_1, ..., n_(d-1)).  One sweep climbs bottom to top
-    (an up move lands on a closed site of the layer above) and then
-    descends top to bottom (straight and diagonal down moves shift and OR
-    into the layer below, clipped at the box sides); sweeps repeat until
-    nothing changes.  The height floor is the bottom layer.
+    batch, shape (B, n_1, ..., n_(d-1)).  A descent shifts and ORs straight
+    and diagonal down moves into the layer below (clipped at the box
+    sides), layer by layer from the highest layer changed since the last
+    descent.  Whole-array climbs, an up move onto closed sites at every
+    layer at once, then repeat until one adds nothing; a round whose first
+    climb adds nothing ends the closure.  The closure is the least fixed
+    point of monotone moves, so their order does not change it.  The
+    height floor is the bottom layer.
     """
     top = reached.shape[0] - 1
-    buf = np.empty_like(reached[0])
-    up = [(reached[t], reached[t + 1], closed[t + 1]) for t in range(top)]
-    down = []
+    axes = tuple(range(1, reached.ndim))
+    below, above, lids = reached[:-1], reached[1:], closed[1:]
+    buf = np.empty_like(above)
+    per_layer = (step_set is StepSet.FULL) + 2 * (reached.ndim - 2)
+    down = []  # top layer first: a descent from layer t is a suffix
     for t in range(top, 0, -1):
         src, dst = reached[t], reached[t - 1]
         if step_set is StepSet.FULL:
@@ -151,17 +158,22 @@ def _close(reached: np.ndarray, closed: np.ndarray, step_set: StepSet) -> None:
             head, tail = lead + (slice(None, -1),), lead + (slice(1, None),)
             down.append((dst[tail], src[head]))  # +e_j - e_d
             down.append((dst[head], src[tail]))  # -e_j - e_d
-    count = np.count_nonzero(reached)
+    seeded = np.logical_or.reduce(reached, axis=axes).nonzero()[0]
+    changed = int(seeded[-1]) if seeded.size else 0
     while True:
-        for src, dst, lid in up:
-            np.logical_and(src, lid, out=buf)
-            np.logical_or(dst, buf, out=dst)
-        for dst, src in down:
+        for dst, src in down[(top - changed) * per_layer:]:
             np.logical_or(dst, src, out=dst)
-        new = np.count_nonzero(reached)
-        if new == count:
+        changed = 0
+        while True:
+            np.logical_and(below, lids, out=buf)
+            np.greater(buf, above, out=buf)  # only the sites this climb adds
+            rows = np.logical_or.reduce(buf, axis=axes).nonzero()[0]
+            if not rows.size:
+                break
+            changed = max(changed, int(rows[-1]) + 1)
+            np.logical_or(above, buf, out=above)
+        if not changed:
             return
-        count = new
 
 
 def _seed_sides(mask: np.ndarray, axes) -> None:
@@ -190,7 +202,7 @@ def floor_reach_masks(closed: np.ndarray, step_set: StepSet = StepSet.FULL
     opt[0] = True
     _close(opt, lids, step_set)
     # reachability from a union is the closure of the union, so the
-    # pessimistic sweep starts from the optimistic reach
+    # pessimistic closure starts from the optimistic reach
     pes = opt.copy()
     _seed_sides(pes, range(2, pes.ndim))
     _close(pes, lids, step_set)
@@ -331,11 +343,12 @@ def estimate_reach_prob(d: int, p: float, target: Site, *, master_seed: int,
     target by an admissible path.
 
     Per replicate the optimistic reach seeds the origin alone; the
-    pessimistic adds every inner side-boundary site and every *closed*
-    bottom-layer site (an upward entry from below is admissible only onto a
-    closed site, which is in-box information).  Boxes span negative heights
-    because paths from the origin may dip below 0, and grow until the two
-    variants agree on target membership or the cap is hit.
+    pessimistic seeds that reach (the closure of a union) plus every inner
+    side-boundary site and every *closed* bottom-layer site (an upward
+    entry from below is admissible only onto a closed site, which is in-box
+    information).  Boxes span negative heights because paths from the
+    origin may dip below 0, and grow until the two variants agree on target
+    membership or the cap is hit.
     """
     target = tuple(target)
     if len(target) != d:
@@ -360,12 +373,13 @@ def estimate_reach_prob(d: int, p: float, target: Site, *, master_seed: int,
             seeds = np.zeros_like(closed)
             seeds[(0, *(-c for c in lo))] = True
             at_target = (0, *(t - c for t, c in zip(target, lo)))
-            if reach_masks(closed, seeds, step_set)[at_target]:
+            opt = reach_masks(closed, seeds, step_set)
+            if opt[at_target]:
                 resolved = True
                 break
-            _seed_sides(seeds, range(1, d))
-            seeds[..., 0] |= closed[..., 0]
-            if not reach_masks(closed, seeds, step_set)[at_target]:
+            _seed_sides(opt, range(1, d))
+            opt[..., 0] |= closed[..., 0]
+            if not reach_masks(closed, opt, step_set)[at_target]:
                 resolved = False
                 break
             h *= 2

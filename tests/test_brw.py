@@ -165,3 +165,10 @@ def test_invalid_law_params():
         OffspringLaw(2, 0.99, -0.5)
     with pytest.raises(ValueError):
         OffspringLaw(2, 1.5, 0.5)
+    nan = float("nan")
+    with pytest.raises(ValueError, match="mu"):
+        OffspringLaw(2, 0.99, nan)
+    with pytest.raises(ValueError, match="weight_floor"):
+        OffspringLaw(2, 0.99, 0.5, weight_floor=nan)
+    with pytest.raises(ValueError, match="weight_floor"):
+        OffspringLaw(2, 0.99, 0.5, weight_floor=-0.1)

@@ -291,6 +291,24 @@ def test_run_experiment_rejects_nan_unresolved_threshold(tmp_path):
         run_experiment(str(cfg))
 
 
+@pytest.mark.parametrize("field, bad", [("mu", float("nan")), ("mu", 0.0),
+                                         ("weight_floor", float("nan")),
+                                         ("weight_floor", -0.1)])
+def test_run_experiment_rejects_bad_brw_parameters(tmp_path, field, bad):
+    # NaN compares false against every bound: a NaN weight floor would prune
+    # nothing and run as a zero floor, and a NaN mu would fail deep in the
+    # offspring series instead of naming the field
+    config = {"kind": "brw", "d": 2, "p": 0.95, "mu": 0.5, "runs": 4,
+              "generations": 2}
+    run_experiment(config)
+    with pytest.raises(ConfigError, match=field):
+        run_experiment(dict(config, **{field: bad}))
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(dict(config, **{field: bad})))
+    with pytest.raises(ConfigError, match=field):
+        run_experiment(str(cfg))
+
+
 def test_oracle_suite_fast_checks():
     from lipsurf.harness import en_check, walk_path_sweep
     assert walk_path_sweep()["passed"]

@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from lipsurf.lattice import (BoxRegion, ConstantField, ExplicitConfig,
                              ExplicitField, OverrideField, PercolationField,
-                             SiteState)
+                             SiteState, replicate_closed_masks)
 from lipsurf.oracle import exact_event_prob, walk_reach
-from lipsurf.reach import (Budget, StepSet, column_runs, estimate_reach_prob,
+from lipsurf.reach import (Budget, StepSet, _seed_sides, column_runs,
+                           estimate_reach_prob, floor_reach_masks,
                            floor_reach_sandwich, reach, reach_masks,
                            step_vectors, successors)
 
@@ -275,12 +276,28 @@ def _seeded_batches(draw):
     d = draw(st.sampled_from((2, 3)))
     cols = draw(st.lists(st.integers(1, 4 if d == 2 else 3), min_size=d - 1,
                          max_size=d - 1))
-    shape = (draw(st.integers(1, 4)), *cols, draw(st.integers(1, 4)))
+    shape = (draw(st.integers(1, 4)), *cols, draw(st.integers(1, 8)))
     n = int(np.prod(shape))
-    closed = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    # a site is closed unless it draws 0, so the closed density is 1/2, 3/4
+    # or 7/8: dense fields grow towers that take several climbs
+    odds = draw(st.sampled_from((2, 4, 8)))
+    closed = draw(st.lists(st.integers(0, odds - 1), min_size=n, max_size=n))
     seeds = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    return (np.array(closed).reshape(shape), np.array(seeds).reshape(shape),
+    return (np.array(closed).reshape(shape) > 0, np.array(seeds).reshape(shape),
             draw(st.sampled_from(StepSet)))
+
+
+def _oracle_masks(closed, seeds, step_set):
+    """The oracle's walk reach of each box of a batch, floored at its bottom
+    layer, as a mask shaped like the batch."""
+    box = BoxRegion((0,) * (closed.ndim - 1), tuple(n - 1 for n in closed.shape[1:]))
+    want = np.zeros_like(closed)
+    for b in range(len(closed)):
+        config = ExplicitConfig(box, tuple(int(c) for c in ~closed[b].ravel()))
+        sources = [tuple(i) for i in np.argwhere(seeds[b]).tolist()]
+        for s in walk_reach(config, sources, step_set, height_floor=0):
+            want[(b, *s)] = True
+    return want
 
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
@@ -291,12 +308,84 @@ def test_reach_masks_matches_oracle(batch):
     closed, seeds, step_set = batch
     reached = reach_masks(closed, seeds, step_set)
     assert reached.shape == closed.shape and reached.dtype == bool
-    box = BoxRegion((0,) * (closed.ndim - 1), tuple(n - 1 for n in closed.shape[1:]))
-    for b in range(len(closed)):
-        config = ExplicitConfig(box, tuple(int(c) for c in ~closed[b].ravel()))
-        sources = [tuple(i) for i in np.argwhere(seeds[b]).tolist()]
-        want = walk_reach(config, sources, step_set, height_floor=0)
-        assert {tuple(i) for i in np.argwhere(reached[b]).tolist()} == want
+    np.testing.assert_array_equal(reached, _oracle_masks(closed, seeds, step_set))
+
+
+@pytest.mark.parametrize("step_set", list(StepSet))
+def test_reach_masks_descends_from_the_top_of_a_climb(step_set):
+    # a closed tower over the seed is the only way into columns 1-3: their
+    # sites are reached only by descending from the layer the climb topped
+    closed = np.zeros((1, 4, 6), dtype=bool)
+    closed[0, 0, 1:] = True
+    seeds = np.zeros_like(closed)
+    seeds[0, 0, 0] = True
+    reached = reach_masks(closed, seeds, step_set)
+    x, h = np.indices((4, 6))
+    np.testing.assert_array_equal(reached[0], x + h <= 5)
+    np.testing.assert_array_equal(reached, _oracle_masks(closed, seeds, step_set))
+
+
+@pytest.mark.parametrize("step_set", list(StepSet))
+def test_reach_masks_descends_from_the_highest_layer_a_climb_changed(step_set):
+    # the first climb lifts the seed at (1, 3) to (1, 4) while a tower at
+    # column 7 keeps climbing up to layer 3: the descent must start at layer
+    # 4, not at the layer the last climb reached, to enter (0, 3) and (2, 3)
+    closed = np.zeros((1, 9, 6), dtype=bool)
+    closed[0, 1, 4] = True
+    closed[0, 7, 1:4] = True
+    seeds = np.zeros_like(closed)
+    seeds[0, 1, 3] = seeds[0, 7, 0] = True
+    reached = reach_masks(closed, seeds, step_set)
+    assert reached[0, 0, 3] and reached[0, 2, 3] and not reached[0, 1, 5]
+    np.testing.assert_array_equal(reached, _oracle_masks(closed, seeds, step_set))
+
+
+@pytest.mark.parametrize("step_set", list(StepSet))
+def test_reach_masks_seeds_in_top_layer_only(step_set):
+    # all open: the downward cone of each seed; all closed: every site
+    closed = np.zeros((2, 7, 5), dtype=bool)
+    closed[1] = True
+    seeds = np.zeros_like(closed)
+    seeds[:, 3, -1] = True
+    reached = reach_masks(closed, seeds, step_set)
+    assert reached[1].all()
+    x, h = np.indices((7, 5))
+    cone = abs(x - 3) <= 4 - h
+    if step_set is StepSet.NO_STRAIGHT_DOWN:
+        cone &= (x - 3 + h) % 2 == 0
+    np.testing.assert_array_equal(reached[0], cone)
+    np.testing.assert_array_equal(reached, _oracle_masks(closed, seeds, step_set))
+
+
+@pytest.mark.parametrize("step_set", list(StepSet))
+def test_reach_masks_no_seeds_and_one_layer_boxes(step_set):
+    rng = np.random.default_rng(9)
+    closed = rng.random((3, 4, 3, 6)) < 0.6
+    closed[0] = True
+    none = reach_masks(closed, np.zeros_like(closed), step_set)
+    assert none.shape == closed.shape and not none.any()
+    # a box one layer tall admits no move: the closure is the seeds
+    flat = rng.random((3, 4, 3, 1)) < 0.5
+    seeds = rng.random(flat.shape) < 0.5
+    np.testing.assert_array_equal(reach_masks(flat, seeds, step_set), seeds)
+    np.testing.assert_array_equal(reach_masks(~flat, seeds, step_set), seeds)
+
+
+@pytest.mark.parametrize("d, p", [(2, 0.9), (2, 0.6), (3, 0.8)])
+def test_floor_reach_masks_pessimistic_is_closure_of_bottom_and_sides(d, p):
+    """floor_reach_masks closes the pessimistic seeds starting from the
+    optimistic reach; the result is the closure of the bottom layer plus
+    the sides computed from nothing but those seeds."""
+    box = BoxRegion((-4,) * (d - 1) + (0,), (4,) * (d - 1) + (6,))
+    closed = replicate_closed_masks(d, p, 61, range(20), box)
+    for step_set in StepSet:
+        opt, pes = floor_reach_masks(closed, step_set)
+        seeds = np.zeros_like(closed)
+        seeds[..., 0] = True
+        np.testing.assert_array_equal(opt, reach_masks(closed, seeds, step_set))
+        _seed_sides(seeds, range(1, d))
+        np.testing.assert_array_equal(pes, reach_masks(closed, seeds, step_set))
+        assert (pes > opt).any()
 
 
 def test_sandwich_brackets_truth_under_all_side_extensions():
