@@ -17,6 +17,7 @@ All quantities are exact arithmetic in the model parameters (d, p):
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from math import exp, log
 
@@ -101,6 +102,15 @@ def geometric_mgf(p: float, mu: float) -> float:
     return p * exp(mu) / (1.0 - q * exp(mu))
 
 
+@functools.lru_cache(maxsize=1024)
+def _sphere_block(dim: int, n0: int, block: int) -> np.ndarray:
+    """tau_n = count_l1_sphere(dim, n) for n0 <= n < n0 + block, as floats."""
+    taus = np.array([count_l1_sphere(dim, n) for n in range(n0, n0 + block)],
+                    dtype=float)
+    taus.flags.writeable = False
+    return taus
+
+
 def _sphere_series(dim: int, mu: float) -> float:
     """sum_{n>=1} tau_n e^(-mu n) with tau_n = count_l1_sphere(dim, n).
 
@@ -118,7 +128,7 @@ def _sphere_series(dim: int, mu: float) -> float:
     r = exp(-mu)
     while True:
         ns = np.arange(n0, n0 + block)
-        taus = np.array([count_l1_sphere(dim, int(n)) for n in ns], dtype=float)
+        taus = _sphere_block(dim, n0, block)
         total += float(np.sum(taus * np.power(r, ns.astype(float))))
         n_next = n0 + block
         # remainder bound: terms beyond n_next are <= 2(2n+1)^dim r^n, and the

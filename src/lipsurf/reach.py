@@ -5,13 +5,13 @@ Steps move up (+e_d), straight down (-e_d), or diagonally down
 site, while every downward or diagonal step is unconditionally allowed.
 Reachability inside a finite box is computed by one kernel over boolean
 arrays, batched across boxes, that closes any seed masks under admissible
-steps; the box bottom is the height floor.  It alternates layer-by-layer
-descents, each from the highest layer changed since the last one, with
-whole-array climbs, and stops on a climb that adds nothing.  The
-distinct-sites requirement on paths changes nothing: loop-erasing an
-admissible walk keeps every remaining step (and its admissibility), so
-walk- and path-reachability agree.  The oracle module re-verifies this
-exhaustively on tiny boxes.
+steps; the box bottom is the height floor.  On layers stored batch last,
+(H+1, n_1, ..., n_(d-1), B), it alternates layer-by-layer descents, each
+from the highest layer changed since the last one, with whole-array
+climbs, and stops on a climb that adds nothing.  The distinct-sites
+requirement on paths changes nothing: loop-erasing an admissible walk
+keeps every remaining step (and its admissibility), so walk- and
+path-reachability agree, as the oracle checks exhaustively on tiny boxes.
 
 Certification.  Membership is easy to certify (a path found inside the box
 is a path, full stop), non-membership is the delicate direction.  For a
@@ -133,36 +133,35 @@ class ReachSandwich:
 def _close(reached: np.ndarray, closed: np.ndarray, step_set: StepSet) -> None:
     """Expand reached in place to its closure under admissible steps.
 
-    Both arrays are layers first: [t] holds height t of every box in the
-    batch, shape (B, n_1, ..., n_(d-1)).  A descent shifts and ORs straight
-    and diagonal down moves into the layer below (clipped at the box
-    sides), layer by layer from the highest layer changed since the last
-    descent.  Whole-array climbs, an up move onto closed sites at every
-    layer at once, then repeat until one adds nothing; a round whose first
-    climb adds nothing ends the closure.  The closure is the least fixed
-    point of monotone moves, so their order does not change it.  The
-    height floor is the bottom layer.
+    Both arrays are layers first and batch last: [t] holds height t of
+    every box, shape (n_1, ..., n_(d-1), B), so a column shift moves whole
+    rows of B.  Descents OR the down moves (clipped at the box sides) into
+    the layer below, layer by layer from the highest layer changed since
+    the last descent; a layer's moves are built when first needed.
+    Whole-array climbs, an up move onto closed sites at every layer at
+    once, then repeat until one adds nothing; a round whose first climb
+    adds nothing ends the closure.  The closure is the least fixed point
+    of monotone moves, so their order does not change it.  The height
+    floor is the bottom layer.
     """
-    top = reached.shape[0] - 1
     axes = tuple(range(1, reached.ndim))
     below, above, lids = reached[:-1], reached[1:], closed[1:]
     buf = np.empty_like(above)
-    per_layer = (step_set is StepSet.FULL) + 2 * (reached.ndim - 2)
-    down = []  # top layer first: a descent from layer t is a suffix
-    for t in range(top, 0, -1):
-        src, dst = reached[t], reached[t - 1]
-        if step_set is StepSet.FULL:
-            down.append((dst, src))
-        for axis in range(1, reached.ndim - 1):
-            lead = (slice(None),) * axis
-            head, tail = lead + (slice(None, -1),), lead + (slice(1, None),)
-            down.append((dst[tail], src[head]))  # +e_j - e_d
-            down.append((dst[head], src[tail]))  # -e_j - e_d
+    # (dst, src) slices of a layer per down move: straight, then +-e_j - e_d
+    shifts = [((), ())] if step_set is StepSet.FULL else []
+    for axis in range(reached.ndim - 2):
+        lead = (slice(None),) * axis
+        head, tail = lead + (slice(None, -1),), lead + (slice(1, None),)
+        shifts += [(tail, head), (head, tail)]
+    moves = []  # moves[t - 1]: the down moves out of layer t
     seeded = np.logical_or.reduce(reached, axis=axes).nonzero()[0]
     changed = int(seeded[-1]) if seeded.size else 0
     while True:
-        for dst, src in down[(top - changed) * per_layer:]:
-            np.logical_or(dst, src, out=dst)
+        for t in range(len(moves) + 1, changed + 1):
+            moves.append([(reached[t - 1][a], reached[t][b]) for a, b in shifts])
+        for t in range(changed, 0, -1):
+            for dst, src in moves[t - 1]:
+                np.logical_or(dst, src, out=dst)
         changed = 0
         while True:
             np.logical_and(below, lids, out=buf)
@@ -197,16 +196,17 @@ def floor_reach_masks(closed: np.ndarray, step_set: StepSet = StepSet.FULL
     if closed.ndim < 3 or closed.shape[-1] < 2:
         raise ValueError(f"need a batch of boxes at least two layers tall, "
                          f"got shape {closed.shape}")
-    lids = np.ascontiguousarray(np.moveaxis(closed, -1, 0), dtype=bool)
+    swap = (closed.ndim - 1, *range(1, closed.ndim - 1), 0)  # its own inverse
+    lids = np.ascontiguousarray(closed.transpose(swap), dtype=bool)
     opt = np.zeros_like(lids)
     opt[0] = True
     _close(opt, lids, step_set)
     # reachability from a union is the closure of the union, so the
     # pessimistic closure starts from the optimistic reach
     pes = opt.copy()
-    _seed_sides(pes, range(2, pes.ndim))
+    _seed_sides(pes, range(1, pes.ndim - 1))
     _close(pes, lids, step_set)
-    return np.moveaxis(opt, 0, -1), np.moveaxis(pes, 0, -1)
+    return opt.transpose(swap), pes.transpose(swap)
 
 
 def reach_masks(closed: np.ndarray, seeds: np.ndarray,
@@ -221,11 +221,11 @@ def reach_masks(closed: np.ndarray, seeds: np.ndarray,
     if closed.shape != seeds.shape or closed.ndim < 3:
         raise ValueError(f"need closed and seed masks of one batch shape, "
                          f"got {closed.shape} and {seeds.shape}")
-    layers_first = (closed.ndim - 1, *range(closed.ndim - 1))
-    lids = np.ascontiguousarray(closed.transpose(layers_first), dtype=bool)
-    reached = seeds.transpose(layers_first).astype(bool, order="C")
+    swap = (closed.ndim - 1, *range(1, closed.ndim - 1), 0)  # its own inverse
+    lids = np.ascontiguousarray(closed.transpose(swap), dtype=bool)
+    reached = seeds.transpose(swap).astype(bool, order="C")
     _close(reached, lids, step_set)
-    return reached.transpose((*range(1, closed.ndim), 0))
+    return reached.transpose(swap)
 
 
 def _contacts(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -1,13 +1,16 @@
 import math
 
+import numpy as np
 import pytest
 
+from lipsurf import bounds
 from lipsurf.bounds import (HypothesisError, constants_summary, geometric_mgf,
                             minimize_offspring_laplace, offspring_laplace,
                             path_sum_bound, prefactor, spread_rate,
                             spread_tail_bound, step_count,
                             subcritical_threshold, surface_tail_bound,
                             tail_rate)
+from lipsurf.lattice import count_l1_sphere
 
 
 def test_tail_rate_examples():
@@ -95,6 +98,26 @@ def test_offspring_laplace_matches_closed_form():
                 got = offspring_laplace(d, p, mu)
                 want = _alpha_closed_form(d, p, mu)
                 assert math.isclose(got, want, rel_tol=1e-10)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_sphere_series_cache_is_exact(dim, monkeypatch):
+    """The memoised sphere counts give the same float, bit for bit, as
+    recounting every block; mu = 0.01 needs several 512-term blocks."""
+    mus = (0.01, 0.2, math.log(2), 1.5)
+    bounds._sphere_block.cache_clear()
+    cached = [bounds._sphere_series(dim, mu) for mu in mus]
+    assert [bounds._sphere_series(dim, mu) for mu in mus] == cached
+    starts = []
+
+    def recount(dim, n0, block):
+        starts.append(n0)
+        return np.array([count_l1_sphere(dim, n) for n in range(n0, n0 + block)],
+                        dtype=float)
+
+    monkeypatch.setattr(bounds, "_sphere_block", recount)
+    assert [bounds._sphere_series(dim, mu) for mu in mus] == cached
+    assert starts.count(1) == len(mus) and len(starts) > len(mus)
 
 
 def test_offspring_laplace_domain_errors():

@@ -273,10 +273,9 @@ def test_reach_rejects_source_below_floor():
 
 @st.composite
 def _seeded_batches(draw):
-    d = draw(st.sampled_from((2, 3)))
-    cols = draw(st.lists(st.integers(1, 4 if d == 2 else 3), min_size=d - 1,
-                         max_size=d - 1))
-    shape = (draw(st.integers(1, 4)), *cols, draw(st.integers(1, 8)))
+    d = draw(st.sampled_from((2, 3, 4)))
+    cols = draw(st.lists(st.integers(1, 6 - d), min_size=d - 1, max_size=d - 1))
+    shape = (draw(st.integers(1, 4)), *cols, draw(st.integers(1, 4 if d == 4 else 8)))
     n = int(np.prod(shape))
     # a site is closed unless it draws 0, so the closed density is 1/2, 3/4
     # or 7/8: dense fields grow towers that take several climbs
@@ -300,7 +299,7 @@ def _oracle_masks(closed, seeds, step_set):
     return want
 
 
-@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@settings(derandomize=True, database=None, max_examples=250, deadline=None)
 @given(_seeded_batches())
 def test_reach_masks_matches_oracle(batch):
     """Each box of a batch, closed from random seeds, equals the oracle's
@@ -309,6 +308,31 @@ def test_reach_masks_matches_oracle(batch):
     reached = reach_masks(closed, seeds, step_set)
     assert reached.shape == closed.shape and reached.dtype == bool
     np.testing.assert_array_equal(reached, _oracle_masks(closed, seeds, step_set))
+
+
+@pytest.mark.parametrize("step_set", list(StepSet))
+@pytest.mark.parametrize("size", [1, 2, 7])
+def test_boxes_of_a_batch_close_independently(size, step_set):
+    """Each box of a batch closes as it would alone.  One box holds a tall
+    closed tower, and the boxes at odd distance from it are empty and the
+    others full, so a move across the batch axis would carry reach from a
+    box into its neighbour."""
+    tower = size // 2
+    far = abs(np.arange(size) - tower)
+    closed = np.zeros((size, 5, 3, 7), dtype=bool)
+    closed[tower, 2, 1, 1:] = True
+    closed[(far > 0) & (far % 2 == 0)] = True
+    seeds = np.zeros_like(closed)
+    seeds[:, 2, 1, 0] = True
+    reached = reach_masks(closed, seeds, step_set)
+    assert reached[tower, 2, 1].all()
+    floor = floor_reach_masks(closed, step_set)
+    for b in range(size):
+        one = slice(b, b + 1)
+        np.testing.assert_array_equal(
+            reached[one], reach_masks(closed[one], seeds[one], step_set))
+        for got, alone in zip(floor, floor_reach_masks(closed[one], step_set)):
+            np.testing.assert_array_equal(got[one], alone)
 
 
 @pytest.mark.parametrize("step_set", list(StepSet))
