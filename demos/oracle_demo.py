@@ -1,9 +1,10 @@
 """Brute-force oracles versus the fast engine.
 
-Runs the exhaustive sweeps: every configuration of a tiny box is checked
-for agreement between the engine's minimal cover and the least-fixed-point
-oracle, walk- and path-reachability are compared site for site, and the
-path-counting bounds are verified bucket by bucket.
+Runs the exhaustive sweeps: the engine closes every configuration of a
+tiny box in one batch and each minimal cover it certifies is checked
+against the least-fixed-point oracle, walk- and path-reachability are
+compared site for site, and the path-counting bounds are verified bucket
+by bucket.
 """
 
 import json

@@ -14,8 +14,7 @@ from .lattice import (BoxRegion, Column, ConstantField, ExplicitConfig,
                       SignedPermutationField, Site, SiteState, count_l1_sphere,
                       height, radial, site_state)
 from .reach import (Budget, ReachProbEstimate, ReachResult, ReachSandwich,
-                    StepSet, estimate_reach_prob, floor_reach_sandwich, reach,
-                    step_vectors, successors)
+                    StepSet, estimate_reach_prob, floor_reach_sandwich, reach)
 from .surface import (Cert, LocalCoverResult, SurfacePatch, SurfaceReport,
                       build_surface, climb_set, minimal_cover,
                       surface_from_covers, verify_surface)
@@ -29,7 +28,7 @@ from .brw import (BrwRun, OffspringLaw, evolve, martingale_table,
 from .oracle import (NoCoverInBox, PathEnumeration, all_local_covers,
                      attained_spread, cover_fixed_point, enum_paths,
                      exact_event_prob, partial_expected_visits, path_reach,
-                     walk_reach)
+                     step_vectors, walk_reach)
 from .harness import (BudgetExceededError, ConfigError, Experiment, TailCurve,
                       TailRow, brw_rows, cover_tail_curve, equivariance_check,
                       existence_curve, experiment_from_config,

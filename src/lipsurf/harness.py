@@ -27,10 +27,11 @@ from .bounds import (HypothesisError, spread_rate, spread_tail_bound,
 from .brw import OffspringLaw, brw_tables
 from .lattice import (BoxRegion, Column, PercolationField, SignedPermutationField,
                       replicate_closed_masks)
-from .reach import (Budget, StepSet, _contacts, column_runs, floor_reach_masks,
+from .reach import (Budget, StepSet, column_runs, floor_reach_masks,
                     floor_reach_sandwich, reach_masks)
 from .stats import Z_99, wilson_interval
-from .surface import Cert, build_surface, minimal_cover, verify_surface
+from .surface import (Cert, _cover_entries, _read_covers, build_surface,
+                      minimal_cover, verify_surface)
 
 TAIL_CSV_HEADER = "k,trials,hits_lo,hits_hi,p_lo,p_hi,ci_lo,ci_hi,bound,unresolved_frac"
 
@@ -294,8 +295,6 @@ def _cover_radii(exp: Experiment, shift: int, levels: int):
     budget = exp.budget
     m, d = budget.margin, exp.d
     box = BoxRegion(tuple([-m] * (d - 1) + [0]), tuple([m] * (d - 1) + [budget.height]))
-    # 1-norm distance of every box site from the origin (0, ..., 0)
-    dist = sum(np.ix_(*(np.abs(np.arange(a, b + 1)) for a, b in zip(box.lo, box.hi))))
     origin = (0,) * (d - 1)
     chunk = max(1, _CHUNK_SITES // box.size)
     for start in range(0, exp.replicates, chunk):
@@ -303,11 +302,10 @@ def _cover_radii(exp: Experiment, shift: int, levels: int):
         closed = replicate_closed_masks(d, exp.p, exp.seed, reps, box)
         seeds = np.zeros_like(closed)
         seeds[(slice(None), *([m] * (d - 1)), 0)] = True
-        reached = reach_masks(closed, seeds)
-        lo = np.where(reached, dist, 0).max(axis=tuple(range(1, d + 1))) + shift
+        _, rho, certified = _read_covers(reach_masks(closed, seeds), [m] * (d - 1))
+        lo = rho - 1 + shift
         hi = lo.copy()
-        side, top, _ = _contacts(reached)
-        for i in np.flatnonzero(side | top):
+        for i in np.flatnonzero(~certified):
             field = PercolationField(d, exp.p, exp.seed, int(reps[i]))
             cover = minimal_cover(field, origin, budget)
             lo[i] = cover.spread_radius + shift
@@ -579,38 +577,47 @@ def run_experiment(config, out_path: str | None = None) -> dict:
             "wall_time_s": elapsed}
 
 
+def _box_configs(box: BoxRegion) -> np.ndarray:
+    """Closed masks of every configuration of a tiny box, shaped (2^N,
+    *box.shape): entry b is the configuration ExplicitConfig.from_bits(box,
+    b), whose bit i is the i-th site in lexicographic order, 1 for open."""
+    bits = np.arange(1 << box.size)[:, None] >> np.arange(box.size)
+    return ((bits & 1) == 0).reshape(-1, *box.shape)
+
+
 def cover_sweep(p: float = 0.99, radius: int = 2, h_max: int = 2) -> dict:
     """Exhaustive sweep over every configuration of the d=2 box
-    [-radius, radius] x [0, h_max]: the engine's minimal cover must equal
-    the oracle's least fixed point wherever both certify, and the sweep
+    [-radius, radius] x [0, h_max]: one reach_masks call closes the center
+    column's climb in all of them, and the engine's minimal cover must
+    equal the oracle's least fixed point wherever both certify.  The sweep
     accumulates exact spread-tail probabilities for cross-checking Monte
     Carlo intervals."""
-    from .lattice import ExplicitConfig, ExplicitField
+    from .lattice import ExplicitConfig
     from .oracle import NoCoverInBox, attained_spread, cover_fixed_point
 
     box = BoxRegion((-radius, 0), (radius, h_max))
     n = box.size
-    budget = Budget(margin=radius, height=h_max, growth_cap=0)
-    q = 1.0 - p
-    p_pow = [p ** k for k in range(n + 1)]
-    q_pow = [q ** k for k in range(n + 1)]
     origin = (0,)
+    closed = _box_configs(box)
+    seeds = np.zeros_like(closed)
+    seeds[:, radius, 0] = True
+    heights, rho, certified = _read_covers(reach_masks(closed, seeds), (radius,))
     both = mismatches = 0
     spread_prob = {k: 0.0 for k in range(1, h_max + 1)}
-    for bits in range(1 << n):
+    for bits, fast_rho, fast_cert in zip(range(1 << n), rho.tolist(),
+                                         certified.tolist()):
         config = ExplicitConfig.from_bits(box, bits)
-        prob = p_pow[bits.bit_count()] * q_pow[n - bits.bit_count()]
+        prob = p ** bits.bit_count() * (1.0 - p) ** (n - bits.bit_count())
         spread = attained_spread(config, origin)
         for k in spread_prob:
             if spread >= k:
                 spread_prob[k] += prob
-        fast = minimal_cover(ExplicitField(config), origin, budget)
         orc = cover_fixed_point(config, origin, h_max)
-        if fast.certified and not isinstance(orc, NoCoverInBox):
+        if fast_cert and not isinstance(orc, NoCoverInBox):
             both += 1
-            if (fast.entries != orc.entries
-                    or fast.spread_radius != orc.spread_radius
-                    or fast.cover_radius != orc.cover_radius):
+            if (_cover_entries(heights[bits], box.lo[:-1]) != orc.entries
+                    or fast_rho - 1 != orc.spread_radius
+                    or fast_rho != orc.cover_radius):
                 mismatches += 1
     return {"name": "cover_sweep", "configs": 1 << n, "both_certified": both,
             "mismatches": mismatches, "exact_spread_tail": spread_prob,

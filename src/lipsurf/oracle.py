@@ -17,8 +17,26 @@ from dataclasses import dataclass
 
 from .bounds import spread_rate
 from .lattice import BoxRegion, Column, ExplicitConfig, Site, height, radial
-from .reach import StepSet, step_vectors
+from .reach import StepSet
 from .surface import LocalCoverResult
+
+
+def step_vectors(d: int, step_set: StepSet = StepSet.FULL) -> list[Site]:
+    """The 2d (or 2d-1) step displacements for dimension d."""
+    if d < 2:
+        raise ValueError("d must be >= 2")
+    up = tuple([0] * (d - 1) + [1])
+    down = tuple([0] * (d - 1) + [-1])
+    steps = [up]
+    if step_set is StepSet.FULL:
+        steps.append(down)
+    for j in range(d - 1):
+        for s in (1, -1):
+            vec = [0] * d
+            vec[j] = s
+            vec[-1] = -1
+            steps.append(tuple(vec))
+    return steps
 
 
 @dataclass(frozen=True)

@@ -56,43 +56,6 @@ class StepSet(Enum):
     NO_STRAIGHT_DOWN = "no-straight-down"
 
 
-def step_vectors(d: int, step_set: StepSet = StepSet.FULL) -> list[Site]:
-    """The 2d (or 2d-1) step displacements for dimension d."""
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    up = tuple([0] * (d - 1) + [1])
-    down = tuple([0] * (d - 1) + [-1])
-    steps = [up]
-    if step_set is StepSet.FULL:
-        steps.append(down)
-    for j in range(d - 1):
-        for s in (1, -1):
-            vec = [0] * d
-            vec[j] = s
-            vec[-1] = -1
-            steps.append(tuple(vec))
-    return steps
-
-
-def successors(field: Field, site: Site, step_set: StepSet = StepSet.FULL,
-               height_floor: int | None = None) -> list[Site]:
-    """Admissible one-step successors of a site (no box clipping).
-
-    The upward successor appears iff its target is closed; downward and
-    diagonal successors always appear; successors below height_floor are
-    dropped.
-    """
-    out = []
-    for step in step_vectors(field.d, step_set):
-        nxt = tuple(a + b for a, b in zip(site, step))
-        if height_floor is not None and nxt[-1] < height_floor:
-            continue
-        if step[-1] == 1 and not field.is_closed(nxt):
-            continue
-        out.append(nxt)
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class ReachResult:
     """Sites of a box reachable from a source set by admissible steps.
@@ -228,19 +191,13 @@ def reach_masks(closed: np.ndarray, seeds: np.ndarray,
     return reached.transpose(swap)
 
 
-def _contacts(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per box of a batch of reaches (height last): whether the reach
-    touches the inner side boundary, the top layer and the bottom layer."""
-    rim = np.zeros((1, *masks.shape[1:]), dtype=bool)
-    _seed_sides(rim, range(1, masks.ndim - 1))
-    axes = tuple(range(1, masks.ndim))
-    return ((masks & rim).any(axis=axes), masks[..., -1].any(axis=axes[:-1]),
-            masks[..., 0].any(axis=axes[:-1]))
-
-
 def _dense_result(mask: np.ndarray, box: BoxRegion) -> ReachResult:
-    side, top, bottom = _contacts(mask[None])
-    return ReachResult(mask, box, bool(side[0]), bool(top[0]), bool(bottom[0]))
+    """A reach over one box with its contacts: the inner side boundary, the
+    top layer and the bottom layer."""
+    rim = np.zeros_like(mask)
+    _seed_sides(rim, range(mask.ndim - 1))
+    return ReachResult(mask, box, bool((mask & rim).any()), bool(mask[..., -1].any()),
+                       bool(mask[..., 0].any()))
 
 
 def reach(field: Field, sources, box: BoxRegion,

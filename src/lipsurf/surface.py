@@ -109,12 +109,6 @@ class LocalCoverResult:
         }
 
 
-def _surface_box(base_lo, base_hi, pad: int, h: int) -> BoxRegion:
-    lo = tuple(c - pad for c in base_lo) + (0,)
-    hi = tuple(c + pad for c in base_hi) + (h,)
-    return BoxRegion(lo, hi)
-
-
 def build_surface(field: Field, base, budget: Budget = Budget()) -> SurfacePatch:
     """Surface over the given base columns via the floor-reachable set.
 
@@ -142,7 +136,8 @@ def build_surface(field: Field, base, budget: Budget = Budget()) -> SurfacePatch
     h = budget.height
     for attempt in range(budget.growth_cap + 1):
         pad = h + budget.margin
-        box = _surface_box(base_lo, base_hi, pad, h)
+        box = BoxRegion(tuple(c - pad for c in base_lo) + (0,),
+                        tuple(c + pad for c in base_hi) + (h,))
         sw = floor_reach_sandwich(field, box)
         cols = sorted(pending)
         runs = column_runs(np.stack([sw.optimistic.mask, sw.pessimistic.mask]),
@@ -228,6 +223,29 @@ def climb_set(field: Field, x, budget: Budget = COVER_BUDGET) -> tuple[frozenset
     return result.reached, cert
 
 
+def _read_covers(masks: np.ndarray, center) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per box of a batch of climb masks (B, n_1, ..., n_(d-1), H+1), center
+    indexing the center column: the cover heights, the cover radius (the
+    spread radius plus one) and whether the cover is certified, the reach
+    touching neither the inner side boundary nor the top.  A column holds
+    the climb-set run {0..m} (straight down is always admissible above the
+    floor), so its site count m + 1 is its cover height."""
+    heights = masks.sum(axis=-1)
+    axes = tuple(range(1, heights.ndim))
+    dist = sum(np.ix_(*(np.abs(np.arange(n) - c) for n, c in zip(heights.shape[1:], center))))
+    rho = np.where(heights > 0, heights + dist, 0).max(axis=axes)
+    inner = heights[(slice(None),) + (slice(1, -1),) * len(axes)]
+    side = heights.sum(axis=axes) > inner.sum(axis=axes)  # a site in a rim column
+    return heights, rho, ~side & (heights.max(axis=axes) < masks.shape[-1])
+
+
+def _cover_entries(heights: np.ndarray, lo) -> dict[Column, int]:
+    """Positive cover heights of one box as {column: height}; lo is the
+    column of the box's first index."""
+    cols = np.argwhere(heights) + lo
+    return dict(zip(map(tuple, cols.tolist()), heights[heights > 0].tolist()))
+
+
 def minimal_cover(field: Field, x, budget: Budget = COVER_BUDGET) -> LocalCoverResult:
     """Minimal local cover of the column x: the sites one above its climb set.
 
@@ -244,22 +262,19 @@ def minimal_cover(field: Field, x, budget: Budget = COVER_BUDGET) -> LocalCoverR
     unresolved result whose radii are certified lower bounds.
     """
     x = tuple(x)
-    result, cert = _climb(field, x, budget)
-    # straight down is always admissible above the floor, so a column holds
-    # the climb-set run {0..m}: its site count m + 1 is the cover height
-    heights = result.mask.sum(axis=-1)
-    cols = np.argwhere(heights) + result.box.lo[:-1]
-    covers = heights[heights > 0]
-    entries = dict(zip(map(tuple, cols.tolist()), covers.tolist()))
-    # 1-norm distance of the farthest cover site from (x, 0)
-    rho = int((np.abs(cols - x).sum(axis=-1) + covers).max())
-    return LocalCoverResult(x, entries, cert is Cert.CERTIFIED, rho - 1, rho, budget)
+    result, _ = _climb(field, x, budget)
+    lo = result.box.lo[:-1]
+    heights, rho, certified = _read_covers(result.mask[None], np.subtract(x, lo))
+    rho = int(rho[0])
+    return LocalCoverResult(x, _cover_entries(heights[0], lo), bool(certified[0]),
+                            rho - 1, rho, budget)
 
 
 def surface_from_covers(field: Field, base, window,
                         budget: Budget = COVER_BUDGET) -> SurfacePatch:
-    """Surface over the base as one plus the supremum, over cover centers in
-    the window, of climb-set heights seen in each column.
+    """Surface over the base as the columnwise maximum, over cover centers
+    in the window, of their minimal-cover heights: one plus the highest
+    climb-set site in the column, at least 1 as each base column is a center.
 
     The supremum over *all* centers is not computable (there are infinitely
     many), so entries are window-limited lower bounds of the floor-reach
@@ -270,17 +285,19 @@ def surface_from_covers(field: Field, base, window,
     window = [tuple(c) for c in window]
     if not set(base) <= set(window):
         raise ValueError("window must contain every base column")
-    sup: dict[Column, int] = {c: 0 for c in base}
+    cols = np.array(base, dtype=np.intp).reshape(-1, field.d - 1)
+    sup = np.ones(len(base), dtype=np.intp)
     all_cert = True
     for y in sorted(window):
-        sites, cert = climb_set(field, y, budget)
+        result, cert = _climb(field, y, budget)
         if cert is not Cert.CERTIFIED:
             all_cert = False
-        for s in sites:
-            col = s[:-1]
-            if col in sup and s[-1] > sup[col]:
-                sup[col] = s[-1]
-    values = {c: sup[c] + 1 for c in base}
+        lo = result.box.lo[:-1]
+        heights = _read_covers(result.mask[None], np.subtract(y, lo))[0][0]
+        idx = cols - lo
+        inside = ((idx >= 0) & (idx < heights.shape)).all(axis=1)
+        sup[inside] = np.maximum(sup[inside], heights[tuple(idx[inside].T)])
+    values = dict(zip(base, sup.tolist()))
     status = {c: Cert.CERTIFIED if all_cert else Cert.UNRESOLVED for c in base}
     return SurfacePatch(tuple(sorted(base)), values, status,
                         f"via-covers(window={len(window)})")

@@ -1,17 +1,19 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from lipsurf import brw, harness
 from lipsurf.bounds import HypothesisError, spread_tail_bound, surface_tail_bound
 from lipsurf.harness import (TAIL_CSV_HEADER, BudgetExceededError, ConfigError,
-                             Experiment, cover_tail_curve, equivariance_check,
+                             Experiment, cover_sweep, cover_tail_curve,
+                             equivariance_check,
                              existence_curve, experiment_from_config,
                              monotonicity_check, run_experiment,
                              spread_tail_curve, surface_tail_curve,
                              surface_validity)
-from lipsurf.lattice import BoxRegion, PercolationField
+from lipsurf.lattice import BoxRegion, ExplicitConfig, ExplicitField, PercolationField
 from lipsurf.oracle import exact_event_prob, walk_reach
 from lipsurf.reach import StepSet
 
@@ -307,6 +309,40 @@ def test_run_experiment_rejects_bad_brw_parameters(tmp_path, field, bad):
     cfg.write_text(json.dumps(dict(config, **{field: bad})))
     with pytest.raises(ConfigError, match=field):
         run_experiment(str(cfg))
+
+
+def test_cover_sweep_counts_on_a_small_box(monkeypatch):
+    """The sweep closes every configuration in one reach_masks call and
+    builds no cover one by one; its counts are pinned, so a reader that
+    certified nothing could not pass with zero mismatches."""
+    calls = []
+    batched = harness.reach_masks
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return batched(*args, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("cover_sweep built a cover one configuration at a time")
+
+    monkeypatch.setattr(harness, "reach_masks", counting)
+    monkeypatch.setattr(harness, "minimal_cover", forbidden)
+    monkeypatch.setattr("lipsurf.lattice.ExplicitField", forbidden)
+    assert cover_sweep(p=0.99, radius=1, h_max=3) == {
+        "name": "cover_sweep", "configs": 4096, "both_certified": 2048,
+        "mismatches": 0, "passed": True,
+        "exact_spread_tail": {1: 0.010000000000000009, 2: 0.0002970100000000001,
+                              3: 4.95000100000002e-06}}
+    assert calls == [(4096, 3, 4)]
+
+
+def test_box_configs_match_explicit_fields():
+    box = BoxRegion((-1, 0), (1, 2))
+    masks = harness._box_configs(box)
+    assert masks.shape == (512, 3, 3)
+    for bits in range(512):
+        want = ExplicitField(ExplicitConfig.from_bits(box, bits)).closed_mask(box)
+        assert np.array_equal(masks[bits], want), bits
 
 
 def test_oracle_suite_fast_checks():

@@ -6,8 +6,22 @@ from lipsurf.bounds import HypothesisError, path_sum_bound
 from lipsurf.lattice import BoxRegion, ExplicitConfig
 from lipsurf.oracle import (NoCoverInBox, all_local_covers, attained_spread,
                             cover_fixed_point, enum_paths, exact_event_prob,
-                            partial_expected_visits, walk_reach)
+                            partial_expected_visits, step_vectors, walk_reach)
 from lipsurf.reach import StepSet
+
+
+def test_step_vectors_d2():
+    full = set(step_vectors(2, StepSet.FULL))
+    assert full == {(0, 1), (0, -1), (1, -1), (-1, -1)}
+    restricted = set(step_vectors(2, StepSet.NO_STRAIGHT_DOWN))
+    assert restricted == full - {(0, -1)}
+
+
+def test_step_vectors_cardinality():
+    for d in range(2, 7):
+        assert len(step_vectors(d, StepSet.FULL)) == 2 * d
+        assert len(step_vectors(d, StepSet.NO_STRAIGHT_DOWN)) == 2 * d - 1
+        assert len(set(step_vectors(d, StepSet.FULL))) == 2 * d
 
 
 def test_enum_paths_single_step():

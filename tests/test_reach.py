@@ -10,35 +10,10 @@ from lipsurf.lattice import (BoxRegion, ConstantField, ExplicitConfig,
 from lipsurf.oracle import exact_event_prob, walk_reach
 from lipsurf.reach import (Budget, StepSet, _seed_sides, column_runs,
                            estimate_reach_prob, floor_reach_masks,
-                           floor_reach_sandwich, reach, reach_masks,
-                           step_vectors, successors)
+                           floor_reach_sandwich, reach, reach_masks)
 
 ALL_OPEN = ConstantField(2, SiteState.OPEN)
 ALL_CLOSED = ConstantField(2, SiteState.CLOSED)
-
-
-def test_step_vectors_d2():
-    full = set(step_vectors(2, StepSet.FULL))
-    assert full == {(0, 1), (0, -1), (1, -1), (-1, -1)}
-    restricted = set(step_vectors(2, StepSet.NO_STRAIGHT_DOWN))
-    assert restricted == full - {(0, -1)}
-
-
-def test_step_vectors_cardinality():
-    for d in range(2, 7):
-        assert len(step_vectors(d, StepSet.FULL)) == 2 * d
-        assert len(step_vectors(d, StepSet.NO_STRAIGHT_DOWN)) == 2 * d - 1
-        assert len(set(step_vectors(d, StepSet.FULL))) == 2 * d
-
-
-def test_successors_examples():
-    # up blocked by openness, down blocked by the floor
-    assert successors(ALL_OPEN, (0, 0), height_floor=0) == []
-    # admissibility always holds on a closed field
-    assert len(successors(ALL_CLOSED, (0, 5))) == 4
-    # a single closed site above gives exactly the upward step
-    field = OverrideField(2, closed=[(0, 1)])
-    assert successors(field, (0, 0), height_floor=0) == [(0, 1)]
 
 
 def _downward_cone(source, box):

@@ -5,7 +5,7 @@ from lipsurf.lattice import (ConstantField, ExplicitConfig, ExplicitField,
                              BoxRegion, OverrideField, PercolationField,
                              SignedPermutationField, SiteState)
 from lipsurf.reach import Budget
-from lipsurf.surface import (Cert, SurfacePatch, build_surface, climb_set,
+from lipsurf.surface import (COVER_BUDGET, Cert, SurfacePatch, build_surface, climb_set,
                              minimal_cover, surface_from_covers, verify_surface)
 
 ALL_OPEN = ConstantField(2, SiteState.OPEN)
@@ -140,6 +140,33 @@ def test_minimal_cover_matches_oracle_smoke():
     assert both > 0
 
 
+def test_minimal_cover_matches_climb_sets():
+    """Entries, radii and certificate read off the climb mask agree with the
+    climb set's sites and status, also on boxes whose reach touches only a
+    side (narrow, tall) or only the top (wide, short)."""
+    top_only = 0
+    for d, p in ((2, 0.9), (3, 0.95)):
+        x = (0,) * (d - 1)
+        for budget in (COVER_BUDGET, Budget(margin=1, height=6, growth_cap=0),
+                       Budget(margin=6, height=1, growth_cap=0)):
+            for rep in range(20):
+                field = PercolationField(d, p, master_seed=606, replicate=rep)
+                cover = minimal_cover(field, x, budget)
+                sites, cert = climb_set(field, x, budget)
+                entries = {}
+                for s in sites:
+                    entries[s[:-1]] = max(entries.get(s[:-1], 0), s[-1] + 1)
+                assert cover.entries == entries
+                assert cover.spread_radius == max(
+                    sum(abs(c) for c in s[:-1]) + s[-1] for s in sites)
+                assert cover.cover_radius == cover.spread_radius + 1
+                assert cover.certified == (cert is Cert.CERTIFIED)
+                top_only += (not cover.certified and budget.height == 1
+                             and max(s[-1] for s in sites) == 1
+                             and max(max(map(abs, s[:-1])) for s in sites) < 6)
+    assert top_only
+
+
 def test_surface_from_covers_examples():
     patch = surface_from_covers(ALL_OPEN, _base(2), _base(4))
     assert all(v == 1 for v in patch.values.values())
@@ -161,6 +188,33 @@ def test_surface_from_covers_below_floor_surface():
             if (via_floor.status[col] is Cert.CERTIFIED
                     and via_covers.status[col] is Cert.CERTIFIED):
                 assert via_covers.values[col] <= via_floor.values[col]
+
+
+def test_surface_from_covers_matches_climb_sets():
+    """Each value is one plus the highest climb-set site in the column over
+    the window's centers, and every status is certified exactly when every
+    window climb set is; the tiny budget leaves climb sets unresolved."""
+    for d, p, replicates in ((2, 0.95, 12), (3, 0.975, 24)):
+        base, window = _base(1, d - 1), _base(2, d - 1)
+        raised = unresolved = 0
+        for budget in (COVER_BUDGET, Budget(margin=1, height=1, growth_cap=0)):
+            for rep in range(replicates):
+                field = PercolationField(d, p, master_seed=505, replicate=rep)
+                top = dict.fromkeys(base, 0)
+                all_cert = True
+                for y in window:
+                    sites, cert = climb_set(field, y, budget)
+                    all_cert = all_cert and cert is Cert.CERTIFIED
+                    for s in sites:
+                        if s[:-1] in top:
+                            top[s[:-1]] = max(top[s[:-1]], s[-1])
+                patch = surface_from_covers(field, base, window, budget)
+                assert patch.values == {c: top[c] + 1 for c in base}
+                want = Cert.CERTIFIED if all_cert else Cert.UNRESOLVED
+                assert patch.status == dict.fromkeys(base, want)
+                raised += sum(v > 1 for v in patch.values.values())
+                unresolved += not all_cert
+        assert raised and unresolved, (d, raised, unresolved)
 
 
 def test_equivariance_smoke():
