@@ -25,13 +25,13 @@ from . import __version__ as _version
 from .bounds import (HypothesisError, spread_rate, spread_tail_bound,
                      surface_tail_bound)
 from .brw import OffspringLaw, brw_tables
-from .lattice import (BoxRegion, Column, PercolationField, SignedPermutationField,
-                      replicate_closed_masks)
-from .reach import (Budget, StepSet, column_runs, floor_reach_masks,
-                    floor_reach_sandwich, reach_masks)
+from .lattice import BoxRegion, Column, PercolationField, SignedPermutationField
+from .reach import (Budget, StepSet, _settle_replicates, column_runs,
+                    floor_reach_masks, reach_masks)
+# unused here: perfbench/selftest.py checks its tracer rebinds this name
+from .reach import floor_reach_sandwich  # noqa: F401
 from .stats import Z_99, wilson_interval
-from .surface import (Cert, _cover_entries, _read_covers, build_surface,
-                      minimal_cover, verify_surface)
+from .surface import Cert, _cover_entries, _read_covers, build_surface, verify_surface
 
 TAIL_CSV_HEADER = "k,trials,hits_lo,hits_hi,p_lo,p_hi,ci_lo,ci_hi,bound,unresolved_frac"
 
@@ -223,94 +223,53 @@ def _tail_curve(exp: Experiment, kind: str, levels: int, runs, bound_at,
     return TailCurve(kind, exp.d, exp.p, rows)
 
 
-# sites hashed and swept per chunk of replicates: keeps a chunk's arrays
-# to a few MB whatever the box size (about 1000 replicates of the default
-# d=2 box, about 35 at d=3)
-_CHUNK_SITES = 1 << 18
-
-
-def _origin_box(d: int, h: int, margin: int) -> BoxRegion:
-    pad = h + margin
-    return BoxRegion(tuple([-pad] * (d - 1) + [0]), tuple([pad] * (d - 1) + [h]))
-
-
-def _runs_settled(ro, rp, h: int, k_max: int):
-    """Whether a box of height h settles the origin column: the sides agree
-    strictly below the top, or every level up to k_max is already a certain
-    hit.  Works elementwise on arrays of runs."""
-    return ((ro == rp) & (rp < h - 1)) | (ro >= k_max)
-
-
-def _origin_floor_runs(field, k_max: int, budget: Budget,
-                       step_set: StepSet) -> tuple[int, int]:
-    """Optimistic and pessimistic runs of the floor-reachable set in the
-    origin column, grown until agreement strictly below the box top."""
-    h = max(budget.height, k_max + 2)
-    origin = [(0,) * (field.d - 1)]
-    ro = rp = 0
-    for attempt in range(budget.growth_cap + 1):
-        box = _origin_box(field.d, h, budget.margin)
-        sw = floor_reach_sandwich(field, box, step_set)
-        ro, rp = column_runs(np.stack([sw.optimistic.mask, sw.pessimistic.mask]),
-                             box, origin)[:, 0].tolist()
-        if _runs_settled(ro, rp, h, k_max):
-            break
-        if attempt < budget.growth_cap:
-            h *= 2
-    return ro, rp
-
-
 def _floor_runs(exp: Experiment):
-    """Optimistic and pessimistic origin-column runs, chunk by chunk: one
-    numpy pass hashes and sweeps the first box of every replicate in the
-    chunk, and only the replicates that box leaves unsettled go through the
-    per-replicate growth loop, which repeats the first box and goes on from
-    there."""
-    kmax = exp.k_max
-    h = max(exp.budget.height, kmax + 2)
-    box = _origin_box(exp.d, h, exp.budget.margin)
-    origin = [(0,) * (exp.d - 1)]
-    chunk = max(1, _CHUNK_SITES // box.size)
-    for start in range(0, exp.replicates, chunk):
-        reps = np.arange(start, min(start + chunk, exp.replicates))
-        closed = replicate_closed_masks(exp.d, exp.p, exp.seed, reps, box)
+    """Optimistic and pessimistic origin-column runs, chunk by chunk, in
+    boxes of doubling height (the side pad tracking the height) until the
+    sides agree strictly below the box top, or every level up to k_max is
+    already a certain hit."""
+    d, kmax = exp.d, exp.k_max
+    height = max(exp.budget.height, kmax + 2)
+    origin = [(0,) * (d - 1)]
+
+    def box_at(attempt):
+        h = height << attempt
+        pad = h + exp.budget.margin
+        return BoxRegion(tuple([-pad] * (d - 1) + [0]), tuple([pad] * (d - 1) + [h]))
+
+    def read(closed, box):
         opt, pes = floor_reach_masks(closed, exp.step_mode)
         ro = column_runs(opt, box, origin)[:, 0]
         rp = column_runs(pes, box, origin)[:, 0]
-        for i in np.flatnonzero(~_runs_settled(ro, rp, h, kmax)):
-            field = PercolationField(exp.d, exp.p, exp.seed, int(reps[i]))
-            ro[i], rp[i] = _origin_floor_runs(field, kmax, exp.budget,
-                                              exp.step_mode)
-        yield ro, rp
+        return ro, rp, ((ro == rp) & (rp < box.hi[-1] - 1)) | (ro >= kmax)
+
+    return _settle_replicates(d, exp.p, exp.seed, exp.replicates,
+                              exp.growth_cap, box_at, read)
 
 
 def _cover_radii(exp: Experiment, shift: int, levels: int):
     """Minimal-cover radii at the origin column, chunk by chunk: the spread
     radius plus `shift` (1 gives the cover radius) on the lower side, and on
     the upper side the same if the cover is certified, else `levels`, a
-    possible hit at every level.  One numpy pass hashes and sweeps the
-    first climb box of every replicate in the chunk; a reach that touches
-    no side or top of it is the exact climb set, and only the others go
-    through minimal_cover, which repeats the first box and grows from there."""
-    budget = exp.budget
-    m, d = budget.margin, exp.d
-    box = BoxRegion(tuple([-m] * (d - 1) + [0]), tuple([m] * (d - 1) + [budget.height]))
-    origin = (0,) * (d - 1)
-    chunk = max(1, _CHUNK_SITES // box.size)
-    for start in range(0, exp.replicates, chunk):
-        reps = np.arange(start, min(start + chunk, exp.replicates))
-        closed = replicate_closed_masks(d, exp.p, exp.seed, reps, box)
+    possible hit at every level.  The climb box doubles in margin and height
+    until the reach from the center touches no side or top of it, which
+    makes it the exact climb set, as minimal_cover grows it."""
+    d, m, height = exp.d, exp.budget.margin, exp.budget.height
+
+    def box_at(attempt):
+        pad, h = m << attempt, height << attempt
+        return BoxRegion(tuple([-pad] * (d - 1) + [0]), tuple([pad] * (d - 1) + [h]))
+
+    def read(closed, box):
+        center = [-box.lo[0]] * (d - 1)
         seeds = np.zeros_like(closed)
-        seeds[(slice(None), *([m] * (d - 1)), 0)] = True
-        _, rho, certified = _read_covers(reach_masks(closed, seeds), [m] * (d - 1))
+        seeds[(slice(None), *center, 0)] = True
+        _, rho, certified = _read_covers(reach_masks(closed, seeds), center)
         lo = rho - 1 + shift
-        hi = lo.copy()
-        for i in np.flatnonzero(~certified):
-            field = PercolationField(d, exp.p, exp.seed, int(reps[i]))
-            cover = minimal_cover(field, origin, budget)
-            lo[i] = cover.spread_radius + shift
-            hi[i] = lo[i] if cover.certified else levels
-        yield lo, hi
+        return lo, np.where(certified, lo, levels), certified
+
+    return _settle_replicates(d, exp.p, exp.seed, exp.replicates,
+                              exp.growth_cap, box_at, read)
 
 
 def surface_tail_curve(exp: Experiment) -> TailCurve:

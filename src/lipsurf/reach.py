@@ -47,7 +47,7 @@ from enum import Enum
 
 import numpy as np
 
-from .lattice import BoxRegion, Field, PercolationField, Site
+from .lattice import BoxRegion, Field, Site, replicate_closed_masks
 from .stats import Z_99, wilson_interval
 
 
@@ -314,39 +314,77 @@ def estimate_reach_prob(d: int, p: float, target: Site, *, master_seed: int,
         # zero-length paths are admitted, so the origin always reaches itself
         return ReachProbEstimate(target, replicates, replicates, replicates,
                                  0, 1.0, 1.0)
-    hits_lo = hits_hi = unresolved = 0
     t_radial = max((abs(c) for c in target[:-1]), default=0)
-    for rep in range(replicates):
-        field = PercolationField(d, p, master_seed, replicate=rep)
-        h = max(budget.height, abs(target[-1]) + 2)
-        resolved = None
-        for _ in range(budget.growth_cap + 1):
-            # side extent exceeds the height so that worst-case side entries
-            # need several closed-site climbs to influence the target column
-            extent = h + budget.margin + t_radial
-            lo = tuple([-extent] * (d - 1) + [-h])
-            box = BoxRegion(lo, tuple([extent] * (d - 1) + [h]))
-            closed = field.closed_mask(box)[None]
-            seeds = np.zeros_like(closed)
-            seeds[(0, *(-c for c in lo))] = True
-            at_target = (0, *(t - c for t, c in zip(target, lo)))
-            opt = reach_masks(closed, seeds, step_set)
-            if opt[at_target]:
-                resolved = True
-                break
-            _seed_sides(opt, range(1, d))
-            opt[..., 0] |= closed[..., 0]
-            if not reach_masks(closed, opt, step_set)[at_target]:
-                resolved = False
-                break
-            h *= 2
-        if resolved is True:
-            hits_lo += 1
-            hits_hi += 1
-        elif resolved is None:
-            unresolved += 1
-            hits_hi += 1
+    height = max(budget.height, abs(target[-1]) + 2)
+
+    def box_at(attempt):
+        # side extent exceeds the height so that worst-case side entries
+        # need several closed-site climbs to influence the target column
+        h = height << attempt
+        extent = h + budget.margin + t_radial
+        return BoxRegion(tuple([-extent] * (d - 1) + [-h]),
+                         tuple([extent] * (d - 1) + [h]))
+
+    def read(closed, box):
+        seeds = np.zeros_like(closed)
+        seeds[(slice(None), *(-c for c in box.lo))] = True
+        at_target = (slice(None), *(t - c for t, c in zip(target, box.lo)))
+        reached = reach_masks(closed, seeds, step_set)
+        hit_lo = reached[at_target].copy()
+        _seed_sides(reached, range(1, d))
+        reached[..., 0] |= closed[..., 0]
+        hit_hi = reach_masks(closed, reached, step_set)[at_target]
+        return hit_lo, hit_hi, hit_lo == hit_hi
+
+    hits_lo = hits_hi = 0
+    for lo, hi in _settle_replicates(d, p, master_seed, replicates,
+                                     budget.growth_cap, box_at, read):
+        hits_lo += int(lo.sum())
+        hits_hi += int(hi.sum())
     ci_lo = wilson_interval(hits_lo, replicates, z)[0]
     ci_hi = wilson_interval(hits_hi, replicates, z)[1]
     return ReachProbEstimate(target, replicates, hits_lo, hits_hi,
-                             unresolved, ci_lo, ci_hi)
+                             hits_hi - hits_lo, ci_lo, ci_hi)
+
+
+# sites hashed and swept per piece of replicates: keeps a piece's arrays to
+# a few MB whatever the box size, in the first box and in every grown one
+# (about 1000 replicates of f_tail's default d=2 box, about 35 at d=3)
+_CHUNK_SITES = 1 << 18
+
+
+def _settle_replicates(d: int, p: float, master_seed: int, replicates: int,
+                       growth_cap: int, box_at, read):
+    """Grow boxes over replicates 0..replicates-1 until each one settles.
+
+    box_at(i) is the box of growth attempt i (attempt 0 is the first box);
+    read(closed, box) takes the closed masks of a batch of replicates in
+    that box and returns arrays (lo, hi, settled) over the batch: a
+    statistic's certified lower and upper values, and whether the box
+    settles them.  Per chunk of replicates, one pass hashes and reads every
+    replicate in the first box; each further attempt, up to growth_cap,
+    hashes only the replicates still unsettled, in pieces of at most
+    _CHUNK_SITES sites, and a grown box is built only when some replicate
+    needs it.  A replicate keeps the values of the last box it was read
+    in.  Yields (lo, hi) per chunk.
+    """
+    first = box_at(0)
+    chunk = max(1, _CHUNK_SITES // first.size)
+    for start in range(0, replicates, chunk):
+        reps = np.arange(start, min(start + chunk, replicates))
+        lo, hi, settled = read(replicate_closed_masks(d, p, master_seed, reps,
+                                                      first), first)
+        pending = np.flatnonzero(~settled)
+        for attempt in range(1, growth_cap + 1):
+            if not pending.size:
+                break
+            box = box_at(attempt)
+            piece = max(1, _CHUNK_SITES // box.size)
+            unsettled = []
+            for i in range(0, pending.size, piece):
+                idx = pending[i:i + piece]
+                lo[idx], hi[idx], settled = read(replicate_closed_masks(
+                    d, p, master_seed, reps[idx], box), box)
+                unsettled.append(idx[~settled])
+            pending = np.concatenate(unsettled)
+        yield lo, hi

@@ -1,4 +1,6 @@
+import collections
 import hashlib
+import importlib
 import json
 
 import numpy as np
@@ -15,7 +17,12 @@ from lipsurf.harness import (TAIL_CSV_HEADER, BudgetExceededError, ConfigError,
                              surface_validity)
 from lipsurf.lattice import BoxRegion, ExplicitConfig, ExplicitField, PercolationField
 from lipsurf.oracle import exact_event_prob, walk_reach
-from lipsurf.reach import StepSet
+from lipsurf.reach import (Budget, StepSet, column_runs, estimate_reach_prob,
+                           floor_reach_sandwich)
+
+# the package exports a function named reach, so fetch the modules themselves
+REACH = importlib.import_module("lipsurf.reach")
+SURFACE = importlib.import_module("lipsurf.surface")
 
 
 def test_experiment_from_config_valid():
@@ -90,39 +97,73 @@ _BATCH_CONFIGS = [
 ]
 
 
-@pytest.mark.parametrize("chunk_sites", [1000, harness._CHUNK_SITES])
+def _spy_hashing(monkeypatch) -> list:
+    """Record (replicates, box) for every hash call of the box-growth driver."""
+    calls = []
+    hash_masks = REACH.replicate_closed_masks
+
+    def spy(d, p, seed, replicates, box):
+        calls.append((np.asarray(replicates).tolist(), box))
+        return hash_masks(d, p, seed, replicates, box)
+
+    monkeypatch.setattr(REACH, "replicate_closed_masks", spy)
+    return calls
+
+
+def _hashed(calls) -> collections.Counter:
+    return collections.Counter((rep, box.lo, box.hi) for reps, box in calls
+                               for rep in reps)
+
+
+def _grown_floor_runs(exp: Experiment, rep: int, boxes: list) -> tuple[int, int]:
+    """Reference f_tail statistic of one replicate: the per-replicate growth
+    loop over floor_reach_sandwich on a single field, recording each box."""
+    field = PercolationField(exp.d, exp.p, exp.seed, rep)
+    origin = [(0,) * (exp.d - 1)]
+    h = max(exp.box_height, exp.k_max + 2)
+    for _ in range(exp.growth_cap + 1):
+        pad = h + exp.box_margin
+        box = BoxRegion((-pad,) * (exp.d - 1) + (0,), (pad,) * (exp.d - 1) + (h,))
+        boxes.append(([rep], box))
+        sw = floor_reach_sandwich(field, box, exp.step_mode)
+        ro, rp = column_runs(np.stack([sw.optimistic.mask, sw.pessimistic.mask]),
+                             box, origin)[:, 0].tolist()
+        if (ro == rp and rp < h - 1) or ro >= exp.k_max:
+            break
+        h *= 2
+    return ro, rp
+
+
+@pytest.mark.parametrize("chunk_sites", [1000, REACH._CHUNK_SITES])
 @pytest.mark.parametrize("cfg", _BATCH_CONFIGS)
 def test_surface_tail_batching_matches_per_replicate_path(cfg, chunk_sites,
                                                           monkeypatch):
-    """The chunked first-box pass plus growth fallback counts exactly what
-    the per-replicate growth loop counts on single fields; 1000 sites per
-    chunk splits every config into many chunks with a partial last one."""
+    """The batched box-growth driver counts exactly what the per-replicate
+    growth loop counts on single fields, and hashes each replicate in
+    exactly the boxes that loop tries, so a grown box gets only the
+    replicates the smaller ones left unsettled; 1000 sites per chunk splits
+    every config into many chunks with a partial last one."""
     exp = Experiment(kind="f_tail", k_max=4, **cfg)
     want_lo, want_hi = [0] * 5, [0] * 5
+    tried = []
     for rep in range(exp.replicates):
-        field = PercolationField(exp.d, exp.p, exp.seed, rep)
-        ro, rp = harness._origin_floor_runs(field, exp.k_max, exp.budget,
-                                            exp.step_mode)
+        ro, rp = _grown_floor_runs(exp, rep, tried)
         for k in range(5):
             want_lo[k] += ro >= k
             want_hi[k] += rp >= k
-    grown = []
-    per_replicate = harness._origin_floor_runs
-
-    def spy(field, *args):
-        grown.append(field.replicate)
-        return per_replicate(field, *args)
-
-    monkeypatch.setattr(harness, "_CHUNK_SITES", chunk_sites)
-    monkeypatch.setattr(harness, "_origin_floor_runs", spy)
+    monkeypatch.setattr(REACH, "_CHUNK_SITES", chunk_sites)
+    calls = _spy_hashing(monkeypatch)
     curve = surface_tail_curve(exp)
     assert [r.hits_lo for r in curve.rows] == want_lo
     assert [r.hits_hi for r in curve.rows] == want_hi
     assert all(type(r.hits_lo) is int and type(r.hits_hi) is int
                for r in curve.rows)
     assert "np." not in curve.to_csv()
+    assert _hashed(calls) == _hashed(tried)
     if exp.p < 0.99:
-        assert grown, "no replicate took the growth fallback"
+        first = calls[0][1]
+        assert any(box.hi[-1] > first.hi[-1] for _, box in calls), \
+            "no replicate was hashed in a grown box"
 
 
 _COVER_CONFIGS = [
@@ -138,30 +179,36 @@ _COVER_CONFIGS = [
 ]
 
 
-@pytest.mark.parametrize("chunk_sites", [200, harness._CHUNK_SITES])
+@pytest.mark.parametrize("chunk_sites", [200, REACH._CHUNK_SITES])
 @pytest.mark.parametrize("cfg", _COVER_CONFIGS)
 def test_cover_tail_batching_matches_per_replicate_path(cfg, chunk_sites,
                                                         monkeypatch):
-    """The chunked first-climb-box pass plus minimal_cover fallback counts
-    exactly what a loop of minimal_cover over single fields counts, for the
-    spread and the cover radius; 200 sites per chunk splits every config
+    """The batched box-growth driver counts exactly what a loop of
+    minimal_cover over single fields counts, for the spread and the cover
+    radius, and hashes each replicate in exactly the climb boxes
+    minimal_cover reaches over, so a grown box gets only the replicates the
+    smaller ones left uncertified; 200 sites per chunk splits every config
     into chunks of at most four replicates with a partial last one."""
     exp = Experiment(kind="radh_tail", k_max=4,
                      **{**dict(box_margin=4, box_height=4, growth_cap=5), **cfg})
-    covers = [harness.minimal_cover(PercolationField(exp.d, exp.p, exp.seed, rep),
-                                    (0,) * (exp.d - 1), exp.budget)
-              for rep in range(exp.replicates)]
-    grown = []
-    per_replicate = harness.minimal_cover
+    tried = []
+    climb = SURFACE.reach
 
-    def spy(field, *args):
-        grown.append(field.replicate)
-        return per_replicate(field, *args)
+    def recording(field, sources, box, *args, **kwargs):
+        tried.append(([field.replicate], box))
+        return climb(field, sources, box, *args, **kwargs)
 
-    monkeypatch.setattr(harness, "_CHUNK_SITES", chunk_sites)
-    monkeypatch.setattr(harness, "minimal_cover", spy)
-    for curve, radius in ((spread_tail_curve(exp), "spread_radius"),
-                          (cover_tail_curve(exp), "cover_radius")):
+    with monkeypatch.context() as m:
+        m.setattr(SURFACE, "reach", recording)
+        covers = [SURFACE.minimal_cover(PercolationField(exp.d, exp.p, exp.seed, rep),
+                                        (0,) * (exp.d - 1), exp.budget)
+                  for rep in range(exp.replicates)]
+    monkeypatch.setattr(REACH, "_CHUNK_SITES", chunk_sites)
+    calls = _spy_hashing(monkeypatch)
+    for tail, radius in ((spread_tail_curve, "spread_radius"),
+                         (cover_tail_curve, "cover_radius")):
+        calls.clear()
+        curve = tail(exp)
         levels = len(curve.rows)
         lo = [getattr(c, radius) for c in covers]
         hi = [r if c.certified else levels for r, c in zip(lo, covers)]
@@ -172,11 +219,38 @@ def test_cover_tail_batching_matches_per_replicate_path(cfg, chunk_sites,
         assert all(type(r.hits_lo) is int and type(r.hits_hi) is int
                    for r in curve.rows)
         assert "np." not in curve.to_csv()
-    if exp.p < 0.99:
-        assert grown, "no replicate took the minimal_cover fallback"
-    assert len(grown) < 2 * exp.replicates
+        assert _hashed(calls) == _hashed(tried)
+        if exp.p < 0.99 and exp.growth_cap:
+            first = calls[0][1]
+            assert any(box.hi[-1] > first.hi[-1] for _, box in calls), \
+                "no replicate was hashed in a grown box"
     if exp.growth_cap == 0:
         assert not all(c.certified for c in covers)
+
+
+def test_box_growth_hashes_bounded_pieces(monkeypatch):
+    """No hash call of the box-growth driver covers more than
+    max(_CHUNK_SITES, box.size) sites.  At p=0.9 a chunk of the first box
+    leaves more replicates unsettled than one piece of a grown box holds,
+    so hashing a chunk's pending replicates at once would break the bound."""
+    chunk_sites = 2000
+    monkeypatch.setattr(REACH, "_CHUNK_SITES", chunk_sites)
+    calls = _spy_hashing(monkeypatch)
+    surface_tail_curve(Experiment(kind="f_tail", d=2, p=0.9, replicates=300,
+                                  seed=35, step_mode=StepSet.NO_STRAIGHT_DOWN,
+                                  box_height=3, box_margin=1, growth_cap=3))
+    first = calls[0][1]
+    chunk = chunk_sites // first.size
+    pending = collections.Counter()  # (chunk, grown box) -> replicates hashed
+    for reps, box in calls:
+        if box != first:
+            pending[reps[0] // chunk, box] += len(reps)
+    assert max(n * box.size for (_, box), n in pending.items()) > chunk_sites
+    estimate_reach_prob(2, 0.9, (1, 1), master_seed=9, replicates=300,
+                        budget=Budget(2, 2, 3))
+    assert any(box.size > chunk_sites for _, box in calls)
+    assert all(len(reps) * box.size <= max(chunk_sites, box.size)
+               for reps, box in calls)
 
 
 def test_spread_and_cover_tails():
@@ -326,7 +400,7 @@ def test_cover_sweep_counts_on_a_small_box(monkeypatch):
         raise AssertionError("cover_sweep built a cover one configuration at a time")
 
     monkeypatch.setattr(harness, "reach_masks", counting)
-    monkeypatch.setattr(harness, "minimal_cover", forbidden)
+    monkeypatch.setattr("lipsurf.surface.minimal_cover", forbidden)
     monkeypatch.setattr("lipsurf.lattice.ExplicitField", forbidden)
     assert cover_sweep(p=0.99, radius=1, h_max=3) == {
         "name": "cover_sweep", "configs": 4096, "both_certified": 2048,

@@ -454,6 +454,22 @@ def test_estimate_reach_prob_reports_unresolved():
     assert est.hits_upper - est.hits_lower == est.unresolved
 
 
+@pytest.mark.parametrize("d, p, target, budget, step_set, want", [
+    (2, 0.9, (1, 1), Budget(2, 2, 3), StepSet.FULL, (8, 12, 4)),
+    (2, 0.8, (0, 3), Budget(1, 2, 2), StepSet.NO_STRAIGHT_DOWN, (4, 39, 35)),
+    (3, 0.95, (1, 0, 1), Budget(2, 3, 2), StepSet.FULL, (2, 6, 4)),
+    (2, 0.7, (-2, -1), Budget(1, 1, 1), StepSet.FULL, (212, 300, 88)),
+])
+def test_estimate_reach_prob_pinned_counts(d, p, target, budget, step_set, want):
+    """(hits_lower, hits_upper, unresolved) as the per-replicate growth loop
+    over single fields counted them, on configs where boxes grow and some
+    replicates stay unresolved at the growth cap."""
+    est = estimate_reach_prob(d, p, target, master_seed=9, replicates=300,
+                              budget=budget, step_set=step_set)
+    assert (est.hits_lower, est.hits_upper, est.unresolved) == want
+    assert est.trials == 300
+
+
 def test_climb_height_needs_closed_sites():
     # each unit of net climb lands an upward step on a distinct closed site
     for bits in range(0, 1 << 9, 7):

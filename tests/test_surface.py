@@ -54,6 +54,19 @@ def test_verify_surface_fault_injection():
     assert all((0,) in (a, b) for a, b, _, _ in report.lipschitz_violations)
 
 
+def test_verify_surface_openness_fault_injection():
+    # the closed site (0, 1) lifts column 0 to 2; lowering it to 1 puts the
+    # surface on a closed site, and every neighbour still differs by at most 1
+    field = OverrideField(2, [(0, 1)])
+    patch = build_surface(field, _base(2))
+    assert patch.values[(0,)] == 2
+    corrupted = SurfacePatch(patch.columns, {**patch.values, (0,): 1},
+                             dict(patch.status), patch.method)
+    report = verify_surface(field, corrupted)
+    assert report.openness_violations == (((0,), 1),)
+    assert not report.lipschitz_violations
+
+
 def test_surface_validity_random_d3():
     for rep in range(25):
         field = PercolationField(3, 0.98, master_seed=55, replicate=rep)
