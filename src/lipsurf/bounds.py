@@ -77,6 +77,7 @@ def path_sum_bound(d: int, p: float, h: int, r: int, restricted: bool = False) -
     return pref * tail_rate(d, p, restricted) ** h * spread_rate(d, p, restricted) ** r
 
 
+@functools.lru_cache(maxsize=1024)
 def surface_tail_bound(d: int, p: float, k: int, restricted: bool = False) -> float:
     """Bound on P(surface height at a column exceeds k): A * (aq)^k."""
     if k < 0:
@@ -84,6 +85,7 @@ def surface_tail_bound(d: int, p: float, k: int, restricted: bool = False) -> fl
     return path_sum_bound(d, p, k, 0, restricted)
 
 
+@functools.lru_cache(maxsize=1024)
 def spread_tail_bound(d: int, p: float, k: int, restricted: bool = False) -> float:
     """Bound on P(spread radius of the ground cluster >= k): A * (a^2 q)^k."""
     if k < 0:

@@ -26,8 +26,8 @@ from .bounds import (HypothesisError, spread_rate, spread_tail_bound,
                      surface_tail_bound)
 from .brw import OffspringLaw, brw_tables
 from .lattice import BoxRegion, Column, PercolationField, SignedPermutationField
-from .reach import (Budget, StepSet, _settle_replicates, column_runs,
-                    floor_reach_masks, reach_masks)
+from .reach import (Budget, StepSet, _floor_column_runs, _settle_replicates,
+                    reach_masks)
 # unused here: perfbench/selftest.py checks its tracer rebinds this name
 from .reach import floor_reach_sandwich  # noqa: F401
 from .stats import Z_99, wilson_interval
@@ -230,7 +230,7 @@ def _floor_runs(exp: Experiment):
     already a certain hit."""
     d, kmax = exp.d, exp.k_max
     height = max(exp.budget.height, kmax + 2)
-    origin = [(0,) * (d - 1)]
+    origin = (0,) * (d - 1)
 
     def box_at(attempt):
         h = height << attempt
@@ -238,9 +238,7 @@ def _floor_runs(exp: Experiment):
         return BoxRegion(tuple([-pad] * (d - 1) + [0]), tuple([pad] * (d - 1) + [h]))
 
     def read(closed, box):
-        opt, pes = floor_reach_masks(closed, exp.step_mode)
-        ro = column_runs(opt, box, origin)[:, 0]
-        rp = column_runs(pes, box, origin)[:, 0]
+        ro, rp = _floor_column_runs(closed, box, origin, exp.step_mode)
         return ro, rp, ((ro == rp) & (rp < box.hi[-1] - 1)) | (ro >= kmax)
 
     return _settle_replicates(d, exp.p, exp.seed, exp.replicates,
@@ -442,7 +440,9 @@ def _rows_to_csv(rows: list[dict], header: str) -> str:
 
 
 def _tail_job(curve: TailCurve):
-    return curve.to_json(), curve.to_csv(), curve.max_unresolved_frac()
+    payload = curve.to_json()
+    return (payload, _rows_to_csv(payload["rows"], TAIL_CSV_HEADER),
+            curve.max_unresolved_frac())
 
 
 def _summary_job(payload: dict, header: str, unresolved=None):

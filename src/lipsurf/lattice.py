@@ -22,6 +22,7 @@ far below Monte Carlo noise at any feasible sample size.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -80,17 +81,23 @@ def _box_uniforms(base: np.ndarray, box: BoxRegion) -> np.ndarray:
 
     The result has shape base.shape + box.shape; each entry is the state
     folded with the site's coordinates in axis order, as in uniform64().
+    It is a transposed view: memory holds height first and the stream
+    states last, (H+1, n_1, ..., n_(d-1), *base.shape) in C order, the
+    batch-last layers the reach kernel works on.  A ufunc on it (the
+    threshold compare) keeps that memory order.
     """
-    lead = base.ndim
-    h = base.reshape(base.shape + (1,) * box.dim)
+    lead, dim = base.ndim, box.dim
+    h = base.reshape((1,) * dim + base.shape)
+    # storage axis of box axis i: the height goes first, column i to i + 1
     for axis, (a, b) in enumerate(zip(box.lo, box.hi)):
         coords = np.arange(a, b + 1, dtype=np.int64).astype(np.uint64)
-        shape = [1] * (lead + box.dim)
-        shape[lead + axis] = b - a + 1
+        shape = [1] * (dim + lead)
+        shape[(axis + 1) % dim] = b - a + 1
         h = _absorb_vec(h, coords.reshape(shape))
-    return h
+    return h.transpose(*range(dim, dim + lead), *range(1, dim), 0)
 
 
+@functools.lru_cache(maxsize=256)
 def open_threshold(p: float) -> int:
     """Exact 64-bit threshold: a site is open iff its uniform is < threshold."""
     if not 0.0 < p < 1.0:

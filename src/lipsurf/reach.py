@@ -8,10 +8,12 @@ arrays, batched across boxes, that closes any seed masks under admissible
 steps; the box bottom is the height floor.  On layers stored batch last,
 (H+1, n_1, ..., n_(d-1), B), it alternates layer-by-layer descents, each
 from the highest layer changed since the last one, with whole-array
-climbs, and stops on a climb that adds nothing.  The distinct-sites
-requirement on paths changes nothing: loop-erasing an admissible walk
-keeps every remaining step (and its admissibility), so walk- and
-path-reachability agree, as the oracle checks exhaustively on tiny boxes.
+climbs, and stops on a climb that adds nothing.  The hash's masks are
+stored in that order, so the kernel reads them without a copy.  The
+distinct-sites requirement on paths changes nothing: loop-erasing an
+admissible walk keeps every remaining step (and its admissibility), so
+walk- and path-reachability agree, as the oracle checks exhaustively on
+tiny boxes.
 
 Certification.  Membership is easy to certify (a path found inside the box
 is a path, full stop), non-membership is the delicate direction.  For a
@@ -37,6 +39,13 @@ influence can enter a box three ways:
 The growth loop doubles the box height (the side margin tracks the height,
 since a side seed at height t can influence a column only down to height
 t - distance) until the optimistic and pessimistic answers agree.
+
+The pessimistic seeds closed under down moves, the rim, are the same for
+every configuration of a box shape, so they are computed once per shape
+(on an all-open box) and the pessimistic closure starts with a climb.
+Its reach contains the optimistic one, so a reader of one column's runs
+closes the pessimistic side first and the optimistic side only in the
+boxes where the pessimistic run is positive; elsewhere both runs are 0.
 """
 
 from __future__ import annotations
@@ -93,7 +102,8 @@ class ReachSandwich:
     pessimistic: ReachResult
 
 
-def _close(reached: np.ndarray, closed: np.ndarray, step_set: StepSet) -> None:
+def _close(reached: np.ndarray, closed: np.ndarray, step_set: StepSet,
+           top: int) -> None:
     """Expand reached in place to its closure under admissible steps.
 
     Both arrays are layers first and batch last: [t] holds height t of
@@ -106,6 +116,11 @@ def _close(reached: np.ndarray, closed: np.ndarray, step_set: StepSet) -> None:
     adds nothing ends the closure.  The closure is the least fixed point
     of monotone moves, so their order does not change it.  The height
     floor is the bottom layer.
+
+    top is the layer the first descent starts from: the highest seeded
+    layer, or 0 when the seeds are already closed under down moves (the
+    rim of _rim, alone or joined with the optimistic reach), so that the
+    closure starts with a climb.
     """
     axes = tuple(range(1, reached.ndim))
     below, above, lids = reached[:-1], reached[1:], closed[1:]
@@ -117,8 +132,7 @@ def _close(reached: np.ndarray, closed: np.ndarray, step_set: StepSet) -> None:
         head, tail = lead + (slice(None, -1),), lead + (slice(1, None),)
         shifts += [(tail, head), (head, tail)]
     moves = []  # moves[t - 1]: the down moves out of layer t
-    seeded = np.logical_or.reduce(reached, axis=axes).nonzero()[0]
-    changed = int(seeded[-1]) if seeded.size else 0
+    changed = top
     while True:
         for t in range(len(moves) + 1, changed + 1):
             moves.append([(reached[t - 1][a], reached[t][b]) for a, b in shifts])
@@ -146,6 +160,26 @@ def _seed_sides(mask: np.ndarray, axes) -> None:
         mask[lead + (-1,)] = True
 
 
+@functools.lru_cache(maxsize=256)
+def _rim(layers: tuple[int, ...], step_set: StepSet) -> np.ndarray:
+    """The floor and the inner side boundary of a box whose layers have
+    shape layers, (H+1, n_1, ..., n_(d-1)), closed under down moves: the
+    closure of those seeds in an all-open box, where no up move is
+    admissible.  Read-only, shaped (*layers, 1) to broadcast over a batch."""
+    rim = np.zeros((*layers, 1), dtype=bool)
+    rim[0] = True
+    _seed_sides(rim, range(1, len(layers)))
+    _close(rim, np.zeros_like(rim), step_set, layers[0] - 1)
+    rim.flags.writeable = False
+    return rim
+
+
+def _swap(ndim: int) -> tuple[int, ...]:
+    """The axis order that turns a batch (B, n_1, ..., n_(d-1), H+1) into
+    the kernel's layers (H+1, n_1, ..., n_(d-1), B); its own inverse."""
+    return (ndim - 1, *range(1, ndim - 1), 0)
+
+
 def floor_reach_masks(closed: np.ndarray, step_set: StepSet = StepSet.FULL
                       ) -> tuple[np.ndarray, np.ndarray]:
     """Optimistic and pessimistic floor reaches of a batch of boxes.
@@ -159,16 +193,17 @@ def floor_reach_masks(closed: np.ndarray, step_set: StepSet = StepSet.FULL
     if closed.ndim < 3 or closed.shape[-1] < 2:
         raise ValueError(f"need a batch of boxes at least two layers tall, "
                          f"got shape {closed.shape}")
-    swap = (closed.ndim - 1, *range(1, closed.ndim - 1), 0)  # its own inverse
+    swap = _swap(closed.ndim)
+    # no copy for the hash's masks, which lie in memory as the layers do
     lids = np.ascontiguousarray(closed.transpose(swap), dtype=bool)
     opt = np.zeros_like(lids)
     opt[0] = True
-    _close(opt, lids, step_set)
-    # reachability from a union is the closure of the union, so the
-    # pessimistic closure starts from the optimistic reach
-    pes = opt.copy()
-    _seed_sides(pes, range(1, pes.ndim - 1))
-    _close(pes, lids, step_set)
+    _close(opt, lids, step_set, 0)
+    # reachability from a union is the closure of the union, and a union of
+    # sets closed under down moves is closed under them: the pessimistic
+    # closure starts from the optimistic reach and the rim with a climb
+    pes = opt | _rim(lids.shape[:-1], step_set)
+    _close(pes, lids, step_set, 0)
     return opt.transpose(swap), pes.transpose(swap)
 
 
@@ -184,10 +219,12 @@ def reach_masks(closed: np.ndarray, seeds: np.ndarray,
     if closed.shape != seeds.shape or closed.ndim < 3:
         raise ValueError(f"need closed and seed masks of one batch shape, "
                          f"got {closed.shape} and {seeds.shape}")
-    swap = (closed.ndim - 1, *range(1, closed.ndim - 1), 0)  # its own inverse
+    swap = _swap(closed.ndim)
     lids = np.ascontiguousarray(closed.transpose(swap), dtype=bool)
     reached = seeds.transpose(swap).astype(bool, order="C")
-    _close(reached, lids, step_set)
+    seeded = np.logical_or.reduce(reached, axis=tuple(range(1, reached.ndim)))
+    top = seeded.nonzero()[0]
+    _close(reached, lids, step_set, int(top[-1]) if top.size else 0)
     return reached.transpose(swap)
 
 
@@ -252,14 +289,52 @@ def floor_reach_sandwich(field: Field, box: BoxRegion,
     return ReachSandwich(_dense_result(opt[0], box), _dense_result(pes[0], box))
 
 
+def _outside(column, box: BoxRegion) -> ValueError:
+    return ValueError(f"column {tuple(column)} outside box lo={box.lo} hi={box.hi}")
+
+
 def column_runs(reached: np.ndarray, box: BoxRegion, columns) -> np.ndarray:
     """Runs of a batch of reaches over one box (shape (B, *box.shape), height
     last) in a list of columns: entry [b, i] is the largest m with
     (columns[i], 1..m) all reached in box b, 0 when (columns[i], 1) is not.
     Returns an integer array of shape (B, len(columns))."""
-    idx = np.asarray(columns, dtype=np.intp).reshape(-1, box.dim - 1) - box.lo[:-1]
+    cols = np.asarray(columns, dtype=np.intp).reshape(-1, box.dim - 1)
+    idx = cols - box.lo[:-1]
+    outside = ((idx < 0) | (idx >= box.shape[:-1])).any(axis=1)
+    if outside.any():  # an index would wrap round or fail unnamed
+        raise _outside(cols[outside][0].tolist(), box)
     col = reached[(slice(None), *idx.T, slice(1, None))]
     return np.logical_and.accumulate(col, axis=-1).sum(axis=-1)
+
+
+def _floor_column_runs(closed: np.ndarray, box: BoxRegion, column,
+                       step_set: StepSet) -> tuple[np.ndarray, np.ndarray]:
+    """column_runs of both sides of floor_reach_masks(closed, step_set) in
+    one column, as integer arrays (lo, hi) over the batch.  The pessimistic
+    side closes from the rim in every box.  The optimistic side lies inside
+    it, so its run is 0 wherever the pessimistic run is 0, and it closes
+    only in the other boxes."""
+    if not box.contains((*column, box.lo[-1])):
+        raise _outside(column, box)
+    lids = np.ascontiguousarray(closed.transpose(_swap(closed.ndim)), dtype=bool)
+    at = (slice(1, None), *(c - a for c, a in zip(column, box.lo)))
+
+    def runs(reached):
+        return np.logical_and.accumulate(reached[at], axis=0).sum(axis=0)
+
+    pes = np.empty_like(lids)
+    pes[...] = _rim(lids.shape[:-1], step_set)
+    _close(pes, lids, step_set, 0)
+    hi = runs(pes)
+    lo = np.zeros_like(hi)
+    live = np.flatnonzero(hi)
+    if live.size:
+        lids = np.take(lids, live, axis=-1)
+        opt = np.zeros_like(lids)
+        opt[0] = True
+        _close(opt, lids, step_set, 0)
+        lo[live] = runs(opt)
+    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -307,6 +382,8 @@ def estimate_reach_prob(d: int, p: float, target: Site, *, master_seed: int,
     origin may dip below 0, and grow until the two variants agree on target
     membership or the cap is hit.
     """
+    if replicates < 1:
+        raise ValueError(f"replicates must be >= 1, got {replicates}")
     target = tuple(target)
     if len(target) != d:
         raise ValueError("target has wrong dimension")

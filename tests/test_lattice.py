@@ -7,7 +7,8 @@ import pytest
 from lipsurf.lattice import (BoxRegion, ConstantField, ExplicitConfig,
                              ExplicitField, OverrideField, PercolationField,
                              SignedPermutationField, SiteState, count_l1_sphere,
-                             height, open_threshold, radial, site_state)
+                             height, open_threshold, radial,
+                             replicate_closed_masks, site_state)
 from lipsurf.stats import Z_999
 
 
@@ -51,6 +52,22 @@ def test_vectorized_mask_matches_scalar():
     for s in box.sites():
         idx = tuple(c - a for c, a in zip(s, box.lo))
         assert mask[idx] == field.is_closed(s)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_hashed_masks_lie_in_memory_as_reach_layers(d):
+    """The batch of masks, and a single field's mask, are views over
+    memory laid out height first and batch last, the reach kernel's
+    layers, with the public shape and the same bits per replicate."""
+    box = BoxRegion((-2,) * (d - 1) + (0,), (1,) + (2,) * (d - 2) + (3,))
+    reps = [4, 0, 9]
+    masks = replicate_closed_masks(d, 0.7, 12, reps, box)
+    assert masks.shape == (len(reps), *box.shape) and masks.dtype == bool
+    assert masks.transpose(d, *range(1, d), 0).flags.c_contiguous
+    for mask, rep in zip(masks, reps):
+        single = PercolationField(d, 0.7, 12, rep).closed_mask(box)
+        assert single.transpose(d - 1, *range(d - 1)).flags.c_contiguous
+        np.testing.assert_array_equal(mask, single)
 
 
 def test_box_independence():

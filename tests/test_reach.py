@@ -8,9 +8,10 @@ from lipsurf.lattice import (BoxRegion, ConstantField, ExplicitConfig,
                              ExplicitField, OverrideField, PercolationField,
                              SiteState, replicate_closed_masks)
 from lipsurf.oracle import exact_event_prob, walk_reach
-from lipsurf.reach import (Budget, StepSet, _seed_sides, column_runs,
-                           estimate_reach_prob, floor_reach_masks,
-                           floor_reach_sandwich, reach, reach_masks)
+from lipsurf.reach import (Budget, StepSet, _floor_column_runs, _rim,
+                           _seed_sides, column_runs, estimate_reach_prob,
+                           floor_reach_masks, floor_reach_sandwich, reach,
+                           reach_masks)
 
 ALL_OPEN = ConstantField(2, SiteState.OPEN)
 ALL_CLOSED = ConstantField(2, SiteState.CLOSED)
@@ -108,6 +109,19 @@ def test_column_runs_batch_matches_per_column_reads(box):
     # a sublist of columns, out of order, reads the same entries
     pick = [c, a]
     assert column_runs(masks, box, pick).tolist() == [[w[-1], w[0]] for w in want]
+
+
+@pytest.mark.parametrize("column", [(-3,), (3,)])
+def test_column_reads_reject_columns_outside_the_box(column):
+    """A column past either side of the box is named in an error, where an
+    index would wrap round to the far side or fail unnamed."""
+    box = BoxRegion((-2, 0), (2, 3))
+    reached = np.ones((2, *box.shape), dtype=bool)
+    with pytest.raises(ValueError, match=rf"column \({column[0]},\) outside box"):
+        column_runs(reached, box, [(0,), column])
+    with pytest.raises(ValueError, match=rf"column \({column[0]},\) outside box"):
+        _floor_column_runs(~reached, box, column, StepSet.FULL)
+    assert column_runs(reached, box, [(-2,), (2,)]).tolist() == [[3, 3]] * 2
 
 
 def test_reach_source_order_free():
@@ -285,6 +299,78 @@ def test_reach_masks_matches_oracle(batch):
     np.testing.assert_array_equal(reached, _oracle_masks(closed, seeds, step_set))
 
 
+@st.composite
+def _floor_batches(draw):
+    d = draw(st.sampled_from((2, 3, 4)))
+    cols = draw(st.lists(st.integers(1, 6 - d), min_size=d - 1, max_size=d - 1))
+    lo = draw(st.lists(st.integers(-3, 3), min_size=d - 1, max_size=d - 1))
+    top = draw(st.integers(1, 3 if d == 4 else 7))
+    box = BoxRegion((*lo, 0), (*(a + n - 1 for a, n in zip(lo, cols)), top))
+    boxes = []
+    for _ in range(draw(st.integers(1, 4))):
+        # all open, all closed, or a site is closed unless it draws 0, so
+        # the closed density is 1/2, 3/4 or 7/8
+        odds = draw(st.sampled_from((1, "closed", 2, 4, 8)))
+        if odds == "closed":
+            boxes.append(np.ones(box.shape, dtype=bool))
+            continue
+        draws = draw(st.lists(st.integers(0, odds - 1), min_size=box.size,
+                              max_size=box.size))
+        boxes.append(np.array(draws).reshape(box.shape) > 0)
+    column = tuple(draw(st.integers(a, a + n - 1)) for a, n in zip(lo, cols))
+    return np.stack(boxes), box, column, draw(st.sampled_from(StepSet))
+
+
+def test_floor_column_runs_match_floor_reach_masks():
+    """The batched reader's (lo, hi) are column_runs of floor_reach_masks'
+    two sides, though it closes the optimistic side only where the
+    pessimistic run is positive; the sample holds boxes whose optimistic
+    run is positive, and boxes where it is below the pessimistic one."""
+    seen = set()
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(_floor_batches())
+    def check(batch):
+        closed, box, column, step_set = batch
+        lo, hi = _floor_column_runs(closed, box, column, step_set)
+        opt, pes = floor_reach_masks(closed, step_set)
+        np.testing.assert_array_equal(lo, column_runs(opt, box, [column])[:, 0])
+        np.testing.assert_array_equal(hi, column_runs(pes, box, [column])[:, 0])
+        # the same batch laid out in memory as the hash lays it out
+        swap = (closed.ndim - 1, *range(1, closed.ndim - 1), 0)
+        view = np.ascontiguousarray(closed.transpose(swap)).transpose(swap)
+        for got, want in zip(_floor_column_runs(view, box, column, step_set), (lo, hi)):
+            np.testing.assert_array_equal(got, want)
+        if (lo > 0).any():
+            seen.add("0 < lo")
+        if (lo < hi).any():
+            seen.add("lo < hi")
+
+    check()
+    assert seen == {"0 < lo", "lo < hi"}
+
+
+@pytest.mark.parametrize("step_set", list(StepSet))
+@pytest.mark.parametrize("shape", [(6, 4), (5, 4, 5), (4, 3, 4, 3)])
+def test_rim_is_the_pessimistic_reach_of_open_boxes(shape, step_set):
+    """The cached rim is the floor and the sides closed under down moves:
+    on all-open boxes, where nothing climbs, it is floor_reach_masks'
+    pessimistic side, and the closure of those seeds by reach_masks."""
+    d = len(shape)
+    closed = np.zeros((3, *shape), dtype=bool)
+    seeds = np.zeros_like(closed)
+    seeds[..., 0] = True
+    _seed_sides(seeds, range(1, d))
+    want = reach_masks(closed, seeds, step_set)
+    assert (want > seeds).any()  # the sides descend into the box
+    np.testing.assert_array_equal(floor_reach_masks(closed, step_set)[1], want)
+    layers = (shape[-1], *shape[:-1])
+    rim = _rim(layers, step_set)
+    assert rim.shape == (*layers, 1) and not rim.flags.writeable
+    assert _rim(layers, step_set) is rim
+    np.testing.assert_array_equal(rim[..., 0].transpose(*range(1, d), 0), want[0])
+
+
 @pytest.mark.parametrize("step_set", list(StepSet))
 @pytest.mark.parametrize("size", [1, 2, 7])
 def test_boxes_of_a_batch_close_independently(size, step_set):
@@ -418,6 +504,13 @@ def test_estimate_reach_prob_origin():
     est = estimate_reach_prob(2, 0.99, (0, 0), master_seed=1, replicates=50)
     assert est.hits_lower == est.hits_upper == 50
     assert est.ci_lower == est.ci_upper == 1.0
+
+
+@pytest.mark.parametrize("target", [(0, 0), (1, 1)])
+@pytest.mark.parametrize("replicates", [0, -3])
+def test_estimate_reach_prob_rejects_too_few_replicates(replicates, target):
+    with pytest.raises(ValueError, match="replicates must be >= 1"):
+        estimate_reach_prob(2, 0.9, target, master_seed=1, replicates=replicates)
 
 
 def test_estimate_reach_prob_vs_exact_bracket():
