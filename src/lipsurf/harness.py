@@ -26,12 +26,13 @@ from .bounds import (HypothesisError, spread_rate, spread_tail_bound,
                      surface_tail_bound)
 from .brw import OffspringLaw, brw_tables
 from .lattice import BoxRegion, Column, PercolationField, SignedPermutationField
-from .reach import (Budget, StepSet, _floor_column_runs, _settle_replicates,
-                    reach_masks)
+from .reach import (Budget, StepSet, _floor_column_runs, _hash_replicates,
+                    _settle_replicates)
 # unused here: perfbench/selftest.py checks its tracer rebinds this name
 from .reach import floor_reach_sandwich  # noqa: F401
 from .stats import Z_99, wilson_interval
-from .surface import Cert, _cover_entries, _read_covers, build_surface, verify_surface
+from .surface import (Cert, _climb_box, _climb_masks, _cover_entries, _floor_box,
+                      _read_covers, build_surface, verify_surface)
 
 TAIL_CSV_HEADER = "k,trials,hits_lo,hits_hi,p_lo,p_hi,ci_lo,ci_hi,bound,unresolved_frac"
 
@@ -202,16 +203,16 @@ class TailCurve:
 def _tail_curve(exp: Experiment, kind: str, levels: int, runs, bound_at,
                 restricted: bool = False) -> TailCurve:
     """Tail rows for levels 0..levels-1.  `runs` yields, per chunk of
-    replicates, integer arrays (lo, hi) of the statistic's certified lower
-    and upper values: level k is a sure hit where lo >= k and a possible
-    hit where hi >= k.  The hypothesis is checked before any replicate runs."""
+    replicates, arrays (lo, hi, settled): the statistic's certified lower
+    and upper values, level k a sure hit where lo >= k and a possible hit
+    where hi >= k.  The hypothesis is checked before any replicate runs."""
     if spread_rate(exp.d, exp.p, restricted) >= 1.0:
         raise HypothesisError(
             f"a^2*q >= 1 at d={exp.d}, p={exp.p}; tail bound hypothesis violated")
     ks = np.arange(levels)
     hits_lo = np.zeros(levels, dtype=np.int64)
     hits_hi = np.zeros(levels, dtype=np.int64)
-    for lo, hi in runs:
+    for lo, hi, _ in runs:
         hits_lo += (lo[:, None] >= ks).sum(axis=0)
         hits_hi += (hi[:, None] >= ks).sum(axis=0)
     n = exp.replicates
@@ -225,49 +226,39 @@ def _tail_curve(exp: Experiment, kind: str, levels: int, runs, bound_at,
 
 def _floor_runs(exp: Experiment):
     """Optimistic and pessimistic origin-column runs, chunk by chunk, in
-    boxes of doubling height (the side pad tracking the height) until the
-    sides agree strictly below the box top, or every level up to k_max is
-    already a certain hit."""
+    build_surface's boxes of doubling height until the sides agree strictly
+    below the box top, or every level up to k_max is already a certain
+    hit."""
     d, kmax = exp.d, exp.k_max
-    height = max(exp.budget.height, kmax + 2)
     origin = (0,) * (d - 1)
-
-    def box_at(attempt):
-        h = height << attempt
-        pad = h + exp.budget.margin
-        return BoxRegion(tuple([-pad] * (d - 1) + [0]), tuple([pad] * (d - 1) + [h]))
+    box_at = _floor_box(origin, origin, exp.budget.margin,
+                        max(exp.budget.height, kmax + 2))
 
     def read(closed, box):
         ro, rp = _floor_column_runs(closed, box, origin, exp.step_mode)
         return ro, rp, ((ro == rp) & (rp < box.hi[-1] - 1)) | (ro >= kmax)
 
-    return _settle_replicates(d, exp.p, exp.seed, exp.replicates,
-                              exp.growth_cap, box_at, read)
+    return _settle_replicates(exp.replicates, exp.growth_cap, box_at,
+                              _hash_replicates(d, exp.p, exp.seed), read)
 
 
 def _cover_radii(exp: Experiment, shift: int, levels: int):
     """Minimal-cover radii at the origin column, chunk by chunk: the spread
     radius plus `shift` (1 gives the cover radius) on the lower side, and on
     the upper side the same if the cover is certified, else `levels`, a
-    possible hit at every level.  The climb box doubles in margin and height
-    until the reach from the center touches no side or top of it, which
-    makes it the exact climb set, as minimal_cover grows it."""
-    d, m, height = exp.d, exp.budget.margin, exp.budget.height
-
-    def box_at(attempt):
-        pad, h = m << attempt, height << attempt
-        return BoxRegion(tuple([-pad] * (d - 1) + [0]), tuple([pad] * (d - 1) + [h]))
+    possible hit at every level.  The climb boxes and their certificate are
+    minimal_cover's."""
+    origin = (0,) * (exp.d - 1)
 
     def read(closed, box):
-        center = [-box.lo[0]] * (d - 1)
-        seeds = np.zeros_like(closed)
-        seeds[(slice(None), *center, 0)] = True
-        _, rho, certified = _read_covers(reach_masks(closed, seeds), center)
+        center = [c - a for c, a in zip(origin, box.lo)]
+        _, rho, certified = _read_covers(_climb_masks(closed, box, origin), center)
         lo = rho - 1 + shift
         return lo, np.where(certified, lo, levels), certified
 
-    return _settle_replicates(d, exp.p, exp.seed, exp.replicates,
-                              exp.growth_cap, box_at, read)
+    return _settle_replicates(exp.replicates, exp.growth_cap,
+                              _climb_box(origin, exp.budget.margin, exp.budget.height),
+                              _hash_replicates(exp.d, exp.p, exp.seed), read)
 
 
 def surface_tail_curve(exp: Experiment) -> TailCurve:
@@ -546,8 +537,8 @@ def _box_configs(box: BoxRegion) -> np.ndarray:
 
 def cover_sweep(p: float = 0.99, radius: int = 2, h_max: int = 2) -> dict:
     """Exhaustive sweep over every configuration of the d=2 box
-    [-radius, radius] x [0, h_max]: one reach_masks call closes the center
-    column's climb in all of them, and the engine's minimal cover must
+    [-radius, radius] x [0, h_max]: one batched climb closes the center
+    column's climb set in all of them, and the engine's minimal cover must
     equal the oracle's least fixed point wherever both certify.  The sweep
     accumulates exact spread-tail probabilities for cross-checking Monte
     Carlo intervals."""
@@ -557,10 +548,8 @@ def cover_sweep(p: float = 0.99, radius: int = 2, h_max: int = 2) -> dict:
     box = BoxRegion((-radius, 0), (radius, h_max))
     n = box.size
     origin = (0,)
-    closed = _box_configs(box)
-    seeds = np.zeros_like(closed)
-    seeds[:, radius, 0] = True
-    heights, rho, certified = _read_covers(reach_masks(closed, seeds), (radius,))
+    heights, rho, certified = _read_covers(_climb_masks(_box_configs(box), box, origin),
+                                           (radius,))
     both = mismatches = 0
     spread_prob = {k: 0.0 for k in range(1, h_max + 1)}
     for bits, fast_rho, fast_cert in zip(range(1 << n), rho.tolist(),

@@ -32,13 +32,15 @@ influence can enter a box three ways:
   variant is therefore exact for the model truncated at the box height,
   and the truncation is driven to irrelevance by box growth: the
   probability that sites above height h matter for a given column decays
-  geometrically like (a*q)^h.  At the parameters this package targets the
-  residual is many orders below Monte Carlo resolution, and it is reported,
-  never hidden.
+  geometrically like (a*q)^h, with a = bounds.step_count the number of
+  admissible steps (2d for the full step set).  At the parameters this
+  package targets the residual is many orders below Monte Carlo
+  resolution, but nothing computes or reports it yet.
 
-The growth loop doubles the box height (the side margin tracks the height,
-since a side seed at height t can influence a column only down to height
-t - distance) until the optimistic and pessimistic answers agree.
+Every certificate grows its boxes in _settle_replicates until its two
+sides agree; the floor reach doubles the box height (the side margin
+tracks the height, since a side seed at height t can influence a column
+only down to height t - distance).
 
 The pessimistic seeds closed under down moves, the rim, are the same for
 every configuration of a box shape, so they are computed once per shape
@@ -71,16 +73,11 @@ class ReachResult:
 
     mask is shaped like the box (BoxRegion.shape, height last) and marks
     the reached sites; reached is the same set as site tuples, built on
-    first read.  Boundary-contact flags record whether the reached set
-    touches the inner boundary layers; they drive the grow-until-certified
-    loops.
+    first read.
     """
 
     mask: np.ndarray
     box: BoxRegion
-    touched_side: bool
-    touched_top: bool
-    touched_bottom: bool
 
     @functools.cached_property
     def reached(self) -> frozenset[Site]:
@@ -228,15 +225,6 @@ def reach_masks(closed: np.ndarray, seeds: np.ndarray,
     return reached.transpose(swap)
 
 
-def _dense_result(mask: np.ndarray, box: BoxRegion) -> ReachResult:
-    """A reach over one box with its contacts: the inner side boundary, the
-    top layer and the bottom layer."""
-    rim = np.zeros_like(mask)
-    _seed_sides(rim, range(mask.ndim - 1))
-    return ReachResult(mask, box, bool((mask & rim).any()), bool(mask[..., -1].any()),
-                       bool(mask[..., 0].any()))
-
-
 def reach(field: Field, sources, box: BoxRegion,
           step_set: StepSet = StepSet.FULL,
           height_floor: int | None = None) -> ReachResult:
@@ -266,7 +254,7 @@ def reach(field: Field, sources, box: BoxRegion,
     mask = np.zeros(box.shape, dtype=bool)
     closed = field.closed_mask(box)[None]
     mask[crop] = reach_masks(closed[crop], seeds[crop], step_set)[0]
-    return _dense_result(mask, box)
+    return ReachResult(mask, box)
 
 
 def floor_reach_sandwich(field: Field, box: BoxRegion,
@@ -286,7 +274,7 @@ def floor_reach_sandwich(field: Field, box: BoxRegion,
     if box.hi[-1] < 1:
         raise ValueError(f"degenerate box: top height {box.hi[-1]} < 1")
     opt, pes = floor_reach_masks(field.closed_mask(box)[None], step_set)
-    return ReachSandwich(_dense_result(opt[0], box), _dense_result(pes[0], box))
+    return ReachSandwich(ReachResult(opt[0], box), ReachResult(pes[0], box))
 
 
 def _outside(column, box: BoxRegion) -> ValueError:
@@ -414,8 +402,8 @@ def estimate_reach_prob(d: int, p: float, target: Site, *, master_seed: int,
         return hit_lo, hit_hi, hit_lo == hit_hi
 
     hits_lo = hits_hi = 0
-    for lo, hi in _settle_replicates(d, p, master_seed, replicates,
-                                     budget.growth_cap, box_at, read):
+    for lo, hi, _ in _settle_replicates(replicates, budget.growth_cap, box_at,
+                                        _hash_replicates(d, p, master_seed), read):
         hits_lo += int(lo.sum())
         hits_hi += int(hi.sum())
     ci_lo = wilson_interval(hits_lo, replicates, z)[0]
@@ -430,38 +418,42 @@ def estimate_reach_prob(d: int, p: float, target: Site, *, master_seed: int,
 _CHUNK_SITES = 1 << 18
 
 
-def _settle_replicates(d: int, p: float, master_seed: int, replicates: int,
-                       growth_cap: int, box_at, read):
-    """Grow boxes over replicates 0..replicates-1 until each one settles.
+def _hash_replicates(d: int, p: float, master_seed: int):
+    """Replicates of PercolationField(d, p, master_seed) as the closed_at of
+    _settle_replicates; replicate_closed_masks is looked up at each call."""
+    return lambda reps, box: replicate_closed_masks(d, p, master_seed, reps, box)
+
+
+def _settle_replicates(count: int, growth_cap: int, box_at, closed_at, read):
+    """Grow boxes over items 0..count-1 until each one settles.
 
     box_at(i) is the box of growth attempt i (attempt 0 is the first box);
-    read(closed, box) takes the closed masks of a batch of replicates in
-    that box and returns arrays (lo, hi, settled) over the batch: a
-    statistic's certified lower and upper values, and whether the box
-    settles them.  Per chunk of replicates, one pass hashes and reads every
-    replicate in the first box; each further attempt, up to growth_cap,
-    hashes only the replicates still unsettled, in pieces of at most
-    _CHUNK_SITES sites, and a grown box is built only when some replicate
-    needs it.  A replicate keeps the values of the last box it was read
-    in.  Yields (lo, hi) per chunk.
+    closed_at(items, box) hashes an index array of items in a box, shaped
+    (len(items), *box.shape); read(closed, box) returns arrays (lo, hi,
+    settled), shaped (B,) or (B, columns): a statistic's certified lower
+    and upper values, and whether the box settles them.  Per chunk of
+    items, one pass hashes and reads every item in the first box; each
+    further attempt, up to growth_cap, hashes only the items with an
+    unsettled entry, in pieces of at most _CHUNK_SITES sites.  An entry
+    keeps the values of the box that settled it, or else of the last box
+    it was read in.  Yields (lo, hi, settled) per chunk.
     """
     first = box_at(0)
     chunk = max(1, _CHUNK_SITES // first.size)
-    for start in range(0, replicates, chunk):
-        reps = np.arange(start, min(start + chunk, replicates))
-        lo, hi, settled = read(replicate_closed_masks(d, p, master_seed, reps,
-                                                      first), first)
-        pending = np.flatnonzero(~settled)
+    for start in range(0, count, chunk):
+        items = np.arange(start, min(start + chunk, count))
+        lo, hi, settled = read(closed_at(items, first), first)
         for attempt in range(1, growth_cap + 1):
+            pending = np.flatnonzero(~settled.reshape(items.size, -1).all(axis=1))
             if not pending.size:
                 break
             box = box_at(attempt)
             piece = max(1, _CHUNK_SITES // box.size)
-            unsettled = []
             for i in range(0, pending.size, piece):
                 idx = pending[i:i + piece]
-                lo[idx], hi[idx], settled = read(replicate_closed_masks(
-                    d, p, master_seed, reps[idx], box), box)
-                unsettled.append(idx[~settled])
-            pending = np.concatenate(unsettled)
-        yield lo, hi
+                now_lo, now_hi, now = read(closed_at(items[idx], box), box)
+                was = settled[idx]
+                lo[idx] = np.where(was, lo[idx], now_lo)
+                hi[idx] = np.where(was, hi[idx], now_hi)
+                settled[idx] = was | now
+        yield lo, hi, settled

@@ -34,7 +34,8 @@ from enum import Enum
 import numpy as np
 
 from .lattice import BoxRegion, Column, Field, Site
-from .reach import Budget, ReachResult, StepSet, column_runs, floor_reach_sandwich, reach
+from .reach import (Budget, ReachResult, _settle_replicates, column_runs,
+                    floor_reach_masks, reach_masks)
 
 
 class Cert(Enum):
@@ -109,6 +110,34 @@ class LocalCoverResult:
         }
 
 
+def _floor_box(lo: Column, hi: Column, margin: int, height: int):
+    """box_at of the floor reach over the columns lo..hi: attempt i spans
+    heights 0..h, h = height*2^i, and pads the columns by h + margin, so
+    that worst-case side entries cannot influence them above height 0."""
+    def box_at(attempt):
+        h = height << attempt
+        pad = h + margin
+        return BoxRegion((*(c - pad for c in lo), 0), (*(c + pad for c in hi), h))
+    return box_at
+
+
+def _climb_box(x: Column, margin: int, height: int):
+    """box_at of the climb set of x: attempt i pads x by margin*2^i on every
+    side and spans heights 0..height*2^i."""
+    def box_at(attempt):
+        m, h = margin << attempt, height << attempt
+        return BoxRegion((*(c - m for c in x), 0), (*(c + m for c in x), h))
+    return box_at
+
+
+def _climb_masks(closed: np.ndarray, box: BoxRegion, x) -> np.ndarray:
+    """Climb sets of the column x in a batch of closed masks over one box
+    whose bottom is height 0: the reach from (x, 0), shaped like closed."""
+    seeds = np.zeros_like(closed)
+    seeds[(slice(None), *(c - a for c, a in zip(x, box.lo)), 0)] = True
+    return reach_masks(closed, seeds)
+
+
 def build_surface(field: Field, base, budget: Budget = Budget()) -> SurfacePatch:
     """Surface over the given base columns via the floor-reachable set.
 
@@ -124,36 +153,23 @@ def build_surface(field: Field, base, budget: Budget = Budget()) -> SurfacePatch
     base = [tuple(c) for c in base]
     if not base:
         raise ValueError("base must be nonempty")
-    k = field.d - 1
-    if any(len(c) != k for c in base):
+    if any(len(c) != field.d - 1 for c in base):
         raise ValueError("base columns must have dimension d-1")
-    base_lo = tuple(min(c[i] for c in base) for i in range(k))
-    base_hi = tuple(max(c[i] for c in base) for i in range(k))
+    cols = sorted(set(base))
+    box_at = _floor_box(np.min(cols, axis=0), np.max(cols, axis=0),
+                        budget.margin, budget.height)
 
-    values: dict[Column, int] = {}
-    status: dict[Column, Cert] = {}
-    pending = set(base)
-    h = budget.height
-    for attempt in range(budget.growth_cap + 1):
-        pad = h + budget.margin
-        box = BoxRegion(tuple(c - pad for c in base_lo) + (0,),
-                        tuple(c + pad for c in base_hi) + (h,))
-        sw = floor_reach_sandwich(field, box)
-        cols = sorted(pending)
-        runs = column_runs(np.stack([sw.optimistic.mask, sw.pessimistic.mask]),
-                           box, cols) + 1
-        # Python ints: patch values go out through json
-        for col, v_opt, v_pes in zip(cols, *runs.tolist()):
-            values[col] = v_opt
-            if v_opt == v_pes and v_pes < h:
-                status[col] = Cert.CERTIFIED
-                pending.discard(col)
-        if not pending:
-            break
-        if attempt < budget.growth_cap:
-            h *= 2
-    for col in pending:
-        status[col] = Cert.UNRESOLVED
+    def read(closed, box):
+        runs = column_runs(np.concatenate(floor_reach_masks(closed)), box, cols) + 1
+        lo, hi = runs[:1], runs[1:]
+        return lo, hi, (lo == hi) & (hi < box.hi[-1])
+
+    (lo, _, settled), = _settle_replicates(  # one field: a batch of one
+        1, budget.growth_cap, box_at, lambda _, box: field.closed_mask(box)[None], read)
+    # Python ints: patch values go out through json
+    values = dict(zip(cols, lo[0].tolist()))
+    status = {c: Cert.CERTIFIED if ok else Cert.UNRESOLVED
+              for c, ok in zip(cols, settled[0].tolist())}
     return SurfacePatch(tuple(sorted(base)), values, status, "via-floor-reach")
 
 
@@ -173,13 +189,19 @@ class SurfaceReport:
 
 def verify_surface(field: Field, patch: SurfacePatch) -> SurfaceReport:
     """Check every certified column for an open site at its value and every
-    adjacent certified pair for |increment| <= 1; report violations."""
+    adjacent certified pair for |increment| <= 1; report violations.
+
+    Openness is read from one field.closed_mask over the bounding box of
+    the certified columns and values, so an ExplicitField reads a site
+    outside its config box as open."""
     certified = patch.certified_columns()
     open_bad = []
-    for col in certified:
-        v = patch.values[col]
-        if field.is_closed((*col, v)):
-            open_bad.append((col, v))
+    if certified:
+        cols = np.array(certified, dtype=np.intp).reshape(len(certified), -1)
+        vals = np.array([patch.values[c] for c in certified], dtype=np.intp)
+        box = BoxRegion((*cols.min(axis=0), vals.min()), (*cols.max(axis=0), vals.max()))
+        closed = field.closed_mask(box)[(*(cols - box.lo[:-1]).T, vals - box.lo[-1])]
+        open_bad = [(c, patch.values[c]) for c, bad in zip(certified, closed.tolist()) if bad]
     lip_bad = []
     pairs = 0
     cert_set = set(certified)
@@ -194,21 +216,23 @@ def verify_surface(field: Field, patch: SurfacePatch) -> SurfaceReport:
     return SurfaceReport(len(certified), pairs, tuple(open_bad), tuple(lip_bad))
 
 
-def _climb(field: Field, x: Column, budget: Budget) -> tuple[ReachResult, Cert]:
-    """The climb set of x as a reach over its last box, and its status."""
+def _climb(field: Field, x: Column, budget: Budget):
+    """The climb set of x as a reach over the last box it was read in, that
+    box's cover heights, and the cover radius and certificate of the loop."""
     if len(x) != field.d - 1:
         raise ValueError("center column must have dimension d-1")
-    m, h = budget.margin, budget.height
-    for _ in range(budget.growth_cap + 1):
-        lo = tuple(c - m for c in x) + (0,)
-        hi = tuple(c + m for c in x) + (h,)
-        box = BoxRegion(lo, hi)
-        result = reach(field, [(*x, 0)], box, StepSet.FULL, height_floor=0)
-        if not (result.touched_side or result.touched_top):
-            return result, Cert.CERTIFIED
-        m *= 2
-        h *= 2
-    return result, Cert.UNRESOLVED
+    last = []
+
+    def read(closed, box):
+        masks = _climb_masks(closed, box, x)
+        heights, rho, certified = _read_covers(masks, [c - a for c, a in zip(x, box.lo)])
+        last[:] = ReachResult(masks[0], box), heights[0]
+        return rho, rho, certified
+
+    (rho, _, certified), = _settle_replicates(
+        1, budget.growth_cap, _climb_box(x, budget.margin, budget.height),
+        lambda _, box: field.closed_mask(box)[None], read)
+    return (*last, int(rho[0]), bool(certified[0]))
 
 
 def climb_set(field: Field, x, budget: Budget = COVER_BUDGET) -> tuple[frozenset[Site], Cert]:
@@ -219,8 +243,8 @@ def climb_set(field: Field, x, budget: Budget = COVER_BUDGET) -> tuple[frozenset
     every configuration outside the box.  Growth-cap exhaustion returns the
     partial set with status UNRESOLVED.
     """
-    result, cert = _climb(field, tuple(x), budget)
-    return result.reached, cert
+    result, *_, certified = _climb(field, tuple(x), budget)
+    return result.reached, Cert.CERTIFIED if certified else Cert.UNRESOLVED
 
 
 def _read_covers(masks: np.ndarray, center) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -262,11 +286,8 @@ def minimal_cover(field: Field, x, budget: Budget = COVER_BUDGET) -> LocalCoverR
     unresolved result whose radii are certified lower bounds.
     """
     x = tuple(x)
-    result, _ = _climb(field, x, budget)
-    lo = result.box.lo[:-1]
-    heights, rho, certified = _read_covers(result.mask[None], np.subtract(x, lo))
-    rho = int(rho[0])
-    return LocalCoverResult(x, _cover_entries(heights[0], lo), bool(certified[0]),
+    result, heights, rho, certified = _climb(field, x, budget)
+    return LocalCoverResult(x, _cover_entries(heights, result.box.lo[:-1]), certified,
                             rho - 1, rho, budget)
 
 
@@ -289,12 +310,9 @@ def surface_from_covers(field: Field, base, window,
     sup = np.ones(len(base), dtype=np.intp)
     all_cert = True
     for y in sorted(window):
-        result, cert = _climb(field, y, budget)
-        if cert is not Cert.CERTIFIED:
-            all_cert = False
-        lo = result.box.lo[:-1]
-        heights = _read_covers(result.mask[None], np.subtract(y, lo))[0][0]
-        idx = cols - lo
+        result, heights, _, certified = _climb(field, y, budget)
+        all_cert = all_cert and certified
+        idx = cols - result.box.lo[:-1]
         inside = ((idx >= 0) & (idx < heights.shape)).all(axis=1)
         sup[inside] = np.maximum(sup[inside], heights[tuple(idx[inside].T)])
     values = dict(zip(base, sup.tolist()))

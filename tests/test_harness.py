@@ -18,11 +18,10 @@ from lipsurf.harness import (TAIL_CSV_HEADER, BudgetExceededError, ConfigError,
 from lipsurf.lattice import BoxRegion, ExplicitConfig, ExplicitField, PercolationField
 from lipsurf.oracle import exact_event_prob, walk_reach
 from lipsurf.reach import (Budget, StepSet, column_runs, estimate_reach_prob,
-                           floor_reach_sandwich)
+                           floor_reach_sandwich, reach)
 
-# the package exports a function named reach, so fetch the modules themselves
+# the package exports a function named reach, so fetch the module itself
 REACH = importlib.import_module("lipsurf.reach")
-SURFACE = importlib.import_module("lipsurf.surface")
 
 
 def test_experiment_from_config_valid():
@@ -179,39 +178,47 @@ _COVER_CONFIGS = [
 ]
 
 
+def _grown_cover(exp: Experiment, rep: int, boxes: list) -> tuple[int, bool]:
+    """Reference cover statistic of one replicate: the per-replicate growth
+    loop over reach() from (0, 0) on a single field, recording each box,
+    until no reached site lies in a side column or the top layer of the
+    box.  Returns the spread radius and whether the loop certified it."""
+    field = PercolationField(exp.d, exp.p, exp.seed, rep)
+    origin = (0,) * exp.d
+    m, h = exp.box_margin, exp.box_height
+    for _ in range(exp.growth_cap + 1):
+        box = BoxRegion((-m,) * (exp.d - 1) + (0,), (m,) * (exp.d - 1) + (h,))
+        boxes.append(([rep], box))
+        sites = reach(field, [origin], box, height_floor=0).reached
+        certified = not any(s[-1] == h or m in map(abs, s[:-1]) for s in sites)
+        if certified:
+            break
+        m, h = 2 * m, 2 * h
+    return max(sum(map(abs, s)) for s in sites), certified
+
+
 @pytest.mark.parametrize("chunk_sites", [200, REACH._CHUNK_SITES])
 @pytest.mark.parametrize("cfg", _COVER_CONFIGS)
 def test_cover_tail_batching_matches_per_replicate_path(cfg, chunk_sites,
                                                         monkeypatch):
-    """The batched box-growth driver counts exactly what a loop of
-    minimal_cover over single fields counts, for the spread and the cover
-    radius, and hashes each replicate in exactly the climb boxes
-    minimal_cover reaches over, so a grown box gets only the replicates the
-    smaller ones left uncertified; 200 sites per chunk splits every config
-    into chunks of at most four replicates with a partial last one."""
+    """The batched box-growth driver counts exactly what a per-replicate
+    growth loop of reach() over single fields counts, for the spread and
+    the cover radius, and hashes each replicate in exactly the climb boxes
+    that loop tries, so a grown box gets only the replicates the smaller
+    ones left uncertified; 200 sites per chunk splits every config into
+    chunks of at most four replicates with a partial last one."""
     exp = Experiment(kind="radh_tail", k_max=4,
                      **{**dict(box_margin=4, box_height=4, growth_cap=5), **cfg})
     tried = []
-    climb = SURFACE.reach
-
-    def recording(field, sources, box, *args, **kwargs):
-        tried.append(([field.replicate], box))
-        return climb(field, sources, box, *args, **kwargs)
-
-    with monkeypatch.context() as m:
-        m.setattr(SURFACE, "reach", recording)
-        covers = [SURFACE.minimal_cover(PercolationField(exp.d, exp.p, exp.seed, rep),
-                                        (0,) * (exp.d - 1), exp.budget)
-                  for rep in range(exp.replicates)]
+    covers = [_grown_cover(exp, rep, tried) for rep in range(exp.replicates)]
     monkeypatch.setattr(REACH, "_CHUNK_SITES", chunk_sites)
     calls = _spy_hashing(monkeypatch)
-    for tail, radius in ((spread_tail_curve, "spread_radius"),
-                         (cover_tail_curve, "cover_radius")):
+    for tail, shift in ((spread_tail_curve, 0), (cover_tail_curve, 1)):
         calls.clear()
         curve = tail(exp)
         levels = len(curve.rows)
-        lo = [getattr(c, radius) for c in covers]
-        hi = [r if c.certified else levels for r, c in zip(lo, covers)]
+        lo = [spread + shift for spread, _ in covers]
+        hi = [r if certified else levels for r, (_, certified) in zip(lo, covers)]
         assert [r.hits_lo for r in curve.rows] == [
             sum(v >= k for v in lo) for k in range(levels)]
         assert [r.hits_hi for r in curve.rows] == [
@@ -225,7 +232,7 @@ def test_cover_tail_batching_matches_per_replicate_path(cfg, chunk_sites,
             assert any(box.hi[-1] > first.hi[-1] for _, box in calls), \
                 "no replicate was hashed in a grown box"
     if exp.growth_cap == 0:
-        assert not all(c.certified for c in covers)
+        assert not all(certified for _, certified in covers)
 
 
 def test_box_growth_hashes_bounded_pieces(monkeypatch):
@@ -386,11 +393,11 @@ def test_run_experiment_rejects_bad_brw_parameters(tmp_path, field, bad):
 
 
 def test_cover_sweep_counts_on_a_small_box(monkeypatch):
-    """The sweep closes every configuration in one reach_masks call and
+    """The sweep closes every configuration in one _climb_masks call and
     builds no cover one by one; its counts are pinned, so a reader that
     certified nothing could not pass with zero mismatches."""
     calls = []
-    batched = harness.reach_masks
+    batched = harness._climb_masks
 
     def counting(*args, **kwargs):
         calls.append(args[0].shape)
@@ -399,7 +406,7 @@ def test_cover_sweep_counts_on_a_small_box(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("cover_sweep built a cover one configuration at a time")
 
-    monkeypatch.setattr(harness, "reach_masks", counting)
+    monkeypatch.setattr(harness, "_climb_masks", counting)
     monkeypatch.setattr("lipsurf.surface.minimal_cover", forbidden)
     monkeypatch.setattr("lipsurf.lattice.ExplicitField", forbidden)
     assert cover_sweep(p=0.99, radius=1, h_max=3) == {

@@ -1,3 +1,4 @@
+import importlib
 import random
 
 import numpy as np
@@ -9,10 +10,12 @@ from lipsurf.lattice import (BoxRegion, ConstantField, ExplicitConfig,
                              SiteState, replicate_closed_masks)
 from lipsurf.oracle import exact_event_prob, walk_reach
 from lipsurf.reach import (Budget, StepSet, _floor_column_runs, _rim,
-                           _seed_sides, column_runs, estimate_reach_prob,
-                           floor_reach_masks, floor_reach_sandwich, reach,
-                           reach_masks)
+                           _seed_sides, _settle_replicates, column_runs,
+                           estimate_reach_prob, floor_reach_masks,
+                           floor_reach_sandwich, reach, reach_masks)
 
+# the package exports a function named reach, so fetch the module itself
+REACH = importlib.import_module("lipsurf.reach")
 ALL_OPEN = ConstantField(2, SiteState.OPEN)
 ALL_CLOSED = ConstantField(2, SiteState.CLOSED)
 
@@ -39,14 +42,12 @@ def test_reach_downward_cone():
     src = (1, 2)
     result = reach(ALL_OPEN, [src], box)
     assert result.reached == frozenset(_downward_cone(src, box))
-    assert result.touched_bottom and result.touched_side
 
 
 def test_reach_empty_sources():
     box = BoxRegion((-2, 0), (2, 3))
     result = reach(ALL_OPEN, [], box)
     assert result.reached == frozenset()
-    assert not (result.touched_side or result.touched_top or result.touched_bottom)
 
 
 def test_reach_empty_sources_mask():
@@ -217,15 +218,9 @@ def _on_side(site, box):
     return any(site[i] in (box.lo[i], box.hi[i]) for i in range(box.dim - 1))
 
 
-def _contact_flags(sites, box):
-    return (any(_on_side(s, box) for s in sites),
-            any(s[-1] == box.hi[-1] for s in sites),
-            any(s[-1] == box.lo[-1] for s in sites))
-
-
 def test_sandwich_equals_set_reach():
     """The dense layer sweep behind the sandwich reaches exactly what the
-    oracle's walk reach does from the same seeds, with every contact flag."""
+    oracle's walk reach does from the same seeds."""
     cases = [(2, BoxRegion((-4, 0), (4, 4)), 40), (2, BoxRegion((-2, 0), (3, 1)), 40),
              (3, BoxRegion((-3, -2, 0), (3, 4, 5)), 6)]
     for d, box, reps in cases:
@@ -242,8 +237,6 @@ def test_sandwich_equals_set_reach():
                         want = walk_reach(config, seeds, step_set, height_floor=0)
                         assert got.reached == want
                         assert got.box == box
-                        assert (got.touched_side, got.touched_top,
-                                got.touched_bottom) == _contact_flags(want, box)
 
 
 def test_reach_rejects_source_below_floor():
@@ -256,8 +249,7 @@ def test_reach_rejects_source_below_floor():
         walk_reach(config, [(0, -1)], height_floor=0)
     result = reach(ALL_CLOSED, [(0, 0)], box, height_floor=0)
     assert result.reached == walk_reach(config, [(0, 0)], height_floor=0)
-    assert result.box == box and not result.touched_bottom
-    assert result.touched_side and result.touched_top
+    assert result.box == box
 
 
 @st.composite
@@ -498,6 +490,62 @@ def test_sandwich_brackets_truth_under_all_side_extensions():
             truth = walk_reach(outer_config, outer_bottom, height_floor=0)
             truth_inner = {s for s in truth if inner.contains(s)}
             assert opt <= truth_inner <= pes
+
+
+# growth attempt at which each of an item's two columns settles; 9: never
+_SETTLE_AT = [(0, 0), (0, 2), (1, 1), (9, 0), (2, 3), (0, 0), (1, 0)]
+
+
+@pytest.mark.parametrize("columns", [2, 1])
+def test_settle_replicates_keeps_settled_entries(columns, monkeypatch):
+    """The growth loop on fakes: box i is 2 x (2i + 3) sites, and the first
+    box's chunk holds 4 items.  A read settles an entry only in the box of
+    its schedule, and says so in no later box, which reads its values
+    differently: the entry keeps the settling box's values and status.  A
+    row is read again while any of its columns is unsettled, until
+    growth_cap; with one column (1-D reads) each item keeps the values of
+    the last box it was read in."""
+    cap, chunk_sites = 3, 24
+    monkeypatch.setattr(REACH, "_CHUNK_SITES", chunk_sites)
+    built, hashed = [], []
+
+    def box_at(attempt):
+        built.append(attempt)
+        return BoxRegion((0, 0), (1, 2 * attempt + 2))
+
+    def closed_at(items, box):
+        hashed.append((items.tolist(), box))
+        closed = np.zeros((items.size, *box.shape), dtype=np.int64)
+        closed[:, 0, 0] = items
+        return closed
+
+    def read(closed, box):
+        attempt = (box.hi[-1] - 2) // 2
+        items = closed[:, 0, 0]
+        cols = np.arange(columns)
+        lo = 100 * items[:, None] + 10 * attempt + cols
+        now = np.array([_SETTLE_AT[i][:columns] for i in items]) == attempt
+        if columns == 1:
+            return lo[:, 0], lo[:, 0] + 5, now[:, 0]
+        return lo, lo + 5, now
+
+    chunks = list(_settle_replicates(len(_SETTLE_AT), cap, box_at, closed_at, read))
+    assert len(chunks) == 2
+    lo, hi, settled = (np.concatenate(a) for a in zip(*chunks))
+    assert lo.shape == settled.shape == (len(_SETTLE_AT),) + ((2,) if columns == 2 else ())
+    for i, at in enumerate(_SETTLE_AT):
+        at = at[:columns]
+        last = min(max(at), cap)  # the last box the item's row was read in
+        want = [100 * i + 10 * (a if a <= cap else last) + c for c, a in enumerate(at)]
+        assert np.atleast_1d(lo[i]).tolist() == want, i
+        assert np.atleast_1d(hi[i] - lo[i]).tolist() == [5] * columns
+        assert np.atleast_1d(settled[i]).tolist() == [a <= cap for a in at]
+        assert [box.hi[-1] for reps, box in hashed if i in reps] == [
+            2 * a + 2 for a in range(last + 1)], i
+    assert max(built) == cap
+    assert all(len(reps) * box.size <= max(chunk_sites, box.size)
+               for reps, box in hashed)
+    assert any(len(reps) > 1 and box != box_at(0) for reps, box in hashed)
 
 
 def test_estimate_reach_prob_origin():

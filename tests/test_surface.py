@@ -57,14 +57,16 @@ def test_verify_surface_fault_injection():
 def test_verify_surface_openness_fault_injection():
     # the closed site (0, 1) lifts column 0 to 2; lowering it to 1 puts the
     # surface on a closed site, and every neighbour still differs by at most 1
-    field = OverrideField(2, [(0, 1)])
-    patch = build_surface(field, _base(2))
-    assert patch.values[(0,)] == 2
-    corrupted = SurfacePatch(patch.columns, {**patch.values, (0,): 1},
-                             dict(patch.status), patch.method)
-    report = verify_surface(field, corrupted)
-    assert report.openness_violations == (((0,), 1),)
-    assert not report.lipschitz_violations
+    for d in (2, 3):
+        x = (0,) * (d - 1)
+        field = OverrideField(d, [(*x, 1)])
+        patch = build_surface(field, _base(2, d - 1))
+        assert patch.values[x] == 2
+        corrupted = SurfacePatch(patch.columns, {**patch.values, x: 1},
+                                 dict(patch.status), patch.method)
+        report = verify_surface(field, corrupted)
+        assert report.openness_violations == ((x, 1),)
+        assert not report.lipschitz_violations
 
 
 def test_surface_validity_random_d3():
@@ -156,7 +158,10 @@ def test_minimal_cover_matches_oracle_smoke():
 def test_minimal_cover_matches_climb_sets():
     """Entries, radii and certificate read off the climb mask agree with the
     climb set's sites and status, also on boxes whose reach touches only a
-    side (narrow, tall) or only the top (wide, short)."""
+    side (narrow, tall) or only the top (wide, short).  The certificate is
+    also checked against the sites: boxes grow nested, so a cover is
+    certified exactly when its climb set has no site in a side column or
+    the top layer of the last box the budget allows."""
     top_only = 0
     for d, p in ((2, 0.9), (3, 0.95)):
         x = (0,) * (d - 1)
@@ -173,7 +178,9 @@ def test_minimal_cover_matches_climb_sets():
                 assert cover.spread_radius == max(
                     sum(abs(c) for c in s[:-1]) + s[-1] for s in sites)
                 assert cover.cover_radius == cover.spread_radius + 1
-                assert cover.certified == (cert is Cert.CERTIFIED)
+                m, h = budget.margin << budget.growth_cap, budget.height << budget.growth_cap
+                contact = any(s[-1] == h or m in map(abs, s[:-1]) for s in sites)
+                assert cover.certified == (cert is Cert.CERTIFIED) == (not contact)
                 top_only += (not cover.certified and budget.height == 1
                              and max(s[-1] for s in sites) == 1
                              and max(max(map(abs, s[:-1])) for s in sites) < 6)
