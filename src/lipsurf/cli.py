@@ -146,7 +146,14 @@ def _cmd_sample(args, config: dict) -> int:
     return EXIT_OK
 
 
+def _full_steps_only(config: dict) -> None:
+    # build_surface and the climb sets are defined for the full step set
+    if config.get("step_mode", "full") != "full":
+        raise ConfigError("step_mode", "surfaces and covers use the full step set only")
+
+
 def _cmd_surface(args, config: dict) -> int:
+    _full_steps_only(config)
     d = config.get("d", 2)
     radius = config.get("base_radius", 5)
     field = PercolationField(d, config.get("p", 0.99), config.get("seed", 0))
@@ -163,6 +170,9 @@ def _cmd_surface(args, config: dict) -> int:
 
 
 def _cmd_cover(args, config: dict) -> int:
+    _full_steps_only(config)
+    if config.get("format", "json") != "json":
+        raise ConfigError("format", "cover prints JSON only")
     d = config.get("d", 2)
     field = PercolationField(d, config.get("p", 0.99), config.get("seed", 0))
     cover = minimal_cover(field, (0,) * (d - 1), _budget(config, COVER_BUDGET))
@@ -186,8 +196,11 @@ def _cmd_run(args, config: dict, kind: str | None = None) -> int:
 
 
 def _cmd_bounds(args, config: dict) -> int:
+    k_max = config.get("k_max", 5)
+    if not isinstance(k_max, int) or k_max < 0:
+        raise ConfigError("k_max", "must be an integer >= 0")
     summary = constants_summary(config.get("d", 2), config.get("p", 0.99),
-                                config.get("step_mode") == "no-straight-down")
+                                config.get("step_mode") == "no-straight-down", k_max)
     _emit(json.dumps(summary, sort_keys=True, indent=2) + "\n", config.get("out"))
     return EXIT_OK
 

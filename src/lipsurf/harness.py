@@ -235,7 +235,8 @@ def _floor_runs(exp: Experiment):
                         max(exp.budget.height, kmax + 2))
 
     def read(closed, box):
-        ro, rp = _floor_column_runs(closed, box, origin, exp.step_mode)
+        lo, hi = _floor_column_runs(closed, box, [origin], exp.step_mode)
+        ro, rp = lo[:, 0], hi[:, 0]
         return ro, rp, ((ro == rp) & (rp < box.hi[-1] - 1)) | (ro >= kmax)
 
     return _settle_replicates(exp.replicates, exp.growth_cap, box_at,

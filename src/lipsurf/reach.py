@@ -45,9 +45,10 @@ only down to height t - distance).
 The pessimistic seeds closed under down moves, the rim, are the same for
 every configuration of a box shape, so they are computed once per shape
 (on an all-open box) and the pessimistic closure starts with a climb.
-Its reach contains the optimistic one, so a reader of one column's runs
-closes the pessimistic side first and the optimistic side only in the
-boxes where the pessimistic run is positive; elsewhere both runs are 0.
+Its reach contains the optimistic one.  So one reader of column runs
+serves f_tail (the origin column) and build_surface (every base column):
+it closes the pessimistic side first, and the optimistic side only in the
+boxes where some pessimistic run is positive; elsewhere every run is 0.
 """
 
 from __future__ import annotations
@@ -177,40 +178,14 @@ def _swap(ndim: int) -> tuple[int, ...]:
     return (ndim - 1, *range(1, ndim - 1), 0)
 
 
-def floor_reach_masks(closed: np.ndarray, step_set: StepSet = StepSet.FULL
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Optimistic and pessimistic floor reaches of a batch of boxes.
-
-    closed has shape (B, n_1, ..., n_(d-1), H+1): B boxes of one shape,
-    column axes first and height last, bottom layer at height 0, as
-    BoxRegion.shape orders them.  The optimistic reach seeds every
-    bottom-layer site; the pessimistic one also seeds every site on the
-    inner side boundary.  Returns two boolean arrays shaped like closed.
-    """
-    if closed.ndim < 3 or closed.shape[-1] < 2:
-        raise ValueError(f"need a batch of boxes at least two layers tall, "
-                         f"got shape {closed.shape}")
-    swap = _swap(closed.ndim)
-    # no copy for the hash's masks, which lie in memory as the layers do
-    lids = np.ascontiguousarray(closed.transpose(swap), dtype=bool)
-    opt = np.zeros_like(lids)
-    opt[0] = True
-    _close(opt, lids, step_set, 0)
-    # reachability from a union is the closure of the union, and a union of
-    # sets closed under down moves is closed under them: the pessimistic
-    # closure starts from the optimistic reach and the rim with a climb
-    pes = opt | _rim(lids.shape[:-1], step_set)
-    _close(pes, lids, step_set, 0)
-    return opt.transpose(swap), pes.transpose(swap)
-
-
 def reach_masks(closed: np.ndarray, seeds: np.ndarray,
                 step_set: StepSet = StepSet.FULL) -> np.ndarray:
     """Sites of a batch of boxes reachable from seed masks by admissible
     steps that stay inside each box.
 
-    closed and seeds share floor_reach_masks' layout, (B, n_1, ...,
-    n_(d-1), H+1) with height last; the bottom layer is the height floor.
+    closed and seeds have shape (B, n_1, ..., n_(d-1), H+1): B boxes of
+    one shape, column axes first and height last, as BoxRegion.shape orders
+    them; the bottom layer is the height floor.
     Returns the closure of the seeds as a boolean array of that shape.
     """
     if closed.shape != seeds.shape or closed.ndim < 3:
@@ -266,19 +241,20 @@ def floor_reach_sandwich(field: Field, box: BoxRegion,
     variant additionally seeds every inner side-boundary site (worst-case
     horizontal entry).  For every configuration outside the box sides, the
     true reachable set of the height-truncated model, intersected with the
-    box, lies between the two.  Computed by floor_reach_masks on a batch
-    of one box.
+    box, lies between the two.  Computed by reach_masks on a batch of one
+    box.
     """
     if box.lo[-1] != 0:
         raise ValueError("box must have its bottom layer at height 0")
     if box.hi[-1] < 1:
         raise ValueError(f"degenerate box: top height {box.hi[-1]} < 1")
-    opt, pes = floor_reach_masks(field.closed_mask(box)[None], step_set)
+    closed = field.closed_mask(box)[None]
+    seeds = np.zeros(closed.shape, dtype=bool)
+    seeds[..., 0] = True
+    opt = reach_masks(closed, seeds, step_set)
+    _seed_sides(seeds, range(1, box.dim))
+    pes = reach_masks(closed, seeds, step_set)
     return ReachSandwich(ReachResult(opt[0], box), ReachResult(pes[0], box))
-
-
-def _outside(column, box: BoxRegion) -> ValueError:
-    return ValueError(f"column {tuple(column)} outside box lo={box.lo} hi={box.hi}")
 
 
 def column_runs(reached: np.ndarray, box: BoxRegion, columns) -> np.ndarray:
@@ -286,42 +262,44 @@ def column_runs(reached: np.ndarray, box: BoxRegion, columns) -> np.ndarray:
     last) in a list of columns: entry [b, i] is the largest m with
     (columns[i], 1..m) all reached in box b, 0 when (columns[i], 1) is not.
     Returns an integer array of shape (B, len(columns))."""
-    cols = np.asarray(columns, dtype=np.intp).reshape(-1, box.dim - 1)
-    idx = cols - box.lo[:-1]
-    outside = ((idx < 0) | (idx >= box.shape[:-1])).any(axis=1)
-    if outside.any():  # an index would wrap round or fail unnamed
-        raise _outside(cols[outside][0].tolist(), box)
-    col = reached[(slice(None), *idx.T, slice(1, None))]
+    cols = list(columns)
+    at = [[c[i] - a for c in cols] for i, a in enumerate(box.lo[:-1])]
+    for axis, a, b in zip(at, box.lo, box.hi):
+        # an index would wrap round or fail unnamed; min and max keep a long
+        # list of columns cheap, and box.contains names the first one outside
+        if axis and (min(axis) < 0 or max(axis) > b - a):
+            c = next(c for c in cols if not box.contains((*c, box.lo[-1])))
+            raise ValueError(f"column {tuple(map(int, c))} outside box lo={box.lo} hi={box.hi}")
+    if len(cols) == 1:  # a view is cheaper than a gather of one column
+        at = [axis[0] for axis in at] + [None]
+    col = reached[(slice(None), *at, slice(1, None))]
     return np.logical_and.accumulate(col, axis=-1).sum(axis=-1)
 
 
-def _floor_column_runs(closed: np.ndarray, box: BoxRegion, column,
+def _floor_column_runs(closed: np.ndarray, box: BoxRegion, columns,
                        step_set: StepSet) -> tuple[np.ndarray, np.ndarray]:
-    """column_runs of both sides of floor_reach_masks(closed, step_set) in
-    one column, as integer arrays (lo, hi) over the batch.  The pessimistic
+    """column_runs of both sides of the floor sandwich of a batch of closed
+    masks over one box (floor_reach_sandwich's seeds) in a list of columns,
+    as integer arrays (lo, hi) of shape (B, len(columns)).  The pessimistic
     side closes from the rim in every box.  The optimistic side lies inside
-    it, so its run is 0 wherever the pessimistic run is 0, and it closes
-    only in the other boxes."""
-    if not box.contains((*column, box.lo[-1])):
-        raise _outside(column, box)
-    lids = np.ascontiguousarray(closed.transpose(_swap(closed.ndim)), dtype=bool)
-    at = (slice(1, None), *(c - a for c, a in zip(column, box.lo)))
-
-    def runs(reached):
-        return np.logical_and.accumulate(reached[at], axis=0).sum(axis=0)
-
+    it, so its runs are 0 in a box where every pessimistic run is 0, and it
+    closes only in the other boxes."""
+    swap = _swap(closed.ndim)
+    # no copy for the hash's masks, which lie in memory as the layers do
+    lids = np.ascontiguousarray(closed.transpose(swap), dtype=bool)
     pes = np.empty_like(lids)
     pes[...] = _rim(lids.shape[:-1], step_set)
     _close(pes, lids, step_set, 0)
-    hi = runs(pes)
-    lo = np.zeros_like(hi)
-    live = np.flatnonzero(hi)
+    hi = column_runs(pes.transpose(swap), box, columns)
+    # np.zeros, not zeros_like: a few us less per call on f_tail's chunks
+    lo = np.zeros(hi.shape, hi.dtype)
+    live = hi.max(axis=1).nonzero()[0]
     if live.size:
         lids = np.take(lids, live, axis=-1)
-        opt = np.zeros_like(lids)
+        opt = np.zeros(lids.shape, bool)
         opt[0] = True
         _close(opt, lids, step_set, 0)
-        lo[live] = runs(opt)
+        lo[live] = column_runs(opt.transpose(swap), box, columns)
     return lo, hi
 
 

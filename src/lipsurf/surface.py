@@ -34,8 +34,8 @@ from enum import Enum
 import numpy as np
 
 from .lattice import BoxRegion, Column, Field, Site
-from .reach import (Budget, ReachResult, _settle_replicates, column_runs,
-                    floor_reach_masks, reach_masks)
+from .reach import (Budget, ReachResult, StepSet, _floor_column_runs,
+                    _settle_replicates, reach_masks)
 
 
 class Cert(Enum):
@@ -160,9 +160,8 @@ def build_surface(field: Field, base, budget: Budget = Budget()) -> SurfacePatch
                         budget.margin, budget.height)
 
     def read(closed, box):
-        runs = column_runs(np.concatenate(floor_reach_masks(closed)), box, cols) + 1
-        lo, hi = runs[:1], runs[1:]
-        return lo, hi, (lo == hi) & (hi < box.hi[-1])
+        lo, hi = _floor_column_runs(closed, box, cols, StepSet.FULL)
+        return lo + 1, hi + 1, (lo == hi) & (hi < box.hi[-1] - 1)
 
     (lo, _, settled), = _settle_replicates(  # one field: a batch of one
         1, budget.growth_cap, box_at, lambda _, box: field.closed_mask(box)[None], read)
@@ -193,27 +192,30 @@ def verify_surface(field: Field, patch: SurfacePatch) -> SurfaceReport:
 
     Openness is read from one field.closed_mask over the bounding box of
     the certified columns and values, so an ExplicitField reads a site
-    outside its config box as open."""
+    outside its config box as open; each base axis's pairs are looked up
+    on one index grid over the same columns."""
     certified = patch.certified_columns()
-    open_bad = []
-    if certified:
-        cols = np.array(certified, dtype=np.intp).reshape(len(certified), -1)
-        vals = np.array([patch.values[c] for c in certified], dtype=np.intp)
-        box = BoxRegion((*cols.min(axis=0), vals.min()), (*cols.max(axis=0), vals.max()))
-        closed = field.closed_mask(box)[(*(cols - box.lo[:-1]).T, vals - box.lo[-1])]
-        open_bad = [(c, patch.values[c]) for c, bad in zip(certified, closed.tolist()) if bad]
+    if not certified:
+        return SurfaceReport(0, 0, (), ())
+    cols = np.array(certified, dtype=np.intp).reshape(len(certified), -1)
+    vals = np.array([patch.values[c] for c in certified], dtype=np.intp)
+    box = BoxRegion((*cols.min(axis=0), vals.min()), (*cols.max(axis=0), vals.max()))
+    idx = cols - box.lo[:-1]
+    closed = field.closed_mask(box)[(*idx.T, vals - box.lo[-1])]
+    open_bad = [(c, patch.values[c]) for c, bad in zip(certified, closed.tolist()) if bad]
+    # nbs[r, i]: the row of certified[r] + e_i, or -1, so that each adjacent
+    # pair is checked once, from its lower column
+    row = np.full(tuple(n + 1 for n in box.shape[:-1]), -1)  # room for col + e_i
+    row[tuple(idx.T)] = np.arange(len(cols))
+    nbs = np.stack([row[tuple((idx + e).T)] for e in np.eye(idx.shape[1], dtype=np.intp)],
+                   axis=1)
+    steep = (nbs >= 0) & (np.abs(vals[:, None] - vals[nbs]) > 1)
     lip_bad = []
-    pairs = 0
-    cert_set = set(certified)
-    for col in certified:
-        for i in range(len(col)):
-            for s in (1, -1):
-                nb = col[:i] + (col[i] + s,) + col[i + 1:]
-                if nb in cert_set and nb > col:
-                    pairs += 1
-                    if abs(patch.values[col] - patch.values[nb]) > 1:
-                        lip_bad.append((col, nb, patch.values[col], patch.values[nb]))
-    return SurfaceReport(len(certified), pairs, tuple(open_bad), tuple(lip_bad))
+    for r, i in zip(*steep.nonzero()):
+        col, nb = certified[r], certified[nbs[r, i]]
+        lip_bad.append((col, nb, patch.values[col], patch.values[nb]))
+    return SurfaceReport(len(certified), int((nbs >= 0).sum()), tuple(open_bad),
+                         tuple(lip_bad))
 
 
 def _climb(field: Field, x: Column, budget: Budget):

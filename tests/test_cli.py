@@ -49,6 +49,36 @@ def test_bounds_json(capsys):
     assert out["hypothesis_ok"] is True
 
 
+def test_bounds_kmax(tmp_path, capsys):
+    assert main(["bounds", "--d", "2", "--p", "0.99", "--kmax", "2"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert len(out["surface_tail_bounds"]) == len(out["spread_tail_bounds"]) == 3
+    assert main(["bounds", "--d", "2", "--p", "0.99"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert len(out["surface_tail_bounds"]) == len(out["spread_tail_bounds"]) == 6
+    assert main(["bounds", "--kmax", "-1"]) == 1
+    assert "k_max" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"k_max": "many"}))
+    assert main(["bounds", "--config", str(cfg)]) == 1
+    assert "k_max" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["surface", "--step-set", "no-straight-down"], "step_mode"),
+    (["cover", "--step-set", "no-straight-down"], "step_mode"),
+    (["cover", "--format", "csv"], "format"),
+])
+def test_surface_and_cover_reject_flags_they_cannot_honour(argv, field, capsys):
+    """The surface and the climb sets are full-step only, and a cover prints
+    JSON only: these flags fail loudly instead of being ignored."""
+    assert main(argv + ["--d", "2", "--p", "0.99", "--seed", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"'{field}'" in captured.err
+    assert main([argv[0], "--step-set", "full", "--d", "2", "--p", "0.99",
+                 "--seed", "3"]) == 0
+
+
 def test_tails_csv(capsys):
     assert main(["tails", "--kind", "radh_tail", "--d", "2", "--p", "0.99",
                  "--seed", "2", "--replicates", "200", "--kmax", "2"]) == 0

@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lipsurf.lattice import (BoxRegion, ConstantField, ExplicitConfig,
                              ExplicitField, OverrideField, PercolationField,
@@ -11,8 +11,8 @@ from lipsurf.lattice import (BoxRegion, ConstantField, ExplicitConfig,
 from lipsurf.oracle import exact_event_prob, walk_reach
 from lipsurf.reach import (Budget, StepSet, _floor_column_runs, _rim,
                            _seed_sides, _settle_replicates, column_runs,
-                           estimate_reach_prob, floor_reach_masks,
-                           floor_reach_sandwich, reach, reach_masks)
+                           estimate_reach_prob, floor_reach_sandwich, reach,
+                           reach_masks)
 
 # the package exports a function named reach, so fetch the module itself
 REACH = importlib.import_module("lipsurf.reach")
@@ -121,7 +121,7 @@ def test_column_reads_reject_columns_outside_the_box(column):
     with pytest.raises(ValueError, match=rf"column \({column[0]},\) outside box"):
         column_runs(reached, box, [(0,), column])
     with pytest.raises(ValueError, match=rf"column \({column[0]},\) outside box"):
-        _floor_column_runs(~reached, box, column, StepSet.FULL)
+        _floor_column_runs(~reached, box, [(0,), column], StepSet.FULL)
     assert column_runs(reached, box, [(-2,), (2,)]).tolist() == [[3, 3]] * 2
 
 
@@ -309,45 +309,75 @@ def _floor_batches(draw):
         draws = draw(st.lists(st.integers(0, odds - 1), min_size=box.size,
                               max_size=box.size))
         boxes.append(np.array(draws).reshape(box.shape) > 0)
-    column = tuple(draw(st.integers(a, a + n - 1)) for a, n in zip(lo, cols))
-    return np.stack(boxes), box, column, draw(st.sampled_from(StepSet))
+    column = st.tuples(*(st.integers(a, a + n - 1) for a, n in zip(lo, cols)))
+    columns = draw(st.lists(column, min_size=1, max_size=4))
+    return np.stack(boxes), box, columns, draw(st.sampled_from(StepSet))
 
 
-def test_floor_column_runs_match_floor_reach_masks():
-    """The batched reader's (lo, hi) are column_runs of floor_reach_masks'
-    two sides, though it closes the optimistic side only where the
-    pessimistic run is positive; the sample holds boxes whose optimistic
-    run is positive, and boxes where it is below the pessimistic one."""
+def _floor_reference(closed, step_set):
+    """Both sides of the floor sandwich of a batch, each closed from its own
+    seeds by reach_masks: the bottom layer, then the bottom layer and the
+    inner side boundary."""
+    seeds = np.zeros(closed.shape, dtype=bool)
+    seeds[..., 0] = True
+    opt = reach_masks(closed, seeds, step_set)
+    _seed_sides(seeds, range(1, closed.ndim - 1))
+    return opt, reach_masks(closed, seeds, step_set)
+
+
+def test_floor_column_runs_match_the_floor_reference():
+    """The batched reader's (lo, hi) over a list of columns are column_runs
+    of the reference's two sides, though it closes the pessimistic side
+    from the rim and the optimistic side only in boxes where some
+    pessimistic run is positive.  The sample holds boxes whose optimistic
+    run is positive, boxes where it is below the pessimistic one, batches
+    where no pessimistic run is positive, so that the optimistic side never
+    closes, and batches where it closes in some boxes only: in a box one
+    layer above the floor, the rim reaches no inner column above height 0."""
     seen = set()
+    box = BoxRegion((0, 0), (4, 1))
+    dead = np.zeros((2, *box.shape), dtype=bool)
+    live = dead.copy()
+    live[1, 2, 1] = True  # a climb from the floor in the middle column
 
     @settings(derandomize=True, database=None, max_examples=300, deadline=None)
     @given(_floor_batches())
+    @example((dead, box, [(2,), (1,)], StepSet.FULL))
+    @example((live, box, [(2,)], StepSet.NO_STRAIGHT_DOWN))
     def check(batch):
-        closed, box, column, step_set = batch
-        lo, hi = _floor_column_runs(closed, box, column, step_set)
-        opt, pes = floor_reach_masks(closed, step_set)
-        np.testing.assert_array_equal(lo, column_runs(opt, box, [column])[:, 0])
-        np.testing.assert_array_equal(hi, column_runs(pes, box, [column])[:, 0])
+        closed, box, columns, step_set = batch
+        lo, hi = _floor_column_runs(closed, box, columns, step_set)
+        assert lo.shape == hi.shape == (len(closed), len(columns))
+        opt, pes = _floor_reference(closed, step_set)
+        np.testing.assert_array_equal(lo, column_runs(opt, box, columns))
+        np.testing.assert_array_equal(hi, column_runs(pes, box, columns))
         # the same batch laid out in memory as the hash lays it out
         swap = (closed.ndim - 1, *range(1, closed.ndim - 1), 0)
         view = np.ascontiguousarray(closed.transpose(swap)).transpose(swap)
-        for got, want in zip(_floor_column_runs(view, box, column, step_set), (lo, hi)):
+        for got, want in zip(_floor_column_runs(view, box, columns, step_set), (lo, hi)):
             np.testing.assert_array_equal(got, want)
         if (lo > 0).any():
             seen.add("0 < lo")
         if (lo < hi).any():
             seen.add("lo < hi")
+        closes = hi.any(axis=1).sum()  # boxes whose optimistic side closes
+        if not closes:
+            seen.add("no positive pessimistic run")
+        elif closes < len(hi):
+            seen.add("the optimistic side closes in some boxes only")
+        seen.add(f"d={closed.ndim - 1}")
 
     check()
-    assert seen == {"0 < lo", "lo < hi"}
+    assert seen == {"0 < lo", "lo < hi", "no positive pessimistic run",
+                    "the optimistic side closes in some boxes only", "d=2", "d=3", "d=4"}
 
 
 @pytest.mark.parametrize("step_set", list(StepSet))
 @pytest.mark.parametrize("shape", [(6, 4), (5, 4, 5), (4, 3, 4, 3)])
 def test_rim_is_the_pessimistic_reach_of_open_boxes(shape, step_set):
     """The cached rim is the floor and the sides closed under down moves:
-    on all-open boxes, where nothing climbs, it is floor_reach_masks'
-    pessimistic side, and the closure of those seeds by reach_masks."""
+    on all-open boxes, where nothing climbs, it is the pessimistic side of
+    the floor sandwich, and the closure of those seeds by reach_masks."""
     d = len(shape)
     closed = np.zeros((3, *shape), dtype=bool)
     seeds = np.zeros_like(closed)
@@ -355,7 +385,9 @@ def test_rim_is_the_pessimistic_reach_of_open_boxes(shape, step_set):
     _seed_sides(seeds, range(1, d))
     want = reach_masks(closed, seeds, step_set)
     assert (want > seeds).any()  # the sides descend into the box
-    np.testing.assert_array_equal(floor_reach_masks(closed, step_set)[1], want)
+    box = BoxRegion((0,) * d, tuple(n - 1 for n in shape))
+    sw = floor_reach_sandwich(ConstantField(d, SiteState.OPEN), box, step_set)
+    np.testing.assert_array_equal(sw.pessimistic.mask, want[0])
     layers = (shape[-1], *shape[:-1])
     rim = _rim(layers, step_set)
     assert rim.shape == (*layers, 1) and not rim.flags.writeable
@@ -379,12 +411,15 @@ def test_boxes_of_a_batch_close_independently(size, step_set):
     seeds[:, 2, 1, 0] = True
     reached = reach_masks(closed, seeds, step_set)
     assert reached[tower, 2, 1].all()
-    floor = floor_reach_masks(closed, step_set)
+    box = BoxRegion((0, 0, 0), (4, 2, 6))
+    columns = sorted({s[:-1] for s in box.sites()})
+    floor = _floor_column_runs(closed, box, columns, step_set)
+    assert floor[0][tower].max() == 6  # the optimistic side climbs the tower
     for b in range(size):
         one = slice(b, b + 1)
         np.testing.assert_array_equal(
             reached[one], reach_masks(closed[one], seeds[one], step_set))
-        for got, alone in zip(floor, floor_reach_masks(closed[one], step_set)):
+        for got, alone in zip(floor, _floor_column_runs(closed[one], box, columns, step_set)):
             np.testing.assert_array_equal(got[one], alone)
 
 
@@ -449,20 +484,24 @@ def test_reach_masks_no_seeds_and_one_layer_boxes(step_set):
 
 
 @pytest.mark.parametrize("d, p", [(2, 0.9), (2, 0.6), (3, 0.8)])
-def test_floor_reach_masks_pessimistic_is_closure_of_bottom_and_sides(d, p):
-    """floor_reach_masks closes the pessimistic seeds starting from the
-    optimistic reach; the result is the closure of the bottom layer plus
-    the sides computed from nothing but those seeds."""
+def test_floor_column_runs_read_the_closures_of_bottom_and_sides(d, p):
+    """On the hash's own masks, the batched reader, which closes the
+    pessimistic side from the rim, reads in every column of the box the
+    runs of the closure of the bottom layer (lo) and of the bottom layer
+    plus the sides (hi), each computed from nothing but those seeds."""
     box = BoxRegion((-4,) * (d - 1) + (0,), (4,) * (d - 1) + (6,))
     closed = replicate_closed_masks(d, p, 61, range(20), box)
+    columns = sorted({s[:-1] for s in box.sites()})
     for step_set in StepSet:
-        opt, pes = floor_reach_masks(closed, step_set)
+        lo, hi = _floor_column_runs(closed, box, columns, step_set)
         seeds = np.zeros_like(closed)
         seeds[..., 0] = True
-        np.testing.assert_array_equal(opt, reach_masks(closed, seeds, step_set))
+        np.testing.assert_array_equal(
+            lo, column_runs(reach_masks(closed, seeds, step_set), box, columns))
         _seed_sides(seeds, range(1, d))
-        np.testing.assert_array_equal(pes, reach_masks(closed, seeds, step_set))
-        assert (pes > opt).any()
+        np.testing.assert_array_equal(
+            hi, column_runs(reach_masks(closed, seeds, step_set), box, columns))
+        assert (hi > lo).any()
 
 
 def test_sandwich_brackets_truth_under_all_side_extensions():

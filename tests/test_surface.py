@@ -1,10 +1,13 @@
 import itertools
 import json
+import random
+
+import pytest
 
 from lipsurf.lattice import (ConstantField, ExplicitConfig, ExplicitField,
                              BoxRegion, OverrideField, PercolationField,
                              SignedPermutationField, SiteState)
-from lipsurf.reach import Budget
+from lipsurf.reach import Budget, floor_reach_sandwich
 from lipsurf.surface import (COVER_BUDGET, Cert, SurfacePatch, build_surface, climb_set,
                              minimal_cover, surface_from_covers, verify_surface)
 
@@ -42,6 +45,62 @@ def test_surface_many_columns_validity():
     assert max(patch.values.values()) >= 2  # some genuine bumps appeared
 
 
+def _grown_surface(field, base, budget):
+    """Reference build_surface: the growth loop over floor_reach_sandwich in
+    boxes of doubling height, padded by the height plus the margin around
+    the base, until every column's two values agree strictly below the box
+    top.  A column keeps the values of the box that settled it, and each
+    value is read one site at a time.  Returns the values and, for each
+    certified column, the attempt that certified it."""
+    cols = sorted(set(base))
+    lo = [min(c[i] for c in cols) for i in range(field.d - 1)]
+    hi = [max(c[i] for c in cols) for i in range(field.d - 1)]
+    values, settled_at = {}, {}
+    h = budget.height
+    for attempt in range(budget.growth_cap + 1):
+        pad = h + budget.margin
+        box = BoxRegion((*(a - pad for a in lo), 0), (*(b + pad for b in hi), h))
+        sw = floor_reach_sandwich(field, box)
+        for c in cols:
+            if c in settled_at:
+                continue
+            at = tuple(x - a for x, a in zip(c, box.lo))
+            v_lo, v_hi = 1, 1
+            while v_lo <= h and sw.optimistic.mask[(*at, v_lo)]:
+                v_lo += 1
+            while v_hi <= h and sw.pessimistic.mask[(*at, v_hi)]:
+                v_hi += 1
+            values[c] = v_lo
+            if v_lo == v_hi < h:
+                settled_at[c] = attempt
+        if len(settled_at) == len(cols):
+            break
+        h *= 2
+    return values, settled_at
+
+
+@pytest.mark.parametrize("growth_cap", [0, 2])
+@pytest.mark.parametrize("d, p, radius", [(2, 0.7, 6), (3, 0.85, 2)])
+def test_build_surface_matches_a_growth_loop_over_the_sandwich(d, p, radius, growth_cap):
+    """build_surface reads every column through the batched floor reader;
+    its values and statuses are those of the reference loop, on fields and
+    budgets that leave columns unresolved, and at growth cap 2 settle
+    some columns only in a grown box."""
+    budget = Budget(margin=1, height=2, growth_cap=growth_cap)
+    base = _base(radius, d - 1)
+    unresolved = grown = 0
+    for rep in range(12):
+        field = PercolationField(d, p, master_seed=13, replicate=rep)
+        patch = build_surface(field, base, budget)
+        values, settled_at = _grown_surface(field, base, budget)
+        assert patch.values == values
+        assert set(patch.certified_columns()) == set(settled_at)
+        unresolved += len(patch.columns) - len(settled_at)
+        grown += sum(a > 0 for a in settled_at.values())
+    assert unresolved
+    assert (grown > 0) == (growth_cap > 0)
+
+
 def test_verify_surface_fault_injection():
     field = PercolationField(2, 0.99, master_seed=7)
     patch = build_surface(field, _base(10))
@@ -52,6 +111,55 @@ def test_verify_surface_fault_injection():
     report = verify_surface(field, corrupted)
     assert report.lipschitz_violations
     assert all((0,) in (a, b) for a, b, _, _ in report.lipschitz_violations)
+
+
+def test_verify_surface_lipschitz_violations_in_order_d3():
+    """Violations come by column, in patch order, then by base axis, each
+    pair once from its lower column; a pair with an unresolved column is
+    not checked."""
+    field = ConstantField(3, SiteState.OPEN)
+    patch = build_surface(field, _base(2, 2))
+    assert set(patch.values.values()) == {1}
+    corrupted = SurfacePatch(patch.columns, {**patch.values, (0, 0): 3},
+                             {**patch.status, (2, 2): Cert.UNRESOLVED}, patch.method)
+    report = verify_surface(field, corrupted)
+    assert report.columns_checked == 24
+    assert report.pairs_checked == 2 * 5 * 4 - 2
+    assert report.lipschitz_violations == (
+        ((-1, 0), (0, 0), 1, 3), ((0, -1), (0, 0), 1, 3),
+        ((0, 0), (1, 0), 3, 1), ((0, 0), (0, 1), 3, 1))
+    assert not report.openness_violations
+
+
+def _lipschitz_loop(patch):
+    """Reference Lipschitz check: every certified column against its
+    certified neighbour one step up each base axis, in patch order."""
+    certified = patch.certified_columns()
+    pairs, bad = 0, []
+    for col in certified:
+        for i in range(len(col)):
+            nb = col[:i] + (col[i] + 1,) + col[i + 1:]
+            if nb in certified:
+                pairs += 1
+                if abs(patch.values[col] - patch.values[nb]) > 1:
+                    bad.append((col, nb, patch.values[col], patch.values[nb]))
+    return pairs, tuple(bad)
+
+
+def test_verify_surface_matches_the_pairwise_loop():
+    rng = random.Random(4)
+    for d, radius in ((2, 8), (3, 3)):
+        field = PercolationField(d, 0.95, master_seed=3)
+        patch = build_surface(field, _base(radius, d - 1))
+        for _ in range(20):
+            values = {c: v + rng.choice((0, 0, 0, -2, 2, 3)) for c, v in patch.values.items()}
+            status = {c: rng.choice((Cert.CERTIFIED,) * 4 + (Cert.UNRESOLVED,))
+                      for c in patch.columns}
+            corrupted = SurfacePatch(patch.columns, values, status, patch.method)
+            report = verify_surface(field, corrupted)
+            pairs, bad = _lipschitz_loop(corrupted)
+            assert (report.pairs_checked, report.lipschitz_violations) == (pairs, bad)
+            assert bad
 
 
 def test_verify_surface_openness_fault_injection():
