@@ -152,8 +152,18 @@ def _full_steps_only(config: dict) -> None:
         raise ConfigError("step_mode", "surfaces and covers use the full step set only")
 
 
+def _one_field_only(args) -> None:
+    # a surface patch and a cover are one field's, with no replicates or
+    # tail levels, so these flags would be ignored
+    for flag in ("replicates", "kmax"):
+        if getattr(args, flag) is not None:
+            raise ConfigError(_FLAG_TO_FIELD[flag], f"{args.command} reads one field: "
+                              f"--{flag} has no effect")
+
+
 def _cmd_surface(args, config: dict) -> int:
     _full_steps_only(config)
+    _one_field_only(args)
     d = config.get("d", 2)
     radius = config.get("base_radius", 5)
     field = PercolationField(d, config.get("p", 0.99), config.get("seed", 0))
@@ -171,6 +181,7 @@ def _cmd_surface(args, config: dict) -> int:
 
 def _cmd_cover(args, config: dict) -> int:
     _full_steps_only(config)
+    _one_field_only(args)
     if config.get("format", "json") != "json":
         raise ConfigError("format", "cover prints JSON only")
     d = config.get("d", 2)
@@ -196,6 +207,8 @@ def _cmd_run(args, config: dict, kind: str | None = None) -> int:
 
 
 def _cmd_bounds(args, config: dict) -> int:
+    if config.get("format", "json") != "json":
+        raise ConfigError("format", "bounds prints JSON only")
     k_max = config.get("k_max", 5)
     if not isinstance(k_max, int) or k_max < 0:
         raise ConfigError("k_max", "must be an integer >= 0")

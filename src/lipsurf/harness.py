@@ -13,6 +13,7 @@ a pure function of the experiment description.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import time
@@ -74,8 +75,10 @@ class Experiment:
     weight_floor: float = 0.0
     unresolved_threshold: float = 1e-3
 
-    @property
+    @functools.cached_property
     def budget(self) -> Budget:
+        # built and checked once per experiment; a frozen dataclass still
+        # takes the cached value, which goes into the instance __dict__
         return Budget(self.box_margin, self.box_height, self.growth_cap)
 
 
@@ -176,8 +179,8 @@ class TailRow:
 @dataclass(frozen=True)
 class TailCurve:
     """Per-level tail estimates with Wilson 99% intervals and the matching
-    closed-form bound column (recomputed from the bounds module, never
-    cached elsewhere)."""
+    closed-form bound column (recomputed from the bounds module on every
+    call, never cached elsewhere)."""
 
     kind: str
     d: int
@@ -209,19 +212,25 @@ def _tail_curve(exp: Experiment, kind: str, levels: int, runs, bound_at,
     if spread_rate(exp.d, exp.p, restricted) >= 1.0:
         raise HypothesisError(
             f"a^2*q >= 1 at d={exp.d}, p={exp.p}; tail bound hypothesis violated")
-    ks = np.arange(levels)
-    hits_lo = np.zeros(levels, dtype=np.int64)
-    hits_hi = np.zeros(levels, dtype=np.int64)
+    counts = np.zeros((2, levels + 1), dtype=np.int64)
     for lo, hi, _ in runs:
-        hits_lo += (lo[:, None] >= ks).sum(axis=0)
-        hits_hi += (hi[:, None] >= ks).sum(axis=0)
+        for side, values in zip(counts, (lo, hi)):
+            side += np.bincount(_level_index(values, levels), minlength=levels + 1)
+    # hits at level k: the values >= k, the counts at index k + 1 and up;
+    # Python ints, as the CSV body is written with repr()
+    hits_lo, hits_hi = counts[:, ::-1].cumsum(axis=1)[:, -2::-1].tolist()
     n = exp.replicates
-    # Python ints: the CSV body is written with repr()
-    rows = tuple(TailRow(k, n, lo, hi, wilson_interval(lo, n, Z_99)[0],
-                         wilson_interval(hi, n, Z_99)[1], bound_at(k))
-                 for k, (lo, hi) in enumerate(zip(hits_lo.tolist(),
-                                                  hits_hi.tolist())))
+    ci = {h: wilson_interval(h, n, Z_99) for h in {*hits_lo, *hits_hi}}
+    rows = tuple(TailRow(k, n, lo, hi, ci[lo][0], ci[hi][1], bound_at(k))
+                 for k, (lo, hi) in enumerate(zip(hits_lo, hits_hi)))
     return TailCurve(kind, exp.d, exp.p, rows)
+
+
+def _level_index(values: np.ndarray, levels: int) -> np.ndarray:
+    """values clipped to -1..levels-1, plus one: a value v hits the levels
+    0..v, so index 0 hits none and index `levels` hits every level."""
+    index = np.minimum(values + 1, levels)
+    return np.maximum(index, 0, out=index)
 
 
 def _floor_runs(exp: Experiment):
@@ -422,12 +431,24 @@ def brw_rows(exp: Experiment) -> list[dict]:
 
 
 def _rows_to_csv(rows: list[dict], header: str) -> str:
-    """Numbers go out as repr(), strings (the existence regime) as they are."""
+    """Numbers go out as repr(), strings (the existence regime) as they are.
+    Each distinct nonzero float is written once per body.  Only floats are
+    looked up, and never a zero: 1 == 1.0 and 0.0 == -0.0 share a dict key."""
     cols = header.split(",")
+    text = {}
     lines = [header]
     for r in rows:
-        lines.append(",".join([r[c] if isinstance(r[c], str) else repr(r[c])
-                               for c in cols]))
+        cells = []
+        for c in cols:
+            v = r[c]
+            if type(v) is float and v:
+                s = text.get(v)
+                if s is None:
+                    s = text[v] = repr(v)
+            else:
+                s = v if isinstance(v, str) else repr(v)
+            cells.append(s)
+        lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
 

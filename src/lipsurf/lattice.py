@@ -88,13 +88,24 @@ def _box_uniforms(base: np.ndarray, box: BoxRegion) -> np.ndarray:
     """
     lead, dim = base.ndim, box.dim
     h = base.reshape((1,) * dim + base.shape)
+    for coords in _box_coords(box, lead):
+        h = _absorb_vec(h, coords)
+    return h.transpose(*range(dim, dim + lead), *range(1, dim), 0)
+
+
+@functools.lru_cache(maxsize=256)
+def _box_coords(box: BoxRegion, lead: int) -> tuple[np.ndarray, ...]:
+    """The coordinates of each box axis as uint64, shaped to fold into
+    _box_uniforms' state of lead stream axes; read-only, once per box."""
+    out = []
     # storage axis of box axis i: the height goes first, column i to i + 1
     for axis, (a, b) in enumerate(zip(box.lo, box.hi)):
-        coords = np.arange(a, b + 1, dtype=np.int64).astype(np.uint64)
-        shape = [1] * (dim + lead)
-        shape[(axis + 1) % dim] = b - a + 1
-        h = _absorb_vec(h, coords.reshape(shape))
-    return h.transpose(*range(dim, dim + lead), *range(1, dim), 0)
+        shape = [1] * (box.dim + lead)
+        shape[(axis + 1) % box.dim] = b - a + 1
+        coords = np.arange(a, b + 1, dtype=np.int64).astype(np.uint64).reshape(shape)
+        coords.flags.writeable = False
+        out.append(coords)
+    return tuple(out)
 
 
 @functools.lru_cache(maxsize=256)

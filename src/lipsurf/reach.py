@@ -49,6 +49,14 @@ Its reach contains the optimistic one.  So one reader of column runs
 serves f_tail (the origin column) and build_surface (every base column):
 it closes the pessimistic side first, and the optimistic side only in the
 boxes where some pessimistic run is positive; elsewhere every run is 0.
+That reader and the climb sets (surface._climb_masks) seed the kernel's
+layers themselves and call _close directly; reach_masks, with its checks,
+seed copy and seed scan, serves the public entry points.  Constants of a
+shape are computed once and cached read-only, keyed by shape, box or
+columns and never by seed or replicate: the rim and the index of a list
+of columns (here), the hash's coordinate operands (lattice), the cover
+reader's distance grid and rim mask, and the box of each growth attempt
+(surface).
 """
 
 from __future__ import annotations
@@ -59,7 +67,7 @@ from enum import Enum
 
 import numpy as np
 
-from .lattice import BoxRegion, Field, Site, replicate_closed_masks
+from .lattice import BoxRegion, Column, Field, Site, replicate_closed_masks
 from .stats import Z_99, wilson_interval
 
 
@@ -262,17 +270,41 @@ def column_runs(reached: np.ndarray, box: BoxRegion, columns) -> np.ndarray:
     last) in a list of columns: entry [b, i] is the largest m with
     (columns[i], 1..m) all reached in box b, 0 when (columns[i], 1) is not.
     Returns an integer array of shape (B, len(columns))."""
-    cols = list(columns)
-    at = [[c[i] - a for c in cols] for i, a in enumerate(box.lo[:-1])]
-    for axis, a, b in zip(at, box.lo, box.hi):
-        # an index would wrap round or fail unnamed; min and max keep a long
-        # list of columns cheap, and box.contains names the first one outside
-        if axis and (min(axis) < 0 or max(axis) > b - a):
-            c = next(c for c in cols if not box.contains((*c, box.lo[-1])))
-            raise ValueError(f"column {tuple(map(int, c))} outside box lo={box.lo} hi={box.hi}")
-    if len(cols) == 1:  # a view is cheaper than a gather of one column
-        at = [axis[0] for axis in at] + [None]
-    col = reached[(slice(None), *at, slice(1, None))]
+    return _runs(reached, _column_index(box, tuple(map(tuple, columns))))
+
+
+@functools.lru_cache(maxsize=256)
+def _column_index(box: BoxRegion, columns: tuple[Column, ...]) -> tuple:
+    """The index of a tuple of columns, each of box.dim - 1 coordinates and
+    inside the box, into a batch of masks over the box, keeping the batch and
+    the heights 1 and up; a ValueError names a column that is neither.
+    Cached with its index arrays read-only, once per box and columns."""
+    k = box.dim - 1
+    try:  # one numpy pass, not a Python loop, over a long list of columns
+        cols = np.array(columns)
+    except ValueError:  # columns of unequal lengths
+        cols = None
+    if columns and (cols is None or cols.shape != (len(columns), k)
+                    or cols.dtype.kind not in "iu"):
+        bad = next((c for c in columns if np.shape(c) != (k,)
+                    or not all(isinstance(x, (int, np.integer)) for x in c)), columns[0])
+        raise ValueError(f"column {bad!r} does not have d - 1 = {k} integer coordinates")
+    at = cols.reshape(-1, k) - box.lo[:-1]
+    # an index would wrap round or fail unnamed
+    outside = ((at < 0) | (at > np.subtract(box.hi, box.lo)[:-1])).any(axis=1).nonzero()[0]
+    if outside.size:
+        c = tuple(cols[outside[0]].tolist())
+        raise ValueError(f"column {c} outside box lo={box.lo} hi={box.hi}")
+    at = at.astype(np.intp)
+    at.flags.writeable = False
+    if len(at) == 1:  # a view is cheaper than a gather of one column
+        return (slice(None), *at[0].tolist(), None, slice(1, None))
+    return (slice(None), *at.T, slice(1, None))
+
+
+def _runs(reached: np.ndarray, index: tuple) -> np.ndarray:
+    """column_runs of a batch of reaches at an index from _column_index."""
+    col = reached[index]
     return np.logical_and.accumulate(col, axis=-1).sum(axis=-1)
 
 
@@ -284,13 +316,14 @@ def _floor_column_runs(closed: np.ndarray, box: BoxRegion, columns,
     side closes from the rim in every box.  The optimistic side lies inside
     it, so its runs are 0 in a box where every pessimistic run is 0, and it
     closes only in the other boxes."""
+    index = _column_index(box, tuple(map(tuple, columns)))
     swap = _swap(closed.ndim)
     # no copy for the hash's masks, which lie in memory as the layers do
     lids = np.ascontiguousarray(closed.transpose(swap), dtype=bool)
     pes = np.empty_like(lids)
     pes[...] = _rim(lids.shape[:-1], step_set)
     _close(pes, lids, step_set, 0)
-    hi = column_runs(pes.transpose(swap), box, columns)
+    hi = _runs(pes.transpose(swap), index)
     # np.zeros, not zeros_like: a few us less per call on f_tail's chunks
     lo = np.zeros(hi.shape, hi.dtype)
     live = hi.max(axis=1).nonzero()[0]
@@ -299,7 +332,7 @@ def _floor_column_runs(closed: np.ndarray, box: BoxRegion, columns,
         opt = np.zeros(lids.shape, bool)
         opt[0] = True
         _close(opt, lids, step_set, 0)
-        lo[live] = column_runs(opt.transpose(swap), box, columns)
+        lo[live] = _runs(opt.transpose(swap), index)
     return lo, hi
 
 
@@ -422,9 +455,9 @@ def _settle_replicates(count: int, growth_cap: int, box_at, closed_at, read):
         items = np.arange(start, min(start + chunk, count))
         lo, hi, settled = read(closed_at(items, first), first)
         for attempt in range(1, growth_cap + 1):
-            pending = np.flatnonzero(~settled.reshape(items.size, -1).all(axis=1))
-            if not pending.size:
+            if settled.all():  # the usual chunk settles in its first box
                 break
+            pending = np.flatnonzero(~settled.reshape(items.size, -1).all(axis=1))
             box = box_at(attempt)
             piece = max(1, _CHUNK_SITES // box.size)
             for i in range(0, pending.size, piece):

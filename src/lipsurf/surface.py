@@ -27,6 +27,7 @@ far kept as certified lower bounds.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
@@ -34,8 +35,8 @@ from enum import Enum
 import numpy as np
 
 from .lattice import BoxRegion, Column, Field, Site
-from .reach import (Budget, ReachResult, StepSet, _floor_column_runs,
-                    _settle_replicates, reach_masks)
+from .reach import (Budget, ReachResult, StepSet, _close, _floor_column_runs,
+                    _seed_sides, _settle_replicates, _swap)
 
 
 class Cert(Enum):
@@ -114,28 +115,40 @@ def _floor_box(lo: Column, hi: Column, margin: int, height: int):
     """box_at of the floor reach over the columns lo..hi: attempt i spans
     heights 0..h, h = height*2^i, and pads the columns by h + margin, so
     that worst-case side entries cannot influence them above height 0."""
-    def box_at(attempt):
-        h = height << attempt
-        pad = h + margin
-        return BoxRegion((*(c - pad for c in lo), 0), (*(c + pad for c in hi), h))
-    return box_at
+    return functools.partial(_floor_box_at, tuple(map(int, lo)), tuple(map(int, hi)),
+                             margin, height)
+
+
+@functools.lru_cache(maxsize=256)
+def _floor_box_at(lo: Column, hi: Column, margin: int, height: int,
+                  attempt: int) -> BoxRegion:
+    h = height << attempt
+    pad = h + margin
+    return BoxRegion((*(c - pad for c in lo), 0), (*(c + pad for c in hi), h))
 
 
 def _climb_box(x: Column, margin: int, height: int):
     """box_at of the climb set of x: attempt i pads x by margin*2^i on every
     side and spans heights 0..height*2^i."""
-    def box_at(attempt):
-        m, h = margin << attempt, height << attempt
-        return BoxRegion((*(c - m for c in x), 0), (*(c + m for c in x), h))
-    return box_at
+    return functools.partial(_climb_box_at, tuple(map(int, x)), margin, height)
+
+
+@functools.lru_cache(maxsize=256)
+def _climb_box_at(x: Column, margin: int, height: int, attempt: int) -> BoxRegion:
+    m, h = margin << attempt, height << attempt
+    return BoxRegion((*(c - m for c in x), 0), (*(c + m for c in x), h))
 
 
 def _climb_masks(closed: np.ndarray, box: BoxRegion, x) -> np.ndarray:
-    """Climb sets of the column x in a batch of closed masks over one box
-    whose bottom is height 0: the reach from (x, 0), shaped like closed."""
-    seeds = np.zeros_like(closed)
-    seeds[(slice(None), *(c - a for c, a in zip(x, box.lo)), 0)] = True
-    return reach_masks(closed, seeds)
+    """Climb sets of the column x in a batch of closed masks (B, *box.shape)
+    over one box whose bottom is height 0: the reach from (x, 0), on the
+    kernel's layers (H+1, n_1, ..., n_(d-1), B)."""
+    # no copy for the hash's masks, which lie in memory as the layers do
+    lids = np.ascontiguousarray(closed.transpose(_swap(closed.ndim)), dtype=bool)
+    reached = np.zeros(lids.shape, bool)
+    reached[(0, *(c - a for c, a in zip(x, box.lo)))] = True
+    _close(reached, lids, StepSet.FULL, 0)  # a floor seed: nothing to descend
+    return reached
 
 
 def build_surface(field: Field, base, budget: Budget = Budget()) -> SurfacePatch:
@@ -226,9 +239,9 @@ def _climb(field: Field, x: Column, budget: Budget):
     last = []
 
     def read(closed, box):
-        masks = _climb_masks(closed, box, x)
-        heights, rho, certified = _read_covers(masks, [c - a for c, a in zip(x, box.lo)])
-        last[:] = ReachResult(masks[0], box), heights[0]
+        layers = _climb_masks(closed, box, x)
+        heights, rho, certified = _read_covers(layers, [c - a for c, a in zip(x, box.lo)])
+        last[:] = ReachResult(np.moveaxis(layers[..., 0], 0, -1), box), heights[0]
         return rho, rho, certified
 
     (rho, _, certified), = _settle_replicates(
@@ -249,20 +262,34 @@ def climb_set(field: Field, x, budget: Budget = COVER_BUDGET) -> tuple[frozenset
     return result.reached, Cert.CERTIFIED if certified else Cert.UNRESOLVED
 
 
-def _read_covers(masks: np.ndarray, center) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per box of a batch of climb masks (B, n_1, ..., n_(d-1), H+1), center
-    indexing the center column: the cover heights, the cover radius (the
-    spread radius plus one) and whether the cover is certified, the reach
-    touching neither the inner side boundary nor the top.  A column holds
-    the climb-set run {0..m} (straight down is always admissible above the
-    floor), so its site count m + 1 is its cover height."""
-    heights = masks.sum(axis=-1)
-    axes = tuple(range(1, heights.ndim))
-    dist = sum(np.ix_(*(np.abs(np.arange(n) - c) for n, c in zip(heights.shape[1:], center))))
-    rho = np.where(heights > 0, heights + dist, 0).max(axis=axes)
-    inner = heights[(slice(None),) + (slice(1, -1),) * len(axes)]
-    side = heights.sum(axis=axes) > inner.sum(axis=axes)  # a site in a rim column
-    return heights, rho, ~side & (heights.max(axis=axes) < masks.shape[-1])
+def _read_covers(layers: np.ndarray, center) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per box of a batch of climb sets on the kernel's layers (H+1, n_1,
+    ..., n_(d-1), B), center indexing the center column: the cover heights,
+    shaped (B, n_1, ..., n_(d-1)), the cover radius (the spread radius plus
+    one) and whether the cover is certified, the reach touching neither the
+    inner side boundary nor the top.  A column holds the climb-set run
+    {0..m} (straight down is always admissible above the floor), so its
+    site count m + 1 is its cover height, the reach meets a rim column
+    exactly where it holds that column's floor site, and meets the top
+    exactly where it holds a top-layer site."""
+    counts = layers.sum(axis=0)
+    axes = tuple(range(counts.ndim - 1))
+    dist, rim = _cover_grid(counts.shape[:-1], tuple(center))
+    rho = np.where(counts > 0, counts + dist, 0).max(axis=axes)
+    escaped = (layers[0] & rim).any(axis=axes) | layers[-1].any(axis=axes)
+    return counts.transpose(-1, *axes), rho, ~escaped
+
+
+@functools.lru_cache(maxsize=256)
+def _cover_grid(shape: tuple[int, ...], center: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Per column index of shape, with a trailing batch axis of 1: its
+    1-norm distance from center, and whether it is a rim column (on the
+    inner side boundary).  Read-only, once per shape and center."""
+    dist = sum(np.ix_(*(np.abs(np.arange(n) - c) for n, c in zip(shape, center))))[..., None]
+    rim = np.zeros((*shape, 1), dtype=bool)
+    _seed_sides(rim, range(len(shape)))
+    dist.flags.writeable = rim.flags.writeable = False
+    return dist, rim
 
 
 def _cover_entries(heights: np.ndarray, lo) -> dict[Column, int]:

@@ -68,10 +68,16 @@ def test_bounds_kmax(tmp_path, capsys):
     (["surface", "--step-set", "no-straight-down"], "step_mode"),
     (["cover", "--step-set", "no-straight-down"], "step_mode"),
     (["cover", "--format", "csv"], "format"),
+    (["bounds", "--format", "csv"], "format"),
+    (["surface", "--kmax", "3"], "k_max"),
+    (["surface", "--kmax", "3", "--replicates", "7"], "replicates"),
+    (["cover", "--replicates", "7"], "replicates"),
 ])
 def test_surface_and_cover_reject_flags_they_cannot_honour(argv, field, capsys):
-    """The surface and the climb sets are full-step only, and a cover prints
-    JSON only: these flags fail loudly instead of being ignored."""
+    """The surface and the climb sets are full-step only, a cover and the
+    bounds print JSON only, and a surface or a cover reads one field, with
+    no replicates or tail levels: these flags fail loudly instead of being
+    ignored."""
     assert main(argv + ["--d", "2", "--p", "0.99", "--seed", "3"]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and f"'{field}'" in captured.err

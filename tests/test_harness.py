@@ -19,6 +19,7 @@ from lipsurf.lattice import BoxRegion, ExplicitConfig, ExplicitField, Percolatio
 from lipsurf.oracle import exact_event_prob, walk_reach
 from lipsurf.reach import (Budget, StepSet, column_runs, estimate_reach_prob,
                            floor_reach_sandwich, reach)
+from lipsurf.stats import Z_99, wilson_interval
 
 # the package exports a function named reach, so fetch the module itself
 REACH = importlib.import_module("lipsurf.reach")
@@ -273,6 +274,61 @@ def test_spread_and_cover_tails():
     # shifted bound column
     assert cover.rows[1].bound == spread_tail_bound(2, 0.99, 0)
     assert cover.rows[3].bound == spread_tail_bound(2, 0.99, 2)
+
+
+def _broadcast_hits(chunks, levels):
+    """Per level k, the values >= k over every chunk, counted by a (B,
+    levels) comparison."""
+    ks = np.arange(levels)
+    return sum((values[:, None] >= ks).sum(axis=0) for values in chunks).tolist()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_tail_hit_counts_match_the_broadcast_count(seed):
+    """The tail rows count each level's hits as the (B, levels) broadcast
+    does, over several chunks, with values below 0 (no level hit) and above
+    the top level (every level hit), and each side's interval is its own
+    Wilson interval."""
+    rng = np.random.default_rng(seed)
+    levels = int(rng.integers(1, 8))
+    chunks = []
+    for size in rng.integers(1, 40, size=int(rng.integers(1, 5))):
+        lo = rng.integers(-3, levels + 3, size=size)
+        chunks.append((lo, lo + rng.integers(0, 3, size=size), None))
+    exp = Experiment(kind="f_tail", d=2, p=0.99, replicates=sum(len(c[0]) for c in chunks))
+    curve = harness._tail_curve(exp, "f_tail", levels, iter(chunks), lambda k: 0.5 ** k)
+    n = exp.replicates
+    assert [r.k for r in curve.rows] == list(range(levels))
+    assert [r.hits_lo for r in curve.rows] == _broadcast_hits([c[0] for c in chunks], levels)
+    assert [r.hits_hi for r in curve.rows] == _broadcast_hits([c[1] for c in chunks], levels)
+    for r in curve.rows:
+        assert type(r.hits_lo) is int and type(r.hits_hi) is int
+        assert r.ci_lo == wilson_interval(r.hits_lo, n, Z_99)[0]
+        assert r.ci_hi == wilson_interval(r.hits_hi, n, Z_99)[1]
+        assert r.bound == 0.5 ** r.k
+
+
+def _repr_csv(rows, header):
+    """Every cell written with repr() on its own, strings as they are."""
+    cols = header.split(",")
+    return "\n".join([header] + [",".join(r[c] if isinstance(r[c], str) else repr(r[c])
+                                           for c in cols) for r in rows]) + "\n"
+
+
+def test_csv_writer_writes_each_cell_as_its_own_repr():
+    """Rows that mix 1 with 1.0 and 0.0 with -0.0, and repeat floats, come
+    out cell by cell as repr() would write them: equal dict keys of another
+    type or sign never share a cell's text."""
+    header = "a,b,c,d"
+    values = [1, 1.0, 0, 0.0, -0.0, True, 0.1, 0.1 + 0.2, 0.30000000000000004,
+              1e-300, -1.0, float("inf"), float("nan"), 2 ** 70, "proven"]
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        rows = [{c: values[i] for c, i in zip("abcd", rng.integers(0, len(values), 4))}
+                for _ in range(int(rng.integers(0, 6)))]
+        assert harness._rows_to_csv(rows, header) == _repr_csv(rows, header)
+    rows = [{"a": 1.0, "b": 1, "c": -0.0, "d": 0.0}, {"a": 1, "b": 1.0, "c": 0.0, "d": -0.0}]
+    assert harness._rows_to_csv(rows, header) == "a,b,c,d\n1.0,1,-0.0,0.0\n1,1.0,0.0,-0.0\n"
 
 
 def test_tail_hypothesis_violation_raises():

@@ -114,8 +114,9 @@ def test_column_runs_batch_matches_per_column_reads(box):
 
 @pytest.mark.parametrize("column", [(-3,), (3,)])
 def test_column_reads_reject_columns_outside_the_box(column):
-    """A column past either side of the box is named in an error, where an
-    index would wrap round to the far side or fail unnamed."""
+    """A column past either side of the box, of the wrong length or with a
+    coordinate that is not an integer is named in an error, where an index
+    would wrap round to the far side, read another column or fail unnamed."""
     box = BoxRegion((-2, 0), (2, 3))
     reached = np.ones((2, *box.shape), dtype=bool)
     with pytest.raises(ValueError, match=rf"column \({column[0]},\) outside box"):
@@ -123,6 +124,16 @@ def test_column_reads_reject_columns_outside_the_box(column):
     with pytest.raises(ValueError, match=rf"column \({column[0]},\) outside box"):
         _floor_column_runs(~reached, box, [(0,), column], StepSet.FULL)
     assert column_runs(reached, box, [(-2,), (2,)]).tolist() == [[3, 3]] * 2
+    for cols, bad in (([(0, 99)], r"\(0, 99\)"), ([()], r"\(\)"),
+                      ([(0,), (1, 2)], r"\(1, 2\)"), ([(0,), ()], r"\(\)"),
+                      ([(0.5,)], r"\(0.5,\)"), ([(0,), (-1.0,)], r"\(-1.0,\)")):
+        for read in (lambda: column_runs(reached, box, cols),
+                     lambda: _floor_column_runs(~reached, box, cols, StepSet.FULL)):
+            with pytest.raises(ValueError, match=rf"column {bad} does not have d - 1 = 1 integer"):
+                read()
+    box3 = BoxRegion((-2, -2, 0), (2, 2, 3))
+    with pytest.raises(ValueError, match=r"column \(1,\) does not have d - 1 = 2"):
+        column_runs(np.ones((1, *box3.shape), dtype=bool), box3, [(0, 0), (1,)])
 
 
 def test_reach_source_order_free():
@@ -393,6 +404,29 @@ def test_rim_is_the_pessimistic_reach_of_open_boxes(shape, step_set):
     assert rim.shape == (*layers, 1) and not rim.flags.writeable
     assert _rim(layers, step_set) is rim
     np.testing.assert_array_equal(rim[..., 0].transpose(*range(1, d), 0), want[0])
+
+
+def test_cached_per_shape_arrays_are_read_only():
+    """Every array a per-shape cache hands out is shared across calls, so
+    writing to one raises; a second call returns the same objects."""
+    from lipsurf.lattice import _box_coords
+    from lipsurf.surface import _climb_box, _cover_grid, _floor_box
+    box = BoxRegion((-2, -1, 0), (2, 3, 4))
+    cached = [(_rim, ((5, 5, 5), StepSet.FULL)), (_box_coords, (box, 1)),
+              (_box_coords, (box, 0)), (REACH._column_index, (box, ((0, 0), (1, 2)))),
+              (_cover_grid, ((5, 5), (2, 1)))]
+    arrays = 0
+    for cache, key in cached:
+        got = cache(*key)
+        assert cache(*key) is got
+        for a in got if isinstance(got, tuple) else (got,):
+            if isinstance(a, np.ndarray):
+                arrays += 1
+                with pytest.raises(ValueError, match="read-only"):
+                    a[(0,) * a.ndim] = 1
+    assert arrays == 1 + 3 + 3 + 2 + 2  # the rim, coordinates, column index, grid
+    for box_at in (_floor_box((0, 0), (1, 1), 2, 3), _climb_box((0, 0), 2, 3)):
+        assert box_at(2) is box_at(2)
 
 
 @pytest.mark.parametrize("step_set", list(StepSet))

@@ -2,14 +2,17 @@ import itertools
 import json
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lipsurf.lattice import (ConstantField, ExplicitConfig, ExplicitField,
                              BoxRegion, OverrideField, PercolationField,
                              SignedPermutationField, SiteState)
-from lipsurf.reach import Budget, floor_reach_sandwich
-from lipsurf.surface import (COVER_BUDGET, Cert, SurfacePatch, build_surface, climb_set,
-                             minimal_cover, surface_from_covers, verify_surface)
+from lipsurf.reach import Budget, floor_reach_sandwich, reach_masks
+from lipsurf.surface import (COVER_BUDGET, Cert, SurfacePatch, _climb_masks, _read_covers,
+                             build_surface, climb_set, minimal_cover, surface_from_covers,
+                             verify_surface)
 
 ALL_OPEN = ConstantField(2, SiteState.OPEN)
 
@@ -392,3 +395,53 @@ def test_unresolved_on_tiny_budget():
     assert set(patch.status.values()) <= {Cert.CERTIFIED, Cert.UNRESOLVED}
     cover = minimal_cover(field, (0,), Budget(margin=1, height=1, growth_cap=0))
     assert isinstance(cover.certified, bool)
+
+
+@st.composite
+def _climb_batches(draw):
+    d = draw(st.sampled_from((2, 3)))
+    lo = draw(st.lists(st.integers(-3, 3), min_size=d - 1, max_size=d - 1))
+    cols = draw(st.lists(st.integers(1, 7 - d), min_size=d - 1, max_size=d - 1))
+    box = BoxRegion((*lo, 0), (*(a + n - 1 for a, n in zip(lo, cols)), draw(st.integers(1, 6))))
+    x = draw(st.tuples(*(st.integers(a, a + n - 1) for a, n in zip(lo, cols))))
+    boxes = []
+    for _ in range(draw(st.sampled_from((1, 1, 2, 5)))):
+        # a site is closed unless it draws 0: closed density 1/2, 3/4 or 7/8
+        odds = draw(st.sampled_from((2, 4, 8)))
+        draws = draw(st.lists(st.integers(0, odds - 1), min_size=box.size, max_size=box.size))
+        boxes.append(np.array(draws).reshape(box.shape) > 0)
+    return np.stack(boxes), box, x
+
+
+def _cover_reference(masks, center):
+    """Cover heights, radius and certificate of climb masks (B, *box.shape)
+    from every column's site count: a site in a rim column, or a column
+    counting every height, escapes the box."""
+    heights = masks.sum(axis=-1)
+    axes = tuple(range(1, heights.ndim))
+    grid = np.indices(heights.shape[1:])
+    dist = sum(np.abs(g - c) for g, c in zip(grid, center))
+    rho = np.where(heights > 0, heights + dist, 0).max(axis=axes)
+    inner = heights[(slice(None),) + (slice(1, -1),) * len(axes)]
+    side = heights.sum(axis=axes) > inner.sum(axis=axes)
+    return heights, rho, ~side & (heights.max(axis=axes) < masks.shape[-1])
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_climb_batches())
+def test_climb_reader_matches_reach_masks(batch):
+    """The climb sets closed on the kernel's layers are reach_masks from the
+    same floor seed, and the cover reader's heights, radius and certificate
+    equal those counted off the reach_masks result, at d=2 and 3, on
+    batches of one and of many."""
+    closed, box, x = batch
+    seeds = np.zeros_like(closed)
+    center = tuple(c - a for c, a in zip(x, box.lo))
+    seeds[(slice(None), *center, 0)] = True
+    want = reach_masks(closed, seeds)
+    layers = _climb_masks(closed, box, x)
+    assert layers.shape == (box.shape[-1], *box.shape[:-1], len(closed))
+    np.testing.assert_array_equal(np.moveaxis(layers, (0, -1), (-1, 0)), want)
+    for got, ref in zip(_read_covers(layers, list(center)), _cover_reference(want, center)):
+        assert got.shape == ref.shape
+        np.testing.assert_array_equal(got, ref)
