@@ -41,11 +41,12 @@ TAIL_KINDS = ("f_tail", "radh_tail", "rho_tail")
 
 
 class ConfigError(ValueError):
-    """Invalid experiment description; the message names the offending field."""
+    """Invalid experiment description; the message quotes each offending
+    field.  Arguments alternate field and problem: ConfigError("d", "...")."""
 
-    def __init__(self, field_name: str, problem: str):
-        self.field_name = field_name
-        super().__init__(f"config field '{field_name}': {problem}")
+    def __init__(self, *fields_and_problems: str):
+        pairs = zip(fields_and_problems[::2], fields_and_problems[1::2])
+        super().__init__("; ".join(f"config field '{f}': {why}" for f, why in pairs))
 
 
 class BudgetExceededError(RuntimeError):
@@ -84,39 +85,51 @@ class Experiment:
 
 _FIELD_TYPES = {
     "kind": str, "d": int, "p": float, "p_grid": list, "replicates": int,
-    "seed": int, "k_max": int, "n_max": int, "box_margin": int,
-    "box_height": int, "growth_cap": int, "step_mode": str,
-    "base_radius": int, "mu": float, "runs": int, "generations": int,
-    "depth_cap": int, "weight_floor": float, "unresolved_threshold": float,
-    "out": str, "format": str,
+    "seed": int, "k_max": int, "box_margin": int, "box_height": int,
+    "growth_cap": int, "step_mode": str, "base_radius": int, "mu": float,
+    "runs": int, "generations": int, "depth_cap": int, "weight_floor": float,
+    "unresolved_threshold": float, "out": str, "format": str,
 }
+# the step sets each reader of step_mode takes: f_tail and bounds take both;
+# every other reader builds surfaces or climb sets, defined for the full set
+_STEP_MODES = dict.fromkeys(("f_tail", "bounds"), tuple(s.value for s in StepSet))
+
+
+def check_fields(config: dict, reader: str, reads: frozenset) -> None:
+    """The one check of every config before any work: each field is known,
+    has its _FIELD_TYPES type (an int passes as a float, a bool as neither)
+    and is in the set `reader` reads.  The error quotes every offending one."""
+    problems = {key: f"not read by {reader}" if key in _FIELD_TYPES else "unknown field"
+                for key in config.keys() - reads}
+    for key, val in config.items():
+        want = _FIELD_TYPES.get(key)
+        if type(val) is not want and key not in problems and not (
+                isinstance(val, want) and not isinstance(val, bool)
+                or want is float and type(val) is int):
+            problems[key] = f"expected {want.__name__}, got {type(val).__name__}"
+    if problems:
+        raise ConfigError(*itertools.chain(*sorted(problems.items(), key=str)))
+    if config.get("format", "csv") not in ("csv", "json"):
+        raise ConfigError("format", "expected 'csv' or 'json'")
+    modes = _STEP_MODES.get(reader, ("full",))
+    if config.get("step_mode", "full") not in modes:
+        raise ConfigError("step_mode",
+                          f"expected {' or '.join(map(repr, modes))} for {reader}")
 
 
 def experiment_from_config(obj: dict) -> Experiment:
     """Validate a raw config mapping; every failure names its field."""
     if not isinstance(obj, dict):
         raise ConfigError("<root>", "config must be a JSON object")
-    for key, val in obj.items():
-        if key not in _FIELD_TYPES:
-            raise ConfigError(key, "unknown field")
-        want = _FIELD_TYPES[key]
-        if want is float and isinstance(val, int) and not isinstance(val, bool):
-            continue
-        if not isinstance(val, want) or isinstance(val, bool):
-            raise ConfigError(key, f"expected {want.__name__}, got {type(val).__name__}")
-    if "kind" not in obj:
-        raise ConfigError("kind", "missing (one of %s)" % ", ".join(KINDS))
-    if obj["kind"] not in KINDS:
-        raise ConfigError("kind", f"unknown kind '{obj['kind']}'")
+    kind = obj.get("kind")
+    if kind not in KINDS:
+        raise ConfigError("kind", f"unknown kind {kind!r}" if "kind" in obj
+                          else "missing (one of %s)" % ", ".join(KINDS))
+    check_fields(obj, kind, _READS[kind])
     kwargs = {k: v for k, v in obj.items() if k in Experiment.__dataclass_fields__}
-    if "n_max" in obj:
-        kwargs["k_max"] = obj["n_max"]
     if "step_mode" in obj:
-        modes = {s.value: s for s in StepSet}
-        if obj["step_mode"] not in modes:
-            raise ConfigError("step_mode", f"expected one of {sorted(modes)}")
-        kwargs["step_mode"] = modes[obj["step_mode"]]
-    if "p_grid" in obj and obj["p_grid"] is not None:
+        kwargs["step_mode"] = StepSet(obj["step_mode"])
+    if "p_grid" in obj:
         grid = obj["p_grid"]
         if not grid or any(not isinstance(x, (int, float)) or isinstance(x, bool)
                            for x in grid):
@@ -135,8 +148,9 @@ def experiment_from_config(obj: dict) -> Experiment:
         raise ConfigError("replicates", "must be >= 1")
     if exp.k_max < 0:
         raise ConfigError("k_max", "must be >= 0")
-    if exp.box_margin < 1 or exp.box_height < 1:
-        raise ConfigError("box_margin/box_height", "must be >= 1")
+    for name in ("box_margin", "box_height"):
+        if getattr(exp, name) < 1:
+            raise ConfigError(name, "must be >= 1")
     if exp.growth_cap < 0:
         raise ConfigError("growth_cap", "must be >= 0")
     if exp.unresolved_threshold != exp.unresolved_threshold:
@@ -147,9 +161,6 @@ def experiment_from_config(obj: dict) -> Experiment:
         raise ConfigError("weight_floor", "must be >= 0")
     if exp.kind == "existence_curve" and exp.p_grid is None:
         raise ConfigError("p_grid", "required for existence_curve")
-    if exp.kind in ("radh_tail", "rho_tail") and exp.step_mode is not StepSet.FULL:
-        raise ConfigError("step_mode",
-                          "spread/cover tails are defined for the full step set only")
     return exp
 
 
@@ -472,24 +483,37 @@ def _validity_job(exp: Experiment):
                         1.0 - payload["certified_fraction"])
 
 
-# kind -> job returning (payload, CSV body, unresolved share); a share of
-# None means the kind leaves nothing unresolved and never fails the budget.
-# Jobs look the module-level functions up at call time, so rebinding one
-# (tracing, tests) reaches the runner.
+_BOX_READS = ("box_margin", "box_height", "growth_cap")
+_TAIL_READS = ("d", "p", "seed", "replicates", "k_max", "step_mode", *_BOX_READS)
+_PATCH_READS = ("d", "seed", "replicates", "base_radius", "step_mode", *_BOX_READS)
+
+# kind -> (job, the config fields the kind reads besides the common ones).
+# A job returns (payload, CSV body, unresolved share); a share of None means
+# the kind leaves nothing unresolved and never fails the budget.  Jobs look
+# the module-level functions up at call time, so rebinding one (tracing,
+# tests) reaches the runner.
 _JOBS = {
-    "f_tail": lambda exp: _tail_job(surface_tail_curve(exp)),
-    "radh_tail": lambda exp: _tail_job(spread_tail_curve(exp)),
-    "rho_tail": lambda exp: _tail_job(cover_tail_curve(exp)),
-    "surface_validity": _validity_job,
-    "existence_curve": lambda exp: _table_job(
+    "f_tail": (lambda exp: _tail_job(surface_tail_curve(exp)), _TAIL_READS),
+    "radh_tail": (lambda exp: _tail_job(spread_tail_curve(exp)), _TAIL_READS),
+    "rho_tail": (lambda exp: _tail_job(cover_tail_curve(exp)), _TAIL_READS),
+    "surface_validity": (_validity_job, (*_PATCH_READS, "p")),
+    "existence_curve": (lambda exp: _table_job(
         "existence_curve", existence_curve(exp), EXISTENCE_CSV_HEADER),
-    "equivariance": lambda exp: _summary_job(
+        (*_PATCH_READS, "p_grid")),
+    "equivariance": (lambda exp: _summary_job(
         equivariance_check(exp), "d,p,replicates,isometries,mismatches"),
-    "monotonicity": lambda exp: _summary_job(
+        (*_PATCH_READS, "p")),
+    "monotonicity": (lambda exp: _summary_job(
         monotonicity_check(exp), "replicates,pairs_checked,violations"),
-    "brw": lambda exp: _table_job("brw", brw_rows(exp), BRW_CSV_HEADER),
+        (*_PATCH_READS, "p_grid")),
+    "brw": (lambda exp: _table_job("brw", brw_rows(exp), BRW_CSV_HEADER),
+            ("d", "p", "seed", "mu", "runs", "generations", "depth_cap",
+             "weight_floor")),
 }
 KINDS = tuple(_JOBS)
+# every kind reads its kind, format, out path and unresolved threshold
+_READS = {kind: frozenset(("kind", "format", "out", "unresolved_threshold", *reads))
+          for kind, (_, reads) in _JOBS.items()}
 
 
 def _config_dict(config) -> dict:
@@ -514,14 +538,12 @@ def run_experiment(config, out_path: str | None = None) -> dict:
     body is a pure function of the config; only the metadata carries timing.
     """
     config = _config_dict(config)
+    exp = experiment_from_config(config)
     out_path = out_path or config.get("out")
     fmt = config.get("format", "csv")
-    if fmt not in ("csv", "json"):
-        raise ConfigError("format", "expected 'csv' or 'json'")
-    exp = experiment_from_config(config)
 
     start = time.time()
-    payload, csv_text, unresolved = _JOBS[exp.kind](exp)
+    payload, csv_text, unresolved = _JOBS[exp.kind][0](exp)
     elapsed = time.time() - start
 
     paths = []

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from lipsurf import cli, harness
 from lipsurf.cli import main
 from lipsurf.harness import cover_sweep, run_experiment
 
@@ -78,11 +79,11 @@ def test_surface_and_cover_reject_flags_they_cannot_honour(argv, field, capsys):
     bounds print JSON only, and a surface or a cover reads one field, with
     no replicates or tail levels: these flags fail loudly instead of being
     ignored."""
-    assert main(argv + ["--d", "2", "--p", "0.99", "--seed", "3"]) == 1
+    seed = [] if argv[0] == "bounds" else ["--seed", "3"]  # bounds reads no seed
+    assert main(argv + ["--d", "2", "--p", "0.99"] + seed) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and f"'{field}'" in captured.err
-    assert main([argv[0], "--step-set", "full", "--d", "2", "--p", "0.99",
-                 "--seed", "3"]) == 0
+    assert main([argv[0], "--step-set", "full", "--d", "2", "--p", "0.99"] + seed) == 0
 
 
 def test_tails_csv(capsys):
@@ -160,6 +161,97 @@ def test_exit_code_nan_unresolved_threshold(tmp_path, capsys):
 
 def test_exit_code_usage_error(capsys):
     assert main(["no-such-command"]) == 1
+
+
+def test_usage_errors_print_their_reason(capsys):
+    for argv, named in ((["surface", "--bogus", "3"], "--bogus"),
+                        (["tails", "--kind", "nope"], "'nope'"),
+                        (["existence", "--p-grid", "0.5,x"], "--p-grid")):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and named in captured.err
+        assert "error: " in captured.err and "Traceback" not in captured.err
+
+
+# a valid value for each shared flag but --out and --config, and the shared
+# flags each subcommand reads (besides --config), written out independently
+# of the implementation
+_SHARED = {"--d": "2", "--p": "0.99", "--seed": "3", "--replicates": "7",
+           "--kmax": "3", "--box-margin": "2", "--box-height": "2",
+           "--growth-cap": "1", "--step-set": "full", "--format": "json"}
+_BOX = "--box-margin --box-height --growth-cap"
+_SUBCOMMAND_READS = {
+    "sample": "--d --p --seed --box-margin --box-height --format --out",
+    "surface": f"--d --p --seed {_BOX} --step-set --format --out",
+    "cover": f"--d --p --seed {_BOX} --step-set --out",
+    "tails": f"--d --p --seed --replicates --kmax {_BOX} --step-set --format --out",
+    "bounds": "--d --p --kmax --step-set --out",
+    "brw": "--d --p --seed --format --out",
+    "existence": f"--d --seed --replicates {_BOX} --step-set --format --out",
+    "oracle": "--p --out",
+}
+# what a subcommand needs to run at all
+_NEEDS = {"tails": ["--kind", "f_tail"], "existence": ["--p-grid", "0.9,0.99"]}
+
+
+def _field(flag: str) -> str:
+    return {"--kmax": "k_max", "--step-set": "step_mode"}.get(
+        flag, flag[2:].replace("-", "_"))
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """Every subcommand's handler and every kind's job replaced by a stub
+    that prints nothing: the field check comes first, and no case samples."""
+    for cmd, (_, reads) in list(cli._COMMANDS.items()):
+        if reads is not None:
+            monkeypatch.setitem(cli._COMMANDS, cmd, (lambda args, config: 0, reads))
+    for kind, (_, reads) in list(harness._JOBS.items()):
+        monkeypatch.setitem(harness._JOBS, kind, (lambda exp: ({}, "", None), reads))
+
+
+@pytest.mark.parametrize("cmd", sorted(_SUBCOMMAND_READS))
+def test_each_subcommand_reads_exactly_its_flags(cmd, no_work, tmp_path, capsys):
+    """A shared flag outside a subcommand's set stops the run and is named,
+    with nothing on stdout; one in it is accepted.  A mistyped config field
+    the subcommand reads is rejected too."""
+    assert set(_SUBCOMMAND_READS) == set(cli._COMMANDS)
+    reads = _SUBCOMMAND_READS[cmd].split()
+    for flag, value in {**_SHARED, "--out": str(tmp_path / "body")}.items():
+        status = main([cmd, *_NEEDS.get(cmd, []), flag, value])
+        captured = capsys.readouterr()
+        if flag in reads:
+            assert status == 0, (flag, captured.err)
+        else:
+            assert status == 1 and captured.out == "", flag
+            assert f"'{_field(flag)}': not read by" in captured.err, flag
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({_field(flag): [1]}))
+        assert main([cmd, *_NEEDS.get(cmd, []), "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"'{_field(flag)}'" in captured.err, flag
+
+
+@pytest.mark.parametrize("argv, config, fields", [
+    (["existence", "--step-set", "no-straight-down", "--p-grid", "0.9,0.99"], None,
+     ["step_mode"]),
+    (["brw", "--replicates", "9", "--kmax", "3"], None, ["replicates", "k_max"]),
+    (["bounds"], {"d": "x"}, ["d"]),
+    (["sample"], {"seed": 1.5}, ["seed"]),
+    (["surface"], {"banana": 1}, ["banana"]),
+    (["surface", "--kmax", "3", "--replicates", "7"], None, ["k_max", "replicates"]),
+])
+def test_flags_and_fields_once_ignored_now_stop_the_run(argv, config, fields,
+                                                         tmp_path, capsys):
+    """Each of these ran and printed a body as if the flag or field were not
+    there, or (bounds) ended in a TypeError traceback."""
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv = argv + ["--config", str(tmp_path / "cfg.json")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert all(f"'{f}'" in captured.err for f in fields)
 
 
 def test_oracle_subcommand(capsys, monkeypatch):

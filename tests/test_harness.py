@@ -50,6 +50,82 @@ def test_experiment_from_config_errors_name_fields():
         experiment_from_config({"kind": "f_tail", "replicates": 0})
 
 
+# one valid value for every config field but kind
+_VALID = {"d": 2, "p": 0.99, "p_grid": [0.97, 0.99], "replicates": 7,
+          "seed": 3, "k_max": 3, "box_margin": 2, "box_height": 2, "growth_cap": 1,
+          "step_mode": "full", "base_radius": 2, "mu": 0.5, "runs": 5,
+          "generations": 2, "depth_cap": 10, "weight_floor": 0.0,
+          "unresolved_threshold": 0.5, "out": "body.csv", "format": "json"}
+_BOX = "box_margin box_height growth_cap"
+_TAIL = f"d p seed replicates k_max step_mode {_BOX}"
+_PATCH = f"d seed replicates base_radius step_mode {_BOX}"
+# the fields each kind reads besides kind, format, out and
+# unresolved_threshold, which every kind reads
+_KIND_READS = {
+    "f_tail": _TAIL, "radh_tail": _TAIL, "rho_tail": _TAIL,
+    "surface_validity": f"{_PATCH} p", "equivariance": f"{_PATCH} p",
+    "existence_curve": f"{_PATCH} p_grid", "monotonicity": f"{_PATCH} p_grid",
+    "brw": "d p seed mu runs generations depth_cap weight_floor",
+}
+
+
+def _kind_config(kind: str, **fields) -> dict:
+    # existence_curve and monotonicity cannot run without a grid
+    grid = {"p_grid": _VALID["p_grid"]} if "p_grid" in _KIND_READS[kind] else {}
+    return {"kind": kind, **grid, **fields}
+
+
+@pytest.mark.parametrize("kind", sorted(_KIND_READS))
+def test_each_kind_reads_exactly_its_fields(kind):
+    """Every field outside a kind's set is rejected and named; every field in
+    it is accepted.  experiment_from_config runs no replicate."""
+    assert set(_KIND_READS) == set(harness.KINDS)
+    reads = set(_KIND_READS[kind].split()) | {"format", "out", "unresolved_threshold"}
+    for field, value in _VALID.items():
+        config = _kind_config(kind, **{field: value})
+        if field in reads:
+            assert experiment_from_config(config).kind == kind, field
+        else:
+            with pytest.raises(ConfigError, match=f"'{field}': not read by {kind}"):
+                experiment_from_config(config)
+        with pytest.raises(ConfigError, match=f"'{field}'"):  # mistyped
+            experiment_from_config(_kind_config(kind, **{field: {"x": 1}}))
+
+
+@pytest.mark.parametrize("kind", ["surface_validity", "existence_curve",
+                                  "equivariance", "monotonicity",
+                                  "radh_tail", "rho_tail"])
+def test_surface_and_cover_kinds_take_the_full_step_set_only(kind):
+    assert experiment_from_config(_kind_config(kind, step_mode="full")).step_mode \
+        is StepSet.FULL
+    with pytest.raises(ConfigError, match="'step_mode': expected 'full' for"):
+        experiment_from_config(_kind_config(kind, step_mode="no-straight-down"))
+    exp = experiment_from_config({"kind": "f_tail", "step_mode": "no-straight-down"})
+    assert exp.step_mode is StepSet.NO_STRAIGHT_DOWN
+
+
+def test_run_experiment_rejects_what_a_kind_does_not_honour():
+    # a surface_validity run used to build full-step surfaces here
+    with pytest.raises(ConfigError, match="'step_mode'"):
+        run_experiment({"kind": "surface_validity", "step_mode": "no-straight-down"})
+    # every offending field is quoted, not only the first
+    with pytest.raises(ConfigError, match="'banana': unknown field; .*'k_max': not read "
+                                          "by brw; .*'replicates': not read by brw"):
+        run_experiment({"kind": "brw", "replicates": 9, "k_max": 3, "banana": 1})
+    with pytest.raises(ConfigError) as err:  # keys a JSON file cannot give
+        run_experiment({"kind": "f_tail", 1: 0, "x": 0})
+    assert "'1': unknown field" in str(err.value) and "'x': unknown field" in str(err.value)
+    with pytest.raises(ConfigError, match="'format': expected 'csv' or 'json'"):
+        run_experiment({"kind": "f_tail", "format": "xml"})
+
+
+@pytest.mark.parametrize("field", ["box_margin", "box_height"])
+def test_box_size_errors_name_one_field(field):
+    with pytest.raises(ConfigError) as err:
+        experiment_from_config({"kind": "f_tail", field: 0})
+    assert str(err.value) == f"config field '{field}': must be >= 1"
+
+
 def test_surface_tail_k0_row_and_bounds_column():
     exp = Experiment(kind="f_tail", d=2, p=0.99, replicates=400, seed=5, k_max=3)
     curve = surface_tail_curve(exp)
