@@ -11,8 +11,7 @@ __version__ = "0.1.0"
 
 from .lattice import (BoxRegion, Column, ConstantField, ExplicitConfig,
                       ExplicitField, Field, OverrideField, PercolationField,
-                      SignedPermutationField, Site, SiteState, count_l1_sphere,
-                      height, radial, site_state)
+                      Site, SiteState, count_l1_sphere, height, radial, site_state)
 from .reach import (Budget, ReachProbEstimate, ReachResult, ReachSandwich,
                     StepSet, estimate_reach_prob, floor_reach_sandwich, reach)
 from .surface import (Cert, LocalCoverResult, SurfacePatch, SurfaceReport,

@@ -26,14 +26,14 @@ from . import __version__ as _version
 from .bounds import (HypothesisError, spread_rate, spread_tail_bound,
                      surface_tail_bound)
 from .brw import OffspringLaw, brw_tables
-from .lattice import BoxRegion, Column, PercolationField, SignedPermutationField
+from .lattice import BoxRegion, Column
 from .reach import (Budget, StepSet, _floor_column_runs, _hash_replicates,
                     _settle_replicates)
 # unused here: perfbench/selftest.py checks its tracer rebinds this name
 from .reach import floor_reach_sandwich  # noqa: F401
 from .stats import Z_99, wilson_interval
-from .surface import (Cert, _climb_box, _climb_masks, _cover_entries, _floor_box,
-                      _read_covers, build_surface, verify_surface)
+from .surface import (_climb_box, _climb_masks, _cover_entries, _floor_box,
+                      _read_covers, _surface_runs, _violations)
 
 TAIL_CSV_HEADER = "k,trials,hits_lo,hits_hi,p_lo,p_hi,ci_lo,ci_hi,bound,unresolved_frac"
 
@@ -153,6 +153,8 @@ def experiment_from_config(obj: dict) -> Experiment:
             raise ConfigError(name, "must be >= 1")
     if exp.growth_cap < 0:
         raise ConfigError("growth_cap", "must be >= 0")
+    if exp.base_radius < 0:
+        raise ConfigError("base_radius", "must be >= 0")
     if exp.unresolved_threshold != exp.unresolved_threshold:
         raise ConfigError("unresolved_threshold", "must be a number, not NaN")
     if not exp.mu > 0.0:  # NaN fails too
@@ -310,20 +312,26 @@ def cover_tail_curve(exp: Experiment) -> TailCurve:
                        lambda n: spread_tail_bound(exp.d, exp.p, max(0, n - 1)))
 
 
+def _base_runs(exp: Experiment, closed_at):
+    """build_surface over the base ball for every replicate of closed_at, in
+    chunks set by the first box alone, which ignores p and the field."""
+    return _surface_runs(exp.replicates, closed_at, _base_ball(exp.d, exp.base_radius),
+                         exp.budget)
+
+
 def surface_validity(exp: Experiment) -> dict:
     """Build replicate surfaces over a base patch and verify openness and
-    the Lipschitz property on every certified column."""
+    the Lipschitz property on every certified column, on a second hash."""
     base = _base_ball(exp.d, exp.base_radius)
-    total = certified = 0
-    open_bad = lip_bad = 0
-    for rep in range(exp.replicates):
-        field = PercolationField(exp.d, exp.p, exp.seed, rep)
-        patch = build_surface(field, base, exp.budget)
-        report = verify_surface(field, patch)
-        total += len(patch.columns)
-        certified += len(patch.certified_columns())
-        open_bad += len(report.openness_violations)
-        lip_bad += len(report.lipschitz_violations)
+    hashes = _hash_replicates(exp.d, exp.p, exp.seed)
+    start = certified = open_bad = lip_bad = 0
+    for values, _, settled in _base_runs(exp, hashes):
+        items, start = np.arange(start, start + len(values)), start + len(values)
+        closed, _, steep = _violations(functools.partial(hashes, items), base, values, settled)
+        certified += int(settled.sum())
+        open_bad += int(closed.sum())
+        lip_bad += int(steep.sum())
+    total = exp.replicates * len(base)
     return {
         "kind": "surface_validity", "d": exp.d, "p": exp.p,
         "replicates": exp.replicates, "columns_total": total,
@@ -351,16 +359,11 @@ def existence_curve(exp: Experiment) -> list[dict]:
     """
     if exp.p_grid is None:
         raise ConfigError("p_grid", "required for existence_curve")
-    base = _base_ball(exp.d, exp.base_radius)
     threshold = 1.0 - (2 * exp.d - 1) ** -2
     rows = []
     for p in exp.p_grid:
-        successes = 0
-        for rep in range(exp.replicates):
-            field = PercolationField(exp.d, p, exp.seed, rep)
-            patch = build_surface(field, base, exp.budget)
-            if all(st is Cert.CERTIFIED for st in patch.status.values()):
-                successes += 1
+        successes = sum(int(settled.all(axis=1).sum()) for _, _, settled
+                        in _base_runs(exp, _hash_replicates(exp.d, p, exp.seed)))
         rows.append({
             "p": p, "successes": successes, "trials": exp.replicates,
             "fraction": successes / exp.replicates,
@@ -377,24 +380,35 @@ def signed_permutations(k: int):
             yield perm, signs
 
 
+def _isometry_view(closed: np.ndarray, perm, signs) -> np.ndarray:
+    """Closed masks (B, *box.shape) seen through the column isometry y ->
+    (signs[i] * y[perm[i]])_i: entry [b, y, t] is closed[b, image of y, t].
+    Exact on a box whose column axes all span -m..m, which the isometry maps
+    onto itself; every floor box over the base ball is one."""
+    flipped = np.flip(closed, [1 + i for i, s in enumerate(signs) if s < 0])
+    return flipped.transpose(0, *(1 + np.argsort(perm)).tolist(), closed.ndim - 1)
+
+
 def equivariance_check(exp: Experiment) -> dict:
     """Exact commutation of surface construction with lattice symmetries:
     building on the remapped field equals remapping the built surface,
     configuration by configuration."""
-    base = _base_ball(exp.d, exp.base_radius)
+    r, k = exp.base_radius, exp.d - 1
+    cols = np.array(_base_ball(exp.d, r))
+    hashes = _hash_replicates(exp.d, exp.p, exp.seed)
+    isometries = list(signed_permutations(k))
+    # per isometry, the index in the base ball of each base column's image
+    images = [np.ravel_multi_index((signs * cols[:, perm] + r).T, (2 * r + 1,) * k)
+              for perm, signs in isometries]
+    views = [_base_runs(exp, lambda reps, box, perm=perm, signs=signs:
+                        _isometry_view(hashes(reps, box), perm, signs))
+             for perm, signs in isometries]
     mismatches = 0
-    isometries = list(signed_permutations(exp.d - 1))
-    for rep in range(exp.replicates):
-        field = PercolationField(exp.d, exp.p, exp.seed, rep)
-        patch = build_surface(field, base, exp.budget)
-        for perm, signs in isometries:
-            view = SignedPermutationField(field, perm, signs)
-            vpatch = build_surface(view, base, exp.budget)
-            for col in vpatch.columns:
-                mapped = view.map_column(col)
-                if (vpatch.values[col] != patch.values[mapped]
-                        or vpatch.status[col] is not patch.status[mapped]):
-                    mismatches += 1
+    # the field's own runs once, in lockstep with every view's
+    for (values, _, settled), *seen in zip(_base_runs(exp, hashes), *views):
+        for at, (view_values, _, view_settled) in zip(images, seen):
+            mismatches += int(((view_values != values[:, at])
+                               | (view_settled != settled[:, at])).sum())
     return {"kind": "equivariance", "d": exp.d, "p": exp.p,
             "replicates": exp.replicates, "isometries": len(isometries),
             "mismatches": mismatches}
@@ -405,21 +419,13 @@ def monotonicity_check(exp: Experiment) -> dict:
     increase when p increases (opening sites shrinks the floor-reachable set)."""
     if exp.p_grid is None or len(exp.p_grid) < 2:
         raise ConfigError("p_grid", "monotonicity needs a grid of at least two p values")
-    base = _base_ball(exp.d, exp.base_radius)
-    violations = 0
-    pairs = 0
-    for rep in range(exp.replicates):
-        patches = []
-        for p in exp.p_grid:
-            field = PercolationField(exp.d, p, exp.seed, rep)
-            patches.append(build_surface(field, base, exp.budget))
-        for lo_patch, hi_patch in zip(patches, patches[1:]):
-            for col in base:
-                if (lo_patch.status[col] is Cert.CERTIFIED
-                        and hi_patch.status[col] is Cert.CERTIFIED):
-                    pairs += 1
-                    if hi_patch.values[col] > lo_patch.values[col]:
-                        violations += 1
+    violations = pairs = 0
+    for chunks in zip(*(_base_runs(exp, _hash_replicates(exp.d, p, exp.seed))
+                        for p in exp.p_grid)):
+        for (lo_values, _, lo_ok), (hi_values, _, hi_ok) in zip(chunks, chunks[1:]):
+            both = lo_ok & hi_ok
+            pairs += int(both.sum())
+            violations += int((both & (hi_values > lo_values)).sum())
     return {"kind": "monotonicity", "d": exp.d, "p_grid": list(exp.p_grid),
             "replicates": exp.replicates, "pairs_checked": pairs,
             "violations": violations}

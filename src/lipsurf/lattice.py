@@ -319,51 +319,6 @@ class OverrideField(Field):
         return mask
 
 
-class SignedPermutationField(Field):
-    """View of a base field with the column coordinates remapped.
-
-    The mapping y -> sign * y[perm] is an isometry of Z^(d-1); heights pass
-    through untouched.  Used to test that surface construction commutes with
-    lattice symmetries.
-    """
-
-    def __init__(self, base: Field, perm: tuple[int, ...], signs: tuple[int, ...]):
-        k = base.d - 1
-        if sorted(perm) != list(range(k)) or any(s not in (-1, 1) for s in signs):
-            raise ValueError("perm must permute 0..d-2 and signs must be +-1")
-        if len(signs) != k:
-            raise ValueError("signs length must be d-1")
-        self.base = base
-        self.d = base.d
-        self.perm = tuple(perm)
-        self.signs = tuple(signs)
-
-    def map_column(self, col: Column) -> Column:
-        return tuple(self.signs[i] * col[self.perm[i]] for i in range(len(col)))
-
-    def is_closed(self, site: Site) -> bool:
-        self._check_site(site)
-        return self.base.is_closed((*self.map_column(site[:-1]), site[-1]))
-
-    def closed_mask(self, box: BoxRegion) -> np.ndarray:
-        k = self.d - 1
-        # image box of the view's columns under the mapping
-        pre_lo, pre_hi = [0] * k, [0] * k
-        for i in range(k):
-            a = self.signs[i] * box.lo[self.perm[i]]
-            b = self.signs[i] * box.hi[self.perm[i]]
-            pre_lo[i], pre_hi[i] = min(a, b), max(a, b)
-        pre_box = BoxRegion((*pre_lo, box.lo[-1]), (*pre_hi, box.hi[-1]))
-        mask = self.base.closed_mask(pre_box)
-        for i in range(k):
-            if self.signs[i] == -1:
-                mask = np.flip(mask, axis=i)
-        inv = [0] * k
-        for t in range(k):
-            inv[self.perm[t]] = t
-        return np.transpose(mask, axes=(*inv, k))
-
-
 @dataclass(frozen=True)
 class ExplicitConfig:
     """A fully materialized configuration on a finite box.

@@ -58,13 +58,6 @@ class PathEnumeration:
     def nonempty_count(self) -> int:
         return sum(self.by_ud.values()) - 1
 
-    def endpoint_weight(self, p: float) -> dict[Site, float]:
-        q = 1.0 - p
-        return {
-            site: sum(cnt * q ** u for u, cnt in per_u.items())
-            for site, per_u in self.by_endpoint_u.items()
-        }
-
 
 @functools.lru_cache(maxsize=16)
 def enum_paths(d: int, step_set: StepSet, max_len: int) -> PathEnumeration:

@@ -151,6 +151,21 @@ def _climb_masks(closed: np.ndarray, box: BoxRegion, x) -> np.ndarray:
     return reached
 
 
+def _surface_runs(count: int, closed_at, cols, budget: Budget):
+    """build_surface's certificate of items 0..count-1 of closed_at (as
+    _settle_replicates takes it) over sorted distinct columns: per chunk, one
+    above each column's optimistic and pessimistic runs and whether the two
+    agree strictly below the box top, each shaped (B, len(cols))."""
+    box_at = _floor_box(np.min(cols, axis=0), np.max(cols, axis=0),
+                        budget.margin, budget.height)
+
+    def read(closed, box):
+        lo, hi = _floor_column_runs(closed, box, cols, StepSet.FULL)
+        return lo + 1, hi + 1, (lo == hi) & (hi < box.hi[-1] - 1)
+
+    return _settle_replicates(count, budget.growth_cap, box_at, closed_at, read)
+
+
 def build_surface(field: Field, base, budget: Budget = Budget()) -> SurfacePatch:
     """Surface over the given base columns via the floor-reachable set.
 
@@ -169,15 +184,8 @@ def build_surface(field: Field, base, budget: Budget = Budget()) -> SurfacePatch
     if any(len(c) != field.d - 1 for c in base):
         raise ValueError("base columns must have dimension d-1")
     cols = sorted(set(base))
-    box_at = _floor_box(np.min(cols, axis=0), np.max(cols, axis=0),
-                        budget.margin, budget.height)
-
-    def read(closed, box):
-        lo, hi = _floor_column_runs(closed, box, cols, StepSet.FULL)
-        return lo + 1, hi + 1, (lo == hi) & (hi < box.hi[-1] - 1)
-
-    (lo, _, settled), = _settle_replicates(  # one field: a batch of one
-        1, budget.growth_cap, box_at, lambda _, box: field.closed_mask(box)[None], read)
+    (lo, _, settled), = _surface_runs(  # one field: a batch of one
+        1, lambda _, box: field.closed_mask(box)[None], cols, budget)
     # Python ints: patch values go out through json
     values = dict(zip(cols, lo[0].tolist()))
     status = {c: Cert.CERTIFIED if ok else Cert.UNRESOLVED
@@ -205,30 +213,45 @@ def verify_surface(field: Field, patch: SurfacePatch) -> SurfaceReport:
 
     Openness is read from one field.closed_mask over the bounding box of
     the certified columns and values, so an ExplicitField reads a site
-    outside its config box as open; each base axis's pairs are looked up
-    on one index grid over the same columns."""
+    outside its config box as open.  A batch of one for _violations."""
     certified = patch.certified_columns()
     if not certified:
         return SurfaceReport(0, 0, (), ())
-    cols = np.array(certified, dtype=np.intp).reshape(len(certified), -1)
-    vals = np.array([patch.values[c] for c in certified], dtype=np.intp)
-    box = BoxRegion((*cols.min(axis=0), vals.min()), (*cols.max(axis=0), vals.max()))
-    idx = cols - box.lo[:-1]
-    closed = field.closed_mask(box)[(*idx.T, vals - box.lo[-1])]
-    open_bad = [(c, patch.values[c]) for c, bad in zip(certified, closed.tolist()) if bad]
-    # nbs[r, i]: the row of certified[r] + e_i, or -1, so that each adjacent
-    # pair is checked once, from its lower column
-    row = np.full(tuple(n + 1 for n in box.shape[:-1]), -1)  # room for col + e_i
+    values = np.array([[patch.values[c] for c in certified]], dtype=np.intp)
+    closed, pairs, steep = _violations(lambda box: field.closed_mask(box)[None],
+                                       certified, values, np.ones(values.shape, bool))
+    open_bad = [(c, patch.values[c]) for c, bad in zip(certified, closed[0].tolist()) if bad]
+    lip_bad = []
+    for r, i in zip(*steep[0].nonzero()):
+        col = certified[r]
+        nb = (*col[:i], col[i] + 1, *col[i + 1:])
+        lip_bad.append((col, nb, patch.values[col], patch.values[nb]))
+    return SurfaceReport(len(certified), int(pairs.sum()), tuple(open_bad), tuple(lip_bad))
+
+
+def _violations(closed_at, cols, values: np.ndarray, certified: np.ndarray):
+    """verify_surface's check of B surfaces over one list of columns, values
+    and certified shaped (B, len(cols)); closed_at(box) hashes the batch once,
+    in the bounding box of the columns and the certified values, if any.
+    Returns closed, the certified entries on a closed site, and pairs[b, r, i]
+    where cols[r] and cols[r] + e_i are both certified (each adjacent pair
+    once) and steep where such a pair's values differ by more than 1."""
+    cols = np.array(cols, dtype=np.intp)
+    idx = cols - cols.min(axis=0)
+    # nbs[r, i]: the index of cols[r] + e_i in cols, or -1
+    row = np.full(tuple(idx.max(axis=0) + 2), -1)  # room for col + e_i
     row[tuple(idx.T)] = np.arange(len(cols))
     nbs = np.stack([row[tuple((idx + e).T)] for e in np.eye(idx.shape[1], dtype=np.intp)],
                    axis=1)
-    steep = (nbs >= 0) & (np.abs(vals[:, None] - vals[nbs]) > 1)
-    lip_bad = []
-    for r, i in zip(*steep.nonzero()):
-        col, nb = certified[r], certified[nbs[r, i]]
-        lip_bad.append((col, nb, patch.values[col], patch.values[nb]))
-    return SurfaceReport(len(certified), int((nbs >= 0).sum()), tuple(open_bad),
-                         tuple(lip_bad))
+    pairs = certified[..., None] & certified[:, nbs] & (nbs >= 0)
+    steep = pairs & (np.abs(values[..., None] - values[:, nbs]) > 1)
+    closed = np.zeros(values.shape, bool)
+    b, r = certified.nonzero()
+    if b.size:
+        vals = values[b, r]
+        box = BoxRegion((*cols.min(axis=0), vals.min()), (*cols.max(axis=0), vals.max()))
+        closed[b, r] = closed_at(box)[(b, *idx[r].T, vals - box.lo[-1])]
+    return closed, pairs, steep
 
 
 def _climb(field: Field, x: Column, budget: Budget):

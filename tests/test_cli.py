@@ -120,6 +120,13 @@ def test_existence_csv(capsys):
     assert len(lines) == 3
 
 
+def test_existence_rejects_a_negative_base_radius(capsys):
+    assert main(["existence", "--base-radius", "-1", "--p-grid", "0.9,0.99"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert "config field 'base_radius': must be >= 0" in captured.err
+
+
 def test_exit_code_invalid_config(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"kind": "f_tail", "replicates": "many"}))

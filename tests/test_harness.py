@@ -1,6 +1,7 @@
 import collections
 import hashlib
 import importlib
+import itertools
 import json
 
 import numpy as np
@@ -15,11 +16,13 @@ from lipsurf.harness import (TAIL_CSV_HEADER, BudgetExceededError, ConfigError,
                              monotonicity_check, run_experiment,
                              spread_tail_curve, surface_tail_curve,
                              surface_validity)
-from lipsurf.lattice import BoxRegion, ExplicitConfig, ExplicitField, PercolationField
+from lipsurf.lattice import (BoxRegion, ExplicitConfig, ExplicitField, Field,
+                             PercolationField)
 from lipsurf.oracle import exact_event_prob, walk_reach
 from lipsurf.reach import (Budget, StepSet, column_runs, estimate_reach_prob,
                            floor_reach_sandwich, reach)
 from lipsurf.stats import Z_99, wilson_interval
+from lipsurf.surface import Cert, build_surface, verify_surface
 
 # the package exports a function named reach, so fetch the module itself
 REACH = importlib.import_module("lipsurf.reach")
@@ -124,6 +127,20 @@ def test_box_size_errors_name_one_field(field):
     with pytest.raises(ConfigError) as err:
         experiment_from_config({"kind": "f_tail", field: 0})
     assert str(err.value) == f"config field '{field}': must be >= 1"
+
+
+@pytest.mark.parametrize("kind, extra", [
+    ("surface_validity", {}), ("existence_curve", {"p_grid": [0.9, 0.99]}),
+    ("equivariance", {}), ("monotonicity", {"p_grid": [0.9, 0.99]})])
+def test_negative_base_radius_names_the_field(kind, extra):
+    """An empty base ball would fail deep in the engine without naming
+    base_radius; it stops at the config check instead.  Radius 0 is one
+    column, and runs."""
+    config = {"kind": kind, "replicates": 2, **extra}
+    with pytest.raises(ConfigError) as err:
+        run_experiment({**config, "base_radius": -1})
+    assert str(err.value) == "config field 'base_radius': must be >= 0"
+    run_experiment({**config, "base_radius": 0, "unresolved_threshold": 1.0})
 
 
 def test_surface_tail_k0_row_and_bounds_column():
@@ -445,6 +462,135 @@ def test_equivariance_and_monotonicity_checks():
     assert mono["violations"] == 0 and mono["pairs_checked"] > 0
 
 
+class _View(Field):
+    """A field seen through a column isometry y -> (signs[i] * y[perm[i]])_i,
+    heights untouched; a mask gathers each site's image from the base
+    field's mask over the images' bounding box."""
+
+    def __init__(self, base, perm, signs):
+        self.base, self.d, self.perm, self.signs = base, base.d, perm, signs
+
+    def map_column(self, col):
+        return tuple(s * col[i] for s, i in zip(self.signs, self.perm))
+
+    def is_closed(self, site):
+        return self.base.is_closed((*self.map_column(site[:-1]), site[-1]))
+
+    def closed_mask(self, box):
+        sites = np.array(list(box.sites()))
+        images = np.column_stack([np.multiply(self.signs, sites[:, list(self.perm)]),
+                                  sites[:, -1]])
+        hull = BoxRegion(tuple(images.min(axis=0)), tuple(images.max(axis=0)))
+        closed = self.base.closed_mask(hull)[tuple((images - hull.lo).T)]
+        return closed.reshape(box.shape)
+
+
+def test_equivariance_smoke():
+    base = [tuple(c) for c in itertools.product(range(-2, 3), repeat=2)]
+    for rep in range(5):
+        field = PercolationField(3, 0.98, master_seed=303, replicate=rep)
+        patch = build_surface(field, base)
+        for perm, signs in harness.signed_permutations(2):
+            view = _View(field, perm, signs)
+            vpatch = build_surface(view, base)
+            for col in base:
+                mapped = view.map_column(col)
+                assert vpatch.values[col] == patch.values[mapped]
+                assert vpatch.status[col] is patch.status[mapped]
+
+
+def _loop_kinds(exp: Experiment) -> dict:
+    """Reference counts of the four surface kinds: per replicate, one
+    PercolationField, build_surface and verify_surface, and for each
+    isometry build_surface on a _View of the field."""
+    base = harness._base_ball(exp.d, exp.base_radius)
+    counts = collections.Counter()
+    for rep in range(exp.replicates):
+        field = PercolationField(exp.d, exp.p, exp.seed, rep)
+        patch = build_surface(field, base, exp.budget)
+        report = verify_surface(field, patch)
+        counts["certified"] += len(patch.certified_columns())
+        counts["open_bad"] += len(report.openness_violations)
+        counts["lip_bad"] += len(report.lipschitz_violations)
+        for perm, signs in harness.signed_permutations(exp.d - 1):
+            view = _View(field, perm, signs)
+            vpatch = build_surface(view, base, exp.budget)
+            counts["mismatches"] += sum(
+                vpatch.values[c] != patch.values[view.map_column(c)]
+                or vpatch.status[c] is not patch.status[view.map_column(c)]
+                for c in base)
+        patches = [build_surface(field.with_p(p), base, exp.budget) for p in exp.p_grid]
+        for p, grid_patch in zip(exp.p_grid, patches):
+            counts["successes", p] += all(
+                s is Cert.CERTIFIED for s in grid_patch.status.values())
+        for lo, hi in zip(patches, patches[1:]):
+            for c in base:
+                if lo.status[c] is Cert.CERTIFIED and hi.status[c] is Cert.CERTIFIED:
+                    counts["pairs"] += 1
+                    counts["rises"] += hi.values[c] > lo.values[c]
+    return counts
+
+
+_SURFACE_KIND_CONFIGS = [
+    # the size of the height-truncation residual: a 2-high box certifies
+    # values a taller box reads higher, seen as Lipschitz violations
+    dict(d=3, p=0.93, seed=6, base_radius=3, box_margin=1, box_height=2,
+         growth_cap=1, replicates=100, p_grid=(0.93, 0.97)),
+    dict(d=2, p=0.9, seed=7, base_radius=6, box_margin=1, box_height=1,
+         growth_cap=2, replicates=60, p_grid=(0.9, 0.93, 0.97)),
+    dict(d=2, p=0.97, seed=8, base_radius=2, box_margin=2, box_height=2,
+         growth_cap=0, replicates=65, p_grid=(0.97, 0.99)),
+]
+
+
+@pytest.mark.parametrize("cfg", _SURFACE_KIND_CONFIGS)
+def test_surface_kinds_count_what_a_per_replicate_loop_counts(cfg, monkeypatch):
+    """surface_validity, existence_curve, equivariance and monotonicity on
+    hashed replicate batches count exactly what a loop of build_surface and
+    verify_surface over single fields counts; 1000 sites per chunk makes
+    the lockstep streams span many chunks with a partial last one."""
+    exp = Experiment(kind="surface_validity", **cfg)
+    want = _loop_kinds(exp)
+    monkeypatch.setattr(REACH, "_CHUNK_SITES", 1000)
+    first = harness._floor_box((-exp.base_radius,) * (exp.d - 1),
+                               (exp.base_radius,) * (exp.d - 1),
+                               exp.box_margin, exp.box_height)(0)
+    chunk = max(1, 1000 // first.size)
+    assert exp.replicates > 2 * chunk and (chunk == 1 or exp.replicates % chunk)
+    validity = surface_validity(exp)
+    n = exp.replicates * (2 * exp.base_radius + 1) ** (exp.d - 1)
+    assert (validity["columns_total"], validity["columns_certified"],
+            validity["openness_violations"], validity["lipschitz_violations"]) == (
+        n, want["certified"], want["open_bad"], want["lip_bad"])
+    assert [row["successes"] for row in existence_curve(exp)] == [
+        want["successes", p] for p in exp.p_grid]
+    assert equivariance_check(exp)["mismatches"] == want["mismatches"] == 0
+    mono = monotonicity_check(exp)
+    assert (mono["pairs_checked"], mono["violations"]) == (want["pairs"], want["rises"])
+    if exp.d == 3:
+        assert (want["certified"], n, want["lip_bad"]) == (4872, 4900, 18)
+    assert want["certified"] < n
+
+
+def test_isometry_view_matches_the_field_site_by_site():
+    """The view of a batch of hashed masks under every column isometry
+    reads PercolationField.is_closed at the mapped site; the identity view
+    is the hashed masks themselves.  At d=4 some permutations are not their
+    own inverses."""
+    for d, r in ((2, 2), (3, 2), (4, 1)):
+        box = BoxRegion((-r,) * (d - 1) + (0,), (r,) * (d - 1) + (3,))
+        masks = REACH._hash_replicates(d, 0.7, 17)(np.arange(3), box)
+        for perm, signs in harness.signed_permutations(d - 1):
+            seen = harness._isometry_view(masks, perm, signs)
+            for rep in range(3):
+                view = _View(PercolationField(d, 0.7, 17, rep), perm, signs)
+                for site in box.sites():
+                    at = tuple(c - a for c, a in zip(site, box.lo))
+                    assert seen[(rep, *at)] == view.is_closed(site)
+        ident = harness._isometry_view(masks, tuple(range(d - 1)), (1,) * (d - 1))
+        assert np.array_equal(ident, masks)
+
+
 def test_run_experiment_deterministic_csv(tmp_path):
     config = {"kind": "radh_tail", "d": 2, "p": 0.99, "replicates": 300,
               "seed": 12, "k_max": 3, "out": str(tmp_path / "a.csv")}
@@ -736,6 +882,57 @@ _BRW_GOLDEN_DIGESTS = {
 def test_brw_golden_bodies(tmp_path, name):
     assert (_golden_bodies(tmp_path, name, _BRW_GOLDEN_CASES)
             == _BRW_GOLDEN_DIGESTS[name])
+
+
+# Surface kinds with grown boxes, unresolved columns and, for validity,
+# nonzero Lipschitz violation counts (the height-truncation residual of a
+# low first box); digests recorded on the per-replicate implementation
+# these kinds had before they ran on hashed replicate batches.
+_SURFACE_GOLDEN_CASES = {
+    "surface_validity_grown_d2": ({"kind": "surface_validity", "p": 0.9, "replicates": 60,
+                                   "seed": 7, "base_radius": 6, "box_margin": 1,
+                                   "box_height": 1, "growth_cap": 2,
+                                   "unresolved_threshold": 1.0}, None),
+    "surface_validity_grown_d3": ({"kind": "surface_validity", "d": 3, "p": 0.93,
+                                   "replicates": 100, "seed": 6, "base_radius": 3,
+                                   "box_margin": 1, "box_height": 2, "growth_cap": 1,
+                                   "unresolved_threshold": 1.0}, None),
+    "existence_curve_grown": ({"kind": "existence_curve", "p_grid": [0.88, 0.93, 0.97],
+                               "replicates": 40, "seed": 8, "base_radius": 4,
+                               "box_margin": 1, "box_height": 1, "growth_cap": 2,
+                               "unresolved_threshold": -1.0}, None),
+    "equivariance_grown": ({"kind": "equivariance", "d": 3, "p": 0.92, "replicates": 8,
+                            "seed": 9, "base_radius": 2, "box_margin": 1,
+                            "box_height": 1, "growth_cap": 1,
+                            "unresolved_threshold": -1.0}, None),
+    "monotonicity_grown": ({"kind": "monotonicity", "d": 3, "p_grid": [0.9, 0.93, 0.97],
+                            "replicates": 30, "seed": 10, "base_radius": 2,
+                            "box_margin": 1, "box_height": 2, "growth_cap": 1,
+                            "unresolved_threshold": -1.0}, None),
+}
+_SURFACE_GOLDEN_DIGESTS = {
+    "surface_validity_grown_d2": (
+        "7275f9d363f82883142316444bbf730966b11a5be24659ee52653d9ef02f9c7f",
+        "bca664db8c18f3e86d50bf8527d3574c1a76ec5de9b7f94e2765851b276fa05a"),
+    "surface_validity_grown_d3": (
+        "131a3986993baaf9db066738f13daf4a967d6a581eef58c7da821b123da9e197",
+        "d9e85e96db1673bbab25b4ad9eccc79051e58e7c5a6751fffbfcb9a733851623"),
+    "existence_curve_grown": (
+        "5c322382f77187c8a6e1b89837dfab55a1272bf347fa415a067b688a83fecb2e",
+        "dd747cb9d766c094cd507750b53f4228d822e52c10cbab058830b0284aafb1b5"),
+    "equivariance_grown": (
+        "c8311d526f20d8069a31d6a5bf25d056a3e4f9eaec50af358db7aac790076ece",
+        "79092c8ec7e6bcf8101ddd1afe8dfff852c50c8a930445585ae122f1b81656bf"),
+    "monotonicity_grown": (
+        "b705059516938438ad824e5052ec58a42d210666c20e38568966d10bdd2209f8",
+        "3146074e6024d08276e2dc8f2287063da0017772c7fe1b95fd9c55d4047a6f0d"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SURFACE_GOLDEN_CASES))
+def test_surface_kind_golden_bodies(tmp_path, name):
+    assert (_golden_bodies(tmp_path, name, _SURFACE_GOLDEN_CASES)
+            == _SURFACE_GOLDEN_DIGESTS[name])
 
 
 @pytest.mark.parametrize("floor, evolves_per_run", [(0.0, 1), (0.05, 2)])

@@ -6,8 +6,7 @@ import pytest
 
 from lipsurf.lattice import (BoxRegion, ConstantField, ExplicitConfig,
                              ExplicitField, OverrideField, PercolationField,
-                             SignedPermutationField, SiteState, count_l1_sphere,
-                             height, open_threshold, radial,
+                             SiteState, count_l1_sphere, height, open_threshold, radial,
                              replicate_closed_masks, site_state)
 from lipsurf.stats import Z_999
 
@@ -185,16 +184,3 @@ def test_explicit_config_from_bits():
     box = BoxRegion((0, 0), (1, 1))
     config = ExplicitConfig.from_bits(box, 0b0101)
     assert config.states == (1, 0, 1, 0)
-
-
-def test_signed_permutation_field_matches_scalar():
-    base = PercolationField(3, 0.7, master_seed=17)
-    view = SignedPermutationField(base, perm=(1, 0), signs=(-1, 1))
-    box = BoxRegion((-3, -3, 0), (3, 3, 4))
-    mask = view.closed_mask(box)
-    for s in box.sites():
-        idx = tuple(c - a for c, a in zip(s, box.lo))
-        assert mask[idx] == view.is_closed(s)
-    # identity view is the base field
-    ident = SignedPermutationField(base, perm=(0, 1), signs=(1, 1))
-    assert np.array_equal(ident.closed_mask(box), base.closed_mask(box))

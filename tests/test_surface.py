@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lipsurf.lattice import (ConstantField, ExplicitConfig, ExplicitField,
-                             BoxRegion, OverrideField, PercolationField,
-                             SignedPermutationField, SiteState)
+                             BoxRegion, OverrideField, PercolationField, SiteState)
 from lipsurf.reach import Budget, floor_reach_sandwich, reach_masks
 from lipsurf.surface import (COVER_BUDGET, Cert, SurfacePatch, _climb_masks, _read_covers,
                              build_surface, climb_set, minimal_cover, surface_from_covers,
@@ -346,21 +345,6 @@ def test_surface_from_covers_matches_climb_sets():
                 raised += sum(v > 1 for v in patch.values.values())
                 unresolved += not all_cert
         assert raised and unresolved, (d, raised, unresolved)
-
-
-def test_equivariance_smoke():
-    from lipsurf.harness import signed_permutations
-    base = _base(2, k=2)
-    for rep in range(5):
-        field = PercolationField(3, 0.98, master_seed=303, replicate=rep)
-        patch = build_surface(field, base)
-        for perm, signs in signed_permutations(2):
-            view = SignedPermutationField(field, perm, signs)
-            vpatch = build_surface(view, base)
-            for col in base:
-                mapped = view.map_column(col)
-                assert vpatch.values[col] == patch.values[mapped]
-                assert vpatch.status[col] is patch.status[mapped]
 
 
 def test_antitone_coupling_in_p():
