@@ -12,8 +12,8 @@ __version__ = "0.1.0"
 from .lattice import (BoxRegion, Column, ConstantField, ExplicitConfig,
                       ExplicitField, Field, OverrideField, PercolationField,
                       Site, SiteState, count_l1_sphere, height, radial, site_state)
-from .reach import (Budget, ReachProbEstimate, ReachResult, ReachSandwich,
-                    StepSet, estimate_reach_prob, floor_reach_sandwich, reach)
+from .reach import (Budget, ReachResult, ReachSandwich, StepSet,
+                    floor_reach_sandwich, reach)
 from .surface import (Cert, LocalCoverResult, SurfacePatch, SurfaceReport,
                       build_surface, climb_set, minimal_cover,
                       surface_from_covers, verify_surface)

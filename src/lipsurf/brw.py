@@ -116,8 +116,13 @@ class OffspringLaw:
 
 
 @functools.lru_cache(maxsize=32)
-def _level_counts(d: int, depth_cap: int) -> np.ndarray:
-    return np.array([count_l1_sphere(d - 1, n) for n in range(1, depth_cap + 1)])
+def _level_counts(d: int, depth_cap: int) -> int | np.ndarray:
+    """Sites per depth level 1..depth_cap, as one int when every level has
+    the same count (d=2).  numpy's binomial then takes its scalar-n path,
+    which makes the same draws in the same order as the array form at a
+    fraction of its fixed cost per call."""
+    taus = [count_l1_sphere(d - 1, n) for n in range(1, depth_cap + 1)]
+    return taus[0] if len(set(taus)) == 1 else np.array(taus)
 
 
 def sample_offspring(location: int, law: OffspringLaw, key: int
@@ -126,20 +131,17 @@ def sample_offspring(location: int, law: OffspringLaw, key: int
     the exact weight discarded by the floor prune.
 
     Level counts and geometric displacements come from a generator seeded by
-    the particle's key alone; child keys extend the ancestry chain.
+    the particle's key alone; child keys extend the ancestry chain.  Only
+    the levels with children are visited.
     """
     rng = np.random.default_rng(key)
-    taus = _level_counts(law.d, law.depth_cap)
-    counts = rng.binomial(taus, law.q)
+    counts = rng.binomial(_level_counts(law.d, law.depth_cap), law.q, law.depth_cap)
     children: list[tuple[int, int]] = []
     discarded = 0.0
-    for i in range(law.depth_cap):
+    for i in counts.nonzero()[0].tolist():
         n = i + 1
-        c = int(counts[i])
-        if c == 0:
-            continue
         level_key = absorb(key, n)
-        for j in range(c):
+        for j in range(int(counts[i])):
             g = int(rng.geometric(law.p))
             loc = location - n + g
             w = exp(law.mu * loc)
@@ -197,6 +199,8 @@ def evolve(law: OffspringLaw, generations: int, master_seed: int,
     discarded = 0.0
     truncated = False
     for _ in range(generations):
+        if not particles:
+            break
         nxt: list[tuple[int, int]] = []
         for loc, key in particles:
             kids, dropped = sample_offspring(loc, law, key)
@@ -211,6 +215,13 @@ def evolve(law: OffspringLaw, generations: int, master_seed: int,
         max_locations.append(max(loc for loc, _ in particles) if particles else None)
         population.append(len(particles))
         discarded_cum.append(discarded)
+    # an extinct run stops; each generation left reads what an empty one
+    # gives: the int 0 that sum() returns, no maximum, no particles
+    left = generations + 1 - len(s_values)
+    s_values += [0] * left
+    max_locations += [None] * left
+    population += [0] * left
+    discarded_cum += [discarded] * left
     return BrwRun(law, shift, tuple(s_values), tuple(max_locations),
                   tuple(population), tuple(discarded_cum), truncated)
 

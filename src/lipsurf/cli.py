@@ -19,7 +19,7 @@ import sys
 from .bounds import HypothesisError, constants_summary
 from .harness import (_BOX_READS, _FIELD_TYPES, TAIL_KINDS, BudgetExceededError,
                       ConfigError, _base_ball, _config_dict, check_fields,
-                      oracle_suite, run_experiment)
+                      check_values, oracle_suite, run_experiment)
 from .lattice import BoxRegion, ExplicitConfig, PercolationField
 from .reach import Budget
 from .surface import COVER_BUDGET, build_surface, minimal_cover
@@ -138,6 +138,7 @@ def _cmd_sample(args, config: dict) -> int:
 
 
 def _cmd_surface(args, config: dict) -> int:
+    check_values(config)
     d = config.get("d", 2)
     radius = config.get("base_radius", 5)
     field = PercolationField(d, config.get("p", 0.99), config.get("seed", 0))
@@ -154,6 +155,7 @@ def _cmd_surface(args, config: dict) -> int:
 
 
 def _cmd_cover(args, config: dict) -> int:
+    check_values(config)
     d = config.get("d", 2)
     field = PercolationField(d, config.get("p", 0.99), config.get("seed", 0))
     cover = minimal_cover(field, (0,) * (d - 1), _budget(config, COVER_BUDGET))
@@ -174,11 +176,10 @@ def _cmd_run(args, config: dict, kind: str | None = None) -> int:
 
 
 def _cmd_bounds(args, config: dict) -> int:
-    k_max = config.get("k_max", 5)
-    if k_max < 0:
-        raise ConfigError("k_max", "must be >= 0")
+    check_values(config)
     summary = constants_summary(config.get("d", 2), config.get("p", 0.99),
-                                config.get("step_mode") == "no-straight-down", k_max)
+                                config.get("step_mode") == "no-straight-down",
+                                config.get("k_max", 5))
     _emit(json.dumps(summary, sort_keys=True, indent=2) + "\n", config.get("out"))
     return EXIT_OK
 

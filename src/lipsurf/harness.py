@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 import time
 from dataclasses import dataclass
 from typing import Iterable
@@ -117,6 +118,27 @@ def check_fields(config: dict, reader: str, reads: frozenset) -> None:
                           f"expected {' or '.join(map(repr, modes))} for {reader}")
 
 
+# the least value of each bounded field, wherever it is read
+_MINIMA = {"d": 2, "replicates": 1, "k_max": 0, "box_margin": 1, "box_height": 1,
+           "growth_cap": 0, "base_radius": 0, "runs": 1, "generations": 1,
+           "depth_cap": 1, "weight_floor": 0}
+
+
+def check_values(config: dict) -> None:
+    """Each numeric field of a config that passed check_fields is in range
+    (NaN is in none); the error quotes every offending one."""
+    problems = {key: f"must be >= {least}" for key, least in _MINIMA.items()
+                if key in config and not config[key] >= least}
+    if "p" in config and not 0.0 < config["p"] < 1.0:
+        problems["p"] = "must lie in (0,1)"
+    if "mu" in config and not config["mu"] > 0.0:
+        problems["mu"] = "must be > 0"
+    if math.isnan(config.get("unresolved_threshold", 0.0)):
+        problems["unresolved_threshold"] = "must be a number, not NaN"
+    if problems:
+        raise ConfigError(*itertools.chain(*sorted(problems.items())))
+
+
 def experiment_from_config(obj: dict) -> Experiment:
     """Validate a raw config mapping; every failure names its field."""
     if not isinstance(obj, dict):
@@ -139,28 +161,8 @@ def experiment_from_config(obj: dict) -> Experiment:
         if any(not 0.0 < x < 1.0 for x in grid):
             raise ConfigError("p_grid", "entries must lie in (0,1)")
         kwargs["p_grid"] = tuple(float(x) for x in grid)
+    check_values(obj)
     exp = Experiment(**kwargs)
-    if exp.d < 2:
-        raise ConfigError("d", "must be >= 2")
-    if not 0.0 < exp.p < 1.0:
-        raise ConfigError("p", "must lie in (0,1)")
-    if exp.replicates < 1:
-        raise ConfigError("replicates", "must be >= 1")
-    if exp.k_max < 0:
-        raise ConfigError("k_max", "must be >= 0")
-    for name in ("box_margin", "box_height"):
-        if getattr(exp, name) < 1:
-            raise ConfigError(name, "must be >= 1")
-    if exp.growth_cap < 0:
-        raise ConfigError("growth_cap", "must be >= 0")
-    if exp.base_radius < 0:
-        raise ConfigError("base_radius", "must be >= 0")
-    if exp.unresolved_threshold != exp.unresolved_threshold:
-        raise ConfigError("unresolved_threshold", "must be a number, not NaN")
-    if not exp.mu > 0.0:  # NaN fails too
-        raise ConfigError("mu", "must be > 0")
-    if not exp.weight_floor >= 0.0:
-        raise ConfigError("weight_floor", "must be >= 0")
     if exp.kind == "existence_curve" and exp.p_grid is None:
         raise ConfigError("p_grid", "required for existence_curve")
     return exp

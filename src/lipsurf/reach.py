@@ -68,7 +68,6 @@ from enum import Enum
 import numpy as np
 
 from .lattice import BoxRegion, Column, Field, Site, replicate_closed_masks
-from .stats import Z_99, wilson_interval
 
 
 class StepSet(Enum):
@@ -347,80 +346,6 @@ class Budget:
     def __post_init__(self):
         if self.margin < 1 or self.height < 1 or self.growth_cap < 0:
             raise ValueError("budget fields must be positive (growth_cap >= 0)")
-
-
-@dataclass(frozen=True)
-class ReachProbEstimate:
-    """Interval estimate of P(origin reaches target) from sandwiched replicates.
-
-    Replicates the sandwich leaves unresolved widen the interval: they count
-    as misses on the lower side and hits on the upper side, and are reported.
-    """
-
-    target: Site
-    trials: int
-    hits_lower: int
-    hits_upper: int
-    unresolved: int
-    ci_lower: float
-    ci_upper: float
-
-
-def estimate_reach_prob(d: int, p: float, target: Site, *, master_seed: int,
-                        replicates: int, budget: Budget = Budget(),
-                        step_set: StepSet = StepSet.FULL,
-                        z: float = Z_99) -> ReachProbEstimate:
-    """Monte Carlo interval for the probability that the origin reaches the
-    target by an admissible path.
-
-    Per replicate the optimistic reach seeds the origin alone; the
-    pessimistic seeds that reach (the closure of a union) plus every inner
-    side-boundary site and every *closed* bottom-layer site (an upward
-    entry from below is admissible only onto a closed site, which is in-box
-    information).  Boxes span negative heights because paths from the
-    origin may dip below 0, and grow until the two variants agree on target
-    membership or the cap is hit.
-    """
-    if replicates < 1:
-        raise ValueError(f"replicates must be >= 1, got {replicates}")
-    target = tuple(target)
-    if len(target) != d:
-        raise ValueError("target has wrong dimension")
-    if target == (0,) * d:
-        # zero-length paths are admitted, so the origin always reaches itself
-        return ReachProbEstimate(target, replicates, replicates, replicates,
-                                 0, 1.0, 1.0)
-    t_radial = max((abs(c) for c in target[:-1]), default=0)
-    height = max(budget.height, abs(target[-1]) + 2)
-
-    def box_at(attempt):
-        # side extent exceeds the height so that worst-case side entries
-        # need several closed-site climbs to influence the target column
-        h = height << attempt
-        extent = h + budget.margin + t_radial
-        return BoxRegion(tuple([-extent] * (d - 1) + [-h]),
-                         tuple([extent] * (d - 1) + [h]))
-
-    def read(closed, box):
-        seeds = np.zeros_like(closed)
-        seeds[(slice(None), *(-c for c in box.lo))] = True
-        at_target = (slice(None), *(t - c for t, c in zip(target, box.lo)))
-        reached = reach_masks(closed, seeds, step_set)
-        hit_lo = reached[at_target].copy()
-        _seed_sides(reached, range(1, d))
-        reached[..., 0] |= closed[..., 0]
-        hit_hi = reach_masks(closed, reached, step_set)[at_target]
-        return hit_lo, hit_hi, hit_lo == hit_hi
-
-    hits_lo = hits_hi = 0
-    for lo, hi, _ in _settle_replicates(replicates, budget.growth_cap, box_at,
-                                        _hash_replicates(d, p, master_seed), read):
-        hits_lo += int(lo.sum())
-        hits_hi += int(hi.sum())
-    ci_lo = wilson_interval(hits_lo, replicates, z)[0]
-    ci_hi = wilson_interval(hits_hi, replicates, z)[1]
-    return ReachProbEstimate(target, replicates, hits_lo, hits_hi,
-                             hits_hi - hits_lo, ci_lo, ci_hi)
 
 
 # sites hashed and swept per piece of replicates: keeps a piece's arrays to

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from lipsurf import brw
 from lipsurf.brw import (OffspringLaw, brw_tables, evolve, martingale_table,
                          run_key, sample_offspring, sample_shift,
                          survival_curve)
-from lipsurf.lattice import count_l1_sphere
+from lipsurf.lattice import absorb, count_l1_sphere
 from lipsurf.stats import mean_and_se
 
 LAW = OffspringLaw(2, 0.99, math.log(2))
@@ -66,20 +67,27 @@ def test_cap_remainder_tiny():
 
 
 def test_extinction_is_absorbing():
-    seen_extinct = False
-    for i in range(100):
-        run = evolve(LAW, 8, 77, run_index=i)
-        died = None
-        for n, pop in enumerate(run.population):
-            if pop == 0:
-                died = n
-                break
-        if died is not None:
-            seen_extinct = True
-            assert all(p == 0 for p in run.population[died:])
-            assert all(s == 0.0 for s in run.s_values[died:])
-            assert all(m is None for m in run.max_locations[died:])
-    assert seen_extinct
+    for law in (LAW, OffspringLaw(2, 0.95, math.log(2), weight_floor=0.05)):
+        seen_extinct = seen_pruned = False
+        for i in range(100):
+            run = evolve(law, 8, 77, run_index=i)
+            died = None
+            for n, pop in enumerate(run.population):
+                if pop == 0:
+                    died = n
+                    break
+            if died is not None:
+                seen_extinct = True
+                assert all(p == 0 for p in run.population[died:])
+                assert all(s == 0.0 for s in run.s_values[died:])
+                assert all(m is None for m in run.max_locations[died:])
+                # the int 0 that sum() gives an empty generation
+                assert all(type(s) is int for s in run.s_values[died:])
+                # nothing is pruned after extinction: the tally stays put
+                assert run.discarded_cum[died:] == (run.discarded_cum[died],) * (9 - died)
+                seen_pruned |= run.discarded_cum[died] > 0.0
+        assert seen_extinct
+        assert seen_pruned == (law.weight_floor > 0.0)
 
 
 def test_pruning_monotone_and_accounted():
@@ -172,3 +180,37 @@ def test_invalid_law_params():
         OffspringLaw(2, 0.99, 0.5, weight_floor=nan)
     with pytest.raises(ValueError, match="weight_floor"):
         OffspringLaw(2, 0.99, 0.5, weight_floor=-0.1)
+
+
+def _array_n_offspring(location, law, key):
+    """Reference draw of one particle's children: the level counts from an
+    array of sites per level, every level walked in order."""
+    rng = np.random.default_rng(key)
+    taus = np.array([count_l1_sphere(law.d - 1, n)
+                     for n in range(1, law.depth_cap + 1)])
+    children, discarded = [], 0.0
+    for n, c in enumerate(rng.binomial(taus, law.q).tolist(), start=1):
+        for j in range(c):
+            loc = location - n + int(rng.geometric(law.p))
+            w = math.exp(law.mu * loc)
+            if w < law.weight_floor:
+                discarded += w
+            else:
+                children.append((loc, absorb(absorb(key, n), j)))
+    return children, discarded
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_offspring_draws_match_the_array_binomial(d):
+    """At d=2 every level has two sites and the counts come from numpy's
+    scalar-n binomial; its stream must equal the array form's, key by key.
+    d=3 takes the array form and checks the walk over nonzero levels."""
+    assert isinstance(brw._level_counts(2, 30), int)
+    law = OffspringLaw(d, 0.9, 0.5, weight_floor=0.3)
+    with_children = 0
+    for i in range(200):
+        key = run_key(17, i)
+        got = sample_offspring(3, law, key)
+        assert got == _array_n_offspring(3, law, key), i
+        with_children += bool(got[0])
+    assert with_children > 100

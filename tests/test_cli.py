@@ -127,6 +127,27 @@ def test_existence_rejects_a_negative_base_radius(capsys):
     assert "config field 'base_radius': must be >= 0" in captured.err
 
 
+@pytest.mark.parametrize("argv, field, why", [
+    (["surface", "--base-radius", "-1"], "base_radius", "must be >= 0"),
+    (["surface", "--box-margin", "0"], "box_margin", "must be >= 1"),
+    (["surface", "--box-height", "0"], "box_height", "must be >= 1"),
+    (["surface", "--d", "1"], "d", "must be >= 2"),
+    (["cover", "--box-height", "0"], "box_height", "must be >= 1"),
+    (["cover", "--growth-cap", "-1"], "growth_cap", "must be >= 0"),
+    (["cover", "--p", "1.5"], "p", "must lie in (0,1)"),
+    (["brw", "--runs", "0"], "runs", "must be >= 1"),
+])
+def test_out_of_range_fields_are_named(argv, field, why, capsys):
+    """surface and cover range-check their fields as the experiment kinds
+    do; before, a bad base radius or box size failed inside the engine with
+    a message that named no field, and zero BRW runs failed on an empty
+    sample."""
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert f"config field '{field}': {why}" in captured.err
+
+
 def test_exit_code_invalid_config(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"kind": "f_tail", "replicates": "many"}))

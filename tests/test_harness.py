@@ -19,8 +19,7 @@ from lipsurf.harness import (TAIL_CSV_HEADER, BudgetExceededError, ConfigError,
 from lipsurf.lattice import (BoxRegion, ExplicitConfig, ExplicitField, Field,
                              PercolationField)
 from lipsurf.oracle import exact_event_prob, walk_reach
-from lipsurf.reach import (Budget, StepSet, column_runs, estimate_reach_prob,
-                           floor_reach_sandwich, reach)
+from lipsurf.reach import StepSet, column_runs, floor_reach_sandwich, reach
 from lipsurf.stats import Z_99, wilson_interval
 from lipsurf.surface import Cert, build_surface, verify_surface
 
@@ -333,25 +332,27 @@ def test_box_growth_hashes_bounded_pieces(monkeypatch):
     """No hash call of the box-growth driver covers more than
     max(_CHUNK_SITES, box.size) sites.  At p=0.9 a chunk of the first box
     leaves more replicates unsettled than one piece of a grown box holds,
-    so hashing a chunk's pending replicates at once would break the bound."""
-    chunk_sites = 2000
-    monkeypatch.setattr(REACH, "_CHUNK_SITES", chunk_sites)
+    so hashing a chunk's pending replicates at once would break the bound.
+    At 300 sites per chunk the third and fourth boxes (351 and 1275 sites)
+    are larger than a chunk, and are hashed one replicate at a time."""
+    exp = Experiment(kind="f_tail", d=2, p=0.9, replicates=300, seed=35,
+                     step_mode=StepSet.NO_STRAIGHT_DOWN, box_height=3,
+                     box_margin=1, growth_cap=3)
     calls = _spy_hashing(monkeypatch)
-    surface_tail_curve(Experiment(kind="f_tail", d=2, p=0.9, replicates=300,
-                                  seed=35, step_mode=StepSet.NO_STRAIGHT_DOWN,
-                                  box_height=3, box_margin=1, growth_cap=3))
-    first = calls[0][1]
-    chunk = chunk_sites // first.size
-    pending = collections.Counter()  # (chunk, grown box) -> replicates hashed
-    for reps, box in calls:
-        if box != first:
-            pending[reps[0] // chunk, box] += len(reps)
-    assert max(n * box.size for (_, box), n in pending.items()) > chunk_sites
-    estimate_reach_prob(2, 0.9, (1, 1), master_seed=9, replicates=300,
-                        budget=Budget(2, 2, 3))
+    for chunk_sites in (2000, 300):
+        monkeypatch.setattr(REACH, "_CHUNK_SITES", chunk_sites)
+        calls.clear()
+        surface_tail_curve(exp)
+        assert all(len(reps) * box.size <= max(chunk_sites, box.size)
+                   for reps, box in calls)
+        first = calls[0][1]
+        chunk = chunk_sites // first.size
+        pending = collections.Counter()  # (chunk, grown box) -> replicates hashed
+        for reps, box in calls:
+            if box != first:
+                pending[reps[0] // chunk, box] += len(reps)
+        assert max(n * box.size for (_, box), n in pending.items()) > chunk_sites
     assert any(box.size > chunk_sites for _, box in calls)
-    assert all(len(reps) * box.size <= max(chunk_sites, box.size)
-               for reps, box in calls)
 
 
 def test_spread_and_cover_tails():
@@ -654,11 +655,14 @@ def test_run_experiment_rejects_nan_unresolved_threshold(tmp_path):
 
 @pytest.mark.parametrize("field, bad", [("mu", float("nan")), ("mu", 0.0),
                                          ("weight_floor", float("nan")),
-                                         ("weight_floor", -0.1)])
+                                         ("weight_floor", -0.1),
+                                         ("runs", 0), ("generations", 0),
+                                         ("depth_cap", 0)])
 def test_run_experiment_rejects_bad_brw_parameters(tmp_path, field, bad):
     # NaN compares false against every bound: a NaN weight floor would prune
     # nothing and run as a zero floor, and a NaN mu would fail deep in the
-    # offspring series instead of naming the field
+    # offspring series instead of naming the field; zero runs evolved
+    # nothing and failed on an empty sample
     config = {"kind": "brw", "d": 2, "p": 0.95, "mu": 0.5, "runs": 4,
               "generations": 2}
     run_experiment(config)

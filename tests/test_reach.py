@@ -8,11 +8,10 @@ from hypothesis import example, given, settings, strategies as st
 from lipsurf.lattice import (BoxRegion, ConstantField, ExplicitConfig,
                              ExplicitField, OverrideField, PercolationField,
                              SiteState, replicate_closed_masks)
-from lipsurf.oracle import exact_event_prob, walk_reach
-from lipsurf.reach import (Budget, StepSet, _floor_column_runs, _rim,
-                           _seed_sides, _settle_replicates, column_runs,
-                           estimate_reach_prob, floor_reach_sandwich, reach,
-                           reach_masks)
+from lipsurf.oracle import walk_reach
+from lipsurf.reach import (StepSet, _floor_column_runs, _rim, _seed_sides,
+                           _settle_replicates, column_runs,
+                           floor_reach_sandwich, reach, reach_masks)
 
 # the package exports a function named reach, so fetch the module itself
 REACH = importlib.import_module("lipsurf.reach")
@@ -619,69 +618,6 @@ def test_settle_replicates_keeps_settled_entries(columns, monkeypatch):
     assert all(len(reps) * box.size <= max(chunk_sites, box.size)
                for reps, box in hashed)
     assert any(len(reps) > 1 and box != box_at(0) for reps, box in hashed)
-
-
-def test_estimate_reach_prob_origin():
-    est = estimate_reach_prob(2, 0.99, (0, 0), master_seed=1, replicates=50)
-    assert est.hits_lower == est.hits_upper == 50
-    assert est.ci_lower == est.ci_upper == 1.0
-
-
-@pytest.mark.parametrize("target", [(0, 0), (1, 1)])
-@pytest.mark.parametrize("replicates", [0, -3])
-def test_estimate_reach_prob_rejects_too_few_replicates(replicates, target):
-    with pytest.raises(ValueError, match="replicates must be >= 1"):
-        estimate_reach_prob(2, 0.9, target, master_seed=1, replicates=replicates)
-
-
-def test_estimate_reach_prob_vs_exact_bracket():
-    """The Monte Carlo interval for P(origin reaches e_d) must be consistent
-    with the exact optimistic/pessimistic probabilities enumerated on a
-    small box (which bracket the truth)."""
-    d, p = 2, 0.99
-    box = BoxRegion((-1, 0), (1, 2))
-    bottom = [(-1, 0), (0, 0), (1, 0)]
-    side = [s for s in box.sites() if abs(s[0]) == 1]
-
-    def opt_hit(config):
-        return (0, 1) in walk_reach(config, [(0, 0)])
-
-    def pes_hit(config):
-        seeds = {(0, 0), *side}
-        seeds.update(s for s in bottom if config.is_closed(s))
-        return (0, 1) in walk_reach(config, seeds)
-
-    exact_lo = exact_event_prob(d, p, box, opt_hit)
-    exact_hi = exact_event_prob(d, p, box, pes_hit)
-    assert exact_lo <= exact_hi
-    est = estimate_reach_prob(d, p, (0, 1), master_seed=5, replicates=4000,
-                              budget=Budget(margin=4, height=4, growth_cap=3))
-    assert est.unresolved <= est.trials * 0.01
-    # intervals intersect
-    assert est.ci_lower <= exact_hi and exact_lo <= est.ci_upper
-
-
-def test_estimate_reach_prob_reports_unresolved():
-    est = estimate_reach_prob(2, 0.93, (0, 3), master_seed=2, replicates=300,
-                              budget=Budget(margin=2, height=4, growth_cap=0))
-    assert est.trials == 300
-    assert est.hits_upper - est.hits_lower == est.unresolved
-
-
-@pytest.mark.parametrize("d, p, target, budget, step_set, want", [
-    (2, 0.9, (1, 1), Budget(2, 2, 3), StepSet.FULL, (8, 12, 4)),
-    (2, 0.8, (0, 3), Budget(1, 2, 2), StepSet.NO_STRAIGHT_DOWN, (4, 39, 35)),
-    (3, 0.95, (1, 0, 1), Budget(2, 3, 2), StepSet.FULL, (2, 6, 4)),
-    (2, 0.7, (-2, -1), Budget(1, 1, 1), StepSet.FULL, (212, 300, 88)),
-])
-def test_estimate_reach_prob_pinned_counts(d, p, target, budget, step_set, want):
-    """(hits_lower, hits_upper, unresolved) as the per-replicate growth loop
-    over single fields counted them, on configs where boxes grow and some
-    replicates stay unresolved at the growth cap."""
-    est = estimate_reach_prob(d, p, target, master_seed=9, replicates=300,
-                              budget=budget, step_set=step_set)
-    assert (est.hits_lower, est.hits_upper, est.unresolved) == want
-    assert est.trials == 300
 
 
 def test_climb_height_needs_closed_sites():
