@@ -8,10 +8,11 @@ from hypothesis import example, given, settings, strategies as st
 from lipsurf.lattice import (BoxRegion, ConstantField, ExplicitConfig,
                              ExplicitField, OverrideField, PercolationField,
                              SiteState, replicate_closed_masks)
-from lipsurf.oracle import walk_reach
-from lipsurf.reach import (StepSet, _floor_column_runs, _rim, _seed_sides,
-                           _settle_replicates, column_runs,
+from lipsurf.oracle import exact_event_prob, walk_reach
+from lipsurf.reach import (StepSet, _floor_column_runs, _hash_replicates, _rim,
+                           _seed_sides, _settle_replicates, column_runs,
                            floor_reach_sandwich, reach, reach_masks)
+from lipsurf.stats import wilson_interval
 
 # the package exports a function named reach, so fetch the module itself
 REACH = importlib.import_module("lipsurf.reach")
@@ -618,6 +619,59 @@ def test_settle_replicates_keeps_settled_entries(columns, monkeypatch):
     assert all(len(reps) * box.size <= max(chunk_sites, box.size)
                for reps, box in hashed)
     assert any(len(reps) > 1 and box != box_at(0) for reps, box in hashed)
+
+
+def test_estimate_reach_prob_vs_exact_bracket():
+    """A Monte Carlo interval for P(origin reaches e_d), sandwiched on hashed
+    replicates in growing boxes, must be consistent with the exact
+    optimistic/pessimistic probabilities enumerated on a small box (which
+    bracket the truth)."""
+    d, p, target, replicates = 2, 0.99, (0, 1), 4000
+    box = BoxRegion((-1, 0), (1, 2))
+    bottom = [(-1, 0), (0, 0), (1, 0)]
+    side = [s for s in box.sites() if abs(s[0]) == 1]
+
+    def opt_hit(config):
+        return target in walk_reach(config, [(0, 0)])
+
+    def pes_hit(config):
+        seeds = {(0, 0), *side}
+        seeds.update(s for s in bottom if config.is_closed(s))
+        return target in walk_reach(config, seeds)
+
+    exact_lo = exact_event_prob(d, p, box, opt_hit)
+    exact_hi = exact_event_prob(d, p, box, pes_hit)
+    assert exact_lo <= exact_hi
+
+    def box_at(attempt):
+        # boxes span negative heights (paths from the origin may dip below
+        # 0) and reach wider than high, so side entries need many climbs
+        h = 4 << attempt
+        return BoxRegion((-h - 4, -h), (h + 4, h))
+
+    def read(closed, box):
+        # optimistic: the origin alone; pessimistic: that reach plus every
+        # side site and every closed bottom site (upward entry from below
+        # lands only on a closed site)
+        seeds = np.zeros_like(closed)
+        seeds[(slice(None), *(-c for c in box.lo))] = True
+        at_target = (slice(None), *(t - c for t, c in zip(target, box.lo)))
+        reached = reach_masks(closed, seeds, StepSet.FULL)
+        hit_lo = reached[at_target].copy()
+        _seed_sides(reached, range(1, d))
+        reached[..., 0] |= closed[..., 0]
+        hit_hi = reach_masks(closed, reached, StepSet.FULL)[at_target]
+        return hit_lo, hit_hi, hit_lo == hit_hi
+
+    hits_lo = hits_hi = 0
+    for lo, hi, _ in _settle_replicates(replicates, 3, box_at,
+                                        _hash_replicates(d, p, 5), read):
+        hits_lo += int(lo.sum())
+        hits_hi += int(hi.sum())
+    assert hits_lo <= hits_hi <= hits_lo + replicates * 0.01
+    # intervals intersect
+    assert wilson_interval(hits_lo, replicates)[0] <= exact_hi
+    assert exact_lo <= wilson_interval(hits_hi, replicates)[1]
 
 
 def test_climb_height_needs_closed_sites():
