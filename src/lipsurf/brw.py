@@ -18,7 +18,12 @@ added to a discarded tally, never silently lost.
 
 Randomness is keyed per particle by its ancestry, so pruning or ignoring
 one particle never shifts the draws of any other; runs are deterministic
-given (master_seed, run_index).
+given (master_seed, run_index).  Every particle's draws are those of
+np.random.default_rng(key), made by numpy's own Generator.  Only the
+seeding is batched: the runs of a table advance in lockstep, and each
+generation's keys, across all runs, become PCG64 states in one numpy pass
+(_pcg64_states, numpy's SeedSequence reimplemented; the tests pin it
+against numpy key by key).
 """
 
 from __future__ import annotations
@@ -30,11 +35,44 @@ from math import exp
 import numpy as np
 
 from .bounds import geometric_mgf, offspring_laplace
-from .lattice import absorb, count_l1_sphere
+from .lattice import _absorb_vec, absorb, count_l1_sphere
 from .stats import Z_99, mean_and_se, wilson_interval
 
 _DOMAIN_TAG = 0x42525754  # keeps BRW streams disjoint from field streams
 _SHIFT_TAG = 0x43
+_LOCKSTEP_PARTICLES = 1 << 14  # runs holding more live particles advance in halves
+_BATCH_MIN = 8  # fewer keys are seeded faster by default_rng one at a time
+
+# numpy's SeedSequence (O'Neill's seed_seq_fe: a pool of four uint32 words)
+# and PCG64's seeding, as _pcg64_states reproduces them
+_M32 = 0xFFFFFFFF
+_M128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _chain(init: int, mult: int, count: int) -> list[int]:
+    """init * mult^i mod 2^32 for i < count: the constants a SeedSequence
+    hash steps through, the same for every key."""
+    out = [init]
+    while len(out) < count:
+        out.append(out[-1] * mult & _M32)
+    return out
+
+
+def _column(values: list[int]) -> np.ndarray:
+    return np.array(values, np.uint32)[:, None]
+
+
+_HASH = _chain(0x43B0D7E5, 0x931E8875, 17)  # hashmix call i: xor [i], times [i+1]
+_OUT = _chain(0x8B51F9DD, 0x58F38DED, 9)
+_FILL_XOR, _FILL_MUL = _column(_HASH[0:4]), _column(_HASH[1:5])
+# source word s is mixed into the other three, in ascending order
+_ROUNDS = tuple(([t for t in range(4) if t != s],
+                 _column(_HASH[4 + 3 * s:7 + 3 * s]),
+                 _column(_HASH[5 + 3 * s:8 + 3 * s])) for s in range(4))
+_OUT_XOR, _OUT_MUL = _column(_OUT[0:8]), _column(_OUT[1:9])
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_S16 = np.uint32(16)
 
 
 @dataclass(frozen=True)
@@ -125,31 +163,106 @@ def _level_counts(d: int, depth_cap: int) -> int | np.ndarray:
     return taus[0] if len(set(taus)) == 1 else np.array(taus)
 
 
+def _hashmix(x: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    # SeedSequence's hashmix on uint32 rows, each row with its own constants
+    x = x ^ xor
+    x *= mul
+    x ^= x >> _S16
+    return x
+
+
+def _pcg64_states(keys: np.ndarray) -> list[tuple[int, int]]:
+    """PCG64's (state, inc) in np.random.default_rng(key), for each uint64 key.
+
+    One numpy pass runs numpy's SeedSequence on every key at once.  Its
+    pool of four uint32 words starts as the hashed low word, high word and
+    two zeros (a key below 2^32 has one word, and SeedSequence pads the
+    pool with zeros, so its high word hashes the same); each word is mixed
+    into the other three; the pool is hashed out into eight words, a
+    128-bit seed and a 128-bit increment.  PCG64's two seeding steps then
+    run in Python ints.
+    """
+    words = np.zeros((4, keys.size), np.uint32)
+    words[:2] = keys.astype("<u8").view("<u4").reshape(-1, 2).T
+    pool = _hashmix(words, _FILL_XOR, _FILL_MUL)
+    for src, (dst, xor, mul) in enumerate(_ROUNDS):
+        mixed = pool[dst] * _MIX_L - _hashmix(pool[src], xor, mul) * _MIX_R
+        mixed ^= mixed >> _S16
+        pool[dst] = mixed
+    out = _hashmix(np.concatenate([pool, pool]), _OUT_XOR, _OUT_MUL)
+    states = []
+    for seed_hi, seed_lo, inc_hi, inc_lo in (
+            np.ascontiguousarray(out.T, "<u4").view("<u8").tolist()):
+        inc = (inc_hi << 65 | inc_lo << 1 | 1) & _M128
+        seed = seed_hi << 64 | seed_lo
+        states.append((((inc + seed) * _PCG_MULT + inc) & _M128, inc))
+    return states
+
+
+def _seeder(keys: np.ndarray):
+    """The function i -> a Generator in the state np.random.default_rng(
+    keys[i]) starts in, to be drawn from before the next i is asked for.
+
+    Fewer than _BATCH_MIN keys are seeded by default_rng itself.  More are
+    turned into PCG64 states in one _pcg64_states pass, and one Generator,
+    owned by this call, is reseeded through its bit generator's state.
+    """
+    if keys.size < _BATCH_MIN:
+        return lambda i: np.random.default_rng(int(keys[i]))
+    states = _pcg64_states(keys)
+    rng = np.random.default_rng(0)  # every use below replaces its state
+    bits = rng.bit_generator
+
+    def seeded(i: int) -> np.random.Generator:
+        state, inc = states[i]
+        bits.state = {"bit_generator": "PCG64",
+                      "state": {"state": state, "inc": inc},
+                      "has_uint32": 0, "uinteger": 0}
+        return rng
+    return seeded
+
+
+def _offspring(rng: np.random.Generator, law: OffspringLaw, location: int
+               ) -> tuple[list[tuple[int, int, int]], float]:
+    """One particle's draws from rng: its kept children as (location, level,
+    index within the level), plus the exact weight the floor prune discarded.
+
+    The level counts are one binomial draw and the displacements one
+    geometric draw of their total, which numpy makes as the same calls, in
+    the same order, as one draw per child.  Only the levels with children
+    are visited.
+    """
+    counts = rng.binomial(_level_counts(law.d, law.depth_cap), law.q, law.depth_cap)
+    levels = counts.nonzero()[0].tolist()
+    if not levels:
+        return [], 0.0
+    counts = counts.tolist()
+    steps = iter(rng.geometric(law.p, sum(counts)).tolist())
+    kept = []
+    discarded = 0.0
+    for i in levels:
+        n = i + 1
+        for j in range(counts[i]):
+            loc = location - n + next(steps)
+            if law.weight_floor > 0.0:
+                w = exp(law.mu * loc)
+                if w < law.weight_floor:
+                    discarded += w
+                    continue
+            kept.append((loc, n, j))
+    return kept, discarded
+
+
 def sample_offspring(location: int, law: OffspringLaw, key: int
                      ) -> tuple[list[tuple[int, int]], float]:
     """Children of one particle: list of (location, child_key) pairs, plus
     the exact weight discarded by the floor prune.
 
     Level counts and geometric displacements come from a generator seeded by
-    the particle's key alone; child keys extend the ancestry chain.  Only
-    the levels with children are visited.
+    the particle's key alone; child keys extend the ancestry chain.
     """
-    rng = np.random.default_rng(key)
-    counts = rng.binomial(_level_counts(law.d, law.depth_cap), law.q, law.depth_cap)
-    children: list[tuple[int, int]] = []
-    discarded = 0.0
-    for i in counts.nonzero()[0].tolist():
-        n = i + 1
-        level_key = absorb(key, n)
-        for j in range(int(counts[i])):
-            g = int(rng.geometric(law.p))
-            loc = location - n + g
-            w = exp(law.mu * loc)
-            if w < law.weight_floor:
-                discarded += w
-                continue
-            children.append((loc, absorb(level_key, j)))
-    return children, discarded
+    kept, discarded = _offspring(np.random.default_rng(key), law, location)
+    return [(loc, absorb(absorb(key, n), j)) for loc, n, j in kept], discarded
 
 
 @dataclass(frozen=True)
@@ -170,14 +283,122 @@ class BrwRun:
     truncated: bool
 
 
+def _seed_prefix(master_seed: int) -> int:
+    return absorb(absorb(0, _DOMAIN_TAG), master_seed)
+
+
 def run_key(master_seed: int, run_index: int) -> int:
-    return absorb(absorb(absorb(0, _DOMAIN_TAG), master_seed), run_index)
+    return absorb(_seed_prefix(master_seed), run_index)
+
+
+def _run_keys(master_seed: int, run_indices) -> np.ndarray:
+    """run_key of each run index, as uint64."""
+    indices = np.array(run_indices, np.int64).astype(np.uint64)
+    return _absorb_vec(np.uint64(_seed_prefix(master_seed)), indices)
+
+
+class _Lineage:
+    """One run's per-generation records while it evolves."""
+
+    __slots__ = ("s_values", "max_locations", "population", "discarded_cum",
+                 "discarded", "truncated")
+
+    def __init__(self, mu: float, loc0: int):
+        self.s_values = [exp(mu * loc0)]
+        self.max_locations: list[int | None] = [loc0]
+        self.population = [1]
+        self.discarded_cum = [0.0]
+        self.discarded = 0.0
+        self.truncated = False
+
+    def record(self, mu: float, locs: list[int]) -> None:
+        self.s_values.append(sum(exp(mu * loc) for loc in locs))
+        self.max_locations.append(max(locs) if locs else None)
+        self.population.append(len(locs))
+        self.discarded_cum.append(self.discarded)
+
+    def run(self, law: OffspringLaw, shift: int | None, generations: int) -> BrwRun:
+        # an extinct run stops; each generation left reads what an empty one
+        # gives: the int 0 that sum() returns, no maximum, no particles
+        left = generations + 1 - len(self.s_values)
+        return BrwRun(law, shift, tuple(self.s_values + [0] * left),
+                      tuple(self.max_locations + [None] * left),
+                      tuple(self.population + [0] * left),
+                      tuple(self.discarded_cum + [self.discarded] * left),
+                      self.truncated)
+
+
+def _evolve_runs(law: OffspringLaw, generations: int, master_seed: int,
+                 run_indices, shifts=None,
+                 particle_cap: int = 100_000) -> list[BrwRun]:
+    """evolve() of each run index, started at its shift if shifts is given,
+    with all runs in lockstep.
+
+    Each generation seeds the live particles of every run in one _seeder
+    batch.  Runs holding more than _LOCKSTEP_PARTICLES live particles
+    advance in halves, so memory stays near that of one capped run.  Within
+    a run the order is evolve()'s: parents in turn, each one's discarded
+    weight added to the run's tally; once the next generation exceeds
+    particle_cap, its first particle_cap children are kept and the parents
+    left are not sampled.
+    """
+    if generations < 1:
+        raise ValueError("generations must be >= 1")
+    shifts = [None] * len(run_indices) if shifts is None else list(shifts)
+    starts = [0 if c is None else int(c) for c in shifts]
+    lineages = [_Lineage(law.mu, loc) for loc in starts]
+
+    def advance(lineages, locs, keys, sizes, done):
+        # lineages are the live runs, sizes their particle counts, and locs
+        # and keys their particles, run after run
+        while done < generations and lineages:
+            if len(lineages) > 1 and len(locs) > _LOCKSTEP_PARTICLES:
+                half = len(lineages) // 2
+                cut = sum(sizes[:half])
+                advance(lineages[:half], locs[:cut], keys[:cut], sizes[:half], done)
+                advance(lineages[half:], locs[cut:], keys[cut:], sizes[half:], done)
+                return
+            seeded = _seeder(keys)
+            live, live_sizes, kids, parents = [], [], [], []
+            first = 0
+            for lineage, size in zip(lineages, sizes):
+                mine, mine_parents = [], []
+                for p in range(first, first + size):
+                    kept, dropped = _offspring(seeded(p), law, locs[p])
+                    lineage.discarded += dropped
+                    mine += kept
+                    mine_parents += [p] * len(kept)
+                    if len(mine) > particle_cap:
+                        lineage.truncated = True
+                        del mine[particle_cap:], mine_parents[particle_cap:]
+                        break
+                first += size
+                lineage.record(law.mu, [loc for loc, _, _ in mine])
+                if mine:
+                    live.append(lineage)
+                    live_sizes.append(len(mine))
+                    kids += mine
+                    parents += mine_parents
+            lineages, sizes = live, live_sizes
+            done += 1
+            if done < generations:  # the last generation's keys go unread
+                table = np.array(kids, np.int64).reshape(-1, 3)
+                locs = table[:, 0].tolist()
+                keys = _absorb_vec(
+                    _absorb_vec(keys[parents], table[:, 1].astype(np.uint64)),
+                    table[:, 2].astype(np.uint64))
+
+    advance(lineages, starts, _run_keys(master_seed, run_indices),
+            [1] * len(starts), 0)
+    return [lineage.run(law, shift, generations)
+            for lineage, shift in zip(lineages, shifts)]
 
 
 def evolve(law: OffspringLaw, generations: int, master_seed: int,
            run_index: int = 0, shift: int | None = None,
            particle_cap: int = 100_000) -> BrwRun:
-    """Simulate one run for the given number of generations.
+    """Simulate one run for the given number of generations: a batch of
+    one over _evolve_runs.
 
     With shift=C every location is offset by +C from the start (S_0 becomes
     e^(mu*C)); the keyed randomness makes the shifted run's locations equal
@@ -188,48 +409,20 @@ def evolve(law: OffspringLaw, generations: int, master_seed: int,
     shifted by its C: with a zero floor that is the unshifted run's maxima
     plus C, so one evolve per run index serves both tables.
     """
-    if generations < 1:
-        raise ValueError("generations must be >= 1")
-    loc0 = 0 if shift is None else int(shift)
-    particles: list[tuple[int, int]] = [(loc0, run_key(master_seed, run_index))]
-    s_values = [exp(law.mu * loc0)]
-    max_locations: list[int | None] = [loc0]
-    population = [1]
-    discarded_cum = [0.0]
-    discarded = 0.0
-    truncated = False
-    for _ in range(generations):
-        if not particles:
-            break
-        nxt: list[tuple[int, int]] = []
-        for loc, key in particles:
-            kids, dropped = sample_offspring(loc, law, key)
-            discarded += dropped
-            nxt.extend(kids)
-            if len(nxt) > particle_cap:
-                truncated = True
-                nxt = nxt[:particle_cap]
-                break
-        particles = nxt
-        s_values.append(sum(exp(law.mu * loc) for loc, _ in particles))
-        max_locations.append(max(loc for loc, _ in particles) if particles else None)
-        population.append(len(particles))
-        discarded_cum.append(discarded)
-    # an extinct run stops; each generation left reads what an empty one
-    # gives: the int 0 that sum() returns, no maximum, no particles
-    left = generations + 1 - len(s_values)
-    s_values += [0] * left
-    max_locations += [None] * left
-    population += [0] * left
-    discarded_cum += [discarded] * left
-    return BrwRun(law, shift, tuple(s_values), tuple(max_locations),
-                  tuple(population), tuple(discarded_cum), truncated)
+    return _evolve_runs(law, generations, master_seed, [run_index],
+                        None if shift is None else [shift], particle_cap)[0]
+
+
+def _sample_shifts(law: OffspringLaw, master_seed: int, run_indices) -> list[int]:
+    """sample_shift of each run index, seeded in one batch."""
+    keys = _absorb_vec(_run_keys(master_seed, run_indices), np.uint64(_SHIFT_TAG))
+    seeded = _seeder(keys)
+    return [int(seeded(i).geometric(law.p)) for i in range(keys.size)]
 
 
 def sample_shift(law: OffspringLaw, master_seed: int, run_index: int) -> int:
     """Height of the lowest open site above a column: geometric with success p."""
-    rng = np.random.default_rng(absorb(run_key(master_seed, run_index), _SHIFT_TAG))
-    return int(rng.geometric(law.p))
+    return _sample_shifts(law, master_seed, [run_index])[0]
 
 
 @dataclass(frozen=True)
@@ -273,10 +466,8 @@ def martingale_table(law: OffspringLaw, generations: int, runs: int,
     cap_bias is the exact gap alpha^n - alpha_truncated^n between the ideal
     and simulated means; mean_discarded tracks floor pruning.
     """
-    runs_list = [evolve(law, generations, master_seed, run_index=r)
-                 for r in range(runs)]
-    return _martingale_rows(runs_list, generations, law.alpha(),
-                            law.alpha_truncated())
+    return _martingale_rows(_evolve_runs(law, generations, master_seed, range(runs)),
+                            generations, law.alpha(), law.alpha_truncated())
 
 
 def survival_curve(law: OffspringLaw, generations: int, runs: int,
@@ -302,23 +493,22 @@ def brw_tables(law: OffspringLaw, generations: int, runs: int,
     """martingale_table and survival_curve, row for row, from one pass.
 
     Each run index is evolved once unshifted and feeds both tables; only a
-    positive weight floor adds the shifted evolve the survival table needs.
+    positive weight floor adds the shifted runs the survival table needs.
+    The runs, and the shifts, are seeded in batches across run indices.
     alpha and the truncated alpha are computed once for both tables.
     """
     alpha, alpha_cap = law.alpha(), law.alpha_truncated()
     mgf = geometric_mgf(law.p, law.mu)
-    plain_runs = []
+    shifts = _sample_shifts(law, master_seed, range(runs))
+    plain_runs = _evolve_runs(law, generations, master_seed, range(runs))
+    if law.weight_floor > 0.0:
+        lifted = zip(_evolve_runs(law, generations, master_seed, range(runs),
+                                  shifts), [0] * runs)
+    else:
+        lifted = zip(plain_runs, shifts)
     hits = [0] * (generations + 1)
     disc_mean = [0.0] * (generations + 1)
-    for r in range(runs):
-        c = sample_shift(law, master_seed, r)
-        plain = evolve(law, generations, master_seed, run_index=r)
-        plain_runs.append(plain)
-        if law.weight_floor > 0.0:
-            run, lift = evolve(law, generations, master_seed, run_index=r,
-                               shift=c), 0
-        else:
-            run, lift = plain, c
+    for run, lift in lifted:
         for n in range(generations + 1):
             ml = run.max_locations[n]
             if ml is not None and ml + lift > 0:

@@ -119,6 +119,8 @@ def _budget(config: dict, default: Budget) -> Budget:
 
 
 def _cmd_sample(args, config: dict) -> int:
+    # the box fields size the emitted box, not a budget: no range is set
+    check_values({key: config[key] for key in ("d", "p") if key in config})
     d = config.get("d", 2)
     p = config.get("p", 0.99)
     m = config.get("box_margin", 4)
@@ -185,6 +187,7 @@ def _cmd_bounds(args, config: dict) -> int:
 
 
 def _cmd_oracle(args, config: dict) -> int:
+    check_values(config)
     suite = oracle_suite(p=config.get("p", 0.99))
     _emit(json.dumps(suite, sort_keys=True, indent=2) + "\n", config.get("out"))
     return EXIT_OK if suite["all_passed"] else EXIT_CONFIG

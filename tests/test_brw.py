@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from lipsurf import brw
-from lipsurf.brw import (OffspringLaw, brw_tables, evolve, martingale_table,
-                         run_key, sample_offspring, sample_shift,
-                         survival_curve)
+from lipsurf.brw import (BrwRun, OffspringLaw, brw_tables, evolve,
+                         martingale_table, run_key, sample_offspring,
+                         sample_shift, survival_curve)
 from lipsurf.lattice import absorb, count_l1_sphere
 from lipsurf.stats import mean_and_se
 
@@ -153,6 +153,11 @@ def test_determinism():
     assert a == b
     assert sample_shift(LAW, 99, 5) == sample_shift(LAW, 99, 5)
     assert sample_shift(LAW, 99, 5) >= 1
+    # shifts drawn in one batch are those of their keyed generators
+    law = OffspringLaw(2, 0.3, 0.5)  # a small p spreads the shifts out
+    assert brw._sample_shifts(law, 99, range(20)) == [
+        int(np.random.default_rng(absorb(run_key(99, r), brw._SHIFT_TAG))
+            .geometric(law.p)) for r in range(20)]
 
 
 def test_survival_rows():
@@ -214,3 +219,90 @@ def test_offspring_draws_match_the_array_binomial(d):
         assert got == _array_n_offspring(3, law, key), i
         with_children += bool(got[0])
     assert with_children > 100
+
+
+def test_pcg64_states_pin_numpy_seeding():
+    """_pcg64_states is numpy's SeedSequence and PCG64 seeding, key by key:
+    one-word keys, the first two-word key, the largest key, random keys."""
+    keys = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+    keys += np.random.default_rng(2024).integers(0, 2**64, 1000, np.uint64).tolist()
+    got = brw._pcg64_states(np.array(keys, np.uint64))
+    assert len(got) == len(keys)
+    for key, (state, inc) in zip(keys, got):
+        want = np.random.default_rng(key).bit_generator.state["state"]
+        assert (state, inc) == (want["state"], want["inc"]), key
+
+
+def test_reseeded_generator_draws_as_default_rng():
+    """The Generator a batch reseeds makes default_rng(key)'s draws: level
+    counts by scalar-n and by array-n binomial, then geometrics one at a
+    time and as an array, also with the keys visited out of order."""
+    keys = np.array([run_key(5, i) for i in range(40)], np.uint64)
+    assert keys.size >= brw._BATCH_MIN
+    seeded = brw._seeder(keys)
+    taus = 4 * np.arange(1, 31)
+
+    def draws(rng):
+        return (rng.binomial(2, 0.1, 30).tolist(), rng.binomial(taus, 0.1).tolist(),
+                [int(rng.geometric(0.3)) for _ in range(5)],
+                rng.geometric(0.3, 4).tolist())
+
+    for i in [*range(0, 40, 2), *range(39, 0, -2)]:
+        assert draws(seeded(i)) == draws(np.random.default_rng(int(keys[i]))), i
+
+
+def _one_particle_at_a_time(law, generations, seed, run_index, shift, cap):
+    """evolve's semantics with every particle seeded by default_rng through
+    sample_offspring, and no early stop: the reference for batched runs."""
+    loc0 = 0 if shift is None else shift
+    particles = [(loc0, run_key(seed, run_index))]
+    s, top, pop, disc = [math.exp(law.mu * loc0)], [loc0], [1], [0.0]
+    discarded, truncated = 0.0, False
+    for _ in range(generations):
+        nxt = []
+        for loc, key in particles:
+            kids, dropped = sample_offspring(loc, law, key)
+            discarded += dropped
+            nxt.extend(kids)
+            if len(nxt) > cap:
+                truncated = True
+                nxt = nxt[:cap]
+                break
+        particles = nxt
+        s.append(sum(math.exp(law.mu * loc) for loc, _ in particles))
+        top.append(max(loc for loc, _ in particles) if particles else None)
+        pop.append(len(particles))
+        disc.append(discarded)
+    return BrwRun(law, shift, tuple(s), tuple(top), tuple(pop), tuple(disc),
+                  truncated)
+
+
+@pytest.mark.parametrize("lockstep", [brw._LOCKSTEP_PARTICLES, 5])
+@pytest.mark.parametrize("law, cap", [
+    (OffspringLaw(2, 0.95, math.log(2)), 100_000),
+    (OffspringLaw(2, 0.95, math.log(2), weight_floor=0.05), 100_000),
+    (OffspringLaw(3, 0.99, 0.5), 50),
+    (OffspringLaw(3, 0.95, 0.5, weight_floor=0.01), 20),
+])
+def test_evolve_runs_equal_one_run_at_a_time(monkeypatch, law, cap, lockstep):
+    """Runs in lockstep, whole or in halves (a small lockstep budget), equal
+    batch-of-one evolves and a one-particle-at-a-time reference: under a
+    binding cap, and with pruned weight tallied bit for bit."""
+    monkeypatch.setattr(brw, "_LOCKSTEP_PARTICLES", lockstep)
+    runs, generations = 20, 3
+    shifts = [sample_shift(law, 9, r) for r in range(runs)]
+    for run_shifts in (None, shifts):
+        starts = run_shifts or [None] * runs
+        batch = brw._evolve_runs(law, generations, 9, range(runs), run_shifts,
+                                 particle_cap=cap)
+        ones = [evolve(law, generations, 9, run_index=r, shift=starts[r],
+                       particle_cap=cap) for r in range(runs)]
+        assert batch == ones
+        assert ones == [_one_particle_at_a_time(law, generations, 9, r,
+                                                starts[r], cap)
+                        for r in range(runs)]
+        assert ([[x.hex() for x in run.discarded_cum] for run in batch]
+                == [[x.hex() for x in run.discarded_cum] for run in ones])
+        assert any(run.truncated for run in batch) == (cap < 100_000)
+        assert (any(run.discarded_cum[-1] > 0.0 for run in batch)
+                == (law.weight_floor > 0.0))

@@ -136,12 +136,15 @@ def test_existence_rejects_a_negative_base_radius(capsys):
     (["cover", "--growth-cap", "-1"], "growth_cap", "must be >= 0"),
     (["cover", "--p", "1.5"], "p", "must lie in (0,1)"),
     (["brw", "--runs", "0"], "runs", "must be >= 1"),
+    (["sample", "--d", "1"], "d", "must be >= 2"),
+    (["sample", "--p", "0"], "p", "must lie in (0,1)"),
+    (["oracle", "--p", "1.5"], "p", "must lie in (0,1)"),
 ])
 def test_out_of_range_fields_are_named(argv, field, why, capsys):
-    """surface and cover range-check their fields as the experiment kinds
-    do; before, a bad base radius or box size failed inside the engine with
-    a message that named no field, and zero BRW runs failed on an empty
-    sample."""
+    """surface, cover, sample and oracle range-check their fields as the
+    experiment kinds do; before, a bad base radius or box size failed inside
+    the engine with a message that named no field (as did a bad d or p in
+    sample and oracle), and zero BRW runs failed on an empty sample."""
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err

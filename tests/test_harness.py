@@ -942,16 +942,18 @@ def test_surface_kind_golden_bodies(tmp_path, name):
 @pytest.mark.parametrize("floor, evolves_per_run", [(0.0, 1), (0.05, 2)])
 def test_brw_rows_evolves_each_run_once_at_zero_floor(monkeypatch, floor,
                                                        evolves_per_run):
-    calls = []
-    real_evolve = brw.evolve
+    # one entry per run index evolved, with its shift (None: unshifted)
+    evolved = []
+    real_evolve_runs = brw._evolve_runs
 
-    def spy(*args, **kwargs):
-        calls.append(kwargs.get("shift"))
-        return real_evolve(*args, **kwargs)
+    def spy(law, generations, master_seed, run_indices, shifts=None, **kwargs):
+        evolved.extend([None] * len(run_indices) if shifts is None else shifts)
+        return real_evolve_runs(law, generations, master_seed, run_indices,
+                                shifts, **kwargs)
 
-    monkeypatch.setattr(brw, "evolve", spy)
+    monkeypatch.setattr(brw, "_evolve_runs", spy)
     exp = Experiment(kind="brw", p=0.95, mu=0.5, runs=12, generations=3,
                      weight_floor=floor)
     harness.brw_rows(exp)
-    assert len(calls) == evolves_per_run * 12
-    assert calls.count(None) == 12
+    assert len(evolved) == evolves_per_run * 12
+    assert evolved.count(None) == 12
