@@ -17,11 +17,11 @@ from .reach import (Budget, ReachResult, ReachSandwich, StepSet,
 from .surface import (Cert, LocalCoverResult, SurfacePatch, SurfaceReport,
                       build_surface, climb_set, minimal_cover,
                       surface_from_covers, verify_surface)
-from .bounds import (BoundParams, HypothesisError, constants_summary,
-                     geometric_mgf, minimize_offspring_laplace,
-                     offspring_laplace, path_sum_bound, prefactor,
-                     spread_rate, spread_tail_bound, step_count,
-                     subcritical_threshold, surface_tail_bound, tail_rate)
+from .bounds import (HypothesisError, constants_summary, geometric_mgf,
+                     minimize_offspring_laplace, offspring_laplace,
+                     path_sum_bound, prefactor, spread_rate, spread_tail_bound,
+                     step_count, subcritical_threshold, surface_tail_bound,
+                     tail_rate)
 from .brw import (BrwRun, OffspringLaw, evolve, martingale_table,
                   sample_offspring, sample_shift, survival_curve)
 from .oracle import (NoCoverInBox, PathEnumeration, all_local_covers,

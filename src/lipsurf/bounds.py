@@ -18,7 +18,6 @@ All quantities are exact arithmetic in the model parameters (d, p):
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from math import exp, log
 
 import numpy as np
@@ -223,31 +222,6 @@ def subcritical_threshold(d: int, tol: float = 1e-6) -> float:
     return 0.5 * (lo + hi)
 
 
-@dataclass(frozen=True)
-class BoundParams:
-    """All closed-form constants for one (d, p, mode) triple."""
-
-    d: int
-    p: float
-    q: float
-    restricted: bool
-    a: int
-    aq: float
-    a2q: float
-    feasible: bool
-    prefactor: float | None
-
-    @staticmethod
-    def build(d: int, p: float, restricted: bool = False) -> "BoundParams":
-        _check_p(p)
-        a = step_count(d, restricted)
-        aq = tail_rate(d, p, restricted)
-        a2q = spread_rate(d, p, restricted)
-        feasible = a2q < 1.0
-        pref = prefactor(d, p, restricted) if feasible else None
-        return BoundParams(d, p, 1.0 - p, restricted, a, aq, a2q, feasible, pref)
-
-
 def constants_summary(d: int, p: float, restricted: bool = False,
                       k_max: int = 5) -> dict:
     """One JSON-able record of every constant, for the CLI and run metadata.
@@ -255,20 +229,22 @@ def constants_summary(d: int, p: float, restricted: bool = False,
     The prefactor reported is the explicit proof-level constant, not an
     abstract finite one; downstream tables state this in their metadata.
     """
-    bp = BoundParams.build(d, p, restricted)
+    _check_p(p)
+    a2q = spread_rate(d, p, restricted)
+    feasible = a2q < 1.0
     out = {
         "d": d,
         "p": p,
-        "q": bp.q,
+        "q": 1.0 - p,
         "step_mode": "no-straight-down" if restricted else "full",
-        "steps_per_site": bp.a,
-        "surface_tail_rate": bp.aq,
-        "spread_tail_rate": bp.a2q,
-        "hypothesis_ok": bp.feasible,
-        "prefactor": bp.prefactor,
+        "steps_per_site": step_count(d, restricted),
+        "surface_tail_rate": tail_rate(d, p, restricted),
+        "spread_tail_rate": a2q,
+        "hypothesis_ok": feasible,
+        "prefactor": prefactor(d, p, restricted) if feasible else None,
         "prefactor_note": "explicit proof-level constant 1/((1-aq)(1-a^2 q))",
     }
-    if bp.feasible:
+    if feasible:
         out["surface_tail_bounds"] = [surface_tail_bound(d, p, k, restricted)
                                       for k in range(k_max + 1)]
         out["spread_tail_bounds"] = [spread_tail_bound(d, p, k, restricted)

@@ -71,8 +71,8 @@ _ROUNDS = tuple(([t for t in range(4) if t != s],
                  _column(_HASH[4 + 3 * s:7 + 3 * s]),
                  _column(_HASH[5 + 3 * s:8 + 3 * s])) for s in range(4))
 _OUT_XOR, _OUT_MUL = _column(_OUT[0:8]), _column(_OUT[1:9])
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_S16 = np.uint32(16)
+# 0-d arrays, which a ufunc takes without the per-call scalar conversion
+_MIX_L, _MIX_R, _S16 = (np.array(c, np.uint32) for c in (0xCA01F9DD, 0x4973F715, 16))
 
 
 @dataclass(frozen=True)
@@ -199,25 +199,26 @@ def _pcg64_states(keys: np.ndarray) -> list[tuple[int, int]]:
     return states
 
 
-def _seeder(keys: np.ndarray):
+def _seeder(keys: np.ndarray, generator):
     """The function i -> a Generator in the state np.random.default_rng(
     keys[i]) starts in, to be drawn from before the next i is asked for.
 
     Fewer than _BATCH_MIN keys are seeded by default_rng itself.  More are
-    turned into PCG64 states in one _pcg64_states pass, and one Generator,
-    owned by this call, is reseeded through its bit generator's state.
+    turned into PCG64 states in one _pcg64_states pass, and the caller's
+    PCG64 Generator, from generator(), is reseeded through its bit
+    generator's state, one state dict rebound for every key.
     """
     if keys.size < _BATCH_MIN:
         return lambda i: np.random.default_rng(int(keys[i]))
     states = _pcg64_states(keys)
-    rng = np.random.default_rng(0)  # every use below replaces its state
+    rng = generator()
     bits = rng.bit_generator
+    state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
+    words = state["state"]
 
     def seeded(i: int) -> np.random.Generator:
-        state, inc = states[i]
-        bits.state = {"bit_generator": "PCG64",
-                      "state": {"state": state, "inc": inc},
-                      "has_uint32": 0, "uinteger": 0}
+        words["state"], words["inc"] = states[i]
+        bits.state = state
         return rng
     return seeded
 
@@ -347,6 +348,8 @@ def _evolve_runs(law: OffspringLaw, generations: int, master_seed: int,
     shifts = [None] * len(run_indices) if shifts is None else list(shifts)
     starts = [0 if c is None else int(c) for c in shifts]
     lineages = [_Lineage(law.mu, loc) for loc in starts]
+    # made by the first batch, if any; every _seeder pass replaces its state
+    generator = functools.cache(lambda: np.random.default_rng(0))
 
     def advance(lineages, locs, keys, sizes, done):
         # lineages are the live runs, sizes their particle counts, and locs
@@ -358,7 +361,7 @@ def _evolve_runs(law: OffspringLaw, generations: int, master_seed: int,
                 advance(lineages[:half], locs[:cut], keys[:cut], sizes[:half], done)
                 advance(lineages[half:], locs[cut:], keys[cut:], sizes[half:], done)
                 return
-            seeded = _seeder(keys)
+            seeded = _seeder(keys, generator)
             live, live_sizes, kids, parents = [], [], [], []
             first = 0
             for lineage, size in zip(lineages, sizes):
@@ -416,7 +419,7 @@ def evolve(law: OffspringLaw, generations: int, master_seed: int,
 def _sample_shifts(law: OffspringLaw, master_seed: int, run_indices) -> list[int]:
     """sample_shift of each run index, seeded in one batch."""
     keys = _absorb_vec(_run_keys(master_seed, run_indices), np.uint64(_SHIFT_TAG))
-    seeded = _seeder(keys)
+    seeded = _seeder(keys, lambda: np.random.default_rng(0))
     return [int(seeded(i).geometric(law.p)) for i in range(keys.size)]
 
 

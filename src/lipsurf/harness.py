@@ -19,7 +19,7 @@ import json
 import math
 import time
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -35,8 +35,6 @@ from .reach import floor_reach_sandwich  # noqa: F401
 from .stats import Z_99, wilson_interval
 from .surface import (_climb_box, _climb_masks, _cover_entries, _floor_box,
                       _read_covers, _surface_runs, _violations)
-
-TAIL_CSV_HEADER = "k,trials,hits_lo,hits_hi,p_lo,p_hi,ci_lo,ci_hi,bound,unresolved_frac"
 
 TAIL_KINDS = ("f_tail", "radh_tail", "rho_tail")
 
@@ -168,27 +166,22 @@ def experiment_from_config(obj: dict) -> Experiment:
     return exp
 
 
-@dataclass(frozen=True)
-class TailRow:
+class TailRow(NamedTuple):
+    """One tail CSV row; its fields, in order, are the CSV columns."""
+
     k: int
     trials: int
     hits_lo: int
     hits_hi: int
+    p_lo: float
+    p_hi: float
     ci_lo: float
     ci_hi: float
     bound: float
+    unresolved_frac: float
 
-    @property
-    def p_lo(self) -> float:
-        return self.hits_lo / self.trials
 
-    @property
-    def p_hi(self) -> float:
-        return self.hits_hi / self.trials
-
-    @property
-    def unresolved_frac(self) -> float:
-        return (self.hits_hi - self.hits_lo) / self.trials
+TAIL_CSV_HEADER = ",".join(TailRow._fields)
 
 
 @dataclass(frozen=True)
@@ -209,13 +202,8 @@ class TailCurve:
         return _rows_to_csv(self.to_json()["rows"], TAIL_CSV_HEADER)
 
     def to_json(self) -> dict:
-        # row keys are the TAIL_CSV_HEADER columns, which to_csv relies on
         return {"kind": self.kind, "d": self.d, "p": self.p,
-                "rows": [{"k": r.k, "trials": r.trials, "hits_lo": r.hits_lo,
-                          "hits_hi": r.hits_hi, "p_lo": r.p_lo, "p_hi": r.p_hi,
-                          "ci_lo": r.ci_lo, "ci_hi": r.ci_hi, "bound": r.bound,
-                          "unresolved_frac": r.unresolved_frac}
-                         for r in self.rows]}
+                "rows": [r._asdict() for r in self.rows]}
 
 
 def _tail_curve(exp: Experiment, kind: str, levels: int, runs, bound_at,
@@ -236,7 +224,8 @@ def _tail_curve(exp: Experiment, kind: str, levels: int, runs, bound_at,
     hits_lo, hits_hi = counts[:, ::-1].cumsum(axis=1)[:, -2::-1].tolist()
     n = exp.replicates
     ci = {h: wilson_interval(h, n, Z_99) for h in {*hits_lo, *hits_hi}}
-    rows = tuple(TailRow(k, n, lo, hi, ci[lo][0], ci[hi][1], bound_at(k))
+    rows = tuple(TailRow(k, n, lo, hi, lo / n, hi / n, ci[lo][0], ci[hi][1],
+                         bound_at(k), (hi - lo) / n)
                  for k, (lo, hi) in enumerate(zip(hits_lo, hits_hi)))
     return TailCurve(kind, exp.d, exp.p, rows)
 

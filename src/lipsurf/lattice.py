@@ -57,23 +57,22 @@ def absorb(h: int, value: int) -> int:
     return mix64(h ^ (value & _MASK))
 
 
-_NP_GOLDEN = np.uint64(_GOLDEN)
-_NP_C1 = np.uint64(_C1)
-_NP_C2 = np.uint64(_C2)
-_S30 = np.uint64(30)
-_S27 = np.uint64(27)
-_S31 = np.uint64(31)
+# 0-d arrays, not numpy scalars: a ufunc converts a scalar operand on
+# every call, which costs about as much as the op on a small array
+_NP_GOLDEN, _NP_C1, _NP_C2, _S30, _S27, _S31 = (
+    np.array(c, np.uint64) for c in (_GOLDEN, _C1, _C2, 30, 27, 31))
 
 
 def _absorb_vec(h: np.ndarray, value: np.ndarray) -> np.ndarray:
     # identical arithmetic to absorb(), elementwise on uint64 arrays
     x = h ^ value
-    x = x + _NP_GOLDEN
+    x += _NP_GOLDEN
     x ^= x >> _S30
-    x = x * _NP_C1
+    x *= _NP_C1
     x ^= x >> _S27
-    x = x * _NP_C2
-    return x ^ (x >> _S31)
+    x *= _NP_C2
+    x ^= x >> _S31
+    return x
 
 
 def _box_uniforms(base: np.ndarray, box: BoxRegion) -> np.ndarray:

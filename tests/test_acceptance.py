@@ -18,7 +18,7 @@ import time
 import pytest
 
 from lipsurf.bounds import spread_tail_bound, surface_tail_bound
-from lipsurf.brw import OffspringLaw, martingale_table, survival_curve
+from lipsurf.brw import OffspringLaw, brw_tables
 from lipsurf.harness import (Experiment, bucket_check, cover_sweep,
                              cover_tail_curve, en_check, equivariance_check,
                              monotonicity_check, spread_tail_curve,
@@ -210,15 +210,16 @@ def test_acceptance_6_brw_martingale_and_survival():
     if law.cap_remainder() >= 1e-6:
         problems.append(f"truncation mass {law.cap_remainder():.2e} >= 1e-6")
     runs = 10_000
-    mart = martingale_table(law, 10, runs, master_seed=SEED)
+    # one evolve per run feeds both tables; survival rows 0-8 are those of
+    # survival_curve(law, 8, ...), which test_brw checks
+    mart, surv = brw_tables(law, 10, runs, master_seed=SEED)
     for row in mart[1:]:
         se = law.mean_standard_error(row.n, runs)
         if abs(row.mean_s - row.alpha_pow) > 3 * se + row.cap_bias:
             problems.append(
                 f"martingale n={row.n}: |{row.mean_s:.3e} - {row.alpha_pow:.3e}|"
                 f" > 3*{se:.3e}")
-    surv = survival_curve(law, 8, runs, master_seed=SEED)
-    for row in surv[1:]:
+    for row in surv[1:9]:
         if row.frequency > row.bound + row.allowance:
             problems.append(
                 f"survival n={row.n}: {row.frequency:.3e} > bound "

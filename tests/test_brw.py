@@ -147,6 +147,23 @@ def test_brw_tables_match_martingale_table_and_shifted_evolves(floor):
     assert any(hits[1:])
 
 
+@pytest.mark.parametrize("law", [
+    OffspringLaw(2, 0.9, 0.5, depth_cap=5),
+    OffspringLaw(2, 0.9, 0.5, depth_cap=5, weight_floor=0.3),
+    OffspringLaw(3, 0.97, 0.5, depth_cap=3),
+    OffspringLaw(3, 0.97, 0.5, depth_cap=3, weight_floor=0.3),
+])
+def test_brw_tables_prefix_is_the_shorter_survival_curve(law):
+    """One brw_tables pass over 10 generations gives martingale_table's
+    rows and, in its rows 0-8, survival_curve's over 8 generations, as
+    acceptance 6 reads them."""
+    mart, surv = brw_tables(law, 10, 300, master_seed=7)
+    assert mart == martingale_table(law, 10, 300, master_seed=7)
+    assert surv[:9] == survival_curve(law, 8, 300, master_seed=7)
+    assert any(row.hits for row in surv[2:9])
+    assert (mart[-1].mean_discarded > 0.0) == (law.weight_floor > 0.0)
+
+
 def test_determinism():
     a = evolve(LAW, 6, 99, run_index=5)
     b = evolve(LAW, 6, 99, run_index=5)
@@ -236,10 +253,9 @@ def test_pcg64_states_pin_numpy_seeding():
 def test_reseeded_generator_draws_as_default_rng():
     """The Generator a batch reseeds makes default_rng(key)'s draws: level
     counts by scalar-n and by array-n binomial, then geometrics one at a
-    time and as an array, also with the keys visited out of order."""
-    keys = np.array([run_key(5, i) for i in range(40)], np.uint64)
-    assert keys.size >= brw._BATCH_MIN
-    seeded = brw._seeder(keys)
+    time and as an array, also with the keys visited out of order, and
+    with one Generator reseeded by two _seeder passes in turn."""
+    rng = np.random.default_rng(0)
     taus = 4 * np.arange(1, 31)
 
     def draws(rng):
@@ -247,8 +263,14 @@ def test_reseeded_generator_draws_as_default_rng():
                 [int(rng.geometric(0.3)) for _ in range(5)],
                 rng.geometric(0.3, 4).tolist())
 
-    for i in [*range(0, 40, 2), *range(39, 0, -2)]:
-        assert draws(seeded(i)) == draws(np.random.default_rng(int(keys[i]))), i
+    for seed in (5, 6):
+        keys = np.array([run_key(seed, i) for i in range(40)], np.uint64)
+        assert keys.size >= brw._BATCH_MIN
+        seeded = brw._seeder(keys, lambda: rng)
+        for i in [*range(0, 40, 2), *range(39, 0, -2)]:
+            got = seeded(i)
+            assert got is rng
+            assert draws(got) == draws(np.random.default_rng(int(keys[i]))), i
 
 
 def _one_particle_at_a_time(law, generations, seed, run_index, shift, cap):

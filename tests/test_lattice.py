@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lipsurf.lattice import (BoxRegion, ConstantField, ExplicitConfig,
                              ExplicitField, OverrideField, PercolationField,
@@ -67,6 +68,35 @@ def test_hashed_masks_lie_in_memory_as_reach_layers(d):
         single = PercolationField(d, 0.7, 12, rep).closed_mask(box)
         assert single.transpose(d - 1, *range(d - 1)).flags.c_contiguous
         np.testing.assert_array_equal(mask, single)
+
+
+@st.composite
+def _hashed_boxes(draw):
+    """A box of Z^d, d = 2-4, reaching into negative coordinates, with a
+    batch of one replicate or of many, in any order, and a seed and p."""
+    d = draw(st.integers(2, 4))
+    lo = [draw(st.integers(-2**40, 2**40) if draw(st.booleans())
+               else st.integers(-6, 3)) for _ in range(d)]
+    hi = [a + draw(st.integers(0, 3 if d == 4 else 5)) for a in lo]
+    reps = draw(st.lists(st.integers(0, 2**40), min_size=1,
+                         max_size=draw(st.sampled_from((1, 7)))))
+    return (d, draw(st.floats(0.05, 0.95)), draw(st.integers(-2**63, 2**64)),
+            reps, BoxRegion(tuple(lo), tuple(hi)))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_hashed_boxes())
+def test_batched_hash_matches_scalar_is_closed(case):
+    """replicate_closed_masks, the batched hash the tail kinds run on,
+    equals the scalar hash of PercolationField.is_closed site by site."""
+    d, p, seed, reps, box = case
+    masks = replicate_closed_masks(d, p, seed, reps, box)
+    assert masks.shape == (len(reps), *box.shape)
+    for mask, rep in zip(masks, reps):
+        field = PercolationField(d, p, seed, rep)
+        for s in box.sites():
+            idx = tuple(c - a for c, a in zip(s, box.lo))
+            assert mask[idx] == field.is_closed(s), (rep, s)
 
 
 def test_box_independence():
