@@ -9,9 +9,8 @@ oracles, and a Monte Carlo harness that tests every bound empirically.
 
 __version__ = "0.1.0"
 
-from .lattice import (BoxRegion, Column, ConstantField, ExplicitConfig,
-                      ExplicitField, Field, OverrideField, PercolationField,
-                      Site, SiteState, count_l1_sphere, height, radial, site_state)
+from .lattice import (BoxRegion, Column, ExplicitConfig, ExplicitField, Field,
+                      PercolationField, Site, count_l1_sphere, height, radial)
 from .reach import (Budget, ReachResult, ReachSandwich, StepSet,
                     floor_reach_sandwich, reach)
 from .surface import (Cert, LocalCoverResult, SurfacePatch, SurfaceReport,

@@ -26,10 +26,9 @@ import functools
 import itertools
 import json
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -113,11 +112,6 @@ def open_threshold(p: float) -> int:
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie in (0,1), got {p}")
     return int(Fraction(p) * (1 << 64))
-
-
-class SiteState(Enum):
-    OPEN = "open"
-    CLOSED = "closed"
 
 
 @dataclass(frozen=True)
@@ -206,12 +200,13 @@ class Field:
     def is_closed(self, site: Site) -> bool:
         raise NotImplementedError
 
-    def state(self, site: Site) -> SiteState:
-        return SiteState.CLOSED if self.is_closed(site) else SiteState.OPEN
-
     def _check_site(self, site: Site) -> None:
         if len(site) != self.d:
             raise ValueError(f"site {site} has dimension {len(site)}, field has d={self.d}")
+
+    def _check_box(self, box: BoxRegion) -> None:
+        if box.dim != self.d:
+            raise ValueError(f"box dimension {box.dim} != field dimension {self.d}")
 
     def closed_mask(self, box: BoxRegion) -> np.ndarray:
         raise NotImplementedError
@@ -248,8 +243,7 @@ class PercolationField(Field):
         return self.uniform64(site) >= self._threshold
 
     def closed_mask(self, box: BoxRegion) -> np.ndarray:
-        if box.dim != self.d:
-            raise ValueError(f"box dimension {box.dim} != field dimension {self.d}")
+        self._check_box(box)
         base = np.array(self._base, dtype=np.uint64)
         return _box_uniforms(base, box) >= np.uint64(self._threshold)
 
@@ -280,42 +274,6 @@ def replicate_closed_masks(d: int, p: float, master_seed: int, replicates,
     seed_state = np.uint64(absorb(0, int(master_seed)))
     base = _absorb_vec(seed_state, reps.astype(np.uint64))
     return _box_uniforms(base, box) >= np.uint64(open_threshold(float(p)))
-
-
-class ConstantField(Field):
-    """Every site in one fixed state; handy for boundary-case tests."""
-
-    def __init__(self, d: int, state: SiteState):
-        self.d = d
-        self._closed = state is SiteState.CLOSED
-
-    def is_closed(self, site: Site) -> bool:
-        self._check_site(site)
-        return self._closed
-
-    def closed_mask(self, box: BoxRegion) -> np.ndarray:
-        return np.full(box.shape, self._closed, dtype=bool)
-
-
-class OverrideField(Field):
-    """All sites open except an explicit finite set of closed sites."""
-
-    def __init__(self, d: int, closed: Iterable[Site] = ()):
-        self.d = d
-        self.closed = frozenset(tuple(s) for s in closed)
-        for s in self.closed:
-            self._check_site(s)
-
-    def is_closed(self, site: Site) -> bool:
-        self._check_site(site)
-        return tuple(site) in self.closed
-
-    def closed_mask(self, box: BoxRegion) -> np.ndarray:
-        mask = np.zeros(box.shape, dtype=bool)
-        for s in self.closed:
-            if box.contains(s):
-                mask[tuple(c - a for c, a in zip(s, box.lo))] = True
-        return mask
 
 
 @dataclass(frozen=True)
@@ -378,6 +336,7 @@ class ExplicitField(Field):
 
     def closed_mask(self, box: BoxRegion) -> np.ndarray:
         """Closed sites of the box; sites outside the config box read open."""
+        self._check_box(box)
         own = self.config.box
         lo = [max(a, b) for a, b in zip(box.lo, own.lo)]
         hi = [min(a, b) for a, b in zip(box.hi, own.hi)]
@@ -388,9 +347,3 @@ class ExplicitField(Field):
             states = np.array(self.config.states, dtype=bool).reshape(own.shape)
             mask[window(box.lo)] = ~states[window(own.lo)]
         return mask
-
-
-def site_state(field: Field, site: Site) -> SiteState:
-    """State of one site; deterministic for fixed field and site."""
-    field._check_site(tuple(site))
-    return field.state(tuple(site))

@@ -12,6 +12,7 @@ when n >= z^2(1-b)/b ~ 2.09e6.  At 1e5 replicates the zero-hit limit is
 the bound; the test checks that precondition before it samples.
 """
 
+import hashlib
 import math
 import time
 
@@ -29,6 +30,21 @@ from lipsurf.reach import StepSet
 from lipsurf.stats import wilson_interval
 
 SEED = 20260810
+# SHA-256 of each criterion's tail CSV body: outputs are a pure function of
+# the config, so any change to a sampled or certified count shows here
+_CSV_SHA256 = {
+    "surface": "daef3fd400e714555a9c32ee1226b1b3f7ffec0c69266fd960be4d6fda7c5e5b",
+    "spread": "f2d775d7be04d8de47c9b075b3f285b77f30a7f2fdae33afc7de87cb8e5be715",
+    "cover": "8d15bbc48fd2a0d7cf82a7da6e774324eafc5b0d34e9a4fd7517d3fd18a3c74d",
+}
+
+
+def _csv_drift(name, curve):
+    """A problem line when the curve's CSV body is not the pinned one."""
+    digest = hashlib.sha256(curve.to_csv().encode()).hexdigest()
+    if digest != _CSV_SHA256[name]:
+        return [f"{name} CSV body sha256 {digest} != pinned {_CSV_SHA256[name]}"]
+    return []
 
 
 def _report(num, name, ok, detail, elapsed, limit):
@@ -112,6 +128,7 @@ def test_acceptance_2_surface_tail_bound():
         problems.append(
             f"k=1 oracle cross-check failed: MC [{row1.ci_lo:.5f},"
             f"{row1.ci_hi:.5f}] vs exact bracket [{exact_lo:.5f},{exact_hi:.5f}]")
+    problems += _csv_drift("surface", curve)
     elapsed = time.time() - start
     if elapsed >= 300:
         problems.append(f"runtime {elapsed:.0f}s over 5 minutes")
@@ -139,6 +156,7 @@ def test_acceptance_3_spread_and_cover_tails():
             problems.append(f"cover n={row.k}: {row.ci_hi:.3e} > {row.bound:.3e}")
     if spread.max_unresolved_frac() >= 0.001 or cover.max_unresolved_frac() >= 0.001:
         problems.append("unresolved fraction above 0.1%")
+    problems += _csv_drift("spread", spread) + _csv_drift("cover", cover)
     elapsed = time.time() - start
     if elapsed >= 300:
         problems.append(f"runtime {elapsed:.0f}s over 5 minutes")

@@ -2,11 +2,13 @@ import functools
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from lipsurf import cli, harness
 from lipsurf.cli import main
 from lipsurf.harness import cover_sweep, run_experiment
+from lipsurf.lattice import BoxRegion, PercolationField
 
 
 def test_sample_json(capsys):
@@ -382,3 +384,40 @@ def test_surface_and_cover_golden_stdout(argv, digest, capsys):
         status = json.loads(out)["status"]
         assert ("unresolved" in status) == ("--growth-cap" in argv)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+_SAMPLE_D2 = ["sample", "--d", "2", "--p", "0.9", "--seed", "7", "--replicate", "3"]
+_SAMPLE_D3 = ["sample", "--d", "3", "--p", "0.8", "--seed", "7", "--replicate", "3",
+              "--box-margin", "2", "--box-height", "3"]
+_SAMPLE_GOLDEN = [
+    (_SAMPLE_D2, "338195507330206d634486794acc86009bf2e91c971cec9b7386ff751e4c3d14"),
+    (_SAMPLE_D2 + ["--format", "csv"],
+     "6475ee38653eda02abcb2acd2b58e89460bc3548afe70311477bfe0b425783c8"),
+    (_SAMPLE_D3, "c4be340e6e89c510b8cf128809f6277f832d537a4059bb2f9bb284abd7684a75"),
+    (_SAMPLE_D3 + ["--format", "csv"],
+     "49052f9c9008dde1b3b9329cb8437cef30c2facc3c7b2944a8d711cc787f45c0"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", _SAMPLE_GOLDEN,
+                         ids=[" ".join(a) for a, _ in _SAMPLE_GOLDEN])
+def test_sample_golden_stdout(argv, digest, capsys):
+    """The sampled box, byte for byte, and each of its states read off the
+    field's closed_mask, with the replicate the flag names."""
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    if "--format" in argv:
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        sites = [tuple(map(int, site.split())) for site, _ in rows]
+        box = BoxRegion(sites[0], sites[-1])
+        assert sites == list(box.sites())
+        states = [int(state) for _, state in rows]
+    else:
+        obj = json.loads(out)
+        box, states = BoxRegion.from_json(obj["box"]), obj["states"]
+    flags = dict(zip(argv[1::2], argv[2::2]))
+    field = PercolationField(int(flags["--d"]), float(flags["--p"]),
+                             int(flags["--seed"]), int(flags["--replicate"]))
+    np.testing.assert_array_equal(np.reshape(states, box.shape),
+                                  ~field.closed_mask(box))

@@ -5,20 +5,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lipsurf.lattice import (BoxRegion, ConstantField, ExplicitConfig,
-                             ExplicitField, OverrideField, PercolationField,
-                             SiteState, count_l1_sphere, height, open_threshold, radial,
-                             replicate_closed_masks, site_state)
+from lipsurf.lattice import (BoxRegion, ExplicitConfig, ExplicitField, PercolationField,
+                             count_l1_sphere, height, open_threshold, radial,
+                             replicate_closed_masks)
 from lipsurf.stats import Z_999
 
+from fields import closed_at
 
-def test_site_state_deterministic():
+
+def test_is_closed_deterministic():
     field = PercolationField(3, 0.7, master_seed=123, replicate=4)
     sites = [(x, y, z) for x in range(-3, 4) for y in range(-3, 4) for z in range(-3, 4)]
-    first = [site_state(field, s) for s in sites]
+    first = [field.is_closed(s) for s in sites]
     shuffled = sites[:]
     random.Random(0).shuffle(shuffled)
-    again = {s: site_state(field, s) for s in shuffled}
+    again = {s: field.is_closed(s) for s in shuffled}
     assert all(again[s] == st for s, st in zip(sites, first))
 
 
@@ -157,7 +158,10 @@ def test_count_l1_sphere_exhaustive_and_bound():
 def test_dimension_mismatch_raises():
     field = PercolationField(2, 0.5, master_seed=1)
     with pytest.raises(ValueError):
-        site_state(field, (1, 2, 3))
+        field.is_closed((1, 2, 3))
+    for f in (field, closed_at(2)):
+        with pytest.raises(ValueError, match="dimension"):
+            f.closed_mask(BoxRegion((0, 0, 0), (1, 1, 1)))
 
 
 def test_threshold_edges():
@@ -168,16 +172,16 @@ def test_threshold_edges():
     assert 0 < open_threshold(0.5) < 1 << 64
 
 
-def test_override_and_constant_fields():
-    closed = OverrideField(2, closed=[(0, 1), (2, 2)])
+def test_closed_at_fixture_masks():
+    closed = closed_at(2, [(0, 1), (2, 2)])
     assert closed.is_closed((0, 1)) and not closed.is_closed((1, 1))
-    box = BoxRegion((-1, 0), (2, 2))
+    box = BoxRegion((-1, -2), (3, 2))  # overhangs the config box (0, 1)-(2, 2)
     coords = np.argwhere(closed.closed_mask(box)) + box.lo
     assert set(map(tuple, coords.tolist())) == {(0, 1), (2, 2)}
-    all_open = ConstantField(2, SiteState.OPEN)
-    assert not all_open.closed_mask(box).any()
-    all_closed = ConstantField(2, SiteState.CLOSED)
-    assert all_closed.closed_mask(box).all()
+    far = BoxRegion((40, -30), (45, -25))
+    assert not closed_at(2).closed_mask(far).any()
+    assert not closed_at(2).closed_mask(box).any()
+    assert closed_at(2, box.sites()).closed_mask(box).all()
 
 
 def test_explicit_config_roundtrip_and_order():

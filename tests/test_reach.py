@@ -5,19 +5,19 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lipsurf.lattice import (BoxRegion, ConstantField, ExplicitConfig,
-                             ExplicitField, OverrideField, PercolationField,
-                             SiteState, replicate_closed_masks)
+from lipsurf.lattice import (BoxRegion, ExplicitConfig, ExplicitField, PercolationField,
+                             replicate_closed_masks)
 from lipsurf.oracle import exact_event_prob, walk_reach
 from lipsurf.reach import (StepSet, _floor_column_runs, _hash_replicates, _rim,
                            _seed_sides, _settle_replicates, column_runs,
                            floor_reach_sandwich, reach, reach_masks)
 from lipsurf.stats import wilson_interval
 
+from fields import closed_at
+
 # the package exports a function named reach, so fetch the module itself
 REACH = importlib.import_module("lipsurf.reach")
-ALL_OPEN = ConstantField(2, SiteState.OPEN)
-ALL_CLOSED = ConstantField(2, SiteState.CLOSED)
+ALL_OPEN = closed_at(2)
 
 
 def _downward_cone(source, box):
@@ -52,7 +52,7 @@ def test_reach_empty_sources():
 
 def test_reach_empty_sources_mask():
     box = BoxRegion((-2, -1, 0), (2, 1, 3))
-    result = reach(ConstantField(3, SiteState.CLOSED), [], box)
+    result = reach(closed_at(3, box.sites()), [], box)
     assert result.mask.shape == box.shape and not result.mask.any()
 
 
@@ -61,7 +61,7 @@ def test_reach_rejects_box_of_wrong_dimension():
     box = BoxRegion((-2, -1, 0), (2, 1, 3))
     for sources in ([], [(0, 0)]):
         with pytest.raises(ValueError, match="dimension"):
-            reach(ConstantField(2, SiteState.CLOSED), sources, box)
+            reach(ALL_OPEN, sources, box)
 
 
 def test_reach_result_reached_is_mask_sites():
@@ -161,7 +161,7 @@ def test_floor_sandwich_all_open():
 
 
 def test_floor_sandwich_single_closed_site():
-    field = OverrideField(2, closed=[(0, 1)])
+    field = closed_at(2, [(0, 1)])
     box = BoxRegion((-3, 0), (3, 3))
     sw = floor_reach_sandwich(field, box)
     assert {s for s in sw.optimistic.reached if s[1] >= 1} == {(0, 1)}
@@ -253,12 +253,13 @@ def test_sandwich_equals_set_reach():
 def test_reach_rejects_source_below_floor():
     # the oracle refuses the same input; a floor inside the box crops it
     box = BoxRegion((-1, -1), (1, 2))
-    with pytest.raises(ValueError, match="below floor"):
-        reach(ALL_CLOSED, [(0, -1)], box, height_floor=0)
     config = ExplicitConfig(box, (0,) * box.size)
+    all_closed = ExplicitField(config)
+    with pytest.raises(ValueError, match="below floor"):
+        reach(all_closed, [(0, -1)], box, height_floor=0)
     with pytest.raises(ValueError, match="below floor"):
         walk_reach(config, [(0, -1)], height_floor=0)
-    result = reach(ALL_CLOSED, [(0, 0)], box, height_floor=0)
+    result = reach(all_closed, [(0, 0)], box, height_floor=0)
     assert result.reached == walk_reach(config, [(0, 0)], height_floor=0)
     assert result.box == box
 
@@ -397,7 +398,7 @@ def test_rim_is_the_pessimistic_reach_of_open_boxes(shape, step_set):
     want = reach_masks(closed, seeds, step_set)
     assert (want > seeds).any()  # the sides descend into the box
     box = BoxRegion((0,) * d, tuple(n - 1 for n in shape))
-    sw = floor_reach_sandwich(ConstantField(d, SiteState.OPEN), box, step_set)
+    sw = floor_reach_sandwich(closed_at(d), box, step_set)
     np.testing.assert_array_equal(sw.pessimistic.mask, want[0])
     layers = (shape[-1], *shape[:-1])
     rim = _rim(layers, step_set)

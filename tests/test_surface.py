@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lipsurf.lattice import (ConstantField, ExplicitConfig, ExplicitField,
-                             BoxRegion, OverrideField, PercolationField, SiteState)
+from lipsurf.lattice import ExplicitConfig, ExplicitField, BoxRegion, PercolationField
 from lipsurf.reach import Budget, floor_reach_sandwich, reach_masks
 from lipsurf.surface import (COVER_BUDGET, Cert, SurfacePatch, _climb_masks, _read_covers,
                              build_surface, climb_set, minimal_cover, surface_from_covers,
                              verify_surface)
 
-ALL_OPEN = ConstantField(2, SiteState.OPEN)
+from fields import closed_at
+
+ALL_OPEN = closed_at(2)
 
 
 def _base(radius, k=1):
@@ -27,7 +28,7 @@ def test_build_surface_all_open():
 
 
 def test_build_surface_single_closed_site():
-    field = OverrideField(2, closed=[(0, 1)])
+    field = closed_at(2, [(0, 1)])
     patch = build_surface(field, _base(3))
     expect = {(-3,): 1, (-2,): 1, (-1,): 1, (0,): 2, (1,): 1, (2,): 1, (3,): 1}
     assert patch.values == expect
@@ -119,7 +120,7 @@ def test_verify_surface_lipschitz_violations_in_order_d3():
     """Violations come by column, in patch order, then by base axis, each
     pair once from its lower column; a pair with an unresolved column is
     not checked."""
-    field = ConstantField(3, SiteState.OPEN)
+    field = closed_at(3)
     patch = build_surface(field, _base(2, 2))
     assert set(patch.values.values()) == {1}
     corrupted = SurfacePatch(patch.columns, {**patch.values, (0, 0): 3},
@@ -169,7 +170,7 @@ def test_verify_surface_openness_fault_injection():
     # surface on a closed site, and every neighbour still differs by at most 1
     for d in (2, 3):
         x = (0,) * (d - 1)
-        field = OverrideField(d, [(*x, 1)])
+        field = closed_at(d, [(*x, 1)])
         patch = build_surface(field, _base(2, d - 1))
         assert patch.values[x] == 2
         corrupted = SurfacePatch(patch.columns, {**patch.values, x: 1},
@@ -193,7 +194,7 @@ def test_climb_set_all_open():
 
 
 def test_climb_set_single_closed():
-    field = OverrideField(2, closed=[(0, 1)])
+    field = closed_at(2, [(0, 1)])
     sites, cert = climb_set(field, (0,))
     assert sites == frozenset({(0, 0), (0, 1), (1, 0), (-1, 0)})
     assert cert is Cert.CERTIFIED
@@ -215,7 +216,7 @@ def test_minimal_cover_examples():
     cover = minimal_cover(ALL_OPEN, (0,))
     assert cover.entries == {(0,): 1}
     assert cover.cover_radius == 1 and cover.spread_radius == 0
-    field = OverrideField(2, closed=[(0, 1)])
+    field = closed_at(2, [(0, 1)])
     cover = minimal_cover(field, (0,))
     assert cover.entries == {(0,): 2, (1,): 1, (-1,): 1}
     assert cover.cover_radius == 2 and cover.spread_radius == 1
@@ -300,7 +301,7 @@ def test_minimal_cover_matches_climb_sets():
 def test_surface_from_covers_examples():
     patch = surface_from_covers(ALL_OPEN, _base(2), _base(4))
     assert all(v == 1 for v in patch.values.values())
-    field = OverrideField(2, closed=[(0, 1)])
+    field = closed_at(2, [(0, 1)])
     patch = surface_from_covers(field, _base(2), _base(5))
     assert patch.values[(0,)] == 2
     assert patch.values[(1,)] == 1 and patch.values[(-1,)] == 1
@@ -361,7 +362,7 @@ def test_antitone_coupling_in_p():
 
 
 def test_serialization_shapes():
-    field = OverrideField(2, closed=[(0, 1)])
+    field = closed_at(2, [(0, 1)])
     patch = build_surface(field, _base(2))
     obj = json.loads(patch.to_json_str())
     assert set(obj) == {"columns", "values", "status", "method"}
