@@ -9,8 +9,8 @@ oracles, and a Monte Carlo harness that tests every bound empirically.
 
 __version__ = "0.1.0"
 
-from .lattice import (BoxRegion, Column, ExplicitConfig, ExplicitField, Field,
-                      PercolationField, Site, count_l1_sphere, height, radial)
+from .lattice import (BoxRegion, Column, ExplicitConfig, Field, PercolationField,
+                      Site, count_l1_sphere, height, radial)
 from .reach import (Budget, ReachResult, ReachSandwich, StepSet,
                     floor_reach_sandwich, reach)
 from .surface import (Cert, LocalCoverResult, SurfacePatch, SurfaceReport,

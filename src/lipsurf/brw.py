@@ -36,7 +36,7 @@ import numpy as np
 
 from .bounds import geometric_mgf, offspring_laplace
 from .lattice import _absorb_vec, absorb, count_l1_sphere
-from .stats import Z_99, mean_and_se, wilson_interval
+from .stats import ltr_sum, mean_and_se, wilson_interval
 
 _DOMAIN_TAG = 0x42525754  # keeps BRW streams disjoint from field streams
 _SHIFT_TAG = 0x43
@@ -106,8 +106,8 @@ class OffspringLaw:
 
     def alpha_truncated(self) -> float:
         """Laplace transform of the depth-capped law; the simulated mean."""
-        series = sum(count_l1_sphere(self.d - 1, n) * exp(-self.mu * n)
-                     for n in range(1, self.depth_cap + 1))
+        series = ltr_sum(count_l1_sphere(self.d - 1, n) * exp(-self.mu * n)
+                         for n in range(1, self.depth_cap + 1))
         return self.q * series * geometric_mgf(self.p, self.mu)
 
     def cap_remainder(self) -> float:
@@ -313,14 +313,14 @@ class _Lineage:
         self.truncated = False
 
     def record(self, mu: float, locs: list[int]) -> None:
-        self.s_values.append(sum(exp(mu * loc) for loc in locs))
+        self.s_values.append(ltr_sum(exp(mu * loc) for loc in locs))
         self.max_locations.append(max(locs) if locs else None)
         self.population.append(len(locs))
         self.discarded_cum.append(self.discarded)
 
     def run(self, law: OffspringLaw, shift: int | None, generations: int) -> BrwRun:
         # an extinct run stops; each generation left reads what an empty one
-        # gives: the int 0 that sum() returns, no maximum, no particles
+        # gives: the int 0 that ltr_sum() returns, no maximum, no particles
         left = generations + 1 - len(self.s_values)
         return BrwRun(law, shift, tuple(self.s_values + [0] * left),
                       tuple(self.max_locations + [None] * left),
@@ -457,7 +457,7 @@ def _martingale_rows(runs: list[BrwRun], generations: int, alpha: float,
         mean, se = mean_and_se([run.s_values[n] for run in runs])
         rows.append(MartingaleRow(
             n, mean, se, alpha ** n, alpha ** n - alpha_cap ** n,
-            sum(run.discarded_cum[n] for run in runs) / len(runs)))
+            ltr_sum(run.discarded_cum[n] for run in runs) / len(runs)))
     return rows
 
 
@@ -474,7 +474,7 @@ def martingale_table(law: OffspringLaw, generations: int, runs: int,
 
 
 def survival_curve(law: OffspringLaw, generations: int, runs: int,
-                   master_seed: int, z: float = Z_99) -> list[SurvivalRow]:
+                   master_seed: int) -> list[SurvivalRow]:
     """Per-generation frequency of a shifted-run particle above location 0,
     against the Markov bound alpha^n * E e^(mu*C).
 
@@ -487,12 +487,11 @@ def survival_curve(law: OffspringLaw, generations: int, runs: int,
     one; the reported allowance adds the discarded mass and the cap bias
     back for reference.
     """
-    return brw_tables(law, generations, runs, master_seed, z)[1]
+    return brw_tables(law, generations, runs, master_seed)[1]
 
 
 def brw_tables(law: OffspringLaw, generations: int, runs: int,
-               master_seed: int, z: float = Z_99
-               ) -> tuple[list[MartingaleRow], list[SurvivalRow]]:
+               master_seed: int) -> tuple[list[MartingaleRow], list[SurvivalRow]]:
     """martingale_table and survival_curve, row for row, from one pass.
 
     Each run index is evolved once unshifted and feeds both tables; only a
@@ -521,7 +520,7 @@ def brw_tables(law: OffspringLaw, generations: int, runs: int,
     surv = []
     for n in range(generations + 1):
         freq = hits[n] / runs
-        ci_hi = wilson_interval(hits[n], runs, z)[1]
+        ci_hi = wilson_interval(hits[n], runs)[1]
         bound = alpha ** n * mgf
         allowance = disc_mean[n] + (alpha ** n - alpha_cap ** n) * mgf
         surv.append(SurvivalRow(n, hits[n], runs, freq, ci_hi, bound,

@@ -27,7 +27,7 @@ from . import __version__ as _version
 from .bounds import (HypothesisError, spread_rate, spread_tail_bound,
                      surface_tail_bound)
 from .brw import OffspringLaw, brw_tables
-from .lattice import BoxRegion, Column
+from .lattice import BoxRegion, Column, ExplicitConfig
 from .reach import (Budget, StepSet, _floor_column_runs, _hash_replicates,
                     _settle_replicates)
 # unused here: perfbench/selftest.py checks its tracer rebinds this name
@@ -583,7 +583,6 @@ def cover_sweep(p: float = 0.99, radius: int = 2, h_max: int = 2) -> dict:
     equal the oracle's least fixed point wherever both certify.  The sweep
     accumulates exact spread-tail probabilities for cross-checking Monte
     Carlo intervals."""
-    from .lattice import ExplicitConfig
     from .oracle import NoCoverInBox, attained_spread, cover_fixed_point
 
     box = BoxRegion((-radius, 0), (radius, h_max))
@@ -617,7 +616,6 @@ def walk_path_sweep() -> dict:
     """Every configuration of a 3x3 (d=2) box: the engine's reach,
     the oracle's naive walk fixed point, and the oracle's distinct-site
     path enumeration must reach identical site sets."""
-    from .lattice import ExplicitConfig, ExplicitField
     from .oracle import path_reach, walk_reach
     from .reach import reach
 
@@ -627,11 +625,10 @@ def walk_path_sweep() -> dict:
     cases = 0
     for bits in range(1 << box.size):
         config = ExplicitConfig.from_bits(box, bits)
-        field = ExplicitField(config)
         for sources, floor in (([(0, 0)], 0), (bottom, 0),
                                ([(0, 1)], None), ([(0, 2)], None)):
             cases += 1
-            fast = reach(field, sources, box, height_floor=floor).reached
+            fast = reach(config, sources, box, height_floor=floor).reached
             slow_walk = walk_reach(config, sources, height_floor=floor)
             slow_path = path_reach(config, sources, height_floor=floor)
             if not (fast == slow_walk == slow_path):

@@ -25,6 +25,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -122,12 +123,17 @@ class BoxRegion:
     hi: Site
 
     def __post_init__(self):
+        try:  # integers only: numpy's pass, a float is not truncated
+            lo, hi = (tuple(map(operator.index, side)) for side in (self.lo, self.hi))
+        except TypeError:
+            bad = next(c for c in (*self.lo, *self.hi) if not hasattr(type(c), "__index__"))
+            raise ValueError(f"box coordinate {bad!r} is not an integer") from None
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
         if len(self.lo) != len(self.hi):
             raise ValueError("lo and hi must have equal length")
         if any(a > b for a, b in zip(self.lo, self.hi)):
             raise ValueError(f"empty box: lo={self.lo} hi={self.hi}")
-        object.__setattr__(self, "lo", tuple(int(c) for c in self.lo))
-        object.__setattr__(self, "hi", tuple(int(c) for c in self.hi))
 
     @property
     def dim(self) -> int:
@@ -247,10 +253,6 @@ class PercolationField(Field):
         base = np.array(self._base, dtype=np.uint64)
         return _box_uniforms(base, box) >= np.uint64(self._threshold)
 
-    def with_p(self, p: float) -> "PercolationField":
-        """Coupled field: same uniforms, different threshold."""
-        return PercolationField(self.d, p, self.master_seed, self.replicate)
-
     def __repr__(self):
         return (f"PercolationField(d={self.d}, p={self.p}, "
                 f"master_seed={self.master_seed}, replicate={self.replicate})")
@@ -277,12 +279,13 @@ def replicate_closed_masks(d: int, p: float, master_seed: int, replicates,
 
 
 @dataclass(frozen=True)
-class ExplicitConfig:
-    """A fully materialized configuration on a finite box.
+class ExplicitConfig(Field):
+    """A fully materialized configuration on a finite box: the finite Field.
 
     states holds one entry per site in lexicographic site order, 1 for open
     and 0 for closed.  Kept to at most 30 sites when driving exhaustive
-    2^N sweeps.
+    2^N sweeps.  At a site outside the box is_closed raises ValueError,
+    while closed_mask reads the site as open.
     """
 
     box: BoxRegion
@@ -294,8 +297,10 @@ class ExplicitConfig:
                 f"states has {len(self.states)} entries, box has {self.box.size} sites")
         if any(s not in (0, 1) for s in self.states):
             raise ValueError("states entries must be 0 or 1")
+        object.__setattr__(self, "d", self.box.dim)
 
     def index_of(self, site: Site) -> int:
+        self._check_site(site)
         idx = 0
         for c, a, b in zip(site, self.box.lo, self.box.hi):
             if not a <= c <= b:
@@ -305,6 +310,20 @@ class ExplicitConfig:
 
     def is_closed(self, site: Site) -> bool:
         return self.states[self.index_of(site)] == 0
+
+    def closed_mask(self, box: BoxRegion) -> np.ndarray:
+        """Closed sites of the box; sites outside the config box read open."""
+        self._check_box(box)
+        own = self.box
+        lo = [max(a, b) for a, b in zip(box.lo, own.lo)]
+        hi = [min(a, b) for a, b in zip(box.hi, own.hi)]
+        mask = np.zeros(box.shape, dtype=bool)
+        if all(a <= b for a, b in zip(lo, hi)):
+            def window(origin):
+                return tuple(slice(a - c, b - c + 1) for a, b, c in zip(lo, hi, origin))
+            states = np.array(self.states, dtype=bool).reshape(own.shape)
+            mask[window(box.lo)] = ~states[window(own.lo)]
+        return mask
 
     def to_json(self) -> dict:
         return {"box": self.box.to_json(), "states": list(self.states)}
@@ -319,31 +338,6 @@ class ExplicitConfig:
     def from_bits(box: BoxRegion, bits: int) -> "ExplicitConfig":
         """Config from an integer bit pattern; bit i = state of the i-th site."""
         n = box.size
+        if not 0 <= bits < 1 << n:
+            raise ValueError(f"bits {bits} outside [0, 2**{n}) for a box of {n} sites")
         return ExplicitConfig(box, tuple((bits >> i) & 1 for i in range(n)))
-
-
-class ExplicitField(Field):
-    """Field backed by an ExplicitConfig.  At a site outside the config box
-    is_closed raises ValueError, while closed_mask reads the site as open."""
-
-    def __init__(self, config: ExplicitConfig):
-        self.config = config
-        self.d = config.box.dim
-
-    def is_closed(self, site: Site) -> bool:
-        self._check_site(site)
-        return self.config.is_closed(site)
-
-    def closed_mask(self, box: BoxRegion) -> np.ndarray:
-        """Closed sites of the box; sites outside the config box read open."""
-        self._check_box(box)
-        own = self.config.box
-        lo = [max(a, b) for a, b in zip(box.lo, own.lo)]
-        hi = [min(a, b) for a, b in zip(box.hi, own.hi)]
-        mask = np.zeros(box.shape, dtype=bool)
-        if all(a <= b for a, b in zip(lo, hi)):
-            def window(origin):
-                return tuple(slice(a - c, b - c + 1) for a, b, c in zip(lo, hi, origin))
-            states = np.array(self.config.states, dtype=bool).reshape(own.shape)
-            mask[window(box.lo)] = ~states[window(own.lo)]
-        return mask

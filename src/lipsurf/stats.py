@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+import sys
+from functools import reduce
 from math import sqrt
+from operator import add
 
 # two-sided normal quantiles
 Z_99 = 2.5758293035489004
 Z_999 = 3.2905267314919255
+
+# Python 3.12 made sum() of floats compensated, which changes last bits;
+# ltr_sum adds left to right from int 0 on every version, as sum() did before
+ltr_sum = sum if sys.version_info < (3, 12) else lambda values: reduce(add, values, 0)
 
 
 def wilson_interval(successes: int, trials: int, z: float = Z_99) -> tuple[float, float]:
@@ -32,8 +39,8 @@ def mean_and_se(values) -> tuple[float, float]:
     n = len(values)
     if n == 0:
         raise ValueError("empty sample")
-    m = sum(values) / n
+    m = ltr_sum(values) / n
     if n == 1:
         return m, 0.0
-    var = sum((v - m) ** 2 for v in values) / (n - 1)
+    var = ltr_sum((v - m) ** 2 for v in values) / (n - 1)
     return m, sqrt(var / n)

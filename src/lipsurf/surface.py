@@ -212,8 +212,8 @@ def verify_surface(field: Field, patch: SurfacePatch) -> SurfaceReport:
     adjacent certified pair for |increment| <= 1; report violations.
 
     Openness is read from one field.closed_mask over the bounding box of
-    the certified columns and values, so an ExplicitField reads a site
-    outside its config box as open.  A batch of one for _violations."""
+    the certified columns and values, so an ExplicitConfig reads a site
+    outside its box as open.  A batch of one for _violations."""
     certified = patch.certified_columns()
     if not certified:
         return SurfaceReport(0, 0, (), ())

@@ -1,6 +1,6 @@
-"""Finite field fixtures for the tests, built from ExplicitField alone."""
+"""Finite field fixtures for the tests, built from ExplicitConfig alone."""
 
-from lipsurf.lattice import BoxRegion, ExplicitConfig, ExplicitField
+from lipsurf.lattice import BoxRegion, ExplicitConfig
 
 
 def closed_at(d, sites=()):
@@ -13,4 +13,4 @@ def closed_at(d, sites=()):
     closed = {tuple(s) for s in sites}
     corners = closed or {(0,) * d}
     box = BoxRegion(tuple(map(min, zip(*corners))), tuple(map(max, zip(*corners))))
-    return ExplicitField(ExplicitConfig(box, tuple(int(s not in closed) for s in box.sites())))
+    return ExplicitConfig(box, tuple(int(s not in closed) for s in box.sites()))

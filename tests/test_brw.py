@@ -1,3 +1,4 @@
+import builtins
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from lipsurf.brw import (BrwRun, OffspringLaw, brw_tables, evolve,
                          martingale_table, run_key, sample_offspring,
                          sample_shift, survival_curve)
 from lipsurf.lattice import absorb, count_l1_sphere
-from lipsurf.stats import mean_and_se
+from lipsurf.stats import ltr_sum, mean_and_se
 
 LAW = OffspringLaw(2, 0.99, math.log(2))
 
@@ -291,7 +292,7 @@ def _one_particle_at_a_time(law, generations, seed, run_index, shift, cap):
                 nxt = nxt[:cap]
                 break
         particles = nxt
-        s.append(sum(math.exp(law.mu * loc) for loc, _ in particles))
+        s.append(ltr_sum(math.exp(law.mu * loc) for loc, _ in particles))
         top.append(max(loc for loc, _ in particles) if particles else None)
         pop.append(len(particles))
         disc.append(discarded)
@@ -328,3 +329,30 @@ def test_evolve_runs_equal_one_run_at_a_time(monkeypatch, law, cap, lockstep):
         assert any(run.truncated for run in batch) == (cap < 100_000)
         assert (any(run.discarded_cum[-1] > 0.0 for run in batch)
                 == (law.weight_floor > 0.0))
+
+
+def _compensated_sum(iterable, /, start=0):
+    """builtins.sum as Python 3.12 computes it: float terms added to a float
+    total with Neumaier compensation, everything else added plainly."""
+    total, comp = start, 0.0
+    for x in iterable:
+        if type(total) is float and type(x) is float:
+            t = total + x
+            comp += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+            total = t
+        else:
+            total = total + x
+    if type(total) is float and comp and math.isfinite(comp):
+        total += comp
+    return total
+
+
+def test_brw_tables_do_not_depend_on_the_sum_builtin(monkeypatch):
+    """The tables add floats left to right on every Python: under a
+    compensated builtin sum, as on 3.12, every row stays bit for bit."""
+    assert ltr_sum([0.1] * 10) == 0.9999999999999999
+    assert _compensated_sum([0.1] * 10) == 1.0
+    law = OffspringLaw(2, 0.95, 0.5, weight_floor=0.05)
+    want = brw_tables(law, 4, 40, 53)
+    monkeypatch.setattr(builtins, "sum", _compensated_sum)
+    assert brw_tables(law, 4, 40, 53) == want

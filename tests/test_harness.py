@@ -16,8 +16,7 @@ from lipsurf.harness import (TAIL_CSV_HEADER, BudgetExceededError, ConfigError,
                              monotonicity_check, run_experiment,
                              spread_tail_curve, surface_tail_curve,
                              surface_validity)
-from lipsurf.lattice import (BoxRegion, ExplicitConfig, ExplicitField, Field,
-                             PercolationField)
+from lipsurf.lattice import BoxRegion, ExplicitConfig, Field, PercolationField
 from lipsurf.oracle import exact_event_prob, walk_reach
 from lipsurf.reach import StepSet, column_runs, floor_reach_sandwich, reach
 from lipsurf.stats import Z_99, wilson_interval
@@ -520,7 +519,8 @@ def _loop_kinds(exp: Experiment) -> dict:
                 vpatch.values[c] != patch.values[view.map_column(c)]
                 or vpatch.status[c] is not patch.status[view.map_column(c)]
                 for c in base)
-        patches = [build_surface(field.with_p(p), base, exp.budget) for p in exp.p_grid]
+        patches = [build_surface(PercolationField(exp.d, p, exp.seed, rep), base, exp.budget)
+                   for p in exp.p_grid]
         for p, grid_patch in zip(exp.p_grid, patches):
             counts["successes", p] += all(
                 s is Cert.CERTIFIED for s in grid_patch.status.values())
@@ -690,7 +690,7 @@ def test_cover_sweep_counts_on_a_small_box(monkeypatch):
 
     monkeypatch.setattr(harness, "_climb_masks", counting)
     monkeypatch.setattr("lipsurf.surface.minimal_cover", forbidden)
-    monkeypatch.setattr("lipsurf.lattice.ExplicitField", forbidden)
+    monkeypatch.setattr(ExplicitConfig, "closed_mask", forbidden)
     assert cover_sweep(p=0.99, radius=1, h_max=3) == {
         "name": "cover_sweep", "configs": 4096, "both_certified": 2048,
         "mismatches": 0, "passed": True,
@@ -704,7 +704,7 @@ def test_box_configs_match_explicit_fields():
     masks = harness._box_configs(box)
     assert masks.shape == (512, 3, 3)
     for bits in range(512):
-        want = ExplicitField(ExplicitConfig.from_bits(box, bits)).closed_mask(box)
+        want = ExplicitConfig.from_bits(box, bits).closed_mask(box)
         assert np.array_equal(masks[bits], want), bits
 
 
@@ -937,6 +937,50 @@ _SURFACE_GOLDEN_DIGESTS = {
 def test_surface_kind_golden_bodies(tmp_path, name):
     assert (_golden_bodies(tmp_path, name, _SURFACE_GOLDEN_CASES)
             == _SURFACE_GOLDEN_DIGESTS[name])
+
+
+# Tail kinds at 1e5 replicates where many replicates grow their box, so a
+# change to the growth loop or to a grown box's reader shows in a digest.
+# Replicates read per box (box 0 is the first), counted on one format's run:
+#   f_tail_growth_d2:    box 0: 100000, boxes 1-3: 5261 each (unresolved_frac
+#                        0.052 at k=1, 0.017 at k=3)
+#   radh_tail_growth_d3: box 0: 100000, box 1: 511, box 2: 14 (none unresolved)
+_GROWTH_GOLDEN_CASES = {
+    "f_tail_growth_d2": ({"kind": "f_tail", "p": 0.95, "replicates": 100_000, "seed": 1,
+                          "k_max": 3, "box_margin": 1, "box_height": 2, "growth_cap": 3,
+                          "unresolved_threshold": 1.0}, None),
+    "radh_tail_growth_d3": ({"kind": "radh_tail", "d": 3, "p": 0.995, "replicates": 100_000,
+                             "seed": 1, "box_margin": 1, "box_height": 1, "growth_cap": 4,
+                             "unresolved_threshold": 1.0}, None),
+}
+_GROWTH_GOLDEN = {
+    "f_tail_growth_d2": ({0: 100_000, 1: 5261, 2: 5261, 3: 5261}, (
+        "a6b5eb9da7f127d04d2741ad200e574b5a244305f08a4f4a2e11eede5dc8951d",
+        "eda29471cc07e0fca5e6653b06fc903e18ca7801ee0b10d80fde94843ee8a94e")),
+    "radh_tail_growth_d3": ({0: 100_000, 1: 511, 2: 14}, (
+        "7ec4ff15aee312824d33b38693b9497979ad0f2962248ed7cdc1654963cabd72",
+        "0c6b47213b0c9f87fd5f9d8f0ed01a50e07e5d2d40878b6e368670e1f1b9e447")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GROWTH_GOLDEN_CASES))
+def test_growth_golden_bodies(tmp_path, monkeypatch, name):
+    read = collections.Counter()  # box index -> replicates read in it
+    settle = harness._settle_replicates
+
+    def counting(count, growth_cap, box_at, closed_at, read_box):
+        index = {box_at(i): i for i in range(growth_cap + 1)}
+
+        def hashed(items, box):
+            read[index[box]] += len(items)
+            return closed_at(items, box)
+        return settle(count, growth_cap, box_at, hashed, read_box)
+
+    monkeypatch.setattr(harness, "_settle_replicates", counting)
+    digests = _golden_bodies(tmp_path, name, _GROWTH_GOLDEN_CASES)
+    hist, want = _GROWTH_GOLDEN[name]
+    assert {box: n // 2 for box, n in read.items()} == hist  # csv and json runs
+    assert digests == want
 
 
 @pytest.mark.parametrize("floor, evolves_per_run", [(0.0, 1), (0.05, 2)])

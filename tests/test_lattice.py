@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lipsurf.lattice import (BoxRegion, ExplicitConfig, ExplicitField, PercolationField,
+from lipsurf.lattice import (BoxRegion, ExplicitConfig, PercolationField,
                              count_l1_sphere, height, open_threshold, radial,
                              replicate_closed_masks)
 from lipsurf.stats import Z_999
@@ -112,7 +112,7 @@ def test_box_independence():
 
 def test_monotone_coupling_exact():
     base = PercolationField(2, 0.6, master_seed=31)
-    higher = base.with_p(0.8)
+    higher = PercolationField(2, 0.8, master_seed=31)
     box = BoxRegion((-50, -50), (49, 49))
     open_lo = ~base.closed_mask(box)
     open_hi = ~higher.closed_mask(box)
@@ -194,27 +194,58 @@ def test_explicit_config_roundtrip_and_order():
     assert {s for s in box.sites() if config.is_closed(s)} == {(-1, 1), (0, 0)}
     back = ExplicitConfig.from_json(config.to_json())
     assert back == config
-    field = ExplicitField(config)
-    assert field.is_closed((0, 0))
-    with pytest.raises(ValueError):
-        field.is_closed((5, 5))
+    with pytest.raises(ValueError, match="outside box"):
+        config.is_closed((5, 5))
+
+
+def test_explicit_config_checks_dimension():
+    # a 2-d config rejects sites and boxes of another dimension, as
+    # PercolationField does, instead of reading a prefix of the site
+    config = ExplicitConfig(BoxRegion((-1, 0), (1, 2)), (1,) * 9)
+    assert config.d == 2
+    for site in ((0, 1, 5), (0,)):
+        with pytest.raises(ValueError, match="dimension"):
+            config.is_closed(site)
+    with pytest.raises(ValueError, match="dimension"):
+        config.closed_mask(BoxRegion((0, 0, 0), (1, 1, 1)))
 
 
 def test_explicit_field_mask_on_larger_offset_box():
     config = ExplicitConfig.from_bits(BoxRegion((-1, 0), (1, 2)), 0b100110101)
-    field = ExplicitField(config)
     box = BoxRegion((-3, -1), (0, 4))  # overhangs the config box on three sides
-    mask = field.closed_mask(box)
+    mask = config.closed_mask(box)
     assert mask.shape == box.shape
     for s in box.sites():
         idx = tuple(c - a for c, a in zip(s, box.lo))
-        want = config.box.contains(s) and field.is_closed(s)
+        want = config.box.contains(s) and config.is_closed(s)
         assert mask[idx] == want
     assert mask.any() and not mask.all()
-    assert not field.closed_mask(BoxRegion((2, 0), (4, 2))).any()
+    assert not config.closed_mask(BoxRegion((2, 0), (4, 2))).any()
 
 
 def test_explicit_config_from_bits():
     box = BoxRegion((0, 0), (1, 1))
     config = ExplicitConfig.from_bits(box, 0b0101)
     assert config.states == (1, 0, 1, 0)
+
+
+def test_explicit_config_from_bits_rejects_patterns_outside_the_box():
+    box = BoxRegion((0,), (1,))
+    assert ExplicitConfig.from_bits(box, 3).states == (1, 1)
+    for bits in (4, 7, -1):
+        with pytest.raises(ValueError, match="bits"):
+            ExplicitConfig.from_bits(box, bits)
+
+
+def test_box_region_rejects_non_integer_coordinates():
+    box = BoxRegion((np.int64(-1), 0), (np.intp(2), np.int32(3)))
+    assert box.lo == (-1, 0) and box.hi == (2, 3)
+    assert all(type(c) is int for c in box.lo + box.hi)
+    with pytest.raises(ValueError, match="coordinate 0.7 "):
+        BoxRegion((0.7, 0), (1.9, 2))
+    with pytest.raises(ValueError, match="coordinate 1.9 "):
+        BoxRegion((0, 0), (1.9, 2))
+    with pytest.raises(ValueError, match="coordinate 0.5 "):
+        BoxRegion.from_json({"lo": [0, 0.5], "hi": [1, 2]})
+    with pytest.raises(ValueError, match="coordinate '1' "):
+        BoxRegion.from_json({"lo": [0, 0], "hi": ["1", 2]})

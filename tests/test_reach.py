@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lipsurf.lattice import (BoxRegion, ExplicitConfig, ExplicitField, PercolationField,
+from lipsurf.lattice import (BoxRegion, ExplicitConfig, PercolationField,
                              replicate_closed_masks)
 from lipsurf.oracle import exact_event_prob, walk_reach
 from lipsurf.reach import (StepSet, _floor_column_runs, _hash_replicates, _rim,
@@ -194,12 +194,12 @@ def test_antitone_in_openness():
         closed = frozenset(s for s in box.sites() if config.is_closed(s))
         if not closed:
             continue
-        before = reach(ExplicitField(config), bottom, box, height_floor=0).reached
+        before = reach(config, bottom, box, height_floor=0).reached
         flip = next(iter(closed))
         opened = ExplicitConfig(
             box, tuple(1 if s == flip else st
                        for s, st in zip(box.sites(), config.states)))
-        after = reach(ExplicitField(opened), bottom, box, height_floor=0).reached
+        after = reach(opened, bottom, box, height_floor=0).reached
         assert after <= before
 
 
@@ -253,14 +253,13 @@ def test_sandwich_equals_set_reach():
 def test_reach_rejects_source_below_floor():
     # the oracle refuses the same input; a floor inside the box crops it
     box = BoxRegion((-1, -1), (1, 2))
-    config = ExplicitConfig(box, (0,) * box.size)
-    all_closed = ExplicitField(config)
+    all_closed = ExplicitConfig(box, (0,) * box.size)
     with pytest.raises(ValueError, match="below floor"):
         reach(all_closed, [(0, -1)], box, height_floor=0)
     with pytest.raises(ValueError, match="below floor"):
-        walk_reach(config, [(0, -1)], height_floor=0)
+        walk_reach(all_closed, [(0, -1)], height_floor=0)
     result = reach(all_closed, [(0, 0)], box, height_floor=0)
-    assert result.reached == walk_reach(config, [(0, 0)], height_floor=0)
+    assert result.reached == walk_reach(all_closed, [(0, 0)], height_floor=0)
     assert result.box == box
 
 
@@ -551,7 +550,7 @@ def test_sandwich_brackets_truth_under_all_side_extensions():
     outer_bottom = [(x, 0) for x in range(-2, 3)]
     for bits in range(1 << 9):
         inner_config = ExplicitConfig.from_bits(inner, bits)
-        sw = floor_reach_sandwich(ExplicitField(inner_config), inner)
+        sw = floor_reach_sandwich(inner_config, inner)
         opt, pes = sw.optimistic.reached, sw.pessimistic.reached
         for ext_bits in range(1 << 6):
             states = {}
@@ -681,7 +680,7 @@ def test_climb_height_needs_closed_sites():
         box = BoxRegion((-1, 0), (1, 2))
         config = ExplicitConfig.from_bits(box, bits)
         closed_count = config.states.count(0)
-        result = reach(ExplicitField(config), [(0, 0)], box, height_floor=0)
+        result = reach(config, [(0, 0)], box, height_floor=0)
         top = max(s[1] for s in result.reached)
         assert top <= closed_count
 

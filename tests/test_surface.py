@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lipsurf.lattice import ExplicitConfig, ExplicitField, BoxRegion, PercolationField
+from lipsurf.lattice import ExplicitConfig, BoxRegion, PercolationField
 from lipsurf.reach import Budget, floor_reach_sandwich, reach_masks
 from lipsurf.surface import (COVER_BUDGET, Cert, SurfacePatch, _climb_masks, _read_covers,
                              build_surface, climb_set, minimal_cover, surface_from_covers,
@@ -257,7 +257,7 @@ def test_minimal_cover_matches_oracle_smoke():
     both = 0
     for bits in range(1 << 9):
         config = ExplicitConfig.from_bits(box, bits)
-        fast = minimal_cover(ExplicitField(config), (0,), budget)
+        fast = minimal_cover(config, (0,), budget)
         slow = cover_fixed_point(config, (0,), 2)
         if fast.certified and not isinstance(slow, NoCoverInBox):
             both += 1
@@ -352,7 +352,7 @@ def test_antitone_coupling_in_p():
     base = _base(8)
     for rep in range(50):
         lo_field = PercolationField(2, 0.97, master_seed=404, replicate=rep)
-        hi_field = lo_field.with_p(0.99)
+        hi_field = PercolationField(2, 0.99, master_seed=404, replicate=rep)
         lo_patch = build_surface(lo_field, base)
         hi_patch = build_surface(hi_field, base)
         for col in base:
