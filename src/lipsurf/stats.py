@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import sys
 from functools import reduce
 from math import sqrt
 from operator import add
@@ -11,9 +10,11 @@ from operator import add
 Z_99 = 2.5758293035489004
 Z_999 = 3.2905267314919255
 
-# Python 3.12 made sum() of floats compensated, which changes last bits;
-# ltr_sum adds left to right from int 0 on every version, as sum() did before
-ltr_sum = sum if sys.version_info < (3, 12) else lambda values: reduce(add, values, 0)
+
+def ltr_sum(values):
+    """Sum left to right from int 0 on every Python version: from 3.12 the
+    builtin sum() of floats is compensated, which changes last bits."""
+    return reduce(add, values, 0)
 
 
 def wilson_interval(successes: int, trials: int, z: float = Z_99) -> tuple[float, float]:

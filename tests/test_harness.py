@@ -941,7 +941,7 @@ def test_surface_kind_golden_bodies(tmp_path, name):
 
 # Tail kinds at 1e5 replicates where many replicates grow their box, so a
 # change to the growth loop or to a grown box's reader shows in a digest.
-# Replicates read per box (box 0 is the first), counted on one format's run:
+# Replicates read per box (box 0 is the first) in each format's run:
 #   f_tail_growth_d2:    box 0: 100000, boxes 1-3: 5261 each (unresolved_frac
 #                        0.052 at k=1, 0.017 at k=3)
 #   radh_tail_growth_d3: box 0: 100000, box 1: 511, box 2: 14 (none unresolved)
@@ -965,11 +965,13 @@ _GROWTH_GOLDEN = {
 
 @pytest.mark.parametrize("name", sorted(_GROWTH_GOLDEN_CASES))
 def test_growth_golden_bodies(tmp_path, monkeypatch, name):
-    read = collections.Counter()  # box index -> replicates read in it
+    runs = []  # per run: box index -> replicates read in it
     settle = harness._settle_replicates
 
     def counting(count, growth_cap, box_at, closed_at, read_box):
         index = {box_at(i): i for i in range(growth_cap + 1)}
+        read = collections.Counter()
+        runs.append(read)
 
         def hashed(items, box):
             read[index[box]] += len(items)
@@ -979,7 +981,7 @@ def test_growth_golden_bodies(tmp_path, monkeypatch, name):
     monkeypatch.setattr(harness, "_settle_replicates", counting)
     digests = _golden_bodies(tmp_path, name, _GROWTH_GOLDEN_CASES)
     hist, want = _GROWTH_GOLDEN[name]
-    assert {box: n // 2 for box, n in read.items()} == hist  # csv and json runs
+    assert runs == [hist, hist]  # the csv run, then the json run
     assert digests == want
 
 
