@@ -8,22 +8,23 @@ by simulation.
 
 import math
 
-from lipsurf.brw import OffspringLaw, martingale_table, survival_curve
+from lipsurf.brw import OffspringLaw, brw_tables
 
 law = OffspringLaw(d=2, p=0.99, mu=math.log(2))
 RUNS = 5000
 print(f"offspring transform alpha = {law.alpha():.7f} "
       f"(depth cap {law.depth_cap} removes {law.cap_remainder():.2e})")
 print()
+mart, surv = brw_tables(law, 8, RUNS, master_seed=3)
 
 print("martingale: empirical mean of S_n vs alpha^n")
 print("   n  mean_S        alpha^n       exact SE")
-for row in martingale_table(law, 8, RUNS, master_seed=3):
+for row in mart:
     se = law.mean_standard_error(row.n, RUNS)
     print(f"  {row.n:>2}  {row.mean_s:<12.3e}  {row.alpha_pow:<12.3e}  {se:.3e}")
 print()
 
 print("survival above level 0 (shifted run) vs the Markov bound")
 print("   n  frequency   bound")
-for row in survival_curve(law, 6, RUNS, master_seed=3):
+for row in surv[:7]:
     print(f"  {row.n:>2}  {row.frequency:<9.5f}  {row.bound:.3e}")

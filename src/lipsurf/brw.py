@@ -16,6 +16,9 @@ truncations are accounted exactly: the cap removes a computable slice of
 alpha (reported as cap_remainder), and every pruned child's weight is
 added to a discarded tally, never silently lost.
 
+brw_tables runs the walk: it evolves a table's runs together and reads
+both the martingale and the survival table off them (sample_offspring
+draws one particle's children alone).
 Randomness is keyed per particle by its ancestry, so pruning or ignoring
 one particle never shifts the draws of any other; runs are deterministic
 given (master_seed, run_index).  Every particle's draws are those of
@@ -199,19 +202,18 @@ def _pcg64_states(keys: np.ndarray) -> list[tuple[int, int]]:
     return states
 
 
-def _seeder(keys: np.ndarray, generator):
+def _seeder(keys: np.ndarray, rng: np.random.Generator):
     """The function i -> a Generator in the state np.random.default_rng(
     keys[i]) starts in, to be drawn from before the next i is asked for.
 
     Fewer than _BATCH_MIN keys are seeded by default_rng itself.  More are
-    turned into PCG64 states in one _pcg64_states pass, and the caller's
-    PCG64 Generator, from generator(), is reseeded through its bit
-    generator's state, one state dict rebound for every key.
+    turned into PCG64 states in one _pcg64_states pass, and rng, a PCG64
+    Generator, is reseeded through its bit generator's state, one state
+    dict rebound for every key.
     """
     if keys.size < _BATCH_MIN:
         return lambda i: np.random.default_rng(int(keys[i]))
     states = _pcg64_states(keys)
-    rng = generator()
     bits = rng.bit_generator
     state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
     words = state["state"]
@@ -275,8 +277,6 @@ class BrwRun:
     generation; truncated flags a run stopped by the particle cap.
     """
 
-    law: OffspringLaw
-    shift: int | None
     s_values: tuple[float, ...]
     max_locations: tuple[int | None, ...]
     population: tuple[int, ...]
@@ -318,11 +318,11 @@ class _Lineage:
         self.population.append(len(locs))
         self.discarded_cum.append(self.discarded)
 
-    def run(self, law: OffspringLaw, shift: int | None, generations: int) -> BrwRun:
+    def run(self, generations: int) -> BrwRun:
         # an extinct run stops; each generation left reads what an empty one
         # gives: the int 0 that ltr_sum() returns, no maximum, no particles
         left = generations + 1 - len(self.s_values)
-        return BrwRun(law, shift, tuple(self.s_values + [0] * left),
+        return BrwRun(tuple(self.s_values + [0] * left),
                       tuple(self.max_locations + [None] * left),
                       tuple(self.population + [0] * left),
                       tuple(self.discarded_cum + [self.discarded] * left),
@@ -332,24 +332,29 @@ class _Lineage:
 def _evolve_runs(law: OffspringLaw, generations: int, master_seed: int,
                  run_indices, shifts=None,
                  particle_cap: int = 100_000) -> list[BrwRun]:
-    """evolve() of each run index, started at its shift if shifts is given,
-    with all runs in lockstep.
+    """Simulate each run index for the given number of generations, started
+    at location 0, or at its shift C if shifts is given, with all runs in
+    lockstep.
+
+    With shift C every location is offset by +C from the start (S_0 becomes
+    e^(mu*C)); the keyed randomness makes the shifted run's locations equal
+    the unshifted run's plus C, exactly.  The particle cap cuts by count in
+    the same order, so truncation is the same too; only a positive
+    weight_floor, which prunes by location, tells the two runs apart.
 
     Each generation seeds the live particles of every run in one _seeder
-    batch.  Runs holding more than _LOCKSTEP_PARTICLES live particles
-    advance in halves, so memory stays near that of one capped run.  Within
-    a run the order is evolve()'s: parents in turn, each one's discarded
-    weight added to the run's tally; once the next generation exceeds
-    particle_cap, its first particle_cap children are kept and the parents
-    left are not sampled.
+    batch, through one Generator per call.  Runs holding more than
+    _LOCKSTEP_PARTICLES live particles advance in halves, so memory stays
+    near that of one capped run.  Within a run, parents are sampled in turn,
+    each one's discarded weight added to the run's tally; once the next
+    generation exceeds particle_cap, its first particle_cap children are
+    kept and the parents left are not sampled.
     """
     if generations < 1:
         raise ValueError("generations must be >= 1")
-    shifts = [None] * len(run_indices) if shifts is None else list(shifts)
-    starts = [0 if c is None else int(c) for c in shifts]
+    starts = [0] * len(run_indices) if shifts is None else [int(c) for c in shifts]
     lineages = [_Lineage(law.mu, loc) for loc in starts]
-    # made by the first batch, if any; every _seeder pass replaces its state
-    generator = functools.cache(lambda: np.random.default_rng(0))
+    rng = np.random.default_rng(0)  # every _seeder pass replaces its state
 
     def advance(lineages, locs, keys, sizes, done):
         # lineages are the live runs, sizes their particle counts, and locs
@@ -361,7 +366,7 @@ def _evolve_runs(law: OffspringLaw, generations: int, master_seed: int,
                 advance(lineages[:half], locs[:cut], keys[:cut], sizes[:half], done)
                 advance(lineages[half:], locs[cut:], keys[cut:], sizes[half:], done)
                 return
-            seeded = _seeder(keys, generator)
+            seeded = _seeder(keys, rng)
             live, live_sizes, kids, parents = [], [], [], []
             first = 0
             for lineage, size in zip(lineages, sizes):
@@ -393,43 +398,23 @@ def _evolve_runs(law: OffspringLaw, generations: int, master_seed: int,
 
     advance(lineages, starts, _run_keys(master_seed, run_indices),
             [1] * len(starts), 0)
-    return [lineage.run(law, shift, generations)
-            for lineage, shift in zip(lineages, shifts)]
-
-
-def evolve(law: OffspringLaw, generations: int, master_seed: int,
-           run_index: int = 0, shift: int | None = None,
-           particle_cap: int = 100_000) -> BrwRun:
-    """Simulate one run for the given number of generations: a batch of
-    one over _evolve_runs.
-
-    With shift=C every location is offset by +C from the start (S_0 becomes
-    e^(mu*C)); the keyed randomness makes the shifted run's locations equal
-    the unshifted run's plus C, exactly.  The particle cap cuts by count in
-    the same order, so truncation is the same too; only a positive
-    weight_floor, which prunes by location, tells the two runs apart.  The
-    martingale table reads the unshifted run, the survival table the run
-    shifted by its C: with a zero floor that is the unshifted run's maxima
-    plus C, so one evolve per run index serves both tables.
-    """
-    return _evolve_runs(law, generations, master_seed, [run_index],
-                        None if shift is None else [shift], particle_cap)[0]
+    return [lineage.run(generations) for lineage in lineages]
 
 
 def _sample_shifts(law: OffspringLaw, master_seed: int, run_indices) -> list[int]:
-    """sample_shift of each run index, seeded in one batch."""
+    """Each run index's shift C, the height of the lowest open site above a
+    column: geometric with success p, keyed by the run, seeded in one batch."""
     keys = _absorb_vec(_run_keys(master_seed, run_indices), np.uint64(_SHIFT_TAG))
-    seeded = _seeder(keys, lambda: np.random.default_rng(0))
+    seeded = _seeder(keys, np.random.default_rng(0))
     return [int(seeded(i).geometric(law.p)) for i in range(keys.size)]
-
-
-def sample_shift(law: OffspringLaw, master_seed: int, run_index: int) -> int:
-    """Height of the lowest open site above a column: geometric with success p."""
-    return _sample_shifts(law, master_seed, [run_index])[0]
 
 
 @dataclass(frozen=True)
 class MartingaleRow:
+    """Generation n's empirical mean of S_n, and its standard error, against
+    alpha^n.  cap_bias is the exact gap alpha^n - alpha_truncated^n between
+    the ideal and simulated means; mean_discarded tracks floor pruning."""
+
     n: int
     mean_s: float
     se_s: float
@@ -440,6 +425,15 @@ class MartingaleRow:
 
 @dataclass(frozen=True)
 class SurvivalRow:
+    """Generation n's frequency of runs holding a particle above location 0
+    when started at their shift C, against the Markov bound
+    alpha^n * E e^(mu*C), with the Wilson upper limit ci_hi.
+
+    Pruning only removes particles, so the measured frequency is a lower
+    bound of the unpruned one; the allowance adds the mean discarded mass
+    and the cap bias, times E e^(mu*C), back for reference.
+    """
+
     n: int
     hits: int
     runs: int
@@ -449,55 +443,19 @@ class SurvivalRow:
     allowance: float
 
 
-def _martingale_rows(runs: list[BrwRun], generations: int, alpha: float,
-                     alpha_cap: float) -> list[MartingaleRow]:
-    """Martingale table rows from the unshifted runs, one per run index."""
-    rows = []
-    for n in range(generations + 1):
-        mean, se = mean_and_se([run.s_values[n] for run in runs])
-        rows.append(MartingaleRow(
-            n, mean, se, alpha ** n, alpha ** n - alpha_cap ** n,
-            ltr_sum(run.discarded_cum[n] for run in runs) / len(runs)))
-    return rows
-
-
-def martingale_table(law: OffspringLaw, generations: int, runs: int,
-                     master_seed: int) -> list[MartingaleRow]:
-    """Empirical generation means of S_n against alpha^n, one unshifted
-    run per run index.
-
-    cap_bias is the exact gap alpha^n - alpha_truncated^n between the ideal
-    and simulated means; mean_discarded tracks floor pruning.
-    """
-    return _martingale_rows(_evolve_runs(law, generations, master_seed, range(runs)),
-                            generations, law.alpha(), law.alpha_truncated())
-
-
-def survival_curve(law: OffspringLaw, generations: int, runs: int,
-                   master_seed: int) -> list[SurvivalRow]:
-    """Per-generation frequency of a shifted-run particle above location 0,
-    against the Markov bound alpha^n * E e^(mu*C).
-
-    Each run draws its own shift C (geometric) and counts the run started
-    at C.  With a zero weight floor nothing is pruned, and that run is the
-    unshifted run moved up by C, exactly (see evolve), so its maxima are
-    read off the unshifted run; a positive floor prunes by location, so
-    there the shifted run is evolved itself.  Pruning only removes
-    particles, so the measured frequency is a lower bound of the unpruned
-    one; the reported allowance adds the discarded mass and the cap bias
-    back for reference.
-    """
-    return brw_tables(law, generations, runs, master_seed)[1]
-
-
 def brw_tables(law: OffspringLaw, generations: int, runs: int,
                master_seed: int) -> tuple[list[MartingaleRow], list[SurvivalRow]]:
-    """martingale_table and survival_curve, row for row, from one pass.
+    """The martingale and survival tables over run indices 0..runs-1, one
+    row per generation 0..generations, from one pass.
 
-    Each run index is evolved once unshifted and feeds both tables; only a
-    positive weight floor adds the shifted runs the survival table needs.
-    The runs, and the shifts, are seeded in batches across run indices.
-    alpha and the truncated alpha are computed once for both tables.
+    The martingale table reads each run unshifted; the survival table each
+    run started at its own geometric shift C.  Each run index is evolved
+    once unshifted and feeds both tables: with a zero weight floor nothing
+    is pruned, and the shifted run is the unshifted one moved up by C,
+    exactly (see _evolve_runs), so its maxima are those of the unshifted
+    run plus C.  A positive floor prunes by location, so there the shifted
+    runs are evolved themselves.  The runs, and the shifts, are seeded in
+    batches across run indices; a shorter table is a prefix of a longer one.
     """
     alpha, alpha_cap = law.alpha(), law.alpha_truncated()
     mgf = geometric_mgf(law.p, law.mu)
@@ -516,13 +474,14 @@ def brw_tables(law: OffspringLaw, generations: int, runs: int,
             if ml is not None and ml + lift > 0:
                 hits[n] += 1
             disc_mean[n] += run.discarded_cum[n] / runs
-    mart = _martingale_rows(plain_runs, generations, alpha, alpha_cap)
-    surv = []
+    mart, surv = [], []
     for n in range(generations + 1):
-        freq = hits[n] / runs
-        ci_hi = wilson_interval(hits[n], runs)[1]
-        bound = alpha ** n * mgf
-        allowance = disc_mean[n] + (alpha ** n - alpha_cap ** n) * mgf
-        surv.append(SurvivalRow(n, hits[n], runs, freq, ci_hi, bound,
-                                allowance))
+        power, bias = alpha ** n, alpha ** n - alpha_cap ** n
+        mean, se = mean_and_se([run.s_values[n] for run in plain_runs])
+        mart.append(MartingaleRow(
+            n, mean, se, power, bias,
+            ltr_sum(run.discarded_cum[n] for run in plain_runs) / runs))
+        surv.append(SurvivalRow(n, hits[n], runs, hits[n] / runs,
+                                wilson_interval(hits[n], runs)[1], power * mgf,
+                                disc_mean[n] + bias * mgf))
     return mart, surv

@@ -256,18 +256,17 @@ def _floor_runs(exp: Experiment):
                               _hash_replicates(d, exp.p, exp.seed), read)
 
 
-def _cover_radii(exp: Experiment, shift: int, levels: int):
-    """Minimal-cover radii at the origin column, chunk by chunk: the spread
-    radius plus `shift` (1 gives the cover radius) on the lower side, and on
-    the upper side the same if the cover is certified, else `levels`, a
-    possible hit at every level.  The climb boxes and their certificate are
-    minimal_cover's."""
+def _cover_radii(exp: Experiment, levels: int):
+    """Spread radii at the origin column, chunk by chunk: the minimal cover's
+    radius less one on the lower side, and on the upper side the same if the
+    cover is certified, else `levels`, a possible hit at every level.  The
+    climb boxes and their certificate are minimal_cover's."""
     origin = (0,) * (exp.d - 1)
 
     def read(closed, box):
         center = [c - a for c, a in zip(origin, box.lo)]
         _, rho, certified = _read_covers(_climb_masks(closed, box, origin), center)
-        lo = rho - 1 + shift
+        lo = rho - 1
         return lo, np.where(certified, lo, levels), certified
 
     return _settle_replicates(exp.replicates, exp.growth_cap,
@@ -289,18 +288,18 @@ def spread_tail_curve(exp: Experiment) -> TailCurve:
     """Tail of the climb-set spread radius at the origin column."""
     levels = exp.k_max + 1
     return _tail_curve(exp, "radh_tail", levels,
-                       _cover_radii(exp, 0, levels),
+                       _cover_radii(exp, levels),
                        lambda k: spread_tail_bound(exp.d, exp.p, k))
 
 
 def cover_tail_curve(exp: Experiment) -> TailCurve:
     """Tail of the minimal-cover radius at the origin column, levels
-    n = 0..k_max+1; the bound column is the spread bound shifted by one
-    (the cover radius exceeds the spread radius by exactly one)."""
-    levels = exp.k_max + 2
-    return _tail_curve(exp, "rho_tail", levels,
-                       _cover_radii(exp, 1, levels),
-                       lambda n: spread_tail_bound(exp.d, exp.p, max(0, n - 1)))
+    n = 0..k_max+1.  The cover radius exceeds the spread radius by exactly
+    one, so row n is the spread tail's row n - 1, bound included, and row 0,
+    like the spread tail's, is hit by every trial."""
+    rows = spread_tail_curve(exp).rows
+    return TailCurve("rho_tail", exp.d, exp.p,
+                     (rows[0], *(r._replace(k=r.k + 1) for r in rows)))
 
 
 def _base_runs(exp: Experiment, closed_at):
@@ -628,7 +627,7 @@ def walk_path_sweep() -> dict:
         for sources, floor in (([(0, 0)], 0), (bottom, 0),
                                ([(0, 1)], None), ([(0, 2)], None)):
             cases += 1
-            fast = reach(config, sources, box, height_floor=floor).reached
+            fast = reach(config, sources, box).reached
             slow_walk = walk_reach(config, sources, height_floor=floor)
             slow_path = path_reach(config, sources, height_floor=floor)
             if not (fast == slow_walk == slow_path):

@@ -76,30 +76,30 @@ def _absorb_vec(h: np.ndarray, value: np.ndarray) -> np.ndarray:
 
 
 def _box_uniforms(base: np.ndarray, box: BoxRegion) -> np.ndarray:
-    """Per-site uniforms of the box for every stream state in base.
+    """Per-site uniforms of the box for every stream state in the 1-d base.
 
-    The result has shape base.shape + box.shape; each entry is the state
+    The result has shape (base.size, *box.shape); each entry is the state
     folded with the site's coordinates in axis order, as in uniform64().
     It is a transposed view: memory holds height first and the stream
-    states last, (H+1, n_1, ..., n_(d-1), *base.shape) in C order, the
+    states last, (H+1, n_1, ..., n_(d-1), base.size) in C order, the
     batch-last layers the reach kernel works on.  A ufunc on it (the
     threshold compare) keeps that memory order.
     """
-    lead, dim = base.ndim, box.dim
+    dim = box.dim
     h = base.reshape((1,) * dim + base.shape)
-    for coords in _box_coords(box, lead):
+    for coords in _box_coords(box):
         h = _absorb_vec(h, coords)
-    return h.transpose(*range(dim, dim + lead), *range(1, dim), 0)
+    return h.transpose(dim, *range(1, dim), 0)
 
 
 @functools.lru_cache(maxsize=256)
-def _box_coords(box: BoxRegion, lead: int) -> tuple[np.ndarray, ...]:
+def _box_coords(box: BoxRegion) -> tuple[np.ndarray, ...]:
     """The coordinates of each box axis as uint64, shaped to fold into
-    _box_uniforms' state of lead stream axes; read-only, once per box."""
+    _box_uniforms' state; read-only, once per box."""
     out = []
     # storage axis of box axis i: the height goes first, column i to i + 1
     for axis, (a, b) in enumerate(zip(box.lo, box.hi)):
-        shape = [1] * (box.dim + lead)
+        shape = [1] * (box.dim + 1)
         shape[(axis + 1) % box.dim] = b - a + 1
         coords = np.arange(a, b + 1, dtype=np.int64).astype(np.uint64).reshape(shape)
         coords.flags.writeable = False
@@ -249,9 +249,11 @@ class PercolationField(Field):
         return self.uniform64(site) >= self._threshold
 
     def closed_mask(self, box: BoxRegion) -> np.ndarray:
+        # replicate_closed_masks' pass over this one stream; the state is
+        # folded once, in __init__, not on every call
         self._check_box(box)
-        base = np.array(self._base, dtype=np.uint64)
-        return _box_uniforms(base, box) >= np.uint64(self._threshold)
+        base = np.array([self._base], dtype=np.uint64)
+        return _box_uniforms(base, box)[0] >= np.uint64(self._threshold)
 
     def __repr__(self):
         return (f"PercolationField(d={self.d}, p={self.p}, "

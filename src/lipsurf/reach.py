@@ -51,7 +51,8 @@ it closes the pessimistic side first, and the optimistic side only in the
 boxes where some pessimistic run is positive; elsewhere every run is 0.
 That reader and the climb sets (surface._climb_masks) seed the kernel's
 layers themselves and call _close directly; reach_masks, with its checks,
-seed copy and seed scan, serves the public entry points.  Constants of a
+seed copy and seed scan, serves the public entry points, reach and
+floor_reach_sandwich, whose floor is the box bottom too.  Constants of a
 shape are computed once and cached read-only, keyed by shape, box or
 columns and never by seed or replicate: the rim and the index of a list
 of columns (here), the hash's coordinate operands (lattice), the cover
@@ -208,35 +209,26 @@ def reach_masks(closed: np.ndarray, seeds: np.ndarray,
 
 
 def reach(field: Field, sources, box: BoxRegion,
-          step_set: StepSet = StepSet.FULL,
-          height_floor: int | None = None) -> ReachResult:
+          step_set: StepSet = StepSet.FULL) -> ReachResult:
     """All sites of the box connected to the sources by admissible steps
-    staying inside the box (and at or above height_floor, when given).
+    staying inside the box; the box bottom is the height floor.
 
     Order-free: the result depends only on the source *set*.  Walks and
     distinct-site paths reach the same sites (loop erasure), so the
-    closure reach_masks computes is exact.  A height_floor inside the box
-    crops the box from below; a source under it is an error.
+    closure reach_masks computes is exact.
     """
     d = field.d
     if box.dim != d:
         raise ValueError(f"box of dimension {box.dim} for a {d}-d field")
-    src = frozenset(tuple(s) for s in sources)
-    floor = box.lo[-1] if height_floor is None else max(box.lo[-1], height_floor)
     seeds = np.zeros((1, *box.shape), dtype=bool)
-    for s in src:
+    for s in frozenset(tuple(s) for s in sources):
         if len(s) != d:
             raise ValueError(f"source {s} has wrong dimension")
         if not box.contains(s):
             raise ValueError(f"source {s} outside box lo={box.lo} hi={box.hi}")
-        if s[-1] < floor:
-            raise ValueError(f"source {s} below floor {height_floor}")
         seeds[(0, *(c - a for c, a in zip(s, box.lo)))] = True
-    crop = (..., slice(floor - box.lo[-1], None))  # the layers from the floor up
-    mask = np.zeros(box.shape, dtype=bool)
     closed = field.closed_mask(box)[None]
-    mask[crop] = reach_masks(closed[crop], seeds[crop], step_set)[0]
-    return ReachResult(mask, box)
+    return ReachResult(reach_masks(closed, seeds, step_set)[0], box)
 
 
 def floor_reach_sandwich(field: Field, box: BoxRegion,

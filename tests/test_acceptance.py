@@ -228,8 +228,8 @@ def test_acceptance_6_brw_martingale_and_survival():
     if law.cap_remainder() >= 1e-6:
         problems.append(f"truncation mass {law.cap_remainder():.2e} >= 1e-6")
     runs = 10_000
-    # one evolve per run feeds both tables; survival rows 0-8 are those of
-    # survival_curve(law, 8, ...), which test_brw checks
+    # one evolution per run feeds both tables; survival rows 0-8 are those
+    # of brw_tables(law, 8, ...), which test_brw checks
     mart, surv = brw_tables(law, 10, runs, master_seed=SEED)
     for row in mart[1:]:
         se = law.mean_standard_error(row.n, runs)

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from lipsurf import brw
-from lipsurf.brw import (BrwRun, OffspringLaw, brw_tables, evolve,
-                         martingale_table, run_key, sample_offspring,
-                         sample_shift, survival_curve)
+from lipsurf.brw import (BrwRun, MartingaleRow, OffspringLaw, brw_tables,
+                         run_key, sample_offspring)
 from lipsurf.lattice import absorb, count_l1_sphere
 from lipsurf.stats import ltr_sum, mean_and_se
 
@@ -49,14 +48,14 @@ def test_offspring_weighted_sum_matches_laplace():
 
 
 def test_second_moment_matches_empirical_variance():
-    vals = [evolve(LAW, 1, 31, run_index=i).s_values[1] for i in range(20000)]
+    vals = [run.s_values[1] for run in brw._evolve_runs(LAW, 1, 31, range(20000))]
     emp_var = float(np.var(vals, ddof=1))
     th_var = LAW.s_second_moment(1) - LAW.alpha() ** 2
     assert abs(emp_var - th_var) / th_var < 0.25
 
 
 def test_martingale_means_within_exact_se():
-    rows = martingale_table(LAW, 6, 4000, master_seed=11)
+    rows, _ = brw_tables(LAW, 6, 4000, master_seed=11)
     for r in rows[1:]:
         se = LAW.mean_standard_error(r.n, 4000)
         assert abs(r.mean_s - r.alpha_pow) <= 3 * se + r.cap_bias
@@ -70,8 +69,7 @@ def test_cap_remainder_tiny():
 def test_extinction_is_absorbing():
     for law in (LAW, OffspringLaw(2, 0.95, math.log(2), weight_floor=0.05)):
         seen_extinct = seen_pruned = False
-        for i in range(100):
-            run = evolve(law, 8, 77, run_index=i)
+        for run in brw._evolve_runs(law, 8, 77, range(100)):
             died = None
             for n, pop in enumerate(run.population):
                 if pop == 0:
@@ -97,8 +95,8 @@ def test_pruning_monotone_and_accounted():
     law0 = OffspringLaw(2, 0.95, math.log(2), weight_floor=0.0)
     law1 = OffspringLaw(2, 0.95, math.log(2), weight_floor=0.05)
     law2 = OffspringLaw(2, 0.95, math.log(2), weight_floor=0.10)
-    for i in range(200):
-        runs = [evolve(law, 4, 5, run_index=i) for law in (law0, law1, law2)]
+    batches = [brw._evolve_runs(law, 4, 5, range(200)) for law in (law0, law1, law2)]
+    for runs in zip(*batches):
         for a, b in zip(runs, runs[1:]):
             for n in range(5):
                 assert b.s_values[n] <= a.s_values[n] + 1e-12
@@ -110,17 +108,15 @@ def test_pruning_monotone_and_accounted():
 def test_shift_consistency():
     # the shifted run is the plain one moved up by C, also under a binding
     # particle cap; brw_tables reads zero-floor survival hits off that
-    cases = [(LAW, 100_000, lambda law, i: 3),
-             (OffspringLaw(2, 0.95, math.log(2)), 50,
-              lambda law, i: sample_shift(law, 13, i)),
-             (OffspringLaw(3, 0.99, 0.5), 50,
-              lambda law, i: sample_shift(law, 13, i))]
-    for law, cap, shift_of in cases:
+    law2, law3 = OffspringLaw(2, 0.95, math.log(2)), OffspringLaw(3, 0.99, 0.5)
+    cases = [(LAW, 100_000, [3] * 50),
+             (law2, 50, brw._sample_shifts(law2, 13, range(50))),
+             (law3, 50, brw._sample_shifts(law3, 13, range(50)))]
+    for law, cap, shifts in cases:
         truncated = 0
-        for i in range(50):
-            c = shift_of(law, i)
-            plain = evolve(law, 5, 13, run_index=i, particle_cap=cap)
-            shifted = evolve(law, 5, 13, run_index=i, shift=c, particle_cap=cap)
+        plains = brw._evolve_runs(law, 5, 13, range(50), particle_cap=cap)
+        shifteds = brw._evolve_runs(law, 5, 13, range(50), shifts, particle_cap=cap)
+        for c, plain, shifted in zip(shifts, plains, shifteds):
             assert shifted.max_locations == tuple(
                 None if m is None else m + c for m in plain.max_locations)
             assert shifted.population == plain.population
@@ -128,8 +124,23 @@ def test_shift_consistency():
             assert plain.discarded_cum == shifted.discarded_cum == (0.0,) * 6
             truncated += plain.truncated
         assert truncated > 0 or cap == 100_000
-    assert evolve(LAW, 2, 13, shift=2).s_values[0] == math.exp(LAW.mu * 2)
-    assert evolve(LAW, 2, 13).s_values[0] == 1.0
+    assert brw._evolve_runs(LAW, 2, 13, [0], [2])[0].s_values[0] == math.exp(LAW.mu * 2)
+    assert brw._evolve_runs(LAW, 2, 13, [0])[0].s_values[0] == 1.0
+
+
+def _martingale_reference(law, generations, runs, master_seed):
+    """The martingale table by its definition: per generation, the mean and
+    standard error of S_n over the unshifted runs, alpha^n, the cap bias and
+    the mean discarded weight."""
+    plain = brw._evolve_runs(law, generations, master_seed, range(runs))
+    alpha, alpha_cap = law.alpha(), law.alpha_truncated()
+    rows = []
+    for n in range(generations + 1):
+        mean, se = mean_and_se([run.s_values[n] for run in plain])
+        rows.append(MartingaleRow(
+            n, mean, se, alpha ** n, alpha ** n - alpha_cap ** n,
+            ltr_sum(run.discarded_cum[n] for run in plain) / runs))
+    return rows
 
 
 @pytest.mark.parametrize("floor", [0.0, 0.05, 0.9])
@@ -138,10 +149,10 @@ def test_brw_tables_match_martingale_table_and_shifted_evolves(floor):
     # at seed 53 and floor 0.9 one run's hits differ between the shifted
     # run and the plain run plus C, so a floored table must evolve both
     mart, surv = brw_tables(law, 4, 40, master_seed=53)
-    assert mart == martingale_table(law, 4, 40, master_seed=53)
+    assert mart == _martingale_reference(law, 4, 40, 53)
     hits = [0] * 5
-    for r in range(40):
-        run = evolve(law, 4, 53, run_index=r, shift=sample_shift(law, 53, r))
+    shifts = brw._sample_shifts(law, 53, range(40))
+    for run in brw._evolve_runs(law, 4, 53, range(40), shifts):
         for n, m in enumerate(run.max_locations):
             hits[n] += m is not None and m > 0
     assert [row.hits for row in surv] == hits
@@ -155,22 +166,23 @@ def test_brw_tables_match_martingale_table_and_shifted_evolves(floor):
     OffspringLaw(3, 0.97, 0.5, depth_cap=3, weight_floor=0.3),
 ])
 def test_brw_tables_prefix_is_the_shorter_survival_curve(law):
-    """One brw_tables pass over 10 generations gives martingale_table's
-    rows and, in its rows 0-8, survival_curve's over 8 generations, as
-    acceptance 6 reads them."""
+    """One brw_tables pass over 10 generations gives the reference
+    martingale rows and, in its rows 0-8, the tables of a brw_tables pass
+    over 8 generations, as acceptance 6 reads them."""
     mart, surv = brw_tables(law, 10, 300, master_seed=7)
-    assert mart == martingale_table(law, 10, 300, master_seed=7)
-    assert surv[:9] == survival_curve(law, 8, 300, master_seed=7)
+    assert mart == _martingale_reference(law, 10, 300, 7)
+    short_mart, short_surv = brw_tables(law, 8, 300, master_seed=7)
+    assert (mart[:9], surv[:9]) == (short_mart, short_surv)
     assert any(row.hits for row in surv[2:9])
     assert (mart[-1].mean_discarded > 0.0) == (law.weight_floor > 0.0)
 
 
 def test_determinism():
-    a = evolve(LAW, 6, 99, run_index=5)
-    b = evolve(LAW, 6, 99, run_index=5)
+    a = brw._evolve_runs(LAW, 6, 99, [5])
+    b = brw._evolve_runs(LAW, 6, 99, [5])
     assert a == b
-    assert sample_shift(LAW, 99, 5) == sample_shift(LAW, 99, 5)
-    assert sample_shift(LAW, 99, 5) >= 1
+    assert brw._sample_shifts(LAW, 99, [5]) == brw._sample_shifts(LAW, 99, [5])
+    assert brw._sample_shifts(LAW, 99, [5])[0] >= 1
     # shifts drawn in one batch are those of their keyed generators
     law = OffspringLaw(2, 0.3, 0.5)  # a small p spreads the shifts out
     assert brw._sample_shifts(law, 99, range(20)) == [
@@ -179,7 +191,7 @@ def test_determinism():
 
 
 def test_survival_rows():
-    rows = survival_curve(LAW, 6, 3000, master_seed=17)
+    _, rows = brw_tables(LAW, 6, 3000, master_seed=17)
     # the shifted root starts at C >= 1, so generation 0 always survives
     assert rows[0].frequency == 1.0
     for r in rows[1:]:
@@ -267,7 +279,7 @@ def test_reseeded_generator_draws_as_default_rng():
     for seed in (5, 6):
         keys = np.array([run_key(seed, i) for i in range(40)], np.uint64)
         assert keys.size >= brw._BATCH_MIN
-        seeded = brw._seeder(keys, lambda: rng)
+        seeded = brw._seeder(keys, rng)
         for i in [*range(0, 40, 2), *range(39, 0, -2)]:
             got = seeded(i)
             assert got is rng
@@ -275,8 +287,9 @@ def test_reseeded_generator_draws_as_default_rng():
 
 
 def _one_particle_at_a_time(law, generations, seed, run_index, shift, cap):
-    """evolve's semantics with every particle seeded by default_rng through
-    sample_offspring, and no early stop: the reference for batched runs."""
+    """_evolve_runs' semantics for one run, with every particle seeded by
+    default_rng through sample_offspring, and no early stop: the reference
+    for batched runs."""
     loc0 = 0 if shift is None else shift
     particles = [(loc0, run_key(seed, run_index))]
     s, top, pop, disc = [math.exp(law.mu * loc0)], [loc0], [1], [0.0]
@@ -296,8 +309,7 @@ def _one_particle_at_a_time(law, generations, seed, run_index, shift, cap):
         top.append(max(loc for loc, _ in particles) if particles else None)
         pop.append(len(particles))
         disc.append(discarded)
-    return BrwRun(law, shift, tuple(s), tuple(top), tuple(pop), tuple(disc),
-                  truncated)
+    return BrwRun(tuple(s), tuple(top), tuple(pop), tuple(disc), truncated)
 
 
 @pytest.mark.parametrize("lockstep", [brw._LOCKSTEP_PARTICLES, 5])
@@ -309,17 +321,18 @@ def _one_particle_at_a_time(law, generations, seed, run_index, shift, cap):
 ])
 def test_evolve_runs_equal_one_run_at_a_time(monkeypatch, law, cap, lockstep):
     """Runs in lockstep, whole or in halves (a small lockstep budget), equal
-    batch-of-one evolves and a one-particle-at-a-time reference: under a
+    batches of one and a one-particle-at-a-time reference: under a
     binding cap, and with pruned weight tallied bit for bit."""
     monkeypatch.setattr(brw, "_LOCKSTEP_PARTICLES", lockstep)
     runs, generations = 20, 3
-    shifts = [sample_shift(law, 9, r) for r in range(runs)]
+    shifts = brw._sample_shifts(law, 9, range(runs))
     for run_shifts in (None, shifts):
         starts = run_shifts or [None] * runs
         batch = brw._evolve_runs(law, generations, 9, range(runs), run_shifts,
                                  particle_cap=cap)
-        ones = [evolve(law, generations, 9, run_index=r, shift=starts[r],
-                       particle_cap=cap) for r in range(runs)]
+        ones = [brw._evolve_runs(law, generations, 9, [r],
+                                 None if run_shifts is None else [run_shifts[r]],
+                                 particle_cap=cap)[0] for r in range(runs)]
         assert batch == ones
         assert ones == [_one_particle_at_a_time(law, generations, 9, r,
                                                 starts[r], cap)

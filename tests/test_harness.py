@@ -281,7 +281,7 @@ def _grown_cover(exp: Experiment, rep: int, boxes: list) -> tuple[int, bool]:
     for _ in range(exp.growth_cap + 1):
         box = BoxRegion((-m,) * (exp.d - 1) + (0,), (m,) * (exp.d - 1) + (h,))
         boxes.append(([rep], box))
-        sites = reach(field, [origin], box, height_floor=0).reached
+        sites = reach(field, [origin], box).reached
         certified = not any(s[-1] == h or m in map(abs, s[:-1]) for s in sites)
         if certified:
             break

@@ -194,12 +194,12 @@ def test_antitone_in_openness():
         closed = frozenset(s for s in box.sites() if config.is_closed(s))
         if not closed:
             continue
-        before = reach(config, bottom, box, height_floor=0).reached
+        before = reach(config, bottom, box).reached
         flip = next(iter(closed))
         opened = ExplicitConfig(
             box, tuple(1 if s == flip else st
                        for s, st in zip(box.sites(), config.states)))
-        after = reach(opened, bottom, box, height_floor=0).reached
+        after = reach(opened, bottom, box).reached
         assert after <= before
 
 
@@ -251,16 +251,17 @@ def test_sandwich_equals_set_reach():
 
 
 def test_reach_rejects_source_below_floor():
-    # the oracle refuses the same input; a floor inside the box crops it
+    # the oracle refuses a source below its floor; reach's floor is the box
+    # bottom, so the oracle's floor 0 is reach on the box cropped to height 0
     box = BoxRegion((-1, -1), (1, 2))
     all_closed = ExplicitConfig(box, (0,) * box.size)
     with pytest.raises(ValueError, match="below floor"):
-        reach(all_closed, [(0, -1)], box, height_floor=0)
-    with pytest.raises(ValueError, match="below floor"):
         walk_reach(all_closed, [(0, -1)], height_floor=0)
-    result = reach(all_closed, [(0, 0)], box, height_floor=0)
-    assert result.reached == walk_reach(all_closed, [(0, 0)], height_floor=0)
+    result = reach(all_closed, [(0, -1)], box)
+    assert result.reached == walk_reach(all_closed, [(0, -1)], height_floor=-1)
     assert result.box == box
+    cropped = reach(all_closed, [(0, 0)], BoxRegion((-1, 0), (1, 2)))
+    assert cropped.reached == walk_reach(all_closed, [(0, 0)], height_floor=0)
 
 
 @st.composite
@@ -412,8 +413,8 @@ def test_cached_per_shape_arrays_are_read_only():
     from lipsurf.lattice import _box_coords
     from lipsurf.surface import _climb_box, _cover_grid, _floor_box
     box = BoxRegion((-2, -1, 0), (2, 3, 4))
-    cached = [(_rim, ((5, 5, 5), StepSet.FULL)), (_box_coords, (box, 1)),
-              (_box_coords, (box, 0)), (REACH._column_index, (box, ((0, 0), (1, 2)))),
+    cached = [(_rim, ((5, 5, 5), StepSet.FULL)), (_box_coords, (box,)),
+              (REACH._column_index, (box, ((0, 0), (1, 2)))),
               (_cover_grid, ((5, 5), (2, 1)))]
     arrays = 0
     for cache, key in cached:
@@ -424,7 +425,7 @@ def test_cached_per_shape_arrays_are_read_only():
                 arrays += 1
                 with pytest.raises(ValueError, match="read-only"):
                     a[(0,) * a.ndim] = 1
-    assert arrays == 1 + 3 + 3 + 2 + 2  # the rim, coordinates, column index, grid
+    assert arrays == 1 + 3 + 2 + 2  # the rim, coordinates, column index, grid
     for box_at in (_floor_box((0, 0), (1, 1), 2, 3), _climb_box((0, 0), 2, 3)):
         assert box_at(2) is box_at(2)
 
@@ -680,7 +681,7 @@ def test_climb_height_needs_closed_sites():
         box = BoxRegion((-1, 0), (1, 2))
         config = ExplicitConfig.from_bits(box, bits)
         closed_count = config.states.count(0)
-        result = reach(config, [(0, 0)], box, height_floor=0)
+        result = reach(config, [(0, 0)], box)
         top = max(s[1] for s in result.reached)
         assert top <= closed_count
 
