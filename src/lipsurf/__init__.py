@@ -21,7 +21,7 @@ from .bounds import (HypothesisError, constants_summary, geometric_mgf,
                      path_sum_bound, prefactor, spread_rate, spread_tail_bound,
                      step_count, subcritical_threshold, surface_tail_bound,
                      tail_rate)
-from .brw import OffspringLaw, brw_tables, sample_offspring
+from .brw import OffspringLaw, brw_tables
 from .oracle import (NoCoverInBox, PathEnumeration, all_local_covers,
                      attained_spread, cover_fixed_point, enum_paths,
                      exact_event_prob, partial_expected_visits, path_reach,

@@ -17,16 +17,15 @@ alpha (reported as cap_remainder), and every pruned child's weight is
 added to a discarded tally, never silently lost.
 
 brw_tables runs the walk: it evolves a table's runs together and reads
-both the martingale and the survival table off them (sample_offspring
-draws one particle's children alone).
+both the martingale and the survival table off them.
 Randomness is keyed per particle by its ancestry, so pruning or ignoring
 one particle never shifts the draws of any other; runs are deterministic
 given (master_seed, run_index).  Every particle's draws are those of
 np.random.default_rng(key), made by numpy's own Generator.  Only the
 seeding is batched: the runs of a table advance in lockstep, and each
-generation's keys, across all runs, become PCG64 states in one numpy pass
-(_pcg64_states, numpy's SeedSequence reimplemented; the tests pin it
-against numpy key by key).
+generation's keys, across all runs and however few, become PCG64 states
+in one numpy pass (_pcg64_states, numpy's SeedSequence reimplemented; the
+tests pin it against numpy key by key).
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ from .stats import ltr_sum, mean_and_se, wilson_interval
 _DOMAIN_TAG = 0x42525754  # keeps BRW streams disjoint from field streams
 _SHIFT_TAG = 0x43
 _LOCKSTEP_PARTICLES = 1 << 14  # runs holding more live particles advance in halves
-_BATCH_MIN = 8  # fewer keys are seeded faster by default_rng one at a time
 
 # numpy's SeedSequence (O'Neill's seed_seq_fe: a pool of four uint32 words)
 # and PCG64's seeding, as _pcg64_states reproduces them
@@ -206,13 +204,10 @@ def _seeder(keys: np.ndarray, rng: np.random.Generator):
     """The function i -> a Generator in the state np.random.default_rng(
     keys[i]) starts in, to be drawn from before the next i is asked for.
 
-    Fewer than _BATCH_MIN keys are seeded by default_rng itself.  More are
-    turned into PCG64 states in one _pcg64_states pass, and rng, a PCG64
-    Generator, is reseeded through its bit generator's state, one state
-    dict rebound for every key.
+    Every batch, of one key or many, is turned into PCG64 states in one
+    _pcg64_states pass, and rng, a PCG64 Generator, is reseeded through its
+    bit generator's state, one state dict rebound for every key.
     """
-    if keys.size < _BATCH_MIN:
-        return lambda i: np.random.default_rng(int(keys[i]))
     states = _pcg64_states(keys)
     bits = rng.bit_generator
     state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
@@ -223,49 +218,6 @@ def _seeder(keys: np.ndarray, rng: np.random.Generator):
         bits.state = state
         return rng
     return seeded
-
-
-def _offspring(rng: np.random.Generator, law: OffspringLaw, location: int
-               ) -> tuple[list[tuple[int, int, int]], float]:
-    """One particle's draws from rng: its kept children as (location, level,
-    index within the level), plus the exact weight the floor prune discarded.
-
-    The level counts are one binomial draw and the displacements one
-    geometric draw of their total, which numpy makes as the same calls, in
-    the same order, as one draw per child.  Only the levels with children
-    are visited.
-    """
-    counts = rng.binomial(_level_counts(law.d, law.depth_cap), law.q, law.depth_cap)
-    levels = counts.nonzero()[0].tolist()
-    if not levels:
-        return [], 0.0
-    counts = counts.tolist()
-    steps = iter(rng.geometric(law.p, sum(counts)).tolist())
-    kept = []
-    discarded = 0.0
-    for i in levels:
-        n = i + 1
-        for j in range(counts[i]):
-            loc = location - n + next(steps)
-            if law.weight_floor > 0.0:
-                w = exp(law.mu * loc)
-                if w < law.weight_floor:
-                    discarded += w
-                    continue
-            kept.append((loc, n, j))
-    return kept, discarded
-
-
-def sample_offspring(location: int, law: OffspringLaw, key: int
-                     ) -> tuple[list[tuple[int, int]], float]:
-    """Children of one particle: list of (location, child_key) pairs, plus
-    the exact weight discarded by the floor prune.
-
-    Level counts and geometric displacements come from a generator seeded by
-    the particle's key alone; child keys extend the ancestry chain.
-    """
-    kept, discarded = _offspring(np.random.default_rng(key), law, location)
-    return [(loc, absorb(absorb(key, n), j)) for loc, n, j in kept], discarded
 
 
 @dataclass(frozen=True)
@@ -345,20 +297,27 @@ def _evolve_runs(law: OffspringLaw, generations: int, master_seed: int,
     Each generation seeds the live particles of every run in one _seeder
     batch, through one Generator per call.  Runs holding more than
     _LOCKSTEP_PARTICLES live particles advance in halves, so memory stays
-    near that of one capped run.  Within a run, parents are sampled in turn,
-    each one's discarded weight added to the run's tally; once the next
-    generation exceeds particle_cap, its first particle_cap children are
-    kept and the parents left are not sampled.
+    near that of one capped run.  Within a run, parents are sampled in turn:
+    a parent's level counts are one binomial draw and its children's
+    displacements one geometric draw of their total, which numpy makes as
+    the same calls, in the same order, as one draw per child; only the
+    levels with children are visited.  Each parent's pruned weight is summed
+    on its own before it joins the run's tally; once the next generation
+    exceeds particle_cap, its first particle_cap children are kept and the
+    parents left are not sampled.
     """
     if generations < 1:
         raise ValueError("generations must be >= 1")
+    taus, q, p = _level_counts(law.d, law.depth_cap), law.q, law.p
+    depth_cap, mu, floor = law.depth_cap, law.mu, law.weight_floor
     starts = [0] * len(run_indices) if shifts is None else [int(c) for c in shifts]
-    lineages = [_Lineage(law.mu, loc) for loc in starts]
+    lineages = [_Lineage(mu, loc) for loc in starts]
     rng = np.random.default_rng(0)  # every _seeder pass replaces its state
 
     def advance(lineages, locs, keys, sizes, done):
         # lineages are the live runs, sizes their particle counts, and locs
-        # and keys their particles, run after run
+        # and keys their particles, run after run; a kid is (location,
+        # level, index within the level)
         while done < generations and lineages:
             if len(lineages) > 1 and len(locs) > _LOCKSTEP_PARTICLES:
                 half = len(lineages) // 2
@@ -371,17 +330,33 @@ def _evolve_runs(law: OffspringLaw, generations: int, master_seed: int,
             first = 0
             for lineage, size in zip(lineages, sizes):
                 mine, mine_parents = [], []
-                for p in range(first, first + size):
-                    kept, dropped = _offspring(seeded(p), law, locs[p])
+                for parent in range(first, first + size):
+                    draw = seeded(parent)
+                    counts = draw.binomial(taus, q, depth_cap)
+                    levels = counts.nonzero()[0].tolist()
+                    if not levels:
+                        continue
+                    counts = counts.tolist()
+                    steps = iter(draw.geometric(p, sum(counts)).tolist())
+                    location, dropped = locs[parent], 0.0
+                    for i in levels:
+                        n = i + 1
+                        for j in range(counts[i]):
+                            loc = location - n + next(steps)
+                            if floor > 0.0:
+                                w = exp(mu * loc)
+                                if w < floor:
+                                    dropped += w
+                                    continue
+                            mine.append((loc, n, j))
+                            mine_parents.append(parent)
                     lineage.discarded += dropped
-                    mine += kept
-                    mine_parents += [p] * len(kept)
                     if len(mine) > particle_cap:
                         lineage.truncated = True
                         del mine[particle_cap:], mine_parents[particle_cap:]
                         break
                 first += size
-                lineage.record(law.mu, [loc for loc, _, _ in mine])
+                lineage.record(mu, [loc for loc, _, _ in mine])
                 if mine:
                     live.append(lineage)
                     live_sizes.append(len(mine))

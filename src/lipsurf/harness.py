@@ -385,7 +385,21 @@ def equivariance_check(exp: Experiment) -> dict:
     configuration by configuration."""
     r, k = exp.base_radius, exp.d - 1
     cols = np.array(_base_ball(exp.d, r))
-    hashes = _hash_replicates(exp.d, exp.p, exp.seed)
+    field_hashes = _hash_replicates(exp.d, exp.p, exp.seed)
+    first = _floor_box((-r,) * k, (r,) * k, exp.budget.margin, exp.budget.height)(0)
+    # every stream reads the same read-only masks of a chunk: each (box,
+    # items) is hashed once, and a chunk's first box starts the next chunk
+    masks = {}
+
+    def hashes(items, box):
+        key = box, items.tobytes()
+        if key not in masks:
+            if box == first:
+                masks.clear()
+            mask = masks[key] = field_hashes(items, box)
+            mask.flags.writeable = False
+        return masks[key]
+
     isometries = list(signed_permutations(k))
     # per isometry, the index in the base ball of each base column's image
     images = [np.ravel_multi_index((signs * cols[:, perm] + r).T, (2 * r + 1,) * k)

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from lipsurf import brw
-from lipsurf.brw import (BrwRun, MartingaleRow, OffspringLaw, brw_tables,
-                         run_key, sample_offspring)
+from lipsurf.brw import BrwRun, MartingaleRow, OffspringLaw, brw_tables, run_key
 from lipsurf.lattice import absorb, count_l1_sphere
 from lipsurf.stats import ltr_sum, mean_and_se
 
@@ -17,7 +16,7 @@ def test_offspring_children_are_displaced_geometrically():
     # child at parent - n + g with g >= 1 means location >= parent - depth_cap
     kids = []
     for i in range(400):
-        children, _ = sample_offspring(0, LAW, run_key(1, i))
+        children, _ = _array_n_offspring(0, LAW, run_key(1, i))
         kids.extend(loc for loc, _ in children)
     assert kids
     assert min(kids) >= -LAW.depth_cap  # g >= 1 keeps children above -cap
@@ -28,19 +27,14 @@ def test_offspring_mean_count():
     # expected children per particle is q * sum of level counts
     law = OffspringLaw(2, 0.9999, math.log(2), depth_cap=40)
     expect = law.q * sum(count_l1_sphere(1, n) for n in range(1, 41))
-    counts = []
-    for i in range(10000):
-        children, _ = sample_offspring(0, law, run_key(7, i))
-        counts.append(len(children))
+    counts = [run.population[1] for run in brw._evolve_runs(law, 1, 7, range(10000))]
     mean, se = mean_and_se(counts)
     assert abs(mean - expect) <= 3 * max(se, 1e-6)
 
 
 def test_offspring_weighted_sum_matches_laplace():
-    sums = []
-    for i in range(10000):
-        children, discarded = sample_offspring(0, LAW, run_key(21, i))
-        sums.append(sum(math.exp(LAW.mu * loc) for loc, _ in children) + discarded)
+    sums = [run.s_values[1] + run.discarded_cum[1]
+            for run in brw._evolve_runs(LAW, 1, 21, range(10000))]
     mean, _ = mean_and_se(sums)
     exact_se = math.sqrt(
         (LAW.offspring_second_moment() - LAW.alpha() ** 2) / len(sums))
@@ -237,18 +231,16 @@ def _array_n_offspring(location, law, key):
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_offspring_draws_match_the_array_binomial(d):
-    """At d=2 every level has two sites and the counts come from numpy's
-    scalar-n binomial; its stream must equal the array form's, key by key.
-    d=3 takes the array form and checks the walk over nonzero levels."""
+    """At d=2 every level has two sites and the walk's counts come from
+    numpy's scalar-n binomial; its stream must equal the array form's, run
+    by run over two generations.  d=3 takes the array form and checks the
+    walk over nonzero levels."""
     assert isinstance(brw._level_counts(2, 30), int)
     law = OffspringLaw(d, 0.9, 0.5, weight_floor=0.3)
-    with_children = 0
-    for i in range(200):
-        key = run_key(17, i)
-        got = sample_offspring(3, law, key)
-        assert got == _array_n_offspring(3, law, key), i
-        with_children += bool(got[0])
-    assert with_children > 100
+    runs = brw._evolve_runs(law, 2, 17, range(200), [3] * 200)
+    assert runs == [_one_particle_at_a_time(law, 2, 17, i, 3, 100_000)
+                    for i in range(200)]
+    assert sum(run.population[1] > 0 for run in runs) > 100
 
 
 def test_pcg64_states_pin_numpy_seeding():
@@ -266,8 +258,9 @@ def test_pcg64_states_pin_numpy_seeding():
 def test_reseeded_generator_draws_as_default_rng():
     """The Generator a batch reseeds makes default_rng(key)'s draws: level
     counts by scalar-n and by array-n binomial, then geometrics one at a
-    time and as an array, also with the keys visited out of order, and
-    with one Generator reseeded by two _seeder passes in turn."""
+    time and as an array, also with the keys visited out of order, with
+    one Generator reseeded by several _seeder passes in turn, and for
+    batches of one and of two keys."""
     rng = np.random.default_rng(0)
     taus = 4 * np.arange(1, 31)
 
@@ -276,20 +269,19 @@ def test_reseeded_generator_draws_as_default_rng():
                 [int(rng.geometric(0.3)) for _ in range(5)],
                 rng.geometric(0.3, 4).tolist())
 
-    for seed in (5, 6):
-        keys = np.array([run_key(seed, i) for i in range(40)], np.uint64)
-        assert keys.size >= brw._BATCH_MIN
+    for seed, size in ((5, 40), (6, 40), (7, 1), (8, 2)):
+        keys = np.array([run_key(seed, i) for i in range(size)], np.uint64)
         seeded = brw._seeder(keys, rng)
-        for i in [*range(0, 40, 2), *range(39, 0, -2)]:
+        for i in [*range(0, size, 2), *range(size - 1, 0, -2)]:
             got = seeded(i)
             assert got is rng
             assert draws(got) == draws(np.random.default_rng(int(keys[i]))), i
 
 
 def _one_particle_at_a_time(law, generations, seed, run_index, shift, cap):
-    """_evolve_runs' semantics for one run, with every particle seeded by
-    default_rng through sample_offspring, and no early stop: the reference
-    for batched runs."""
+    """_evolve_runs' semantics for one run, with every particle's children
+    drawn by _array_n_offspring from default_rng(key), and no early stop:
+    the reference for batched runs."""
     loc0 = 0 if shift is None else shift
     particles = [(loc0, run_key(seed, run_index))]
     s, top, pop, disc = [math.exp(law.mu * loc0)], [loc0], [1], [0.0]
@@ -297,7 +289,7 @@ def _one_particle_at_a_time(law, generations, seed, run_index, shift, cap):
     for _ in range(generations):
         nxt = []
         for loc, key in particles:
-            kids, dropped = sample_offspring(loc, law, key)
+            kids, dropped = _array_n_offspring(loc, law, key)
             discarded += dropped
             nxt.extend(kids)
             if len(nxt) > cap:

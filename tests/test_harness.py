@@ -462,6 +462,33 @@ def test_equivariance_and_monotonicity_checks():
     assert mono["violations"] == 0 and mono["pairs_checked"] > 0
 
 
+@pytest.mark.parametrize("config, grows", [
+    ({"kind": "equivariance", "d": 3, "p": 0.98, "replicates": 40, "seed": 2,
+      "base_radius": 3}, False),
+    ("equivariance_grown", True),
+])
+def test_equivariance_hashes_each_chunk_once(monkeypatch, config, grows):
+    """Every isometry view reads the field's own masks: each (items, box)
+    is hashed once, also for the replicates that grow their box."""
+    if isinstance(config, str):
+        config = _SURFACE_GOLDEN_CASES[config][0]
+    hashed = collections.Counter()
+    real = harness._hash_replicates
+
+    def counting(d, p, seed):
+        hashes = real(d, p, seed)
+
+        def spy(items, box):
+            hashed[items.tobytes(), box] += 1
+            return hashes(items, box)
+        return spy
+
+    monkeypatch.setattr(harness, "_hash_replicates", counting)
+    assert equivariance_check(experiment_from_config(config))["mismatches"] == 0
+    assert set(hashed.values()) == {1}
+    assert (len({box for _, box in hashed}) > 1) == grows
+
+
 class _View(Field):
     """A field seen through a column isometry y -> (signs[i] * y[perm[i]])_i,
     heights untouched; a mask gathers each site's image from the base

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lipsurf.lattice import ExplicitConfig, BoxRegion, PercolationField
-from lipsurf.reach import Budget, floor_reach_sandwich, reach_masks
+from lipsurf.reach import Budget, StepSet, _floor_column_runs, floor_reach_sandwich, reach_masks
 from lipsurf.surface import (COVER_BUDGET, Cert, SurfacePatch, _climb_masks, _read_covers,
                              build_surface, climb_set, minimal_cover, surface_from_covers,
                              verify_surface)
@@ -430,3 +430,89 @@ def test_climb_reader_matches_reach_masks(batch):
     for got, ref in zip(_read_covers(layers, list(center)), _cover_reference(want, center)):
         assert got.shape == ref.shape
         np.testing.assert_array_equal(got, ref)
+
+
+def _height_closure(closed, start):
+    """The full step set's reach in a batch of closed masks (B, *box.shape)
+    as one height per column, from start (B, *column shape): R(y) is the
+    top reached height in column y, -1 for none, since straight-down moves
+    make every reach a run from the floor.  Until nothing changes, climb
+    each reached column whose site above R(y) is closed, then apply the
+    down moves, R(y) >= R(y') - |y - y'|_1, as one forward and one backward
+    running maximum per column axis.  Shares no code with the kernel."""
+    top = closed.shape[-1] - 1
+    heights = start
+    while True:
+        above = np.take_along_axis(closed, np.clip(heights + 1, 0, top)[..., None], -1)
+        grown = heights + ((heights >= 0) & (heights < top) & above[..., 0])
+        for axis in range(1, grown.ndim):
+            at = np.arange(grown.shape[axis]).reshape(-1, *(1,) * (grown.ndim - 1 - axis))
+            grown = np.maximum.accumulate(grown + at, axis=axis) - at
+            back = np.flip(grown - at, axis)
+            grown = np.flip(np.maximum.accumulate(back, axis=axis), axis) + at
+        if np.array_equal(grown, heights):
+            return heights
+        heights = grown
+
+
+def _height_batches(seed, count):
+    """Random batches of closed masks over boxes of d=2 (up to 13 columns)
+    and d=3 (up to 6 columns per axis), heights 1-9 and closed fractions
+    2-80%, with a centre column, on the rim one time in three."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        d = int(rng.integers(2, 4))
+        cols = rng.integers(1, 14 if d == 2 else 7, d - 1)
+        lo = rng.integers(-3, 4, d - 1)
+        box = BoxRegion((*lo.tolist(), 0), (*(lo + cols - 1).tolist(), int(rng.integers(1, 10))))
+        closed = rng.random((int(rng.integers(1, 6)), *box.shape)) < rng.uniform(0.02, 0.8)
+        center = [int(rng.integers(0, n)) for n in cols]
+        if rng.random() < 1 / 3:
+            axis = int(rng.integers(0, d - 1))
+            center[axis] = int(rng.choice([0, cols[axis] - 1]))
+        yield closed, box, tuple(center)
+
+
+def _side_distance(shape):
+    """Per column of shape, its 1-norm distance to the nearest rim column."""
+    grids = np.indices(shape)
+    return np.min([np.minimum(g, n - 1 - g) for g, n in zip(grids, shape)], axis=0)
+
+
+def test_floor_reader_matches_the_height_function():
+    """_floor_column_runs' two sides in every column are the height-function
+    closures of the floor (R = 0) and of the rim (R = max(0, H - distance to
+    the nearest side)), on random boxes, many larger than the oracle's 30
+    sites."""
+    for closed, box, _ in _height_batches(29, 400):
+        *shape, layers = box.shape
+        columns = sorted({s[:-1] for s in box.sites()})
+        lo, hi = _floor_column_runs(closed, box, columns, StepSet.FULL)
+        batch = (len(closed), *shape)
+        rim = np.maximum(0, layers - 1 - _side_distance(shape))
+        for got, start in ((lo, np.zeros(batch, int)), (hi, np.broadcast_to(rim, batch))):
+            want = _height_closure(closed, start)
+            np.testing.assert_array_equal(got, want.reshape(len(closed), -1))
+
+
+def test_climb_reader_matches_the_height_function():
+    """The cover reader of _climb_masks reads the height-function closure of
+    the centre column's floor site: heights R + 1, radius max(R + 1 +
+    |y - x|_1) over reached columns, certified unless a reached column is a
+    rim column or R reaches the top, on random boxes, many larger than the
+    oracle's 30 sites."""
+    for closed, box, center in _height_batches(31, 400):
+        *shape, layers = box.shape
+        start = np.full((len(closed), *shape), -1)
+        start[(slice(None), *center)] = 0
+        heights = _height_closure(closed, start)
+        reached = heights >= 0
+        axes = tuple(range(1, heights.ndim))
+        dist = sum(np.abs(g - c) for g, c in zip(np.indices(shape), center))
+        rim = _side_distance(shape) == 0
+        want = (heights + 1, np.where(reached, heights + 1 + dist, 0).max(axis=axes),
+                ~((reached & rim).any(axis=axes) | (heights == layers - 1).any(axis=axes)))
+        x = tuple(a + c for a, c in zip(box.lo, center))
+        for got, ref in zip(_read_covers(_climb_masks(closed, box, x), center), want):
+            assert got.shape == ref.shape
+            np.testing.assert_array_equal(got, ref)
