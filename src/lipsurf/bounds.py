@@ -161,7 +161,7 @@ def offspring_laplace(d: int, p: float, mu: float) -> float:
     return q * _sphere_series(d - 1, mu) * mgf
 
 
-def minimize_offspring_laplace(d: int, p: float, rel_tol: float = 1e-9) -> tuple[float, float]:
+def minimize_offspring_laplace(d: int, p: float) -> tuple[float, float]:
     """Golden-section minimum of offspring_laplace over the feasible mu interval.
 
     The transform is log-convex in mu, hence unimodal; the feasible interval
@@ -179,7 +179,7 @@ def minimize_offspring_laplace(d: int, p: float, rel_tol: float = 1e-9) -> tuple
     e = a + invphi * (b - a)
     fc = offspring_laplace(d, p, c)
     fe = offspring_laplace(d, p, e)
-    while (b - a) > rel_tol * max(abs(a), abs(b), 1e-12):
+    while (b - a) > 1e-9 * max(abs(a), abs(b), 1e-12):
         if fc <= fe:
             b, e, fe = e, c, fc
             c = b - invphi * (b - a)

@@ -18,8 +18,8 @@ import sys
 
 from .bounds import HypothesisError, constants_summary
 from .harness import (_BOX_READS, _FIELD_TYPES, TAIL_KINDS, BudgetExceededError,
-                      ConfigError, _base_ball, _config_dict, check_fields,
-                      check_values, oracle_suite, run_experiment)
+                      ConfigError, _base_ball, _config_dict, _rows_to_csv,
+                      check_fields, check_values, oracle_suite, run_experiment)
 from .lattice import BoxRegion, ExplicitConfig, PercolationField
 from .reach import Budget
 from .surface import COVER_BUDGET, build_surface, minimal_cover
@@ -127,13 +127,13 @@ def _cmd_sample(args, config: dict) -> int:
     h = config.get("box_height", 4)
     field = PercolationField(d, p, config.get("seed", 0), args.replicate)
     box = BoxRegion(tuple([-m] * (d - 1) + [0]), tuple([m] * (d - 1) + [h]))
-    states = tuple(0 if field.is_closed(s) else 1 for s in box.sites())
-    explicit = ExplicitConfig(box, states)
+    # 1 for open; the mask's C order is the lexicographic site order
+    states = (~field.closed_mask(box)).ravel().astype(int)
+    explicit = ExplicitConfig(box, tuple(states.tolist()))
     if config.get("format", "json") == "csv":
-        lines = ["site,state"]
-        for site, st in zip(box.sites(), explicit.states):
-            lines.append("%s,%d" % (" ".join(map(str, site)), st))
-        _emit("\n".join(lines) + "\n", config.get("out"))
+        rows = [{"site": " ".join(map(str, site)), "state": st}
+                for site, st in zip(box.sites(), explicit.states)]
+        _emit(_rows_to_csv(rows, "site,state"), config.get("out"))
     else:
         _emit(json.dumps(explicit.to_json(), sort_keys=True) + "\n", config.get("out"))
     return EXIT_OK
@@ -146,11 +146,9 @@ def _cmd_surface(args, config: dict) -> int:
     field = PercolationField(d, config.get("p", 0.99), config.get("seed", 0))
     patch = build_surface(field, _base_ball(d, radius), _budget(config, Budget()))
     if config.get("format", "json") == "csv":
-        lines = ["column,value,status"]
-        for col in patch.columns:
-            lines.append("%s,%d,%s" % (" ".join(map(str, col)),
-                                       patch.values[col], patch.status[col].value))
-        _emit("\n".join(lines) + "\n", config.get("out"))
+        rows = [{"column": " ".join(map(str, col)), "value": patch.values[col],
+                 "status": patch.status[col].value} for col in patch.columns]
+        _emit(_rows_to_csv(rows, "column,value,status"), config.get("out"))
     else:
         _emit(patch.to_json_str() + "\n", config.get("out"))
     return EXIT_OK

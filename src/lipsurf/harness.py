@@ -19,20 +19,19 @@ import json
 import math
 import time
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__ as _version
-from .bounds import (HypothesisError, spread_rate, spread_tail_bound,
-                     surface_tail_bound)
+from .bounds import spread_tail_bound, surface_tail_bound
 from .brw import OffspringLaw, brw_tables
 from .lattice import BoxRegion, Column, ExplicitConfig
 from .reach import (Budget, StepSet, _floor_column_runs, _hash_replicates,
                     _settle_replicates)
 # unused here: perfbench/selftest.py checks its tracer rebinds this name
 from .reach import floor_reach_sandwich  # noqa: F401
-from .stats import Z_99, wilson_interval
+from .stats import wilson_interval
 from .surface import (_climb_box, _climb_masks, _cover_entries, _floor_box,
                       _read_covers, _surface_runs, _violations)
 
@@ -206,15 +205,14 @@ class TailCurve:
                 "rows": [r._asdict() for r in self.rows]}
 
 
-def _tail_curve(exp: Experiment, kind: str, levels: int, runs, bound_at,
-                restricted: bool = False) -> TailCurve:
+def _tail_curve(exp: Experiment, kind: str, levels: int, runs, bound_at) -> TailCurve:
     """Tail rows for levels 0..levels-1.  `runs` yields, per chunk of
     replicates, arrays (lo, hi, settled): the statistic's certified lower
     and upper values, level k a sure hit where lo >= k and a possible hit
-    where hi >= k.  The hypothesis is checked before any replicate runs."""
-    if spread_rate(exp.d, exp.p, restricted) >= 1.0:
-        raise HypothesisError(
-            f"a^2*q >= 1 at d={exp.d}, p={exp.p}; tail bound hypothesis violated")
+    where hi >= k.  The bound checks its own hypothesis: bound_at(0) runs
+    before the first chunk is drawn from `runs`, so a HypothesisError comes
+    before any replicate is hashed."""
+    bound_at(0)
     counts = np.zeros((2, levels + 1), dtype=np.int64)
     for lo, hi, _ in runs:
         for side, values in zip(counts, (lo, hi)):
@@ -223,7 +221,7 @@ def _tail_curve(exp: Experiment, kind: str, levels: int, runs, bound_at,
     # Python ints, as the CSV body is written with repr()
     hits_lo, hits_hi = counts[:, ::-1].cumsum(axis=1)[:, -2::-1].tolist()
     n = exp.replicates
-    ci = {h: wilson_interval(h, n, Z_99) for h in {*hits_lo, *hits_hi}}
+    ci = {h: wilson_interval(h, n) for h in {*hits_lo, *hits_hi}}
     rows = tuple(TailRow(k, n, lo, hi, lo / n, hi / n, ci[lo][0], ci[hi][1],
                          bound_at(k), (hi - lo) / n)
                  for k, (lo, hi) in enumerate(zip(hits_lo, hits_hi)))
@@ -280,8 +278,7 @@ def surface_tail_curve(exp: Experiment) -> TailCurve:
     set, and F(0) > k exactly when the run reaches height k."""
     restricted = exp.step_mode is StepSet.NO_STRAIGHT_DOWN
     return _tail_curve(exp, "f_tail", exp.k_max + 1, _floor_runs(exp),
-                       lambda k: surface_tail_bound(exp.d, exp.p, k, restricted),
-                       restricted)
+                       lambda k: surface_tail_bound(exp.d, exp.p, k, restricted))
 
 
 def spread_tail_curve(exp: Experiment) -> TailCurve:
@@ -670,19 +667,17 @@ def bucket_check(d: int, max_len: int, step_set: StepSet = StepSet.FULL) -> dict
             "failures": failures, "passed": failures == 0}
 
 
-def en_check(d: int, p: float, max_len: int,
-             pairs: Iterable[tuple[int, int]] = ((0, 0), (1, 0), (0, 1), (-1, 1)),
-             step_set: StepSet = StepSet.FULL) -> dict:
-    """Truncated expected-path sums must stay below the closed-form bound."""
+def en_check(d: int, p: float, max_len: int) -> dict:
+    """Truncated expected-path sums of the full step set must stay below the
+    closed-form bound at (h, r) = (0, 0), (1, 0), (0, 1) and (-1, 1)."""
     from .bounds import path_sum_bound
     from .oracle import partial_expected_visits
 
-    restricted = step_set is StepSet.NO_STRAIGHT_DOWN
     results = []
     failures = 0
-    for h, r in pairs:
-        partial = partial_expected_visits(d, p, h, r, max_len, step_set)
-        bound = path_sum_bound(d, p, h, r, restricted)
+    for h, r in ((0, 0), (1, 0), (0, 1), (-1, 1)):
+        partial = partial_expected_visits(d, p, h, r, max_len)
+        bound = path_sum_bound(d, p, h, r)
         ok = partial <= bound
         failures += 0 if ok else 1
         results.append({"h": h, "r": r, "partial": partial, "bound": bound,
@@ -691,15 +686,16 @@ def en_check(d: int, p: float, max_len: int,
             "failures": failures, "passed": failures == 0}
 
 
-def oracle_suite(p: float = 0.99, max_len: int = 6) -> dict:
-    """The standard oracle sweeps behind the `oracle` subcommand."""
+def oracle_suite(p: float = 0.99) -> dict:
+    """The standard oracle sweeps behind the `oracle` subcommand, on paths
+    of up to six steps."""
     checks = [
         cover_sweep(p=p),
         walk_path_sweep(),
-        bucket_check(2, max_len),
-        bucket_check(2, max_len, StepSet.NO_STRAIGHT_DOWN),
-        bucket_check(3, min(max_len, 6)),
-        en_check(2, p, max_len),
-        en_check(3, p, min(max_len, 6)),
+        bucket_check(2, 6),
+        bucket_check(2, 6, StepSet.NO_STRAIGHT_DOWN),
+        bucket_check(3, 6),
+        en_check(2, p, 6),
+        en_check(3, p, 6),
     ]
     return {"checks": checks, "all_passed": all(c["passed"] for c in checks)}

@@ -49,9 +49,6 @@ class PathEnumeration:
     (the enumeration itself is configuration-free).
     """
 
-    d: int
-    step_set: StepSet
-    max_len: int
     by_ud: dict[tuple[int, int], int]
     by_endpoint_u: dict[Site, dict[int, int]]
 
@@ -89,15 +86,12 @@ def enum_paths(d: int, step_set: StepSet, max_len: int) -> PathEnumeration:
             visited.discard(nxt)
 
     rec(origin, 0, 0, 0)
-    return PathEnumeration(d, step_set, max_len,
-                           dict(by_ud),
-                           {s: dict(c) for s, c in by_endpoint_u.items()})
+    return PathEnumeration(dict(by_ud), {s: dict(c) for s, c in by_endpoint_u.items()})
 
 
-def partial_expected_visits(d: int, p: float, h: int, r: int, max_len: int,
-                            step_set: StepSet = StepSet.FULL) -> float:
-    """Truncated sum, over enumerated paths ending at height >= h and radial
-    part >= r, of q^(up-steps).
+def partial_expected_visits(d: int, p: float, h: int, r: int, max_len: int) -> float:
+    """Truncated sum, over enumerated paths of the full step set ending at
+    height >= h and radial part >= r, of q^(up-steps).
 
     This is a lower bound on the expected number of admissible paths into
     that region, so it must never exceed bounds.path_sum_bound for the same
@@ -105,12 +99,12 @@ def partial_expected_visits(d: int, p: float, h: int, r: int, max_len: int,
     """
     if r < max(0, -h):
         raise ValueError(f"need r >= max(0, -h); got h={h}, r={r}")
-    a2q = spread_rate(d, p, step_set is StepSet.NO_STRAIGHT_DOWN)
+    a2q = spread_rate(d, p)
     if a2q >= 1.0:
         from .bounds import HypothesisError
         raise HypothesisError(f"a^2*q = {a2q} >= 1")
     q = 1.0 - p
-    enum = enum_paths(d, step_set, max_len)
+    enum = enum_paths(d, StepSet.FULL, max_len)
     total = 0.0
     for site, per_u in enum.by_endpoint_u.items():
         if height(site) >= h and radial(site) >= r:
@@ -179,12 +173,11 @@ def walk_reach(config: ExplicitConfig, sources,
 
 
 def path_reach(config: ExplicitConfig, sources,
-               step_set: StepSet = StepSet.FULL,
                height_floor: int | None = None) -> frozenset[Site]:
-    """Reachable set by admissible distinct-site *paths*, by explicit
-    enumeration; exponential, for tiny boxes only."""
+    """Reachable set by admissible distinct-site *paths* of the full step
+    set, by explicit enumeration; exponential, for tiny boxes only."""
     box = config.box
-    steps = step_vectors(box.dim, step_set)
+    steps = step_vectors(box.dim)
     rng = range(box.dim)
     endpoints: set[Site] = set()
 
@@ -210,6 +203,26 @@ def path_reach(config: ExplicitConfig, sources,
     return frozenset(endpoints)
 
 
+def _column_base(box: BoxRegion):
+    """The base of a box's columns, with two closures over it: the 1-norm
+    neighbours of a column inside the base, and whether a column lies on
+    the base's boundary."""
+    base = BoxRegion(box.lo[:-1], box.hi[:-1])
+    k = base.dim
+
+    def neighbours(c: Column):
+        for i in range(k):
+            for s in (1, -1):
+                nb = c[:i] + (c[i] + s,) + c[i + 1:]
+                if base.contains(nb):
+                    yield nb
+
+    def is_boundary(c: Column) -> bool:
+        return any(c[i] == base.lo[i] or c[i] == base.hi[i] for i in range(k))
+
+    return base, neighbours, is_boundary
+
+
 @dataclass(frozen=True)
 class NoCoverInBox:
     """The raising rules escaped the box: no cover is certifiable inside it."""
@@ -230,29 +243,16 @@ def cover_fixed_point(config: ExplicitConfig, x, h_max: int | None = None,
     are inflationary and monotone, so the fixed point is order-independent;
     shuffle_seed only perturbs the visit order for confluence tests.
     """
-    box = config.box
     x = tuple(x)
-    base = BoxRegion(box.lo[:-1], box.hi[:-1])
+    base, neighbours, is_boundary = _column_base(config.box)
     if not base.contains(x):
         raise ValueError(f"center {x} outside box base")
     if h_max is None:
-        h_max = box.hi[-1]
+        h_max = config.box.hi[-1]
     cols = list(base.sites())
     order = random.Random(shuffle_seed)
     level = {c: 0 for c in cols}
     level[x] = 1
-    k = len(x)
-
-    def neighbours(c: Column):
-        for i in range(k):
-            for s in (1, -1):
-                nb = c[:i] + (c[i] + s,) + c[i + 1:]
-                if base.contains(nb):
-                    yield nb
-
-    def is_boundary(c: Column) -> bool:
-        return any(c[i] == base.lo[i] or c[i] == base.hi[i] for i in range(k))
-
     changed = True
     while changed:
         changed = False
@@ -289,22 +289,9 @@ def all_local_covers(config: ExplicitConfig, x, h_max: int):
     Validity: positive entries sit on open sites, 1-norm neighbours differ
     by at most 1, and the center is positive.  Exponential; tiny boxes only.
     """
-    box = config.box
     x = tuple(x)
-    base = BoxRegion(box.lo[:-1], box.hi[:-1])
+    base, neighbours, is_boundary = _column_base(config.box)
     cols = list(base.sites())
-    k = len(x)
-
-    def is_boundary(c: Column) -> bool:
-        return any(c[i] == base.lo[i] or c[i] == base.hi[i] for i in range(k))
-
-    def neighbours(c: Column):
-        for i in range(k):
-            for s in (1, -1):
-                nb = c[:i] + (c[i] + s,) + c[i + 1:]
-                if base.contains(nb):
-                    yield nb
-
     covers = []
 
     def rec(idx: int, assignment: dict):

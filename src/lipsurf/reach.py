@@ -208,10 +208,10 @@ def reach_masks(closed: np.ndarray, seeds: np.ndarray,
     return reached.transpose(swap)
 
 
-def reach(field: Field, sources, box: BoxRegion,
-          step_set: StepSet = StepSet.FULL) -> ReachResult:
-    """All sites of the box connected to the sources by admissible steps
-    staying inside the box; the box bottom is the height floor.
+def reach(field: Field, sources, box: BoxRegion) -> ReachResult:
+    """All sites of the box connected to the sources by admissible steps of
+    the full step set staying inside the box (reach_masks takes either step
+    set); the box bottom is the height floor.
 
     Order-free: the result depends only on the source *set*.  Walks and
     distinct-site paths reach the same sites (loop erasure), so the
@@ -228,7 +228,7 @@ def reach(field: Field, sources, box: BoxRegion,
             raise ValueError(f"source {s} outside box lo={box.lo} hi={box.hi}")
         seeds[(0, *(c - a for c, a in zip(s, box.lo)))] = True
     closed = field.closed_mask(box)[None]
-    return ReachResult(reach_masks(closed, seeds, step_set)[0], box)
+    return ReachResult(reach_masks(closed, seeds)[0], box)
 
 
 def floor_reach_sandwich(field: Field, box: BoxRegion,

@@ -6,9 +6,8 @@ from functools import reduce
 from math import sqrt
 from operator import add
 
-# two-sided normal quantiles
+# the two-sided 99% normal quantile
 Z_99 = 2.5758293035489004
-Z_999 = 3.2905267314919255
 
 
 def ltr_sum(values):
@@ -17,8 +16,8 @@ def ltr_sum(values):
     return reduce(add, values, 0)
 
 
-def wilson_interval(successes: int, trials: int, z: float = Z_99) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion.
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Wilson score 99% interval for a binomial proportion.
 
     Preferred over the normal approximation because it stays sane for small
     counts and near 0 or 1 (a zero count still gets a positive upper bound).
@@ -28,10 +27,10 @@ def wilson_interval(successes: int, trials: int, z: float = Z_99) -> tuple[float
     if trials == 0:
         return (0.0, 1.0)
     phat = successes / trials
-    z2 = z * z
+    z2 = Z_99 * Z_99
     denom = 1.0 + z2 / trials
     center = (phat + z2 / (2 * trials)) / denom
-    margin = (z / denom) * sqrt(phat * (1.0 - phat) / trials + z2 / (4.0 * trials * trials))
+    margin = (Z_99 / denom) * sqrt(phat * (1.0 - phat) / trials + z2 / (4.0 * trials * trials))
     return (max(0.0, center - margin), min(1.0, center + margin))
 
 

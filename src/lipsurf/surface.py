@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -97,7 +97,6 @@ class LocalCoverResult:
     certified: bool
     spread_radius: int
     cover_radius: int
-    budget: Budget = dc_field(repr=False, default=Budget())
 
     def to_json(self) -> dict:
         cols = sorted(self.entries)
@@ -340,7 +339,7 @@ def minimal_cover(field: Field, x, budget: Budget = COVER_BUDGET) -> LocalCoverR
     x = tuple(x)
     result, heights, rho, certified = _climb(field, x, budget)
     return LocalCoverResult(x, _cover_entries(heights, result.box.lo[:-1]), certified,
-                            rho - 1, rho, budget)
+                            rho - 1, rho)
 
 
 def surface_from_covers(field: Field, base, window,

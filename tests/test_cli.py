@@ -298,6 +298,18 @@ def test_oracle_subcommand(capsys, monkeypatch):
     assert len(out["checks"]) == 7
 
 
+def test_oracle_subcommand_golden_stdout(capsys, monkeypatch):
+    """The oracle report, byte for byte, under test_oracle_subcommand's
+    radius-1, h_max-3 cover sweep."""
+    monkeypatch.setattr("lipsurf.harness.cover_sweep",
+                        functools.partial(cover_sweep, radius=1, h_max=3))
+    assert main(["oracle"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert len(out) == 2408
+    assert hashlib.sha256(out).hexdigest() == (
+        "6d894cd5671514fb78f44fdbda274ce534f7a0f36c9fcba7cb7f95d0b91d5608")
+
+
 # (argv, the run_experiment config those flags stand for)
 _RUN_CASES = {
     "f_tail": (["tails", "--kind", "f_tail", "--seed", "3", "--replicates", "200",

@@ -19,7 +19,7 @@ from lipsurf.harness import (TAIL_CSV_HEADER, BudgetExceededError, ConfigError,
 from lipsurf.lattice import BoxRegion, ExplicitConfig, Field, PercolationField
 from lipsurf.oracle import exact_event_prob, walk_reach
 from lipsurf.reach import StepSet, column_runs, floor_reach_sandwich, reach
-from lipsurf.stats import Z_99, wilson_interval
+from lipsurf.stats import wilson_interval
 from lipsurf.surface import Cert, build_surface, verify_surface
 
 # the package exports a function named reach, so fetch the module itself
@@ -396,8 +396,8 @@ def test_tail_hit_counts_match_the_broadcast_count(seed):
     assert [r.hits_hi for r in curve.rows] == _broadcast_hits([c[1] for c in chunks], levels)
     for r in curve.rows:
         assert type(r.hits_lo) is int and type(r.hits_hi) is int
-        assert r.ci_lo == wilson_interval(r.hits_lo, n, Z_99)[0]
-        assert r.ci_hi == wilson_interval(r.hits_hi, n, Z_99)[1]
+        assert r.ci_lo == wilson_interval(r.hits_lo, n)[0]
+        assert r.ci_hi == wilson_interval(r.hits_hi, n)[1]
         assert r.bound == 0.5 ** r.k
 
 
@@ -429,6 +429,32 @@ def test_tail_hypothesis_violation_raises():
         surface_tail_curve(Experiment(kind="f_tail", d=2, p=0.9, replicates=5))
     with pytest.raises(HypothesisError):
         spread_tail_curve(Experiment(kind="radh_tail", d=2, p=0.9, replicates=5))
+
+
+def test_tail_hypothesis_fails_before_any_hash(monkeypatch):
+    """Each tail raises HypothesisError where a^2 q >= 1 for the step set
+    its bound is built with, before any replicate is hashed: f_tail at
+    p=0.9 (full set, a^2 q = 1.6) and at p=0.85 without straight-down steps
+    (a = 3, a^2 q = 1.35), radh_tail and rho_tail at p=0.9.  The restricted
+    f_tail at p=0.9 (a^2 q = 0.9) goes ahead and hashes."""
+    hashed = []
+
+    def spy(*args, real=REACH.replicate_closed_masks):
+        hashed.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(REACH, "replicate_closed_masks", spy)
+    restricted = StepSet.NO_STRAIGHT_DOWN
+    for tail, kind, p, step_mode in ((surface_tail_curve, "f_tail", 0.9, StepSet.FULL),
+                                     (surface_tail_curve, "f_tail", 0.85, restricted),
+                                     (spread_tail_curve, "radh_tail", 0.9, StepSet.FULL),
+                                     (cover_tail_curve, "rho_tail", 0.9, StepSet.FULL)):
+        with pytest.raises(HypothesisError):
+            tail(Experiment(kind=kind, d=2, p=p, replicates=5, step_mode=step_mode))
+        assert hashed == [], kind
+    surface_tail_curve(Experiment(kind="f_tail", d=2, p=0.9, replicates=5,
+                                  step_mode=restricted))
+    assert hashed
 
 
 def test_surface_validity_experiment():
