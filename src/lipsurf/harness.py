@@ -27,13 +27,13 @@ from . import __version__ as _version
 from .bounds import spread_tail_bound, surface_tail_bound
 from .brw import OffspringLaw, brw_tables
 from .lattice import BoxRegion, Column, ExplicitConfig
-from .reach import (Budget, StepSet, _floor_column_runs, _hash_replicates,
-                    _settle_replicates)
+from .reach import (Budget, StepSet, _climb_masks, _floor_column_runs,
+                    _hash_replicates, _settle_replicates)
 # unused here: perfbench/selftest.py checks its tracer rebinds this name
 from .reach import floor_reach_sandwich  # noqa: F401
 from .stats import wilson_interval
-from .surface import (_climb_box, _climb_masks, _cover_entries, _floor_box,
-                      _read_covers, _surface_runs, _violations)
+from .surface import (_climb_box, _cover_entries, _floor_box, _read_covers,
+                      _surface_runs, _violations)
 
 TAIL_KINDS = ("f_tail", "radh_tail", "rho_tail")
 
@@ -237,9 +237,8 @@ def _level_index(values: np.ndarray, levels: int) -> np.ndarray:
 
 def _floor_runs(exp: Experiment):
     """Optimistic and pessimistic origin-column runs, chunk by chunk, in
-    build_surface's boxes of doubling height until the sides agree strictly
-    below the box top, or every level up to k_max is already a certain
-    hit."""
+    build_surface's boxes of doubling height until the sides agree, or
+    every level up to k_max is already a certain hit."""
     d, kmax = exp.d, exp.k_max
     origin = (0,) * (d - 1)
     box_at = _floor_box(origin, origin, exp.budget.margin,
@@ -248,7 +247,9 @@ def _floor_runs(exp: Experiment):
     def read(closed, box):
         lo, hi = _floor_column_runs(closed, box, [origin], exp.step_mode)
         ro, rp = lo[:, 0], hi[:, 0]
-        return ro, rp, ((ro == rp) & (rp < box.hi[-1] - 1)) | (ro >= kmax)
+        # agreement at the top needs no check: boxes are at least kmax + 2
+        # high, so ro == rp >= H - 1 already has ro >= kmax
+        return ro, rp, (ro == rp) | (ro >= kmax)
 
     return _settle_replicates(exp.replicates, exp.growth_cap, box_at,
                               _hash_replicates(d, exp.p, exp.seed), read)

@@ -3,17 +3,21 @@
 Steps move up (+e_d), straight down (-e_d), or diagonally down
 (-e_d +- e_j); an upward step is admissible only when it lands on a closed
 site, while every downward or diagonal step is unconditionally allowed.
-Reachability inside a finite box is computed by one kernel over boolean
-arrays, batched across boxes, that closes any seed masks under admissible
-steps; the box bottom is the height floor.  On layers stored batch last,
-(H+1, n_1, ..., n_(d-1), B), it alternates layer-by-layer descents, each
-from the highest layer changed since the last one, with whole-array
-climbs, and stops on a climb that adds nothing.  The hash's masks are
-stored in that order, so the kernel reads them without a copy.  The
-distinct-sites requirement on paths changes nothing: loop-erasing an
-admissible walk keeps every remaining step (and its admissibility), so
-walk- and path-reachability agree, as the oracle checks exhaustively on
-tiny boxes.
+Reachability inside a finite box is computed by one kernel, batched across
+boxes, that closes any seed masks under admissible steps; the box bottom is
+the height floor.  It works on packed layers: height layer t of a batch of
+B boxes is one Python int, whose bit i is the C-order index i over
+(n_1, ..., n_(d-1), B).  That is the order the hash's masks lie in memory
+(height first, batch last), so packing a chunk is one packbits call with no
+transpose, and every move is one interpreter operation on a whole layer:
+a down move is a shift by a column axis' stride under one of that axis'
+two edge masks (cached per shape), an up move an AND with the next layer's
+closed sites.  A descent from the highest layer changed closes every layer
+under down moves, one upward sweep then climbs whole chains, and the two
+repeat until a sweep adds nothing.  The distinct-sites requirement on paths
+changes nothing: loop-erasing an admissible walk keeps every remaining step
+(and its admissibility), so walk- and path-reachability agree, as the
+oracle checks exhaustively on tiny boxes.
 
 Certification.  Membership is easy to certify (a path found inside the box
 is a path, full stop), non-membership is the delicate direction.  For a
@@ -38,31 +42,37 @@ influence can enter a box three ways:
   resolution, but nothing computes or reports it yet.
 
 Every certificate grows its boxes in _settle_replicates until its two
-sides agree; the floor reach doubles the box height (the side margin
-tracks the height, since a side seed at height t can influence a column
-only down to height t - distance).
+sides agree.  The floor reach doubles the box height h and pads the
+columns by h + margin, with the margin fixed (surface._floor_box_at).  So
+in every box, whatever the attempt, the rim below reaches the columns at
+distance margin + t from the columns read at height t: a taller box does
+not keep the sides further away.  ROADMAP item 11 records what that does
+to growth.
 
 The pessimistic seeds closed under down moves, the rim, are the same for
-every configuration of a box shape, so they are computed once per shape
-(on an all-open box) and the pessimistic closure starts with a climb.
-Its reach contains the optimistic one.  So one reader of column runs
-serves f_tail (the origin column) and build_surface (every base column):
-it closes the pessimistic side first, and the optimistic side only in the
-boxes where some pessimistic run is positive; elsewhere every run is 0.
-That reader and the climb sets (surface._climb_masks) seed the kernel's
-layers themselves and call _close directly; reach_masks, with its checks,
-seed copy and seed scan, serves the public entry points, reach and
-floor_reach_sandwich, whose floor is the box bottom too.  Constants of a
-shape are computed once and cached read-only, keyed by shape, box or
-columns and never by seed or replicate: the rim and the index of a list
-of columns (here), the hash's coordinate operands (lattice), the cover
-reader's distance grid and rim mask, and the box of each growth attempt
-(surface).
+every configuration of a batch shape, so they are computed once per shape
+(on all-open boxes) and cached as packed ints, and the pessimistic closure
+starts with a sweep.  Its reach contains the optimistic one.  So one reader
+of column runs serves f_tail (the origin column) and build_surface (every
+base column): it closes the pessimistic side first, and the optimistic side
+only in the boxes where some pessimistic run is positive, packed apart;
+elsewhere every run is 0.  It reads runs off the packed layers, gathering
+only the requested columns' bits.  That reader and the climb sets
+(_climb_masks) seed the packed layers themselves and call _close
+directly; reach_masks, with its checks and seed scan, serves the public
+entry points, reach and floor_reach_sandwich, whose floor is the box
+bottom too, and unpacks once, at the end, as the climb sets do.  Constants
+of a shape are computed once and cached read-only, keyed by shape, box or
+columns and never by seed or replicate: the rim, the edge masks and the
+index and bits of a list of columns (here), the hash's coordinate operands
+(lattice), the cover reader's distance grid and rim mask, and the box of
+each growth attempt (surface).
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -108,52 +118,81 @@ class ReachSandwich:
     pessimistic: ReachResult
 
 
-def _close(reached: np.ndarray, closed: np.ndarray, step_set: StepSet,
-           top: int) -> None:
-    """Expand reached in place to its closure under admissible steps.
+def _pack(layers: np.ndarray) -> list[int]:
+    """Boolean layers (H+1, n_1, ..., n_(d-1), B) as one int per layer, whose
+    bit i is the C-order index i over (n_1, ..., n_(d-1), B): one packbits
+    call, with no copy for the hash's masks, which lie in memory as the
+    layers do."""
+    packed = np.packbits(layers.reshape(len(layers), math.prod(layers.shape[1:])),
+                         axis=-1, bitorder="little")
+    raw, width = packed.tobytes(), packed.shape[1]
+    return [int.from_bytes(raw[t * width:(t + 1) * width], "little")
+            for t in range(len(layers))]
 
-    Both arrays are layers first and batch last: [t] holds height t of
-    every box, shape (n_1, ..., n_(d-1), B), so a column shift moves whole
-    rows of B.  Descents OR the down moves (clipped at the box sides) into
-    the layer below, layer by layer from the highest layer changed since
-    the last descent; a layer's moves are built when first needed.
-    Whole-array climbs, an up move onto closed sites at every layer at
-    once, then repeat until one adds nothing; a round whose first climb
-    adds nothing ends the closure.  The closure is the least fixed point
-    of monotone moves, so their order does not change it.  The height
-    floor is the bottom layer.
 
-    top is the layer the first descent starts from: the highest seeded
-    layer, or 0 when the seeds are already closed under down moves (the
-    rim of _rim, alone or joined with the optimistic reach), so that the
-    closure starts with a climb.
+def _unpack(layers: list[int], shape: tuple[int, ...]) -> np.ndarray:
+    """The boolean layers of shape (H+1, n_1, ..., n_(d-1), B) that _pack
+    packed into layers."""
+    sites = math.prod(shape[1:])
+    width = (sites + 7) >> 3
+    raw = b"".join(x.to_bytes(width, "little") for x in layers)
+    packed = np.frombuffer(raw, np.uint8).reshape(len(layers), width)
+    bits = np.unpackbits(packed, axis=-1, count=sites, bitorder="little")
+    return bits.view(bool).reshape(shape)
+
+
+@functools.lru_cache(maxsize=256)
+def _moves(shape: tuple[int, ...], step_set: StepSet) -> tuple:
+    """The down moves of packed layers of shape (n_1, ..., n_(d-1), B):
+    whether straight down is a step, and per column axis its stride in bits
+    with two edge masks, of the sites not first and not last on that axis
+    (both empty on an axis of length 1)."""
+    axes = []
+    for axis, n in enumerate(shape[:-1]):
+        at = np.arange(n).reshape(-1, *(1,) * (len(shape) - axis - 1))
+        edges = (np.broadcast_to(m, shape)[None] for m in (at > 0, at < n - 1))
+        axes.append((math.prod(shape[axis + 1:]), *(_pack(m)[0] for m in edges)))
+    return step_set is StepSet.FULL, tuple(axes)
+
+
+def _close(reached: list[int], lids: list[int], moves: tuple, top: int) -> None:
+    """Expand packed layers in place to their closure under admissible steps.
+
+    reached and lids hold one int per height layer, as _pack lays them out,
+    and moves are _moves' for their shape.  A down move out of layer t is a
+    shift by an axis stride under one of that axis' edge masks, ORed into
+    layer t - 1; an up move is reached[t] & lids[t + 1].  A descent runs
+    from layer top down to the floor, which closes every layer under down
+    moves; then one upward sweep climbs whole chains, layer after layer.
+    The two repeat, each descent from the highest layer the sweep changed,
+    until a sweep adds nothing.  The closure is the least fixed point of
+    monotone moves, so their order does not change it.  The height floor is
+    layer 0.
+
+    top is the highest seeded layer, or 0 when the seeds are already closed
+    under down moves (the rim of _rim, or a floor seed), so that the
+    closure starts with a sweep.
     """
-    axes = tuple(range(1, reached.ndim))
-    below, above, lids = reached[:-1], reached[1:], closed[1:]
-    buf = np.empty_like(above)
-    # (dst, src) slices of a layer per down move: straight, then +-e_j - e_d
-    shifts = [((), ())] if step_set is StepSet.FULL else []
-    for axis in range(reached.ndim - 2):
-        lead = (slice(None),) * axis
-        head, tail = lead + (slice(None, -1),), lead + (slice(1, None),)
-        shifts += [(tail, head), (head, tail)]
-    moves = []  # moves[t - 1]: the down moves out of layer t
+    straight, axes = moves
     changed = top
     while True:
-        for t in range(len(moves) + 1, changed + 1):
-            moves.append([(reached[t - 1][a], reached[t][b]) for a, b in shifts])
         for t in range(changed, 0, -1):
-            for dst, src in moves[t - 1]:
-                np.logical_or(dst, src, out=dst)
+            x = reached[t]
+            down = x if straight else 0
+            for stride, not_first, not_last in axes:
+                down |= (x << stride) & not_first | (x >> stride) & not_last
+            reached[t - 1] |= down
         changed = 0
-        while True:
-            np.logical_and(below, lids, out=buf)
-            np.greater(buf, above, out=buf)  # only the sites this climb adds
-            rows = np.logical_or.reduce(buf, axis=axes).nonzero()[0]
-            if not rows.size:
-                break
-            changed = max(changed, int(rows[-1]) + 1)
-            np.logical_or(above, buf, out=above)
+        below = reached[0]
+        for t in range(1, len(reached)):
+            x = reached[t]
+            up = below & lids[t]
+            if up:
+                new = x | up
+                if new != x:
+                    reached[t] = x = new
+                    changed = t
+            below = x
         if not changed:
             return
 
@@ -167,23 +206,33 @@ def _seed_sides(mask: np.ndarray, axes) -> None:
 
 
 @functools.lru_cache(maxsize=256)
-def _rim(layers: tuple[int, ...], step_set: StepSet) -> np.ndarray:
-    """The floor and the inner side boundary of a box whose layers have
-    shape layers, (H+1, n_1, ..., n_(d-1)), closed under down moves: the
-    closure of those seeds in an all-open box, where no up move is
-    admissible.  Read-only, shaped (*layers, 1) to broadcast over a batch."""
-    rim = np.zeros((*layers, 1), dtype=bool)
-    rim[0] = True
-    _seed_sides(rim, range(1, len(layers)))
-    _close(rim, np.zeros_like(rim), step_set, layers[0] - 1)
-    rim.flags.writeable = False
-    return rim
+def _rim(shape: tuple[int, ...], step_set: StepSet) -> tuple[int, ...]:
+    """The floor and the inner side boundary of a batch of boxes whose
+    layers have shape (H+1, n_1, ..., n_(d-1), B), closed under down moves:
+    the closure of those seeds in all-open boxes, where no up move is
+    admissible.  Packed, one int per layer, in a tuple, so read-only."""
+    seeds = np.zeros(shape, dtype=bool)
+    seeds[0] = True
+    _seed_sides(seeds, range(1, len(shape) - 1))
+    rim = _pack(seeds)
+    _close(rim, [0] * len(rim), _moves(shape[1:], step_set), len(rim) - 1)
+    return tuple(rim)
 
 
 def _swap(ndim: int) -> tuple[int, ...]:
     """The axis order that turns a batch (B, n_1, ..., n_(d-1), H+1) into
     the kernel's layers (H+1, n_1, ..., n_(d-1), B); its own inverse."""
     return (ndim - 1, *range(1, ndim - 1), 0)
+
+
+def _packed_lids(closed: np.ndarray, step_set: StepSet):
+    """A batch of closed masks (B, n_1, ..., n_(d-1), H+1) as the kernel
+    reads it: the packed lids, the layers' shape (H+1, n_1, ..., n_(d-1), B)
+    and the moves of that shape."""
+    layers = closed.transpose(_swap(closed.ndim))
+    shape = layers.shape
+    # no up move lands on the floor, so its lids stay unpacked
+    return [0, *_pack(layers[1:])], shape, _moves(shape[1:], step_set)
 
 
 def reach_masks(closed: np.ndarray, seeds: np.ndarray,
@@ -200,12 +249,11 @@ def reach_masks(closed: np.ndarray, seeds: np.ndarray,
         raise ValueError(f"need closed and seed masks of one batch shape, "
                          f"got {closed.shape} and {seeds.shape}")
     swap = _swap(closed.ndim)
-    lids = np.ascontiguousarray(closed.transpose(swap), dtype=bool)
-    reached = seeds.transpose(swap).astype(bool, order="C")
-    seeded = np.logical_or.reduce(reached, axis=tuple(range(1, reached.ndim)))
-    top = seeded.nonzero()[0]
-    _close(reached, lids, step_set, int(top[-1]) if top.size else 0)
-    return reached.transpose(swap)
+    lids, shape, moves = _packed_lids(closed, step_set)
+    reached = _pack(seeds.transpose(swap))
+    top = max((t for t, x in enumerate(reached) if x), default=0)
+    _close(reached, lids, moves, top)
+    return _unpack(reached, shape).transpose(swap)
 
 
 def reach(field: Field, sources, box: BoxRegion) -> ReachResult:
@@ -261,15 +309,16 @@ def column_runs(reached: np.ndarray, box: BoxRegion, columns) -> np.ndarray:
     last) in a list of columns: entry [b, i] is the largest m with
     (columns[i], 1..m) all reached in box b, 0 when (columns[i], 1) is not.
     Returns an integer array of shape (B, len(columns))."""
-    return _runs(reached, _column_index(box, tuple(map(tuple, columns))))
+    at = _column_index(box, tuple(map(tuple, columns)))
+    col = reached.reshape(len(reached), -1, reached.shape[-1])[:, at, 1:]
+    return np.logical_and.accumulate(col, axis=-1).sum(axis=-1)
 
 
 @functools.lru_cache(maxsize=256)
-def _column_index(box: BoxRegion, columns: tuple[Column, ...]) -> tuple:
-    """The index of a tuple of columns, each of box.dim - 1 coordinates and
-    inside the box, into a batch of masks over the box, keeping the batch and
-    the heights 1 and up; a ValueError names a column that is neither.
-    Cached with its index arrays read-only, once per box and columns."""
+def _column_index(box: BoxRegion, columns: tuple[Column, ...]) -> np.ndarray:
+    """The C-order indices, among the box's columns, of a tuple of columns,
+    each of box.dim - 1 coordinates and inside the box; a ValueError names
+    a column that is neither.  Cached read-only, once per box and columns."""
     k = box.dim - 1
     try:  # one numpy pass, not a Python loop, over a long list of columns
         cols = np.array(columns)
@@ -286,17 +335,45 @@ def _column_index(box: BoxRegion, columns: tuple[Column, ...]) -> tuple:
     if outside.size:
         c = tuple(cols[outside[0]].tolist())
         raise ValueError(f"column {c} outside box lo={box.lo} hi={box.hi}")
-    at = at.astype(np.intp)
-    at.flags.writeable = False
-    if len(at) == 1:  # a view is cheaper than a gather of one column
-        return (slice(None), *at[0].tolist(), None, slice(1, None))
-    return (slice(None), *at.T, slice(1, None))
+    flat = np.ravel_multi_index(tuple(at.astype(np.intp).T), box.shape[:-1])
+    flat.flags.writeable = False
+    return flat
 
 
-def _runs(reached: np.ndarray, index: tuple) -> np.ndarray:
-    """column_runs of a batch of reaches at an index from _column_index."""
-    col = reached[index]
-    return np.logical_and.accumulate(col, axis=-1).sum(axis=-1)
+@functools.lru_cache(maxsize=256)
+def _column_bits(box: BoxRegion, columns: tuple[Column, ...], batch: int) -> tuple:
+    """How _runs gathers a tuple of columns out of a packed layer over the
+    box for a batch of batch boxes: per run of consecutive column indices,
+    the shift of its first bit, the mask of its bits and the place they take
+    in the gathered int, the columns' bits in their order."""
+    at = _column_index(box, columns)
+    cuts = [0, *(np.flatnonzero(np.diff(at) != 1) + 1).tolist(), len(at)]
+    return tuple((int(at[i]) * batch, (1 << (j - i) * batch) - 1, i * batch)
+                 for i, j in zip(cuts, cuts[1:]))
+
+
+def _runs(layers: list[int], bits: tuple, shape: tuple[int, ...], count: int) -> np.ndarray:
+    """column_runs of packed layers of shape (H+1, n_1, ..., n_(d-1), B) in
+    count columns whose bits _column_bits gathers, as an integer array of
+    shape (B, count).  Gathers only the columns' bits, prefix-ANDs them from
+    layer 1 up and stops at the first empty layer."""
+    runs, run = [], -1
+    for x in layers[1:]:
+        cols = 0
+        for shift, mask, place in bits:
+            cols |= (x >> shift & mask) << place
+        run &= cols
+        if not run:
+            break
+        runs.append(run)
+    batch = shape[-1]
+    if not runs:
+        return np.zeros((batch, count), np.intp)
+    width = (count * batch + 7) >> 3
+    raw = b"".join(x.to_bytes(width, "little") for x in runs)
+    packed = np.frombuffer(raw, np.uint8).reshape(len(runs), width)
+    hits = np.unpackbits(packed, axis=-1, count=count * batch, bitorder="little")
+    return hits.reshape(len(runs), count, batch).sum(axis=0, dtype=np.intp).T
 
 
 def _floor_column_runs(closed: np.ndarray, box: BoxRegion, columns,
@@ -307,24 +384,32 @@ def _floor_column_runs(closed: np.ndarray, box: BoxRegion, columns,
     side closes from the rim in every box.  The optimistic side lies inside
     it, so its runs are 0 in a box where every pessimistic run is 0, and it
     closes only in the other boxes."""
-    index = _column_index(box, tuple(map(tuple, columns)))
-    swap = _swap(closed.ndim)
-    # no copy for the hash's masks, which lie in memory as the layers do
-    lids = np.ascontiguousarray(closed.transpose(swap), dtype=bool)
-    pes = np.empty_like(lids)
-    pes[...] = _rim(lids.shape[:-1], step_set)
-    _close(pes, lids, step_set, 0)
-    hi = _runs(pes.transpose(swap), index)
+    lids, shape, moves = _packed_lids(closed, step_set)
+    columns = tuple(map(tuple, columns))
+    pes = list(_rim(shape, step_set))
+    _close(pes, lids, moves, 0)
+    hi = _runs(pes, _column_bits(box, columns, shape[-1]), shape, len(columns))
     # np.zeros, not zeros_like: a few us less per call on f_tail's chunks
     lo = np.zeros(hi.shape, hi.dtype)
-    live = hi.max(axis=1).nonzero()[0]
+    live = hi.any(axis=1).nonzero()[0]
     if live.size:
-        lids = np.take(lids, live, axis=-1)
-        opt = np.zeros(lids.shape, bool)
-        opt[0] = True
-        _close(opt, lids, step_set, 0)
-        lo[live] = _runs(opt.transpose(swap), index)
+        lids, shape, moves = _packed_lids(closed[live], step_set)
+        opt = [(1 << math.prod(shape[1:])) - 1] + [0] * (len(lids) - 1)
+        _close(opt, lids, moves, 0)
+        lo[live] = _runs(opt, _column_bits(box, columns, len(live)), shape, len(columns))
     return lo, hi
+
+
+def _climb_masks(closed: np.ndarray, box: BoxRegion, x) -> np.ndarray:
+    """Climb sets of the column x in a batch of closed masks (B, *box.shape)
+    over one box whose bottom is height 0: the reach from (x, 0), unpacked
+    to boolean layers (H+1, n_1, ..., n_(d-1), B)."""
+    lids, shape, moves = _packed_lids(closed, StepSet.FULL)
+    reached = [0] * len(lids)
+    at = np.ravel_multi_index([c - a for c, a in zip(x, box.lo)], shape[1:-1])
+    reached[0] = ((1 << shape[-1]) - 1) << shape[-1] * int(at)
+    _close(reached, lids, moves, 0)  # a floor seed: nothing to descend
+    return _unpack(reached, shape)
 
 
 @dataclass(frozen=True)

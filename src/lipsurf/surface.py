@@ -35,8 +35,8 @@ from enum import Enum
 import numpy as np
 
 from .lattice import BoxRegion, Column, Field, Site
-from .reach import (Budget, ReachResult, StepSet, _close, _floor_column_runs,
-                    _seed_sides, _settle_replicates, _swap)
+from .reach import (Budget, ReachResult, StepSet, _climb_masks, _floor_column_runs,
+                    _seed_sides, _settle_replicates)
 
 
 class Cert(Enum):
@@ -136,18 +136,6 @@ def _climb_box(x: Column, margin: int, height: int):
 def _climb_box_at(x: Column, margin: int, height: int, attempt: int) -> BoxRegion:
     m, h = margin << attempt, height << attempt
     return BoxRegion((*(c - m for c in x), 0), (*(c + m for c in x), h))
-
-
-def _climb_masks(closed: np.ndarray, box: BoxRegion, x) -> np.ndarray:
-    """Climb sets of the column x in a batch of closed masks (B, *box.shape)
-    over one box whose bottom is height 0: the reach from (x, 0), on the
-    kernel's layers (H+1, n_1, ..., n_(d-1), B)."""
-    # no copy for the hash's masks, which lie in memory as the layers do
-    lids = np.ascontiguousarray(closed.transpose(_swap(closed.ndim)), dtype=bool)
-    reached = np.zeros(lids.shape, bool)
-    reached[(0, *(c - a for c, a in zip(x, box.lo)))] = True
-    _close(reached, lids, StepSet.FULL, 0)  # a floor seed: nothing to descend
-    return reached
 
 
 def _surface_runs(count: int, closed_at, cols, budget: Budget):

@@ -174,6 +174,16 @@ def test_threshold_edges():
     assert 0 < open_threshold(0.5) < 1 << 64
 
 
+def test_threshold_is_exact():
+    """The threshold is p * 2^64 rounded down, with nothing added: a site is
+    open iff its uniform lies below it, so a threshold one too high opens
+    the sites whose uniform equals p * 2^64 exactly."""
+    assert open_threshold(0.5) == 1 << 63
+    assert open_threshold(0.25) == 1 << 62
+    # 0.99 is not a dyadic rational: Fraction(0.99) * 2^64 rounded down
+    assert open_threshold(0.99) == 18262276632972455936
+
+
 def test_closed_at_fixture_masks():
     closed = closed_at(2, [(0, 1), (2, 2)])
     assert closed.is_closed((0, 1)) and not closed.is_closed((1, 1))

@@ -9,7 +9,7 @@ from lipsurf.lattice import (BoxRegion, ExplicitConfig, PercolationField,
                              replicate_closed_masks)
 from lipsurf.oracle import exact_event_prob, walk_reach
 from lipsurf.reach import (StepSet, _floor_column_runs, _hash_replicates, _rim,
-                           _seed_sides, _settle_replicates, column_runs,
+                           _seed_sides, _settle_replicates, _unpack, column_runs,
                            floor_reach_sandwich, reach, reach_masks)
 from lipsurf.stats import wilson_interval
 
@@ -400,21 +400,27 @@ def test_rim_is_the_pessimistic_reach_of_open_boxes(shape, step_set):
     box = BoxRegion((0,) * d, tuple(n - 1 for n in shape))
     sw = floor_reach_sandwich(closed_at(d), box, step_set)
     np.testing.assert_array_equal(sw.pessimistic.mask, want[0])
-    layers = (shape[-1], *shape[:-1])
+    layers = (shape[-1], *shape[:-1], len(closed))
     rim = _rim(layers, step_set)
-    assert rim.shape == (*layers, 1) and not rim.flags.writeable
+    # one int per layer in a tuple: nothing a caller could write to
+    assert isinstance(rim, tuple) and len(rim) == shape[-1]
+    assert all(isinstance(x, int) for x in rim)
     assert _rim(layers, step_set) is rim
-    np.testing.assert_array_equal(rim[..., 0].transpose(*range(1, d), 0), want[0])
+    np.testing.assert_array_equal(_unpack(rim, layers).transpose(-1, *range(1, d), 0), want)
 
 
 def test_cached_per_shape_arrays_are_read_only():
     """Every array a per-shape cache hands out is shared across calls, so
-    writing to one raises; a second call returns the same objects."""
+    writing to one raises, and the packed layers and masks are ints in
+    tuples, which no caller can write to; a second call returns the same
+    objects."""
     from lipsurf.lattice import _box_coords
     from lipsurf.surface import _climb_box, _cover_grid, _floor_box
     box = BoxRegion((-2, -1, 0), (2, 3, 4))
-    cached = [(_rim, ((5, 5, 5), StepSet.FULL)), (_box_coords, (box,)),
+    cached = [(_rim, ((5, 5, 5, 3), StepSet.FULL)), (_box_coords, (box,)),
               (REACH._column_index, (box, ((0, 0), (1, 2)))),
+              (REACH._column_bits, (box, ((0, 0), (1, 2)), 3)),
+              (REACH._moves, ((5, 5, 3), StepSet.FULL)),
               (_cover_grid, ((5, 5), (2, 1)))]
     arrays = 0
     for cache, key in cached:
@@ -425,9 +431,108 @@ def test_cached_per_shape_arrays_are_read_only():
                 arrays += 1
                 with pytest.raises(ValueError, match="read-only"):
                     a[(0,) * a.ndim] = 1
-    assert arrays == 1 + 3 + 2 + 2  # the rim, coordinates, column index, grid
+            else:  # packed layers and masks: ints, alone or in tuples
+                hash(a)
+    assert arrays == 3 + 1 + 2  # coordinates, column index, grid
     for box_at in (_floor_box((0, 0), (1, 1), 2, 3), _climb_box((0, 0), 2, 3)):
         assert box_at(2) is box_at(2)
+
+
+def _bool_close(reached, closed, step_set, top):
+    """The closure on boolean layers (H+1, n_1, ..., n_(d-1), B), in place:
+    the numpy kernel the packed one replaced, kept as its reference.
+    Descents OR the down moves (clipped at the box sides) into the layer
+    below, from the highest layer changed down to the floor; whole-array
+    climbs then repeat until one adds nothing."""
+    axes = tuple(range(1, reached.ndim))
+    below, above, lids = reached[:-1], reached[1:], closed[1:]
+    buf = np.empty_like(above)
+    # (dst, src) slices of a layer per down move: straight, then +-e_j - e_d
+    shifts = [((), ())] if step_set is StepSet.FULL else []
+    for axis in range(reached.ndim - 2):
+        lead = (slice(None),) * axis
+        head, tail = lead + (slice(None, -1),), lead + (slice(1, None),)
+        shifts += [(tail, head), (head, tail)]
+    moves = []  # moves[t - 1]: the down moves out of layer t
+    changed = top
+    while True:
+        for t in range(len(moves) + 1, changed + 1):
+            moves.append([(reached[t - 1][a], reached[t][b]) for a, b in shifts])
+        for t in range(changed, 0, -1):
+            for dst, src in moves[t - 1]:
+                np.logical_or(dst, src, out=dst)
+        changed = 0
+        while True:
+            np.logical_and(below, lids, out=buf)
+            np.greater(buf, above, out=buf)  # only the sites this climb adds
+            rows = np.logical_or.reduce(buf, axis=axes).nonzero()[0]
+            if not rows.size:
+                break
+            changed = max(changed, int(rows[-1]) + 1)
+            np.logical_or(above, buf, out=above)
+        if not changed:
+            return
+
+
+@st.composite
+def _kernel_layers(draw):
+    d = draw(st.sampled_from((2, 3, 4)))
+    cols = draw(st.lists(st.integers(1, 7 - d), min_size=d - 1, max_size=d - 1))
+    batch = draw(st.integers(1, 19))
+    shape = (draw(st.integers(1, 7 if d < 4 else 4)), *cols, batch)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    closed = rng.random(shape) < draw(st.sampled_from((0.0, 0.3, 0.6, 0.9, 1.0)))
+    # seeds in some layers only, at a random density
+    layers = draw(st.sets(st.integers(0, shape[0] - 1), max_size=shape[0]))
+    seeds = np.zeros(shape, dtype=bool)
+    for t in layers:
+        seeds[t] = rng.random(shape[1:]) < draw(st.sampled_from((0.05, 0.3, 1.0)))
+    seeded = max((t for t in range(shape[0]) if seeds[t].any()), default=0)
+    top = draw(st.integers(seeded, shape[0] - 1))  # any layer at or above the seeds
+    return closed, seeds, draw(st.sampled_from(StepSet)), top
+
+
+def test_packed_kernel_matches_the_boolean_kernel():
+    """The packed _close, from any seeds and any first layer at or above
+    them, gives the boolean kernel's closure, on layers packed and unpacked
+    by _pack and _unpack.  The sample covers d = 2, 3 and 4, both step
+    sets, batches of one box and of a size that is not a multiple of 8,
+    and a column axis of length 1, where both edge masks are empty."""
+    seen = set()
+
+    @settings(derandomize=True, database=None, max_examples=400, deadline=None)
+    @given(_kernel_layers())
+    def check(batch):
+        closed, seeds, step_set, top = batch
+        want = seeds.copy()
+        _bool_close(want, closed, step_set, top)
+        reached = REACH._pack(seeds)
+        np.testing.assert_array_equal(REACH._unpack(reached, seeds.shape), seeds)
+        REACH._close(reached, REACH._pack(closed), REACH._moves(closed.shape[1:], step_set), top)
+        np.testing.assert_array_equal(REACH._unpack(reached, seeds.shape), want)
+        *cols, size = closed.shape[1:]
+        seen.update({f"d={len(cols) + 1}", step_set})
+        if size == 1:
+            seen.add("B=1")
+        if size % 8:
+            seen.add("B not a multiple of 8")
+        if 1 in cols:
+            seen.add("an axis of length 1")
+        if (want > seeds).any():
+            seen.add("the closure adds sites")
+
+    check()
+    assert seen == {"d=2", "d=3", "d=4", *StepSet, "B=1", "B not a multiple of 8",
+                    "an axis of length 1", "the closure adds sites"}
+
+
+def test_empty_batches_close_to_empty_arrays():
+    """A batch of no boxes is closed and read as arrays of no boxes."""
+    box = BoxRegion((0, 0), (2, 3))
+    none = np.zeros((0, *box.shape), dtype=bool)
+    assert reach_masks(none, none).shape == none.shape
+    for runs in _floor_column_runs(none, box, [(1,), (2,)], StepSet.FULL):
+        assert runs.shape == (0, 2)
 
 
 @pytest.mark.parametrize("step_set", list(StepSet))
