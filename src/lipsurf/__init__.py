@@ -11,8 +11,7 @@ __version__ = "0.1.0"
 
 from .lattice import (BoxRegion, Column, ExplicitConfig, Field, PercolationField,
                       Site, count_l1_sphere, height, radial)
-from .reach import (Budget, ReachResult, ReachSandwich, StepSet,
-                    floor_reach_sandwich, reach)
+from .reach import Budget, StepSet, floor_reach_sandwich, reach_masks
 from .surface import (Cert, LocalCoverResult, SurfacePatch, SurfaceReport,
                       build_surface, climb_set, minimal_cover,
                       surface_from_covers, verify_surface)

@@ -28,7 +28,7 @@ from .bounds import spread_tail_bound, surface_tail_bound
 from .brw import OffspringLaw, brw_tables
 from .lattice import BoxRegion, Column, ExplicitConfig
 from .reach import (Budget, StepSet, _climb_masks, _floor_column_runs,
-                    _hash_replicates, _settle_replicates)
+                    _hash_replicates, _settle_replicates, reach_masks)
 # unused here: perfbench/selftest.py checks its tracer rebinds this name
 from .reach import floor_reach_sandwich  # noqa: F401
 from .stats import wilson_interval
@@ -628,7 +628,6 @@ def walk_path_sweep() -> dict:
     the oracle's naive walk fixed point, and the oracle's distinct-site
     path enumeration must reach identical site sets."""
     from .oracle import path_reach, walk_reach
-    from .reach import reach
 
     box = BoxRegion((-1, 0), (1, 2))
     bottom = [(-1, 0), (0, 0), (1, 0)]
@@ -636,10 +635,15 @@ def walk_path_sweep() -> dict:
     cases = 0
     for bits in range(1 << box.size):
         config = ExplicitConfig.from_bits(box, bits)
+        closed = config.closed_mask(box)[None]
         for sources, floor in (([(0, 0)], 0), (bottom, 0),
                                ([(0, 1)], None), ([(0, 2)], None)):
             cases += 1
-            fast = reach(config, sources, box).reached
+            seeds = np.zeros(closed.shape, dtype=bool)
+            for s in sources:
+                seeds[(0, *np.subtract(s, box.lo))] = True
+            reached = np.argwhere(reach_masks(closed, seeds)[0]) + box.lo
+            fast = set(map(tuple, reached.tolist()))
             slow_walk = walk_reach(config, sources, height_floor=floor)
             slow_path = path_reach(config, sources, height_floor=floor)
             if not (fast == slow_walk == slow_path):

@@ -59,14 +59,15 @@ only in the boxes where some pessimistic run is positive, packed apart;
 elsewhere every run is 0.  It reads runs off the packed layers, gathering
 only the requested columns' bits.  That reader and the climb sets
 (_climb_masks) seed the packed layers themselves and call _close
-directly; reach_masks, with its checks and seed scan, serves the public
-entry points, reach and floor_reach_sandwich, whose floor is the box
-bottom too, and unpacks once, at the end, as the climb sets do.  Constants
-of a shape are computed once and cached read-only, keyed by shape, box or
-columns and never by seed or replicate: the rim, the edge masks and the
-index and bits of a list of columns (here), the hash's coordinate operands
-(lattice), the cover reader's distance grid and rim mask, and the box of
-each growth attempt (surface).
+directly.  The public face is boolean masks alone: reach_masks, with its
+checks and seed scan, closes any seed masks, and floor_reach_sandwich
+gives the two sides of one box's floor reach as masks shaped like the
+box; both floor at the box bottom and unpack once, at the end, as the
+climb sets do.  Constants of a shape are computed once and cached
+read-only, keyed by shape, box or columns and never by seed or replicate:
+the rim, the edge masks and the index and bits of a list of columns
+(here), the hash's coordinate operands (lattice), the cover reader's
+distance grid and rim mask, and the box of each growth attempt (surface).
 """
 
 from __future__ import annotations
@@ -78,44 +79,12 @@ from enum import Enum
 
 import numpy as np
 
-from .lattice import BoxRegion, Column, Field, Site, replicate_closed_masks
+from .lattice import BoxRegion, Column, Field, replicate_closed_masks
 
 
 class StepSet(Enum):
     FULL = "full"
     NO_STRAIGHT_DOWN = "no-straight-down"
-
-
-@dataclass(frozen=True, eq=False)
-class ReachResult:
-    """Sites of a box reachable from a source set by admissible steps.
-
-    mask is shaped like the box (BoxRegion.shape, height last) and marks
-    the reached sites; reached is the same set as site tuples, built on
-    first read.
-    """
-
-    mask: np.ndarray
-    box: BoxRegion
-
-    @functools.cached_property
-    def reached(self) -> frozenset[Site]:
-        sites = np.argwhere(self.mask) + self.box.lo
-        return frozenset(map(tuple, sites.tolist()))
-
-
-@dataclass(frozen=True)
-class ReachSandwich:
-    """Optimistic and pessimistic floor reaches over one box.
-
-    optimistic.reached is a guaranteed subset of the true floor-reachable
-    set within the box; pessimistic.reached is a superset of it for the
-    height-truncated model (see the module docstring for the one direction
-    finite computation cannot close).
-    """
-
-    optimistic: ReachResult
-    pessimistic: ReachResult
 
 
 def _pack(layers: np.ndarray) -> list[int]:
@@ -244,6 +213,10 @@ def reach_masks(closed: np.ndarray, seeds: np.ndarray,
     one shape, column axes first and height last, as BoxRegion.shape orders
     them; the bottom layer is the height floor.
     Returns the closure of the seeds as a boolean array of that shape.
+
+    Order-free: the result depends only on the seed set.  Walks and
+    distinct-site paths reach the same sites (loop erasure), so the closure
+    is exact for paths too.
     """
     if closed.shape != seeds.shape or closed.ndim < 3:
         raise ValueError(f"need closed and seed masks of one batch shape, "
@@ -256,31 +229,8 @@ def reach_masks(closed: np.ndarray, seeds: np.ndarray,
     return _unpack(reached, shape).transpose(swap)
 
 
-def reach(field: Field, sources, box: BoxRegion) -> ReachResult:
-    """All sites of the box connected to the sources by admissible steps of
-    the full step set staying inside the box (reach_masks takes either step
-    set); the box bottom is the height floor.
-
-    Order-free: the result depends only on the source *set*.  Walks and
-    distinct-site paths reach the same sites (loop erasure), so the
-    closure reach_masks computes is exact.
-    """
-    d = field.d
-    if box.dim != d:
-        raise ValueError(f"box of dimension {box.dim} for a {d}-d field")
-    seeds = np.zeros((1, *box.shape), dtype=bool)
-    for s in frozenset(tuple(s) for s in sources):
-        if len(s) != d:
-            raise ValueError(f"source {s} has wrong dimension")
-        if not box.contains(s):
-            raise ValueError(f"source {s} outside box lo={box.lo} hi={box.hi}")
-        seeds[(0, *(c - a for c, a in zip(s, box.lo)))] = True
-    closed = field.closed_mask(box)[None]
-    return ReachResult(reach_masks(closed, seeds)[0], box)
-
-
 def floor_reach_sandwich(field: Field, box: BoxRegion,
-                         step_set: StepSet = StepSet.FULL) -> ReachSandwich:
+                         step_set: StepSet = StepSet.FULL) -> tuple[np.ndarray, np.ndarray]:
     """Two-sided computation of the set reachable from the height-0 layer.
 
     The box must span heights [0, h_max] with h_max >= 1.  The optimistic
@@ -288,8 +238,9 @@ def floor_reach_sandwich(field: Field, box: BoxRegion,
     variant additionally seeds every inner side-boundary site (worst-case
     horizontal entry).  For every configuration outside the box sides, the
     true reachable set of the height-truncated model, intersected with the
-    box, lies between the two.  Computed by reach_masks on a batch of one
-    box.
+    box, lies between the two.  Returns (optimistic, pessimistic), boolean
+    masks shaped like the box (BoxRegion.shape, height last), computed by
+    reach_masks on a batch of one box.
     """
     if box.lo[-1] != 0:
         raise ValueError("box must have its bottom layer at height 0")
@@ -301,17 +252,7 @@ def floor_reach_sandwich(field: Field, box: BoxRegion,
     opt = reach_masks(closed, seeds, step_set)
     _seed_sides(seeds, range(1, box.dim))
     pes = reach_masks(closed, seeds, step_set)
-    return ReachSandwich(ReachResult(opt[0], box), ReachResult(pes[0], box))
-
-
-def column_runs(reached: np.ndarray, box: BoxRegion, columns) -> np.ndarray:
-    """Runs of a batch of reaches over one box (shape (B, *box.shape), height
-    last) in a list of columns: entry [b, i] is the largest m with
-    (columns[i], 1..m) all reached in box b, 0 when (columns[i], 1) is not.
-    Returns an integer array of shape (B, len(columns))."""
-    at = _column_index(box, tuple(map(tuple, columns)))
-    col = reached.reshape(len(reached), -1, reached.shape[-1])[:, at, 1:]
-    return np.logical_and.accumulate(col, axis=-1).sum(axis=-1)
+    return opt[0], pes[0]
 
 
 @functools.lru_cache(maxsize=256)
@@ -353,10 +294,12 @@ def _column_bits(box: BoxRegion, columns: tuple[Column, ...], batch: int) -> tup
 
 
 def _runs(layers: list[int], bits: tuple, shape: tuple[int, ...], count: int) -> np.ndarray:
-    """column_runs of packed layers of shape (H+1, n_1, ..., n_(d-1), B) in
-    count columns whose bits _column_bits gathers, as an integer array of
-    shape (B, count).  Gathers only the columns' bits, prefix-ANDs them from
-    layer 1 up and stops at the first empty layer."""
+    """Runs of packed layers of shape (H+1, n_1, ..., n_(d-1), B) in count
+    columns whose bits _column_bits gathers, as an integer array of shape
+    (B, count): entry [b, i] is the largest m with (columns[i], 1..m) all
+    reached in box b, 0 when (columns[i], 1) is not.  Gathers only the
+    columns' bits, prefix-ANDs them from layer 1 up and stops at the first
+    empty layer."""
     runs, run = [], -1
     for x in layers[1:]:
         cols = 0
@@ -378,12 +321,12 @@ def _runs(layers: list[int], bits: tuple, shape: tuple[int, ...], count: int) ->
 
 def _floor_column_runs(closed: np.ndarray, box: BoxRegion, columns,
                        step_set: StepSet) -> tuple[np.ndarray, np.ndarray]:
-    """column_runs of both sides of the floor sandwich of a batch of closed
-    masks over one box (floor_reach_sandwich's seeds) in a list of columns,
-    as integer arrays (lo, hi) of shape (B, len(columns)).  The pessimistic
-    side closes from the rim in every box.  The optimistic side lies inside
-    it, so its runs are 0 in a box where every pessimistic run is 0, and it
-    closes only in the other boxes."""
+    """The runs, as _runs reads them, of both sides of the floor sandwich of
+    a batch of closed masks over one box (floor_reach_sandwich's seeds) in a
+    list of columns, as integer arrays (lo, hi) of shape (B, len(columns)).
+    The pessimistic side closes from the rim in every box.  The optimistic
+    side lies inside it, so its runs are 0 in a box where every pessimistic
+    run is 0, and it closes only in the other boxes."""
     lids, shape, moves = _packed_lids(closed, step_set)
     columns = tuple(map(tuple, columns))
     pes = list(_rim(shape, step_set))

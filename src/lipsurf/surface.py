@@ -35,8 +35,8 @@ from enum import Enum
 import numpy as np
 
 from .lattice import BoxRegion, Column, Field, Site
-from .reach import (Budget, ReachResult, StepSet, _climb_masks, _floor_column_runs,
-                    _seed_sides, _settle_replicates)
+from .reach import (Budget, StepSet, _climb_masks, _floor_column_runs, _seed_sides,
+                    _settle_replicates)
 
 
 class Cert(Enum):
@@ -112,8 +112,10 @@ class LocalCoverResult:
 
 def _floor_box(lo: Column, hi: Column, margin: int, height: int):
     """box_at of the floor reach over the columns lo..hi: attempt i spans
-    heights 0..h, h = height*2^i, and pads the columns by h + margin, so
-    that worst-case side entries cannot influence them above height 0."""
+    heights 0..h, h = height*2^i, and pads the columns by h + margin, with
+    the margin fixed.  So in every attempt the rim below reaches the columns
+    at distance margin + t from those read at height t: a taller box does
+    not keep worst-case side entries further away (ROADMAP item 11)."""
     return functools.partial(_floor_box_at, tuple(map(int, lo)), tuple(map(int, hi)),
                              margin, height)
 
@@ -158,9 +160,9 @@ def build_surface(field: Field, base, budget: Budget = Budget()) -> SurfacePatch
 
     Each column's value is min{t > 0 : (x, t) not reachable}.  A column is
     CERTIFIED when the optimistic and pessimistic values agree strictly
-    below the box top; otherwise the box doubles in height (the side pad
-    tracking the height, so that worst-case side entries cannot influence
-    base columns above height 0) until agreement or the growth cap.
+    below the box top; otherwise the box doubles in height, with the side
+    pad h + margin at a fixed margin (see _floor_box), until agreement or
+    the growth cap.
 
     Growth-cap exhaustion yields Unresolved columns with the optimistic
     value as a certified lower bound; it never raises.
@@ -242,16 +244,16 @@ def _violations(closed_at, cols, values: np.ndarray, certified: np.ndarray):
 
 
 def _climb(field: Field, x: Column, budget: Budget):
-    """The climb set of x as a reach over the last box it was read in, that
-    box's cover heights, and the cover radius and certificate of the loop."""
+    """The last box the climb set of x was read in, that box's cover
+    heights, and the cover radius and certificate of the loop."""
     if len(x) != field.d - 1:
         raise ValueError("center column must have dimension d-1")
     last = []
 
     def read(closed, box):
-        layers = _climb_masks(closed, box, x)
-        heights, rho, certified = _read_covers(layers, [c - a for c, a in zip(x, box.lo)])
-        last[:] = ReachResult(np.moveaxis(layers[..., 0], 0, -1), box), heights[0]
+        heights, rho, certified = _read_covers(_climb_masks(closed, box, x),
+                                               [c - a for c, a in zip(x, box.lo)])
+        last[:] = box, heights[0]
         return rho, rho, certified
 
     (rho, _, certified), = _settle_replicates(
@@ -268,8 +270,11 @@ def climb_set(field: Field, x, budget: Budget = COVER_BUDGET) -> tuple[frozenset
     every configuration outside the box.  Growth-cap exhaustion returns the
     partial set with status UNRESOLVED.
     """
-    result, *_, certified = _climb(field, tuple(x), budget)
-    return result.reached, Cert.CERTIFIED if certified else Cert.UNRESOLVED
+    box, heights, _, certified = _climb(field, tuple(x), budget)
+    # a column of cover height h holds the climb-set run 0..h-1 (_read_covers)
+    sites = frozenset((*c, t) for c, h in _cover_entries(heights, box.lo[:-1]).items()
+                      for t in range(h))
+    return sites, Cert.CERTIFIED if certified else Cert.UNRESOLVED
 
 
 def _read_covers(layers: np.ndarray, center) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -325,9 +330,8 @@ def minimal_cover(field: Field, x, budget: Budget = COVER_BUDGET) -> LocalCoverR
     unresolved result whose radii are certified lower bounds.
     """
     x = tuple(x)
-    result, heights, rho, certified = _climb(field, x, budget)
-    return LocalCoverResult(x, _cover_entries(heights, result.box.lo[:-1]), certified,
-                            rho - 1, rho)
+    box, heights, rho, certified = _climb(field, x, budget)
+    return LocalCoverResult(x, _cover_entries(heights, box.lo[:-1]), certified, rho - 1, rho)
 
 
 def surface_from_covers(field: Field, base, window,
@@ -349,9 +353,9 @@ def surface_from_covers(field: Field, base, window,
     sup = np.ones(len(base), dtype=np.intp)
     all_cert = True
     for y in sorted(window):
-        result, heights, _, certified = _climb(field, y, budget)
+        box, heights, _, certified = _climb(field, y, budget)
         all_cert = all_cert and certified
-        idx = cols - result.box.lo[:-1]
+        idx = cols - box.lo[:-1]
         inside = ((idx >= 0) & (idx < heights.shape)).all(axis=1)
         sup[inside] = np.maximum(sup[inside], heights[tuple(idx[inside].T)])
     values = dict(zip(base, sup.tolist()))

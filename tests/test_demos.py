@@ -1,6 +1,7 @@
 """The surface, cover, BRW and tails demos run end to end (about 0.5, 1.6,
 2 and 0.6 s), and each one's output is pinned byte for byte.  The oracle
-and bounds demos (about 13 and 4 s) are left out to keep the suite fast."""
+and bounds demos (about 13 and 4 s) are left out to keep the suite fast.
+The README's Python example runs as written."""
 import hashlib
 import os
 import subprocess
@@ -35,3 +36,12 @@ def test_demo_runs(demo):
     if demo in _STDOUT_DIGESTS:
         digest = hashlib.sha256(proc.stdout.encode("utf-8")).hexdigest()
         assert digest == _STDOUT_DIGESTS[demo]
+
+
+def test_readme_example_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    code = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -1,6 +1,5 @@
 import collections
 import hashlib
-import importlib
 import itertools
 import json
 
@@ -18,12 +17,12 @@ from lipsurf.harness import (TAIL_CSV_HEADER, BudgetExceededError, ConfigError,
                              surface_validity)
 from lipsurf.lattice import BoxRegion, ExplicitConfig, Field, PercolationField
 from lipsurf.oracle import exact_event_prob, walk_reach
-from lipsurf.reach import StepSet, column_runs, floor_reach_sandwich, reach
+import lipsurf.reach as REACH
+from lipsurf.reach import StepSet, floor_reach_sandwich, reach_masks
 from lipsurf.stats import wilson_interval
 from lipsurf.surface import Cert, build_surface, verify_surface
 
-# the package exports a function named reach, so fetch the module itself
-REACH = importlib.import_module("lipsurf.reach")
+from fields import column_runs, sites
 
 
 def test_experiment_from_config_valid():
@@ -216,9 +215,8 @@ def _grown_floor_runs(exp: Experiment, rep: int, boxes: list) -> tuple[int, int]
         pad = h + exp.box_margin
         box = BoxRegion((-pad,) * (exp.d - 1) + (0,), (pad,) * (exp.d - 1) + (h,))
         boxes.append(([rep], box))
-        sw = floor_reach_sandwich(field, box, exp.step_mode)
-        ro, rp = column_runs(np.stack([sw.optimistic.mask, sw.pessimistic.mask]),
-                             box, origin)[:, 0].tolist()
+        sandwich = np.stack(floor_reach_sandwich(field, box, exp.step_mode))
+        ro, rp = column_runs(sandwich, box, origin)[:, 0].tolist()
         if (ro == rp and rp < h - 1) or ro >= exp.k_max:
             break
         h *= 2
@@ -272,7 +270,7 @@ _COVER_CONFIGS = [
 
 def _grown_cover(exp: Experiment, rep: int, boxes: list) -> tuple[int, bool]:
     """Reference cover statistic of one replicate: the per-replicate growth
-    loop over reach() from (0, 0) on a single field, recording each box,
+    loop over reach_masks from (0, 0) on a single field, recording each box,
     until no reached site lies in a side column or the top layer of the
     box.  Returns the spread radius and whether the loop certified it."""
     field = PercolationField(exp.d, exp.p, exp.seed, rep)
@@ -281,12 +279,15 @@ def _grown_cover(exp: Experiment, rep: int, boxes: list) -> tuple[int, bool]:
     for _ in range(exp.growth_cap + 1):
         box = BoxRegion((-m,) * (exp.d - 1) + (0,), (m,) * (exp.d - 1) + (h,))
         boxes.append(([rep], box))
-        sites = reach(field, [origin], box).reached
-        certified = not any(s[-1] == h or m in map(abs, s[:-1]) for s in sites)
+        closed = field.closed_mask(box)[None]
+        seeds = np.zeros(closed.shape, dtype=bool)
+        seeds[(0, *np.subtract(origin, box.lo))] = True
+        reached = sites(reach_masks(closed, seeds)[0], box)
+        certified = not any(s[-1] == h or m in map(abs, s[:-1]) for s in reached)
         if certified:
             break
         m, h = 2 * m, 2 * h
-    return max(sum(map(abs, s)) for s in sites), certified
+    return max(sum(map(abs, s)) for s in reached), certified
 
 
 @pytest.mark.parametrize("chunk_sites", [200, REACH._CHUNK_SITES])
@@ -294,7 +295,7 @@ def _grown_cover(exp: Experiment, rep: int, boxes: list) -> tuple[int, bool]:
 def test_cover_tail_batching_matches_per_replicate_path(cfg, chunk_sites,
                                                         monkeypatch):
     """The batched box-growth driver counts exactly what a per-replicate
-    growth loop of reach() over single fields counts, for the spread and
+    growth loop of reach_masks over single fields counts, for the spread and
     the cover radius, and hashes each replicate in exactly the climb boxes
     that loop tries, so a grown box gets only the replicates the smaller
     ones left uncertified; 200 sites per chunk splits every config into

@@ -1,23 +1,39 @@
-import importlib
 import random
+import types
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import lipsurf
 from lipsurf.lattice import (BoxRegion, ExplicitConfig, PercolationField,
                              replicate_closed_masks)
 from lipsurf.oracle import exact_event_prob, walk_reach
+import lipsurf.reach as REACH
 from lipsurf.reach import (StepSet, _floor_column_runs, _hash_replicates, _rim,
-                           _seed_sides, _settle_replicates, _unpack, column_runs,
-                           floor_reach_sandwich, reach, reach_masks)
+                           _seed_sides, _settle_replicates, _unpack,
+                           floor_reach_sandwich, reach_masks)
 from lipsurf.stats import wilson_interval
 
-from fields import closed_at
+from fields import closed_at, column_runs, sites
 
-# the package exports a function named reach, so fetch the module itself
-REACH = importlib.import_module("lipsurf.reach")
 ALL_OPEN = closed_at(2)
+
+
+def test_reach_is_the_module():
+    # the package exports no function under the submodule's name, so an
+    # import of lipsurf.reach, and a patch on it, reach the module
+    assert isinstance(REACH, types.ModuleType) and lipsurf.reach is REACH
+    assert REACH.__name__ == "lipsurf.reach"
+
+
+def _reach(field, sources, box):
+    """reach_masks from a list of source sites in one field's box: the
+    reached mask, shaped like the box."""
+    seeds = np.zeros((1, *box.shape), dtype=bool)
+    for s in sources:
+        seeds[(0, *np.subtract(s, box.lo))] = True
+    return reach_masks(field.closed_mask(box)[None], seeds)[0]
 
 
 def _downward_cone(source, box):
@@ -40,39 +56,18 @@ def _downward_cone(source, box):
 def test_reach_downward_cone():
     box = BoxRegion((-4, -4), (4, 4))
     src = (1, 2)
-    result = reach(ALL_OPEN, [src], box)
-    assert result.reached == frozenset(_downward_cone(src, box))
+    assert sites(_reach(ALL_OPEN, [src], box), box) == _downward_cone(src, box)
 
 
 def test_reach_empty_sources():
     box = BoxRegion((-2, 0), (2, 3))
-    result = reach(ALL_OPEN, [], box)
-    assert result.reached == frozenset()
+    assert sites(_reach(ALL_OPEN, [], box), box) == set()
 
 
 def test_reach_empty_sources_mask():
     box = BoxRegion((-2, -1, 0), (2, 1, 3))
-    result = reach(closed_at(3, box.sites()), [], box)
-    assert result.mask.shape == box.shape and not result.mask.any()
-
-
-def test_reach_rejects_box_of_wrong_dimension():
-    # the check must not depend on a source being there to carry it
-    box = BoxRegion((-2, -1, 0), (2, 1, 3))
-    for sources in ([], [(0, 0)]):
-        with pytest.raises(ValueError, match="dimension"):
-            reach(ALL_OPEN, sources, box)
-
-
-def test_reach_result_reached_is_mask_sites():
-    field = PercolationField(3, 0.7, master_seed=5)
-    box = BoxRegion((-3, -2, 0), (2, 3, 4))
-    result = reach(field, [(0, 0, 0), (2, -2, 1)], box)
-    assert result.mask.shape == box.shape and result.mask.any()
-    want = {tuple(int(c) for c in i + np.array(box.lo))
-            for i in np.argwhere(result.mask)}
-    assert result.reached == want
-    assert result.reached is result.reached
+    mask = _reach(closed_at(3, box.sites()), [], box)
+    assert mask.shape == box.shape and not mask.any()
 
 
 def _run_from_mask(mask, box, col):
@@ -87,6 +82,8 @@ def _run_from_mask(mask, box, col):
 @pytest.mark.parametrize("box", [BoxRegion((-3, 0), (3, 5)),
                                  BoxRegion((-2, -1, 0), (2, 3, 4))])
 def test_column_runs_batch_matches_per_column_reads(box):
+    # the reference runs the floor reader is checked against read what a
+    # site-by-site climb up each column reads
     rng = np.random.default_rng(17)
     masks = rng.random((2, *box.shape)) < 0.8
     cols = sorted({s[:-1] for s in box.sites()})
@@ -120,31 +117,30 @@ def test_column_reads_reject_columns_outside_the_box(column):
     box = BoxRegion((-2, 0), (2, 3))
     reached = np.ones((2, *box.shape), dtype=bool)
     with pytest.raises(ValueError, match=rf"column \({column[0]},\) outside box"):
-        column_runs(reached, box, [(0,), column])
-    with pytest.raises(ValueError, match=rf"column \({column[0]},\) outside box"):
         _floor_column_runs(~reached, box, [(0,), column], StepSet.FULL)
-    assert column_runs(reached, box, [(-2,), (2,)]).tolist() == [[3, 3]] * 2
+    # the side columns are inside: all open, only the pessimistic side climbs
+    lo, hi = _floor_column_runs(~reached, box, [(-2,), (2,)], StepSet.FULL)
+    assert lo.tolist() == [[0, 0]] * 2 and hi.tolist() == [[3, 3]] * 2
     for cols, bad in (([(0, 99)], r"\(0, 99\)"), ([()], r"\(\)"),
                       ([(0,), (1, 2)], r"\(1, 2\)"), ([(0,), ()], r"\(\)"),
                       ([(0.5,)], r"\(0.5,\)"), ([(0,), (-1.0,)], r"\(-1.0,\)")):
-        for read in (lambda: column_runs(reached, box, cols),
-                     lambda: _floor_column_runs(~reached, box, cols, StepSet.FULL)):
-            with pytest.raises(ValueError, match=rf"column {bad} does not have d - 1 = 1 integer"):
-                read()
+        with pytest.raises(ValueError, match=rf"column {bad} does not have d - 1 = 1 integer"):
+            _floor_column_runs(~reached, box, cols, StepSet.FULL)
     box3 = BoxRegion((-2, -2, 0), (2, 2, 3))
     with pytest.raises(ValueError, match=r"column \(1,\) does not have d - 1 = 2"):
-        column_runs(np.ones((1, *box3.shape), dtype=bool), box3, [(0, 0), (1,)])
+        _floor_column_runs(np.zeros((1, *box3.shape), dtype=bool), box3, [(0, 0), (1,)],
+                           StepSet.FULL)
 
 
 def test_reach_source_order_free():
     field = PercolationField(2, 0.8, master_seed=3)
     box = BoxRegion((-5, 0), (5, 5))
     bottom = [(x, 0) for x in range(-5, 6)]
-    a = reach(field, bottom, box)
+    a = _reach(field, bottom, box)
     shuffled = bottom[:]
     random.Random(1).shuffle(shuffled)
-    b = reach(field, shuffled, box)
-    assert a.reached == b.reached
+    b = _reach(field, shuffled, box)
+    np.testing.assert_array_equal(a, b)
 
 
 def test_walk_equals_path_reach_exhaustively():
@@ -156,33 +152,34 @@ def test_walk_equals_path_reach_exhaustively():
 
 def test_floor_sandwich_all_open():
     box = BoxRegion((-3, 0), (3, 3))
-    sw = floor_reach_sandwich(ALL_OPEN, box)
-    assert {s for s in sw.optimistic.reached if s[1] >= 1} == set()
+    opt, _ = floor_reach_sandwich(ALL_OPEN, box)
+    assert {s for s in sites(opt, box) if s[1] >= 1} == set()
 
 
 def test_floor_sandwich_single_closed_site():
     field = closed_at(2, [(0, 1)])
     box = BoxRegion((-3, 0), (3, 3))
-    sw = floor_reach_sandwich(field, box)
-    assert {s for s in sw.optimistic.reached if s[1] >= 1} == {(0, 1)}
+    opt, _ = floor_reach_sandwich(field, box)
+    assert {s for s in sites(opt, box) if s[1] >= 1} == {(0, 1)}
 
 
 def test_optimistic_subset_of_pessimistic():
     for rep in range(300):
         field = PercolationField(2, 0.9, master_seed=12, replicate=rep)
-        sw = floor_reach_sandwich(field, BoxRegion((-4, 0), (4, 4)))
-        assert sw.optimistic.reached <= sw.pessimistic.reached
+        box = BoxRegion((-4, 0), (4, 4))
+        opt, pes = floor_reach_sandwich(field, box)
+        assert sites(opt, box) <= sites(pes, box)
 
 
 def test_downward_closure():
     for rep in range(100):
         field = PercolationField(2, 0.85, master_seed=21, replicate=rep)
         box = BoxRegion((-4, 0), (4, 4))
-        sw = floor_reach_sandwich(field, box)
-        for result in (sw.optimistic, sw.pessimistic):
-            for s in result.reached:
+        for mask in floor_reach_sandwich(field, box):
+            reached = sites(mask, box)
+            for s in reached:
                 if s[1] >= 1:
-                    assert (s[0], s[1] - 1) in result.reached
+                    assert (s[0], s[1] - 1) in reached
 
 
 def test_antitone_in_openness():
@@ -194,12 +191,12 @@ def test_antitone_in_openness():
         closed = frozenset(s for s in box.sites() if config.is_closed(s))
         if not closed:
             continue
-        before = reach(config, bottom, box).reached
+        before = sites(_reach(config, bottom, box), box)
         flip = next(iter(closed))
         opened = ExplicitConfig(
             box, tuple(1 if s == flip else st
                        for s, st in zip(box.sites(), config.states)))
-        after = reach(opened, bottom, box).reached
+        after = sites(_reach(opened, bottom, box), box)
         assert after <= before
 
 
@@ -209,15 +206,15 @@ def test_box_monotonicity():
         small = BoxRegion((-3, 0), (3, 3))
         wide = BoxRegion((-6, 0), (6, 3))
         tall = BoxRegion((-3, 0), (3, 6))
-        sw_small = floor_reach_sandwich(field, small)
-        sw_wide = floor_reach_sandwich(field, wide)
-        sw_tall = floor_reach_sandwich(field, tall)
+        opt_small, pes_small = (sites(m, small) for m in floor_reach_sandwich(field, small))
+        opt_wide, pes_wide = (sites(m, wide) for m in floor_reach_sandwich(field, wide))
+        opt_tall = sites(floor_reach_sandwich(field, tall)[0], tall)
         inside = set(small.sites())
         # growing never shrinks the optimistic set on the old box
-        assert sw_small.optimistic.reached <= (sw_wide.optimistic.reached & inside) | (sw_small.optimistic.reached - inside)
-        assert sw_small.optimistic.reached <= sw_tall.optimistic.reached
+        assert opt_small <= (opt_wide & inside) | (opt_small - inside)
+        assert opt_small <= opt_tall
         # growing sideways at fixed height never enlarges the pessimistic set
-        assert (sw_wide.pessimistic.reached & inside) <= sw_small.pessimistic.reached
+        assert (pes_wide & inside) <= pes_small
 
 
 def _explicit(field, box):
@@ -242,26 +239,27 @@ def test_sandwich_equals_set_reach():
                 for rep in range(reps):
                     field = PercolationField(d, p, master_seed=44, replicate=rep)
                     config = _explicit(field, box)
-                    sw = floor_reach_sandwich(field, box, step_set)
-                    for got, seeds in ((sw.optimistic, bottom),
-                                       (sw.pessimistic, bottom | side)):
+                    opt, pes = floor_reach_sandwich(field, box, step_set)
+                    for got, seeds in ((opt, bottom), (pes, bottom | side)):
                         want = walk_reach(config, seeds, step_set, height_floor=0)
-                        assert got.reached == want
-                        assert got.box == box
+                        assert got.shape == box.shape
+                        assert sites(got, box) == want
 
 
 def test_reach_rejects_source_below_floor():
-    # the oracle refuses a source below its floor; reach's floor is the box
-    # bottom, so the oracle's floor 0 is reach on the box cropped to height 0
+    # the oracle refuses a source below its floor; reach_masks' floor is the
+    # box bottom, so the oracle's floor 0 is reach_masks on the box cropped
+    # to height 0
     box = BoxRegion((-1, -1), (1, 2))
     all_closed = ExplicitConfig(box, (0,) * box.size)
     with pytest.raises(ValueError, match="below floor"):
         walk_reach(all_closed, [(0, -1)], height_floor=0)
-    result = reach(all_closed, [(0, -1)], box)
-    assert result.reached == walk_reach(all_closed, [(0, -1)], height_floor=-1)
-    assert result.box == box
-    cropped = reach(all_closed, [(0, 0)], BoxRegion((-1, 0), (1, 2)))
-    assert cropped.reached == walk_reach(all_closed, [(0, 0)], height_floor=0)
+    mask = _reach(all_closed, [(0, -1)], box)
+    assert sites(mask, box) == walk_reach(all_closed, [(0, -1)], height_floor=-1)
+    assert mask.shape == box.shape
+    cropped = BoxRegion((-1, 0), (1, 2))
+    assert (sites(_reach(all_closed, [(0, 0)], cropped), cropped)
+            == walk_reach(all_closed, [(0, 0)], height_floor=0))
 
 
 @st.composite
@@ -338,8 +336,8 @@ def _floor_reference(closed, step_set):
 
 
 def test_floor_column_runs_match_the_floor_reference():
-    """The batched reader's (lo, hi) over a list of columns are column_runs
-    of the reference's two sides, though it closes the pessimistic side
+    """The batched reader's (lo, hi) over a list of columns are the
+    reference column runs of the reference's two sides, though it closes the pessimistic side
     from the rim and the optimistic side only in boxes where some
     pessimistic run is positive.  The sample holds boxes whose optimistic
     run is positive, boxes where it is below the pessimistic one, batches
@@ -398,8 +396,8 @@ def test_rim_is_the_pessimistic_reach_of_open_boxes(shape, step_set):
     want = reach_masks(closed, seeds, step_set)
     assert (want > seeds).any()  # the sides descend into the box
     box = BoxRegion((0,) * d, tuple(n - 1 for n in shape))
-    sw = floor_reach_sandwich(closed_at(d), box, step_set)
-    np.testing.assert_array_equal(sw.pessimistic.mask, want[0])
+    _, pes = floor_reach_sandwich(closed_at(d), box, step_set)
+    np.testing.assert_array_equal(pes, want[0])
     layers = (shape[-1], *shape[:-1], len(closed))
     rim = _rim(layers, step_set)
     # one int per layer in a tuple: nothing a caller could write to
@@ -656,8 +654,7 @@ def test_sandwich_brackets_truth_under_all_side_extensions():
     outer_bottom = [(x, 0) for x in range(-2, 3)]
     for bits in range(1 << 9):
         inner_config = ExplicitConfig.from_bits(inner, bits)
-        sw = floor_reach_sandwich(inner_config, inner)
-        opt, pes = sw.optimistic.reached, sw.pessimistic.reached
+        opt, pes = (sites(m, inner) for m in floor_reach_sandwich(inner_config, inner))
         for ext_bits in range(1 << 6):
             states = {}
             for s, st in zip(inner_sites, inner_config.states):
@@ -786,8 +783,7 @@ def test_climb_height_needs_closed_sites():
         box = BoxRegion((-1, 0), (1, 2))
         config = ExplicitConfig.from_bits(box, bits)
         closed_count = config.states.count(0)
-        result = reach(config, [(0, 0)], box)
-        top = max(s[1] for s in result.reached)
+        top = max(s[1] for s in sites(_reach(config, [(0, 0)], box), box))
         assert top <= closed_count
 
 

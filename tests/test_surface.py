@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lipsurf.lattice import ExplicitConfig, BoxRegion, PercolationField
+from lipsurf.oracle import walk_reach
 from lipsurf.reach import Budget, StepSet, _floor_column_runs, floor_reach_sandwich, reach_masks
 from lipsurf.surface import (COVER_BUDGET, Cert, SurfacePatch, _climb_masks, _read_covers,
                              build_surface, climb_set, minimal_cover, surface_from_covers,
@@ -63,15 +64,15 @@ def _grown_surface(field, base, budget):
     for attempt in range(budget.growth_cap + 1):
         pad = h + budget.margin
         box = BoxRegion((*(a - pad for a in lo), 0), (*(b + pad for b in hi), h))
-        sw = floor_reach_sandwich(field, box)
+        opt, pes = floor_reach_sandwich(field, box)
         for c in cols:
             if c in settled_at:
                 continue
             at = tuple(x - a for x, a in zip(c, box.lo))
             v_lo, v_hi = 1, 1
-            while v_lo <= h and sw.optimistic.mask[(*at, v_lo)]:
+            while v_lo <= h and opt[(*at, v_lo)]:
                 v_lo += 1
-            while v_hi <= h and sw.pessimistic.mask[(*at, v_hi)]:
+            while v_hi <= h and pes[(*at, v_hi)]:
                 v_hi += 1
             values[c] = v_lo
             if v_lo == v_hi < h:
@@ -210,6 +211,29 @@ def test_climb_set_never_below_floor_and_contiguous():
             by_col.setdefault(s[0], set()).add(s[1])
         for heights in by_col.values():
             assert heights == set(range(max(heights) + 1))
+
+
+def test_climb_set_matches_the_oracle():
+    """climb_set is the oracle's walk reach from (x, 0) floored at height 0
+    on random configurations (each site open with probability 0.6) at d = 2
+    and 3.  The oracle walks inside the config box only, so a draw is
+    compared where climb_set certifies and the oracle's set stays off the
+    box's sides and top: there it is the whole climb set."""
+    rng = random.Random(31)
+    compared = 0
+    for box in (BoxRegion((-3, 0), (3, 4)), BoxRegion((-2, -2, 0), (2, 2, 3))):
+        x = (0,) * (box.dim - 1)
+        for _ in range(300):
+            states = tuple(int(rng.random() < 0.6) for _ in range(box.size))
+            config = ExplicitConfig(box, states)
+            sites, cert = climb_set(config, x)
+            want = walk_reach(config, [(*x, 0)], height_floor=0)
+            inside = all(s[-1] < box.hi[-1] and all(
+                a < c < b for c, a, b in zip(s[:-1], box.lo, box.hi)) for s in want)
+            if cert is Cert.CERTIFIED and inside:
+                compared += 1
+                assert sites == want
+    assert compared >= 300
 
 
 def test_minimal_cover_examples():
