@@ -4,9 +4,9 @@ Subcommands: sample, surface, cover, tails, bounds, brw, existence, oracle.
 Shared flags (--d, --p, --seed, ...) may also come from a JSON config file
 via --config; explicit flags win over config values.  A flag or field the
 subcommand does not read, or an unknown or mistyped one, stops the run
-before any work.  Exit codes: 0 success, 1 invalid config or usage, 2
-bound-hypothesis violation, 3 certification budget exhausted beyond the
-configured threshold.
+before any work.  Exit codes: 0 success, 1 invalid config or usage or an
+unwritable output path, 2 bound-hypothesis violation, 3 certification
+budget exhausted beyond the configured threshold.
 """
 
 from __future__ import annotations
@@ -228,7 +228,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BUDGET
-    except ValueError as e:
+    except (ValueError, OSError) as e:  # an OSError names the path it failed on
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -27,12 +27,11 @@ from . import __version__ as _version
 from .bounds import spread_tail_bound, surface_tail_bound
 from .brw import OffspringLaw, brw_tables
 from .lattice import BoxRegion, Column, ExplicitConfig
-from .reach import (Budget, StepSet, _climb_masks, _floor_column_runs,
-                    _hash_replicates, _settle_replicates, reach_masks)
+from .reach import Budget, StepSet, _hash_replicates, reach_masks
 # unused here: perfbench/selftest.py checks its tracer rebinds this name
 from .reach import floor_reach_sandwich  # noqa: F401
 from .stats import wilson_interval
-from .surface import (_climb_box, _cover_entries, _floor_box, _read_covers,
+from .surface import (_cover_entries, _cover_runs, _floor_box, _read_covers,
                       _surface_runs, _violations)
 
 TAIL_KINDS = ("f_tail", "radh_tail", "rho_tail")
@@ -62,9 +61,9 @@ class Experiment:
     replicates: int = 1000
     seed: int = 0
     k_max: int = 4
-    box_margin: int = 6
-    box_height: int = 8
-    growth_cap: int = 3
+    box_margin: int = Budget.margin
+    box_height: int = Budget.height
+    growth_cap: int = Budget.growth_cap
     step_mode: StepSet = StepSet.FULL
     base_radius: int = 5
     mu: float = 0.6931471805599453
@@ -235,50 +234,26 @@ def _level_index(values: np.ndarray, levels: int) -> np.ndarray:
     return np.maximum(index, 0, out=index)
 
 
-def _floor_runs(exp: Experiment):
-    """Optimistic and pessimistic origin-column runs, chunk by chunk, in
-    build_surface's boxes of doubling height until the sides agree, or
-    every level up to k_max is already a certain hit."""
-    d, kmax = exp.d, exp.k_max
-    origin = (0,) * (d - 1)
-    box_at = _floor_box(origin, origin, exp.budget.margin,
-                        max(exp.budget.height, kmax + 2))
-
-    def read(closed, box):
-        lo, hi = _floor_column_runs(closed, box, [origin], exp.step_mode)
-        ro, rp = lo[:, 0], hi[:, 0]
-        # agreement at the top needs no check: boxes are at least kmax + 2
-        # high, so ro == rp >= H - 1 already has ro >= kmax
-        return ro, rp, (ro == rp) | (ro >= kmax)
-
-    return _settle_replicates(exp.replicates, exp.growth_cap, box_at,
-                              _hash_replicates(d, exp.p, exp.seed), read)
-
-
 def _cover_radii(exp: Experiment, levels: int):
     """Spread radii at the origin column, chunk by chunk: the minimal cover's
     radius less one on the lower side, and on the upper side the same if the
-    cover is certified, else `levels`, a possible hit at every level.  The
-    climb boxes and their certificate are minimal_cover's."""
-    origin = (0,) * (exp.d - 1)
-
-    def read(closed, box):
-        center = [c - a for c, a in zip(origin, box.lo)]
-        _, rho, certified = _read_covers(_climb_masks(closed, box, origin), center)
-        lo = rho - 1
-        return lo, np.where(certified, lo, levels), certified
-
-    return _settle_replicates(exp.replicates, exp.growth_cap,
-                              _climb_box(origin, exp.budget.margin, exp.budget.height),
-                              _hash_replicates(exp.d, exp.p, exp.seed), read)
+    cover is certified, else `levels`, a possible hit at every level."""
+    return ((rho - 1, np.where(certified, rho - 1, levels), certified)
+            for rho, _, certified in _cover_runs(
+                exp.replicates, _hash_replicates(exp.d, exp.p, exp.seed),
+                (0,) * (exp.d - 1), exp.budget))
 
 
 def surface_tail_curve(exp: Experiment) -> TailCurve:
-    """Tail of the surface height at the origin column: per replicate the
-    sandwich certifies how far the origin column lies in the floor-reachable
-    set, and F(0) > k exactly when the run reaches height k."""
+    """Tail of the surface height at the origin column: build_surface's
+    certificate of the origin column, in floor boxes at least k_max + 2
+    high, and F(0) > k exactly when the run reaches height k."""
     restricted = exp.step_mode is StepSet.NO_STRAIGHT_DOWN
-    return _tail_curve(exp, "f_tail", exp.k_max + 1, _floor_runs(exp),
+    budget = Budget(exp.box_margin, max(exp.box_height, exp.k_max + 2), exp.growth_cap)
+    runs = _surface_runs(exp.replicates, _hash_replicates(exp.d, exp.p, exp.seed),
+                         [(0,) * (exp.d - 1)], budget, exp.step_mode)
+    return _tail_curve(exp, "f_tail", exp.k_max + 1,
+                       ((lo[:, 0], hi[:, 0], settled[:, 0]) for lo, hi, settled in runs),
                        lambda k: surface_tail_bound(exp.d, exp.p, k, restricted))
 
 
@@ -301,8 +276,8 @@ def cover_tail_curve(exp: Experiment) -> TailCurve:
 
 
 def _base_runs(exp: Experiment, closed_at):
-    """build_surface over the base ball for every replicate of closed_at, in
-    chunks set by the first box alone, which ignores p and the field."""
+    """build_surface's runs over the base ball for every replicate of closed_at,
+    in chunks set by the first box alone, which ignores p and the field."""
     return _surface_runs(exp.replicates, closed_at, _base_ball(exp.d, exp.base_radius),
                          exp.budget)
 
@@ -313,9 +288,10 @@ def surface_validity(exp: Experiment) -> dict:
     base = _base_ball(exp.d, exp.base_radius)
     hashes = _hash_replicates(exp.d, exp.p, exp.seed)
     start = certified = open_bad = lip_bad = 0
-    for values, _, settled in _base_runs(exp, hashes):
-        items, start = np.arange(start, start + len(values)), start + len(values)
-        closed, _, steep = _violations(functools.partial(hashes, items), base, values, settled)
+    for runs, _, settled in _base_runs(exp, hashes):
+        items, start = np.arange(start, start + len(runs)), start + len(runs)
+        # a surface value is one above its run
+        closed, _, steep = _violations(functools.partial(hashes, items), base, runs + 1, settled)
         certified += int(settled.sum())
         open_bad += int(closed.sum())
         lip_bad += int(steep.sum())
@@ -599,8 +575,7 @@ def cover_sweep(p: float = 0.99, radius: int = 2, h_max: int = 2) -> dict:
     box = BoxRegion((-radius, 0), (radius, h_max))
     n = box.size
     origin = (0,)
-    heights, rho, certified = _read_covers(_climb_masks(_box_configs(box), box, origin),
-                                           (radius,))
+    heights, rho, certified = _read_covers(_box_configs(box), box, origin)
     both = mismatches = 0
     spread_prob = {k: 0.0 for k in range(1, h_max + 1)}
     for bits, fast_rho, fast_cert in zip(range(1 << n), rho.tolist(),

@@ -309,14 +309,7 @@ def _runs(layers: list[int], bits: tuple, shape: tuple[int, ...], count: int) ->
         if not run:
             break
         runs.append(run)
-    batch = shape[-1]
-    if not runs:
-        return np.zeros((batch, count), np.intp)
-    width = (count * batch + 7) >> 3
-    raw = b"".join(x.to_bytes(width, "little") for x in runs)
-    packed = np.frombuffer(raw, np.uint8).reshape(len(runs), width)
-    hits = np.unpackbits(packed, axis=-1, count=count * batch, bitorder="little")
-    return hits.reshape(len(runs), count, batch).sum(axis=0, dtype=np.intp).T
+    return _unpack(runs, (len(runs), count, shape[-1])).sum(axis=0, dtype=np.intp).T
 
 
 def _floor_column_runs(closed: np.ndarray, box: BoxRegion, columns,

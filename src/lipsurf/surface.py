@@ -140,19 +140,34 @@ def _climb_box_at(x: Column, margin: int, height: int, attempt: int) -> BoxRegio
     return BoxRegion((*(c - m for c in x), 0), (*(c + m for c in x), h))
 
 
-def _surface_runs(count: int, closed_at, cols, budget: Budget):
-    """build_surface's certificate of items 0..count-1 of closed_at (as
-    _settle_replicates takes it) over sorted distinct columns: per chunk, one
-    above each column's optimistic and pessimistic runs and whether the two
-    agree strictly below the box top, each shaped (B, len(cols))."""
-    box_at = _floor_box(np.min(cols, axis=0), np.max(cols, axis=0),
+def _surface_runs(count: int, closed_at, cols, budget: Budget,
+                  step_set: StepSet = StepSet.FULL):
+    """The one floor reader: build_surface's certificate of items
+    0..count-1 of closed_at (as _settle_replicates takes it) over sorted
+    distinct columns.  Yields per chunk the kernel's runs of each column in
+    the optimistic and pessimistic floor reach, and whether the two agree
+    strictly below the box top, each shaped (B, len(cols)); a settled
+    column's surface value is one above its run."""
+    box_at = _floor_box(tuple(map(min, zip(*cols))), tuple(map(max, zip(*cols))),
                         budget.margin, budget.height)
 
     def read(closed, box):
-        lo, hi = _floor_column_runs(closed, box, cols, StepSet.FULL)
-        return lo + 1, hi + 1, (lo == hi) & (hi < box.hi[-1] - 1)
+        lo, hi = _floor_column_runs(closed, box, cols, step_set)
+        return lo, hi, (lo == hi) & (hi < box.hi[-1] - 1)
 
     return _settle_replicates(count, budget.growth_cap, box_at, closed_at, read)
+
+
+def _cover_runs(count: int, closed_at, x: Column, budget: Budget):
+    """The one cover reader of replicates: per chunk of items 0..count-1 of
+    closed_at, (rho, rho, certified) of x's climb set in minimal_cover's
+    climb boxes, each shaped (B,): its cover radius and certificate."""
+    def read(closed, box):
+        _, rho, certified = _read_covers(closed, box, x)
+        return rho, rho, certified
+
+    return _settle_replicates(count, budget.growth_cap,
+                              _climb_box(x, budget.margin, budget.height), closed_at, read)
 
 
 def build_surface(field: Field, base, budget: Budget = Budget()) -> SurfacePatch:
@@ -176,7 +191,7 @@ def build_surface(field: Field, base, budget: Budget = Budget()) -> SurfacePatch
     (lo, _, settled), = _surface_runs(  # one field: a batch of one
         1, lambda _, box: field.closed_mask(box)[None], cols, budget)
     # Python ints: patch values go out through json
-    values = dict(zip(cols, lo[0].tolist()))
+    values = dict(zip(cols, (lo[0] + 1).tolist()))
     status = {c: Cert.CERTIFIED if ok else Cert.UNRESOLVED
               for c, ok in zip(cols, settled[0].tolist())}
     return SurfacePatch(tuple(sorted(base)), values, status, "via-floor-reach")
@@ -251,8 +266,7 @@ def _climb(field: Field, x: Column, budget: Budget):
     last = []
 
     def read(closed, box):
-        heights, rho, certified = _read_covers(_climb_masks(closed, box, x),
-                                               [c - a for c, a in zip(x, box.lo)])
+        heights, rho, certified = _read_covers(closed, box, x)
         last[:] = box, heights[0]
         return rho, rho, certified
 
@@ -277,19 +291,22 @@ def climb_set(field: Field, x, budget: Budget = COVER_BUDGET) -> tuple[frozenset
     return sites, Cert.CERTIFIED if certified else Cert.UNRESOLVED
 
 
-def _read_covers(layers: np.ndarray, center) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per box of a batch of climb sets on the kernel's layers (H+1, n_1,
-    ..., n_(d-1), B), center indexing the center column: the cover heights,
-    shaped (B, n_1, ..., n_(d-1)), the cover radius (the spread radius plus
-    one) and whether the cover is certified, the reach touching neither the
-    inner side boundary nor the top.  A column holds the climb-set run
-    {0..m} (straight down is always admissible above the floor), so its
-    site count m + 1 is its cover height, the reach meets a rim column
-    exactly where it holds that column's floor site, and meets the top
-    exactly where it holds a top-layer site."""
+def _read_covers(closed: np.ndarray, box: BoxRegion,
+                 x: Column) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per box of a batch of closed masks (B, *box.shape) over one box whose
+    bottom is height 0, the climb set of the column x read as a cover: the
+    cover heights, shaped (B, n_1, ..., n_(d-1)), the cover radius (the
+    spread radius plus one) and whether the cover is certified, the reach
+    touching neither the inner side boundary nor the top.  One _climb_masks
+    call closes the batch.  A column holds the climb-set run {0..m}
+    (straight down is always admissible above the floor), so its site count
+    m + 1 is its cover height, the reach meets a rim column exactly where it
+    holds that column's floor site, and meets the top exactly where it
+    holds a top-layer site."""
+    layers = _climb_masks(closed, box, x)
     counts = layers.sum(axis=0)
     axes = tuple(range(counts.ndim - 1))
-    dist, rim = _cover_grid(counts.shape[:-1], tuple(center))
+    dist, rim = _cover_grid(counts.shape[:-1], tuple(c - a for c, a in zip(x, box.lo)))
     rho = np.where(counts > 0, counts + dist, 0).max(axis=axes)
     escaped = (layers[0] & rim).any(axis=axes) | layers[-1].any(axis=axes)
     return counts.transpose(-1, *axes), rho, ~escaped

@@ -192,6 +192,21 @@ def test_exit_code_nan_unresolved_threshold(tmp_path, capsys):
     assert "unresolved_threshold" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["tails", "--kind", "f_tail", "--d", "2", "--p", "0.99", "--replicates", "10"],
+    ["surface", "--d", "2", "--p", "0.99", "--base-radius", "1"],
+])
+def test_exit_code_unwritable_out_path(argv, tmp_path, capsys):
+    """An --out path in a missing directory is reported as an error naming
+    the path, with no traceback and no metadata file left behind."""
+    out = tmp_path / "missing" / "x.csv"
+    assert main(argv + ["--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and str(out) in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not list(tmp_path.rglob("*.meta.json"))
+
+
 def test_exit_code_usage_error(capsys):
     assert main(["no-such-command"]) == 1
 

@@ -18,6 +18,7 @@ from lipsurf.harness import (TAIL_CSV_HEADER, BudgetExceededError, ConfigError,
 from lipsurf.lattice import BoxRegion, ExplicitConfig, Field, PercolationField
 from lipsurf.oracle import exact_event_prob, walk_reach
 import lipsurf.reach as REACH
+import lipsurf.surface as SURFACE
 from lipsurf.reach import StepSet, floor_reach_sandwich, reach_masks
 from lipsurf.stats import wilson_interval
 from lipsurf.surface import Cert, build_surface, verify_surface
@@ -733,7 +734,7 @@ def test_cover_sweep_counts_on_a_small_box(monkeypatch):
     builds no cover one by one; its counts are pinned, so a reader that
     certified nothing could not pass with zero mismatches."""
     calls = []
-    batched = harness._climb_masks
+    batched = SURFACE._climb_masks
 
     def counting(*args, **kwargs):
         calls.append(args[0].shape)
@@ -742,7 +743,7 @@ def test_cover_sweep_counts_on_a_small_box(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("cover_sweep built a cover one configuration at a time")
 
-    monkeypatch.setattr(harness, "_climb_masks", counting)
+    monkeypatch.setattr(SURFACE, "_climb_masks", counting)
     monkeypatch.setattr("lipsurf.surface.minimal_cover", forbidden)
     monkeypatch.setattr(ExplicitConfig, "closed_mask", forbidden)
     assert cover_sweep(p=0.99, radius=1, h_max=3) == {
@@ -999,10 +1000,23 @@ def test_surface_kind_golden_bodies(tmp_path, name):
 #   f_tail_growth_d2:    box 0: 100000, boxes 1-3: 5261 each (unresolved_frac
 #                        0.052 at k=1, 0.017 at k=3)
 #   radh_tail_growth_d3: box 0: 100000, box 1: 511, box 2: 14 (none unresolved)
+# The two f_tail_kmax0 cases, at 2e4 replicates, grow the boxes of runs
+# already at k_max whose sides differ, since f_tail settles a replicate
+# where build_surface does.  A settle rule that also stopped at k_max read
+# box 0 alone ({0: 20000}) in both and wrote the same digests: the bodies
+# clip both sides at k_max, and a grown floor box can only raise the
+# optimistic run.
 _GROWTH_GOLDEN_CASES = {
     "f_tail_growth_d2": ({"kind": "f_tail", "p": 0.95, "replicates": 100_000, "seed": 1,
                           "k_max": 3, "box_margin": 1, "box_height": 2, "growth_cap": 3,
                           "unresolved_threshold": 1.0}, None),
+    "f_tail_kmax0_d2": ({"kind": "f_tail", "p": 0.94, "replicates": 20_000, "seed": 11,
+                         "k_max": 0, "box_margin": 1, "box_height": 1, "growth_cap": 3,
+                         "unresolved_threshold": 1.0}, None),
+    "f_tail_kmax0_restricted_d2": ({"kind": "f_tail", "p": 0.95, "replicates": 20_000,
+                                    "seed": 11, "step_mode": "no-straight-down",
+                                    "k_max": 0, "box_margin": 1, "box_height": 1,
+                                    "growth_cap": 3, "unresolved_threshold": 1.0}, None),
     "radh_tail_growth_d3": ({"kind": "radh_tail", "d": 3, "p": 0.995, "replicates": 100_000,
                              "seed": 1, "box_margin": 1, "box_height": 1, "growth_cap": 4,
                              "unresolved_threshold": 1.0}, None),
@@ -1011,6 +1025,12 @@ _GROWTH_GOLDEN = {
     "f_tail_growth_d2": ({0: 100_000, 1: 5261, 2: 5261, 3: 5261}, (
         "a6b5eb9da7f127d04d2741ad200e574b5a244305f08a4f4a2e11eede5dc8951d",
         "eda29471cc07e0fca5e6653b06fc903e18ca7801ee0b10d80fde94843ee8a94e")),
+    "f_tail_kmax0_d2": ({0: 20_000, 1: 1417, 2: 133, 3: 128}, (
+        "df4b293fe0a0ffb2c093b6bf170dedfca89badf1b5a42180092fb3a148a4128d",
+        "bba0d19be042aeed2c5ceaa036418a9131634920e030e00978c468ce602ee435")),
+    "f_tail_kmax0_restricted_d2": ({0: 20_000, 1: 1169, 2: 95, 3: 93}, (
+        "3d42a95772a9eb17f01fcdb2f7b016c18443a255df97dd63cea1a628d691dfc5",
+        "50af2139926cd524638f0ad86ff0181f561bfd9985fb7cdf906dca6dbe75f91c")),
     "radh_tail_growth_d3": ({0: 100_000, 1: 511, 2: 14}, (
         "7ec4ff15aee312824d33b38693b9497979ad0f2962248ed7cdc1654963cabd72",
         "0c6b47213b0c9f87fd5f9d8f0ed01a50e07e5d2d40878b6e368670e1f1b9e447")),
@@ -1020,7 +1040,7 @@ _GROWTH_GOLDEN = {
 @pytest.mark.parametrize("name", sorted(_GROWTH_GOLDEN_CASES))
 def test_growth_golden_bodies(tmp_path, monkeypatch, name):
     runs = []  # per run: box index -> replicates read in it
-    settle = harness._settle_replicates
+    settle = SURFACE._settle_replicates
 
     def counting(count, growth_cap, box_at, closed_at, read_box):
         index = {box_at(i): i for i in range(growth_cap + 1)}
@@ -1032,7 +1052,7 @@ def test_growth_golden_bodies(tmp_path, monkeypatch, name):
             return closed_at(items, box)
         return settle(count, growth_cap, box_at, hashed, read_box)
 
-    monkeypatch.setattr(harness, "_settle_replicates", counting)
+    monkeypatch.setattr(SURFACE, "_settle_replicates", counting)
     digests = _golden_bodies(tmp_path, name, _GROWTH_GOLDEN_CASES)
     hist, want = _GROWTH_GOLDEN[name]
     assert runs == [hist, hist]  # the csv run, then the json run
