@@ -36,7 +36,7 @@ from math import exp
 
 import numpy as np
 
-from .bounds import geometric_mgf, offspring_laplace
+from .bounds import _sphere_series, geometric_mgf, offspring_laplace
 from .lattice import _absorb_vec, absorb, count_l1_sphere
 from .stats import ltr_sum, mean_and_se, wilson_interval
 
@@ -123,7 +123,6 @@ class OffspringLaw:
         X_n = e^(mu(g - n)); both series reuse the certified sphere-series
         summation at 2*mu (which must itself satisfy q e^(2mu) < 1).
         """
-        from .bounds import _sphere_series
         s2 = _sphere_series(self.d - 1, 2.0 * self.mu)
         g1 = geometric_mgf(self.p, self.mu)
         g2 = geometric_mgf(self.p, 2.0 * self.mu)

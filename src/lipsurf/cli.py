@@ -3,10 +3,10 @@
 Subcommands: sample, surface, cover, tails, bounds, brw, existence, oracle.
 Shared flags (--d, --p, --seed, ...) may also come from a JSON config file
 via --config; explicit flags win over config values.  A flag or field the
-subcommand does not read, or an unknown or mistyped one, stops the run
-before any work.  Exit codes: 0 success, 1 invalid config or usage or an
-unwritable output path, 2 bound-hypothesis violation, 3 certification
-budget exhausted beyond the configured threshold.
+subcommand does not read, an unknown or mistyped one, or an --out outside a
+writable directory stops the run before any work.  Exit codes: 0 success, 1
+invalid config or usage or an unwritable output path, 2 bound-hypothesis
+violation, 3 certification budget exhausted beyond the configured threshold.
 """
 
 from __future__ import annotations
@@ -133,7 +133,7 @@ def _cmd_sample(args, config: dict) -> int:
     if config.get("format", "json") == "csv":
         rows = [{"site": " ".join(map(str, site)), "state": st}
                 for site, st in zip(box.sites(), explicit.states)]
-        _emit(_rows_to_csv(rows, "site,state"), config.get("out"))
+        _emit(_rows_to_csv(rows), config.get("out"))
     else:
         _emit(json.dumps(explicit.to_json(), sort_keys=True) + "\n", config.get("out"))
     return EXIT_OK
@@ -148,9 +148,9 @@ def _cmd_surface(args, config: dict) -> int:
     if config.get("format", "json") == "csv":
         rows = [{"column": " ".join(map(str, col)), "value": patch.values[col],
                  "status": patch.status[col].value} for col in patch.columns]
-        _emit(_rows_to_csv(rows, "column,value,status"), config.get("out"))
+        _emit(_rows_to_csv(rows), config.get("out"))
     else:
-        _emit(patch.to_json_str() + "\n", config.get("out"))
+        _emit(json.dumps(patch.to_json(), sort_keys=True) + "\n", config.get("out"))
     return EXIT_OK
 
 

@@ -17,6 +17,7 @@ import functools
 import itertools
 import json
 import math
+import os
 import time
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -31,8 +32,7 @@ from .reach import Budget, StepSet, _hash_replicates, reach_masks
 # unused here: perfbench/selftest.py checks its tracer rebinds this name
 from .reach import floor_reach_sandwich  # noqa: F401
 from .stats import wilson_interval
-from .surface import (_cover_entries, _cover_runs, _floor_box, _read_covers,
-                      _surface_runs, _violations)
+from .surface import _cover_entries, _cover_runs, _read_covers, _surface_runs, _violations
 
 TAIL_KINDS = ("f_tail", "radh_tail", "rho_tail")
 
@@ -94,8 +94,9 @@ _STEP_MODES = dict.fromkeys(("f_tail", "bounds"), tuple(s.value for s in StepSet
 
 def check_fields(config: dict, reader: str, reads: frozenset) -> None:
     """The one check of every config before any work: each field is known,
-    has its _FIELD_TYPES type (an int passes as a float, a bool as neither)
-    and is in the set `reader` reads.  The error quotes every offending one."""
+    has its _FIELD_TYPES type (an int passes as a float, a bool as neither),
+    is in the set `reader` reads, and an out path lies in a writable
+    directory.  The error quotes every offending one."""
     problems = {key: f"not read by {reader}" if key in _FIELD_TYPES else "unknown field"
                 for key in config.keys() - reads}
     for key, val in config.items():
@@ -108,6 +109,9 @@ def check_fields(config: dict, reader: str, reads: frozenset) -> None:
         raise ConfigError(*itertools.chain(*sorted(problems.items(), key=str)))
     if config.get("format", "csv") not in ("csv", "json"):
         raise ConfigError("format", "expected 'csv' or 'json'")
+    out = config.get("out")
+    if out and not os.access(os.path.dirname(out) or ".", os.W_OK):
+        raise ConfigError("out", f"cannot write {out!r}: no such writable directory")
     modes = _STEP_MODES.get(reader, ("full",))
     if config.get("step_mode", "full") not in modes:
         raise ConfigError("step_mode",
@@ -197,7 +201,7 @@ class TailCurve:
         return max((r.unresolved_frac for r in self.rows), default=0.0)
 
     def to_csv(self) -> str:
-        return _rows_to_csv(self.to_json()["rows"], TAIL_CSV_HEADER)
+        return _rows_to_csv(self.to_json()["rows"])
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "d": self.d, "p": self.p,
@@ -360,16 +364,13 @@ def equivariance_check(exp: Experiment) -> dict:
     r, k = exp.base_radius, exp.d - 1
     cols = np.array(_base_ball(exp.d, r))
     field_hashes = _hash_replicates(exp.d, exp.p, exp.seed)
-    first = _floor_box((-r,) * k, (r,) * k, exp.budget.margin, exp.budget.height)(0)
     # every stream reads the same read-only masks of a chunk: each (box,
-    # items) is hashed once, and a chunk's first box starts the next chunk
+    # items) is hashed once, and dropped once every stream has read it
     masks = {}
 
     def hashes(items, box):
         key = box, items.tobytes()
         if key not in masks:
-            if box == first:
-                masks.clear()
             mask = masks[key] = field_hashes(items, box)
             mask.flags.writeable = False
         return masks[key]
@@ -384,6 +385,8 @@ def equivariance_check(exp: Experiment) -> dict:
     mismatches = 0
     # the field's own runs once, in lockstep with every view's
     for (values, _, settled), *seen in zip(_base_runs(exp, hashes), *views):
+        # zip has drawn this chunk from every stream, so its masks are spent
+        masks.clear()
         for at, (view_values, _, view_settled) in zip(images, seen):
             mismatches += int(((view_values != values[:, at])
                                | (view_settled != settled[:, at])).sum())
@@ -409,10 +412,6 @@ def monotonicity_check(exp: Experiment) -> dict:
             "violations": violations}
 
 
-BRW_CSV_HEADER = "n,mean_S,se_S,alpha_pow_n,survival_hat,survival_ci_hi,bound"
-EXISTENCE_CSV_HEADER = "p,successes,trials,fraction,regime"
-
-
 def brw_rows(exp: Experiment) -> list[dict]:
     """Merged martingale and survival table for the CSV interface."""
     law = OffspringLaw(exp.d, exp.p, exp.mu, exp.depth_cap, exp.weight_floor)
@@ -425,13 +424,14 @@ def brw_rows(exp: Experiment) -> list[dict]:
     return rows
 
 
-def _rows_to_csv(rows: list[dict], header: str) -> str:
-    """Numbers go out as repr(), strings (the existence regime) as they are.
+def _rows_to_csv(rows: list[dict]) -> str:
+    """A CSV body of one or more rows; its columns are the first row's keys.
+    Numbers go out as repr(), strings (the existence regime) as they are.
     Each distinct nonzero float is written once per body.  Only floats are
     looked up, and never a zero: 1 == 1.0 and 0.0 == -0.0 share a dict key."""
-    cols = header.split(",")
+    cols = list(rows[0])
     text = {}
-    lines = [header]
+    lines = [",".join(cols)]
     for r in rows:
         cells = []
         for c in cols:
@@ -449,21 +449,20 @@ def _rows_to_csv(rows: list[dict], header: str) -> str:
 
 def _tail_job(curve: TailCurve):
     payload = curve.to_json()
-    return (payload, _rows_to_csv(payload["rows"], TAIL_CSV_HEADER),
-            curve.max_unresolved_frac())
+    return payload, _rows_to_csv(payload["rows"]), curve.max_unresolved_frac()
 
 
-def _summary_job(payload: dict, header: str, unresolved=None):
-    return payload, _rows_to_csv([payload], header), unresolved
+def _summary_job(payload: dict, columns, unresolved=None):
+    return payload, _rows_to_csv([{c: payload[c] for c in columns}]), unresolved
 
 
-def _table_job(kind: str, rows: list[dict], header: str):
-    return {"kind": kind, "rows": rows}, _rows_to_csv(rows, header), None
+def _table_job(kind: str, rows: list[dict]):
+    return {"kind": kind, "rows": rows}, _rows_to_csv(rows), None
 
 
 def _validity_job(exp: Experiment):
     payload = surface_validity(exp)
-    return _summary_job(payload, ",".join(k for k in payload if k != "kind"),
+    return _summary_job(payload, [k for k in payload if k != "kind"],
                         1.0 - payload["certified_fraction"])
 
 
@@ -481,16 +480,15 @@ _JOBS = {
     "radh_tail": (lambda exp: _tail_job(spread_tail_curve(exp)), _TAIL_READS),
     "rho_tail": (lambda exp: _tail_job(cover_tail_curve(exp)), _TAIL_READS),
     "surface_validity": (_validity_job, (*_PATCH_READS, "p")),
-    "existence_curve": (lambda exp: _table_job(
-        "existence_curve", existence_curve(exp), EXISTENCE_CSV_HEADER),
-        (*_PATCH_READS, "p_grid")),
+    "existence_curve": (lambda exp: _table_job("existence_curve", existence_curve(exp)),
+                        (*_PATCH_READS, "p_grid")),
     "equivariance": (lambda exp: _summary_job(
-        equivariance_check(exp), "d,p,replicates,isometries,mismatches"),
+        equivariance_check(exp), ("d", "p", "replicates", "isometries", "mismatches")),
         (*_PATCH_READS, "p")),
     "monotonicity": (lambda exp: _summary_job(
-        monotonicity_check(exp), "replicates,pairs_checked,violations"),
+        monotonicity_check(exp), ("replicates", "pairs_checked", "violations")),
         (*_PATCH_READS, "p_grid")),
-    "brw": (lambda exp: _table_job("brw", brw_rows(exp), BRW_CSV_HEADER),
+    "brw": (lambda exp: _table_job("brw", brw_rows(exp)),
             ("d", "p", "seed", "mu", "runs", "generations", "depth_cap",
              "weight_floor")),
 }
@@ -513,17 +511,17 @@ def _config_dict(config) -> dict:
     return config
 
 
-def run_experiment(config, out_path: str | None = None) -> dict:
+def run_experiment(config) -> dict:
     """Run one experiment from a config mapping or JSON file path.
 
-    Returns {"payload": ..., "csv": ..., "paths": [...]} and, when an output
-    path is given (argument or config["out"]), writes the CSV (or JSON) body
-    there plus a sibling .meta.json with seed, version, and wall time.  The
-    body is a pure function of the config; only the metadata carries timing.
+    Returns {"payload": ..., "csv": ..., "paths": [...]} and, when config
+    names an "out" path, writes the CSV (or JSON) body there plus a sibling
+    .meta.json with seed, version, and wall time.  The body is a pure
+    function of the config; only the metadata carries timing.
     """
     config = _config_dict(config)
     exp = experiment_from_config(config)
-    out_path = out_path or config.get("out")
+    out_path = config.get("out")
     fmt = config.get("format", "csv")
 
     start = time.time()
@@ -599,26 +597,23 @@ def cover_sweep(p: float = 0.99, radius: int = 2, h_max: int = 2) -> dict:
 
 
 def walk_path_sweep() -> dict:
-    """Every configuration of a 3x3 (d=2) box: the engine's reach,
-    the oracle's naive walk fixed point, and the oracle's distinct-site
-    path enumeration must reach identical site sets."""
+    """Every configuration of a 3x3 (d=2) box: the engine's reach (one batched
+    call per source set), the oracle's naive walk fixed point, and its
+    distinct-site path enumeration must reach identical site sets."""
     from .oracle import path_reach, walk_reach
 
     box = BoxRegion((-1, 0), (1, 2))
+    closed = _box_configs(box)
+    configs = [ExplicitConfig.from_bits(box, bits) for bits in range(len(closed))]
     bottom = [(-1, 0), (0, 0), (1, 0)]
-    disagreements = 0
-    cases = 0
-    for bits in range(1 << box.size):
-        config = ExplicitConfig.from_bits(box, bits)
-        closed = config.closed_mask(box)[None]
-        for sources, floor in (([(0, 0)], 0), (bottom, 0),
-                               ([(0, 1)], None), ([(0, 2)], None)):
+    disagreements = cases = 0
+    for sources, floor in (([(0, 0)], 0), (bottom, 0),
+                           ([(0, 1)], None), ([(0, 2)], None)):
+        seeds = np.zeros(closed.shape, dtype=bool)
+        seeds[(slice(None), *np.subtract(sources, box.lo).T)] = True
+        for config, reached in zip(configs, reach_masks(closed, seeds)):
             cases += 1
-            seeds = np.zeros(closed.shape, dtype=bool)
-            for s in sources:
-                seeds[(0, *np.subtract(s, box.lo))] = True
-            reached = np.argwhere(reach_masks(closed, seeds)[0]) + box.lo
-            fast = set(map(tuple, reached.tolist()))
+            fast = set(map(tuple, (np.argwhere(reached) + box.lo).tolist()))
             slow_walk = walk_reach(config, sources, height_floor=floor)
             slow_path = path_reach(config, sources, height_floor=floor)
             if not (fast == slow_walk == slow_path):

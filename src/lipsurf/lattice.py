@@ -249,11 +249,8 @@ class PercolationField(Field):
         return self.uniform64(site) >= self._threshold
 
     def closed_mask(self, box: BoxRegion) -> np.ndarray:
-        # replicate_closed_masks' pass over this one stream; the state is
-        # folded once, in __init__, not on every call
-        self._check_box(box)
-        base = np.array([self._base], dtype=np.uint64)
-        return _box_uniforms(base, box)[0] >= np.uint64(self._threshold)
+        return replicate_closed_masks(self.d, self.p, self.master_seed,
+                                      [self.replicate], box)[0]
 
     def __repr__(self):
         return (f"PercolationField(d={self.d}, p={self.p}, "

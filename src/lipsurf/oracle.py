@@ -15,7 +15,7 @@ import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 
-from .bounds import spread_rate
+from .bounds import HypothesisError, spread_rate
 from .lattice import BoxRegion, Column, ExplicitConfig, Site, height, radial
 from .reach import StepSet
 from .surface import LocalCoverResult
@@ -101,7 +101,6 @@ def partial_expected_visits(d: int, p: float, h: int, r: int, max_len: int) -> f
         raise ValueError(f"need r >= max(0, -h); got h={h}, r={r}")
     a2q = spread_rate(d, p)
     if a2q >= 1.0:
-        from .bounds import HypothesisError
         raise HypothesisError(f"a^2*q = {a2q} >= 1")
     q = 1.0 - p
     enum = enum_paths(d, StepSet.FULL, max_len)

@@ -28,7 +28,6 @@ far kept as certified lower bounds.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 from enum import Enum
 
@@ -77,9 +76,6 @@ class SurfacePatch:
             "status": [self.status[c].value for c in self.columns],
             "method": self.method,
         }
-
-    def to_json_str(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
 
 
 @dataclass(frozen=True)

@@ -207,6 +207,27 @@ def test_exit_code_unwritable_out_path(argv, tmp_path, capsys):
     assert not list(tmp_path.rglob("*.meta.json"))
 
 
+# os.access ignores permission bits for root, so only a missing directory
+# is a portable case of an unwritable --out
+@pytest.mark.parametrize("argv, work", [
+    (["tails", "--kind", "f_tail", "--d", "2", "--p", "0.99", "--replicates", "10"],
+     "lipsurf.reach.replicate_closed_masks"),
+    (["oracle", "--p", "0.99"], "lipsurf.cli.oracle_suite"),
+], ids=["tails", "oracle"])
+def test_unwritable_out_path_stops_before_any_work(argv, work, tmp_path, monkeypatch, capsys):
+    """An --out path in a missing directory fails the config check, before
+    the first replicate is hashed or the oracle suite runs."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"{work} ran before the --out path was checked")
+
+    monkeypatch.setattr(work, forbidden)
+    out = tmp_path / "missing" / "x.csv"
+    assert main(argv + ["--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and str(out) in captured.err
+    assert "config field 'out'" in captured.err and captured.out == ""
+
+
 def test_exit_code_usage_error(capsys):
     assert main(["no-such-command"]) == 1
 
@@ -356,7 +377,7 @@ def test_run_subcommands_match_run_experiment(case, fmt, tmp_path, capsys):
     compact on stdout) and write to --out the body run_experiment writes."""
     argv, config = _RUN_CASES[case]
     config = dict(config, format=fmt)
-    result = run_experiment(config, out_path=str(tmp_path / "want"))
+    result = run_experiment(dict(config, out=str(tmp_path / "want")))
     want_stdout = (result["csv"] if fmt == "csv"
                    else json.dumps(result["payload"], sort_keys=True) + "\n")
     assert main(argv + ["--format", fmt]) == 0

@@ -14,7 +14,7 @@ from lipsurf.harness import (TAIL_CSV_HEADER, BudgetExceededError, ConfigError,
                              existence_curve, experiment_from_config,
                              monotonicity_check, run_experiment,
                              spread_tail_curve, surface_tail_curve,
-                             surface_validity)
+                             surface_validity, walk_path_sweep)
 from lipsurf.lattice import BoxRegion, ExplicitConfig, Field, PercolationField
 from lipsurf.oracle import exact_event_prob, walk_reach
 import lipsurf.reach as REACH
@@ -420,10 +420,10 @@ def test_csv_writer_writes_each_cell_as_its_own_repr():
     rng = np.random.default_rng(0)
     for _ in range(200):
         rows = [{c: values[i] for c, i in zip("abcd", rng.integers(0, len(values), 4))}
-                for _ in range(int(rng.integers(0, 6)))]
-        assert harness._rows_to_csv(rows, header) == _repr_csv(rows, header)
+                for _ in range(int(rng.integers(1, 6)))]
+        assert harness._rows_to_csv(rows) == _repr_csv(rows, header)
     rows = [{"a": 1.0, "b": 1, "c": -0.0, "d": 0.0}, {"a": 1, "b": 1.0, "c": 0.0, "d": -0.0}]
-    assert harness._rows_to_csv(rows, header) == "a,b,c,d\n1.0,1,-0.0,0.0\n1,1.0,0.0,-0.0\n"
+    assert harness._rows_to_csv(rows) == "a,b,c,d\n1.0,1,-0.0,0.0\n1,1.0,0.0,-0.0\n"
 
 
 def test_tail_hypothesis_violation_raises():
@@ -608,7 +608,7 @@ def test_surface_kinds_count_what_a_per_replicate_loop_counts(cfg, monkeypatch):
     exp = Experiment(kind="surface_validity", **cfg)
     want = _loop_kinds(exp)
     monkeypatch.setattr(REACH, "_CHUNK_SITES", 1000)
-    first = harness._floor_box((-exp.base_radius,) * (exp.d - 1),
+    first = SURFACE._floor_box((-exp.base_radius,) * (exp.d - 1),
                                (exp.base_radius,) * (exp.d - 1),
                                exp.box_margin, exp.box_height)(0)
     chunk = max(1, 1000 // first.size)
@@ -752,6 +752,27 @@ def test_cover_sweep_counts_on_a_small_box(monkeypatch):
         "exact_spread_tail": {1: 0.010000000000000009, 2: 0.0002970100000000001,
                               3: 4.95000100000002e-06}}
     assert calls == [(4096, 3, 4)]
+
+
+def test_walk_path_sweep_closes_each_source_set_in_one_call(monkeypatch):
+    """The sweep closes all 512 configurations of its box in one reach_masks
+    call per source set, on the masks of _box_configs, and asks no
+    configuration for its own mask."""
+    calls = []
+    batched = harness.reach_masks
+
+    def counting(closed, seeds):
+        calls.append(closed.shape)
+        return batched(closed, seeds)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("walk_path_sweep built a mask one configuration at a time")
+
+    monkeypatch.setattr(harness, "reach_masks", counting)
+    monkeypatch.setattr(ExplicitConfig, "closed_mask", forbidden)
+    assert walk_path_sweep() == {"name": "walk_path_sweep", "cases": 2048,
+                                 "disagreements": 0, "passed": True}
+    assert calls == [(512, 3, 3)] * 4
 
 
 def test_box_configs_match_explicit_fields():

@@ -388,7 +388,7 @@ def test_antitone_coupling_in_p():
 def test_serialization_shapes():
     field = closed_at(2, [(0, 1)])
     patch = build_surface(field, _base(2))
-    obj = json.loads(patch.to_json_str())
+    obj = json.loads(json.dumps(patch.to_json(), sort_keys=True))
     assert set(obj) == {"columns", "values", "status", "method"}
     assert len(obj["columns"]) == len(obj["values"]) == len(obj["status"]) == 5
     cover = minimal_cover(field, (0,))
