@@ -3,10 +3,11 @@
 Subcommands: sample, surface, cover, tails, bounds, brw, existence, oracle.
 Shared flags (--d, --p, --seed, ...) may also come from a JSON config file
 via --config; explicit flags win over config values.  A flag or field the
-subcommand does not read, an unknown or mistyped one, or an --out outside a
-writable directory stops the run before any work.  Exit codes: 0 success, 1
-invalid config or usage or an unwritable output path, 2 bound-hypothesis
-violation, 3 certification budget exhausted beyond the configured threshold.
+subcommand does not read, an unknown or mistyped one, or an --out naming a
+directory or outside a writable one stops the run before any work.  Exit
+codes: 0 success, 1 invalid config or usage or an unwritable output path,
+2 bound-hypothesis violation, 3 certification budget exhausted beyond the
+configured threshold.
 """
 
 from __future__ import annotations
@@ -119,8 +120,11 @@ def _budget(config: dict, default: Budget) -> Budget:
 
 
 def _cmd_sample(args, config: dict) -> int:
-    # the box fields size the emitted box, not a budget: no range is set
     check_values({key: config[key] for key in ("d", "p") if key in config})
+    # the box fields size the emitted box, not a budget: 0 is a box too
+    for key in ("box_margin", "box_height"):
+        if config.get(key, 0) < 0:
+            raise ConfigError(key, "must be >= 0")
     d = config.get("d", 2)
     p = config.get("p", 0.99)
     m = config.get("box_margin", 4)

@@ -25,9 +25,11 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__ as _version
-from .bounds import spread_tail_bound, surface_tail_bound
+from .bounds import path_sum_bound, spread_tail_bound, step_count, surface_tail_bound
 from .brw import OffspringLaw, brw_tables
 from .lattice import BoxRegion, Column, ExplicitConfig
+from .oracle import (NoCoverInBox, attained_spread, cover_fixed_point, enum_paths,
+                     partial_expected_visits, path_reach, walk_reach)
 from .reach import Budget, StepSet, _hash_replicates, reach_masks
 # unused here: perfbench/selftest.py checks its tracer rebinds this name
 from .reach import floor_reach_sandwich  # noqa: F401
@@ -95,8 +97,8 @@ _STEP_MODES = dict.fromkeys(("f_tail", "bounds"), tuple(s.value for s in StepSet
 def check_fields(config: dict, reader: str, reads: frozenset) -> None:
     """The one check of every config before any work: each field is known,
     has its _FIELD_TYPES type (an int passes as a float, a bool as neither),
-    is in the set `reader` reads, and an out path lies in a writable
-    directory.  The error quotes every offending one."""
+    is in the set `reader` reads, and an out path is no directory and lies
+    in a writable directory.  The error quotes every offending one."""
     problems = {key: f"not read by {reader}" if key in _FIELD_TYPES else "unknown field"
                 for key in config.keys() - reads}
     for key, val in config.items():
@@ -110,6 +112,8 @@ def check_fields(config: dict, reader: str, reads: frozenset) -> None:
     if config.get("format", "csv") not in ("csv", "json"):
         raise ConfigError("format", "expected 'csv' or 'json'")
     out = config.get("out")
+    if out and os.path.isdir(out):
+        raise ConfigError("out", f"cannot write {out!r}: it is a directory")
     if out and not os.access(os.path.dirname(out) or ".", os.W_OK):
         raise ConfigError("out", f"cannot write {out!r}: no such writable directory")
     modes = _STEP_MODES.get(reader, ("full",))
@@ -210,14 +214,14 @@ class TailCurve:
 
 def _tail_curve(exp: Experiment, kind: str, levels: int, runs, bound_at) -> TailCurve:
     """Tail rows for levels 0..levels-1.  `runs` yields, per chunk of
-    replicates, arrays (lo, hi, settled): the statistic's certified lower
-    and upper values, level k a sure hit where lo >= k and a possible hit
-    where hi >= k.  The bound checks its own hypothesis: bound_at(0) runs
-    before the first chunk is drawn from `runs`, so a HypothesisError comes
-    before any replicate is hashed."""
+    replicates, arrays (lo, hi): the statistic's certified lower and upper
+    values, level k a sure hit where lo >= k and a possible hit where
+    hi >= k.  The bound checks its own hypothesis: bound_at(0) runs before
+    the first chunk is drawn from `runs`, so a HypothesisError comes before
+    any replicate is hashed."""
     bound_at(0)
     counts = np.zeros((2, levels + 1), dtype=np.int64)
-    for lo, hi, _ in runs:
+    for lo, hi in runs:
         for side, values in zip(counts, (lo, hi)):
             side += np.bincount(_level_index(values, levels), minlength=levels + 1)
     # hits at level k: the values >= k, the counts at index k + 1 and up;
@@ -242,7 +246,7 @@ def _cover_radii(exp: Experiment, levels: int):
     """Spread radii at the origin column, chunk by chunk: the minimal cover's
     radius less one on the lower side, and on the upper side the same if the
     cover is certified, else `levels`, a possible hit at every level."""
-    return ((rho - 1, np.where(certified, rho - 1, levels), certified)
+    return ((rho - 1, np.where(certified, rho - 1, levels))
             for rho, _, certified in _cover_runs(
                 exp.replicates, _hash_replicates(exp.d, exp.p, exp.seed),
                 (0,) * (exp.d - 1), exp.budget))
@@ -257,7 +261,7 @@ def surface_tail_curve(exp: Experiment) -> TailCurve:
     runs = _surface_runs(exp.replicates, _hash_replicates(exp.d, exp.p, exp.seed),
                          [(0,) * (exp.d - 1)], budget, exp.step_mode)
     return _tail_curve(exp, "f_tail", exp.k_max + 1,
-                       ((lo[:, 0], hi[:, 0], settled[:, 0]) for lo, hi, settled in runs),
+                       ((lo[:, 0], hi[:, 0]) for lo, hi, _ in runs),
                        lambda k: surface_tail_bound(exp.d, exp.p, k, restricted))
 
 
@@ -568,8 +572,6 @@ def cover_sweep(p: float = 0.99, radius: int = 2, h_max: int = 2) -> dict:
     equal the oracle's least fixed point wherever both certify.  The sweep
     accumulates exact spread-tail probabilities for cross-checking Monte
     Carlo intervals."""
-    from .oracle import NoCoverInBox, attained_spread, cover_fixed_point
-
     box = BoxRegion((-radius, 0), (radius, h_max))
     n = box.size
     origin = (0,)
@@ -600,8 +602,6 @@ def walk_path_sweep() -> dict:
     """Every configuration of a 3x3 (d=2) box: the engine's reach (one batched
     call per source set), the oracle's naive walk fixed point, and its
     distinct-site path enumeration must reach identical site sets."""
-    from .oracle import path_reach, walk_reach
-
     box = BoxRegion((-1, 0), (1, 2))
     closed = _box_configs(box)
     configs = [ExplicitConfig.from_bits(box, bits) for bits in range(len(closed))]
@@ -625,9 +625,6 @@ def walk_path_sweep() -> dict:
 def bucket_check(d: int, max_len: int, step_set: StepSet = StepSet.FULL) -> dict:
     """Every (up, down) bucket of the exhaustive path enumeration must hold
     at most a^(up+down) paths."""
-    from .bounds import step_count
-    from .oracle import enum_paths
-
     a = step_count(d, step_set is StepSet.NO_STRAIGHT_DOWN)
     enum = enum_paths(d, step_set, max_len)
     worst = 0.0
@@ -645,9 +642,6 @@ def bucket_check(d: int, max_len: int, step_set: StepSet = StepSet.FULL) -> dict
 def en_check(d: int, p: float, max_len: int) -> dict:
     """Truncated expected-path sums of the full step set must stay below the
     closed-form bound at (h, r) = (0, 0), (1, 0), (0, 1) and (-1, 1)."""
-    from .bounds import path_sum_bound
-    from .oracle import partial_expected_visits
-
     results = []
     failures = 0
     for h, r in ((0, 0), (1, 0), (0, 1), (-1, 1)):

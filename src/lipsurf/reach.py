@@ -42,12 +42,12 @@ influence can enter a box three ways:
   resolution, but nothing computes or reports it yet.
 
 Every certificate grows its boxes in _settle_replicates until its two
-sides agree.  The floor reach doubles the box height h and pads the
-columns by h + margin, with the margin fixed (surface._floor_box_at).  So
-in every box, whatever the attempt, the rim below reaches the columns at
-distance margin + t from the columns read at height t: a taller box does
-not keep the sides further away.  ROADMAP item 11 records what that does
-to growth.
+sides agree, walking a tuple of boxes that surface builds whole.  The
+floor reach doubles the box height h and pads the columns by h + margin,
+with the margin fixed (surface._floor_boxes).  So in every box, whatever
+the attempt, the rim below reaches the columns at distance margin + t from
+the columns read at height t: a taller box does not keep the sides further
+away.  ROADMAP item 11 records what that does to growth.
 
 The pessimistic seeds closed under down moves, the rim, are the same for
 every configuration of a batch shape, so they are computed once per shape
@@ -67,7 +67,7 @@ climb sets do.  Constants of a shape are computed once and cached
 read-only, keyed by shape, box or columns and never by seed or replicate:
 the rim, the edge masks and the index and bits of a list of columns
 (here), the hash's coordinate operands (lattice), the cover reader's
-distance grid and rim mask, and the box of each growth attempt (surface).
+distance grid and rim mask, and each growth schedule's boxes (surface).
 """
 
 from __future__ import annotations
@@ -257,25 +257,11 @@ def floor_reach_sandwich(field: Field, box: BoxRegion,
 
 @functools.lru_cache(maxsize=256)
 def _column_index(box: BoxRegion, columns: tuple[Column, ...]) -> np.ndarray:
-    """The C-order indices, among the box's columns, of a tuple of columns,
-    each of box.dim - 1 coordinates and inside the box; a ValueError names
-    a column that is neither.  Cached read-only, once per box and columns."""
-    k = box.dim - 1
-    try:  # one numpy pass, not a Python loop, over a long list of columns
-        cols = np.array(columns)
-    except ValueError:  # columns of unequal lengths
-        cols = None
-    if columns and (cols is None or cols.shape != (len(columns), k)
-                    or cols.dtype.kind not in "iu"):
-        bad = next((c for c in columns if np.shape(c) != (k,)
-                    or not all(isinstance(x, (int, np.integer)) for x in c)), columns[0])
-        raise ValueError(f"column {bad!r} does not have d - 1 = {k} integer coordinates")
-    at = cols.reshape(-1, k) - box.lo[:-1]
-    # an index would wrap round or fail unnamed
-    outside = ((at < 0) | (at > np.subtract(box.hi, box.lo)[:-1])).any(axis=1).nonzero()[0]
-    if outside.size:
-        c = tuple(cols[outside[0]].tolist())
-        raise ValueError(f"column {c} outside box lo={box.lo} hi={box.hi}")
+    """The C-order indices, among the box's columns, of a tuple of columns
+    inside the box, each of box.dim - 1 integer coordinates (build_surface
+    checks its base; a column outside the box fails in ravel_multi_index
+    rather than wrap round).  Cached read-only, once per box and columns."""
+    at = np.array(columns).reshape(-1, box.dim - 1) - box.lo[:-1]
     flat = np.ravel_multi_index(tuple(at.astype(np.intp).T), box.shape[:-1])
     flat.flags.writeable = False
     return flat
@@ -373,30 +359,29 @@ def _hash_replicates(d: int, p: float, master_seed: int):
     return lambda reps, box: replicate_closed_masks(d, p, master_seed, reps, box)
 
 
-def _settle_replicates(count: int, growth_cap: int, box_at, closed_at, read):
+def _settle_replicates(count: int, boxes, closed_at, read):
     """Grow boxes over items 0..count-1 until each one settles.
 
-    box_at(i) is the box of growth attempt i (attempt 0 is the first box);
+    boxes holds the box of each growth attempt, the first box first;
     closed_at(items, box) hashes an index array of items in a box, shaped
     (len(items), *box.shape); read(closed, box) returns arrays (lo, hi,
     settled), shaped (B,) or (B, columns): a statistic's certified lower
     and upper values, and whether the box settles them.  Per chunk of
     items, one pass hashes and reads every item in the first box; each
-    further attempt, up to growth_cap, hashes only the items with an
-    unsettled entry, in pieces of at most _CHUNK_SITES sites.  An entry
-    keeps the values of the box that settled it, or else of the last box
-    it was read in.  Yields (lo, hi, settled) per chunk.
+    further box, in turn, hashes only the items with an unsettled entry,
+    in pieces of at most _CHUNK_SITES sites.  An entry keeps the values of
+    the box that settled it, or else of the last box it was read in.
+    Yields (lo, hi, settled) per chunk.
     """
-    first = box_at(0)
+    first, *grown = boxes
     chunk = max(1, _CHUNK_SITES // first.size)
     for start in range(0, count, chunk):
         items = np.arange(start, min(start + chunk, count))
         lo, hi, settled = read(closed_at(items, first), first)
-        for attempt in range(1, growth_cap + 1):
+        for box in grown:
             if settled.all():  # the usual chunk settles in its first box
                 break
             pending = np.flatnonzero(~settled.reshape(items.size, -1).all(axis=1))
-            box = box_at(attempt)
             piece = max(1, _CHUNK_SITES // box.size)
             for i in range(0, pending.size, piece):
                 idx = pending[i:i + piece]

@@ -106,34 +106,27 @@ class LocalCoverResult:
         }
 
 
-def _floor_box(lo: Column, hi: Column, margin: int, height: int):
-    """box_at of the floor reach over the columns lo..hi: attempt i spans
-    heights 0..h, h = height*2^i, and pads the columns by h + margin, with
-    the margin fixed.  So in every attempt the rim below reaches the columns
-    at distance margin + t from those read at height t: a taller box does
-    not keep worst-case side entries further away (ROADMAP item 11)."""
-    return functools.partial(_floor_box_at, tuple(map(int, lo)), tuple(map(int, hi)),
-                             margin, height)
+@functools.lru_cache(maxsize=256)
+def _floor_boxes(lo: Column, hi: Column, budget: Budget) -> tuple[BoxRegion, ...]:
+    """The boxes of the floor reach over the columns lo..hi, one per growth
+    attempt 0..budget.growth_cap: attempt i spans heights 0..h, h =
+    height*2^i, and pads the columns by h + margin, with the margin fixed.
+    So in every attempt the rim below reaches the columns at distance
+    margin + t from those read at height t: a taller box does not keep
+    worst-case side entries further away (ROADMAP item 11)."""
+    heights = [budget.height << i for i in range(budget.growth_cap + 1)]
+    return tuple(BoxRegion((*(c - h - budget.margin for c in lo), 0),
+                           (*(c + h + budget.margin for c in hi), h)) for h in heights)
 
 
 @functools.lru_cache(maxsize=256)
-def _floor_box_at(lo: Column, hi: Column, margin: int, height: int,
-                  attempt: int) -> BoxRegion:
-    h = height << attempt
-    pad = h + margin
-    return BoxRegion((*(c - pad for c in lo), 0), (*(c + pad for c in hi), h))
-
-
-def _climb_box(x: Column, margin: int, height: int):
-    """box_at of the climb set of x: attempt i pads x by margin*2^i on every
-    side and spans heights 0..height*2^i."""
-    return functools.partial(_climb_box_at, tuple(map(int, x)), margin, height)
-
-
-@functools.lru_cache(maxsize=256)
-def _climb_box_at(x: Column, margin: int, height: int, attempt: int) -> BoxRegion:
-    m, h = margin << attempt, height << attempt
-    return BoxRegion((*(c - m for c in x), 0), (*(c + m for c in x), h))
+def _climb_boxes(x: Column, budget: Budget) -> tuple[BoxRegion, ...]:
+    """The boxes of the climb set of x, one per growth attempt
+    0..budget.growth_cap: attempt i pads x by margin*2^i on every side and
+    spans heights 0..height*2^i."""
+    return tuple(BoxRegion((*(c - (budget.margin << i) for c in x), 0),
+                           (*(c + (budget.margin << i) for c in x), budget.height << i))
+                 for i in range(budget.growth_cap + 1))
 
 
 def _surface_runs(count: int, closed_at, cols, budget: Budget,
@@ -144,14 +137,12 @@ def _surface_runs(count: int, closed_at, cols, budget: Budget,
     the optimistic and pessimistic floor reach, and whether the two agree
     strictly below the box top, each shaped (B, len(cols)); a settled
     column's surface value is one above its run."""
-    box_at = _floor_box(tuple(map(min, zip(*cols))), tuple(map(max, zip(*cols))),
-                        budget.margin, budget.height)
-
     def read(closed, box):
         lo, hi = _floor_column_runs(closed, box, cols, step_set)
         return lo, hi, (lo == hi) & (hi < box.hi[-1] - 1)
 
-    return _settle_replicates(count, budget.growth_cap, box_at, closed_at, read)
+    boxes = _floor_boxes(tuple(map(min, zip(*cols))), tuple(map(max, zip(*cols))), budget)
+    return _settle_replicates(count, boxes, closed_at, read)
 
 
 def _cover_runs(count: int, closed_at, x: Column, budget: Budget):
@@ -162,8 +153,7 @@ def _cover_runs(count: int, closed_at, x: Column, budget: Budget):
         _, rho, certified = _read_covers(closed, box, x)
         return rho, rho, certified
 
-    return _settle_replicates(count, budget.growth_cap,
-                              _climb_box(x, budget.margin, budget.height), closed_at, read)
+    return _settle_replicates(count, _climb_boxes(x, budget), closed_at, read)
 
 
 def build_surface(field: Field, base, budget: Budget = Budget()) -> SurfacePatch:
@@ -172,7 +162,7 @@ def build_surface(field: Field, base, budget: Budget = Budget()) -> SurfacePatch
     Each column's value is min{t > 0 : (x, t) not reachable}.  A column is
     CERTIFIED when the optimistic and pessimistic values agree strictly
     below the box top; otherwise the box doubles in height, with the side
-    pad h + margin at a fixed margin (see _floor_box), until agreement or
+    pad h + margin at a fixed margin (see _floor_boxes), until agreement or
     the growth cap.
 
     Growth-cap exhaustion yields Unresolved columns with the optimistic
@@ -181,8 +171,15 @@ def build_surface(field: Field, base, budget: Budget = Budget()) -> SurfacePatch
     base = [tuple(c) for c in base]
     if not base:
         raise ValueError("base must be nonempty")
-    if any(len(c) != field.d - 1 for c in base):
-        raise ValueError("base columns must have dimension d-1")
+    k = field.d - 1
+    try:  # one numpy pass, not a Python loop, over a long list of columns
+        cols = np.array(base)
+    except ValueError:  # columns of unequal lengths
+        cols = None
+    if cols is None or cols.shape != (len(base), k) or cols.dtype.kind not in "iu":
+        bad = next((c for c in base if np.shape(c) != (k,)
+                    or not all(isinstance(x, (int, np.integer)) for x in c)), base[0])
+        raise ValueError(f"column {bad!r} does not have d - 1 = {k} integer coordinates")
     cols = sorted(set(base))
     (lo, _, settled), = _surface_runs(  # one field: a batch of one
         1, lambda _, box: field.closed_mask(box)[None], cols, budget)
@@ -267,8 +264,7 @@ def _climb(field: Field, x: Column, budget: Budget):
         return rho, rho, certified
 
     (rho, _, certified), = _settle_replicates(
-        1, budget.growth_cap, _climb_box(x, budget.margin, budget.height),
-        lambda _, box: field.closed_mask(box)[None], read)
+        1, _climb_boxes(x, budget), lambda _, box: field.closed_mask(box)[None], read)
     return (*last, int(rho[0]), bool(certified[0]))
 
 

@@ -157,6 +157,16 @@ def test_subcritical_threshold_postcondition(d):
     assert minimize_offspring_laplace(d, p1 - tol)[1] >= 1.0
 
 
+def test_constants_summary_with_no_feasible_tilt():
+    """Far below the proven regime neither the tail prefactor nor the BRW
+    tilt exists: the summary says so with None, not an error."""
+    out = constants_summary(2, 5e-5)
+    assert out["hypothesis_ok"] is False and out["prefactor"] is None
+    assert out["brw_mu_star"] is None and out["brw_alpha_star"] is None
+    assert out["brw_subcritical"] is False
+    assert "surface_tail_bounds" not in out and "spread_tail_bounds" not in out
+
+
 def test_constants_summary_contents():
     out = constants_summary(2, 0.99)
     assert out["steps_per_site"] == 4

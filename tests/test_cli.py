@@ -18,6 +18,10 @@ def test_sample_json(capsys):
     assert set(out) == {"box", "states"}
     assert len(out["states"]) == 5 * 3
     assert set(out["states"]) <= {0, 1}
+    # sample's box fields size the box it prints, so 0 is a one-site box
+    assert main(["sample", "--box-margin", "0", "--box-height", "0"]) == 0
+    assert capsys.readouterr().out == (
+        '{"box": {"hi": [0, 0], "lo": [0, 0]}, "states": [1]}\n')
 
 
 def test_sample_csv(capsys):
@@ -44,12 +48,25 @@ def test_cover_json(capsys):
     assert out["cover_radius"] >= 1
 
 
-def test_bounds_json(capsys):
+def _rerun_to_file(argv, digest, tmp_path, capsys):
+    """argv run again with --out writes its stdout's bytes, of SHA-256
+    digest, to that file alone: nothing on stdout and no .meta.json."""
+    out = tmp_path / "body"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    assert [p.name for p in tmp_path.iterdir()] == ["body"]
+
+
+def test_bounds_json(tmp_path, capsys):
     assert main(["bounds", "--d", "2", "--p", "0.99"]) == 0
-    out = json.loads(capsys.readouterr().out)
+    text = capsys.readouterr().out
+    out = json.loads(text)
     assert out["steps_per_site"] == 4
     assert abs(out["prefactor"] - 1.240079) < 1e-5
     assert out["hypothesis_ok"] is True
+    _rerun_to_file(["bounds", "--d", "2", "--p", "0.99"],
+                   hashlib.sha256(text.encode()).hexdigest(), tmp_path, capsys)
 
 
 def test_bounds_kmax(tmp_path, capsys):
@@ -141,6 +158,8 @@ def test_existence_rejects_a_negative_base_radius(capsys):
     (["sample", "--d", "1"], "d", "must be >= 2"),
     (["sample", "--p", "0"], "p", "must lie in (0,1)"),
     (["oracle", "--p", "1.5"], "p", "must lie in (0,1)"),
+    (["sample", "--box-margin", "-1"], "box_margin", "must be >= 0"),
+    (["sample", "--box-height", "-1"], "box_height", "must be >= 0"),
 ])
 def test_out_of_range_fields_are_named(argv, field, why, capsys):
     """surface, cover, sample and oracle range-check their fields as the
@@ -215,17 +234,18 @@ def test_exit_code_unwritable_out_path(argv, tmp_path, capsys):
     (["oracle", "--p", "0.99"], "lipsurf.cli.oracle_suite"),
 ], ids=["tails", "oracle"])
 def test_unwritable_out_path_stops_before_any_work(argv, work, tmp_path, monkeypatch, capsys):
-    """An --out path in a missing directory fails the config check, before
-    the first replicate is hashed or the oracle suite runs."""
+    """An --out path in a missing directory, or naming an existing
+    directory, fails the config check, before the first replicate is hashed
+    or the oracle suite runs."""
     def forbidden(*args, **kwargs):
         raise AssertionError(f"{work} ran before the --out path was checked")
 
     monkeypatch.setattr(work, forbidden)
-    out = tmp_path / "missing" / "x.csv"
-    assert main(argv + ["--out", str(out)]) == 1
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error:") and str(out) in captured.err
-    assert "config field 'out'" in captured.err and captured.out == ""
+    for out in (tmp_path / "missing" / "x.csv", tmp_path):
+        assert main(argv + ["--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and str(out) in captured.err
+        assert "config field 'out'" in captured.err and captured.out == ""
 
 
 def test_exit_code_usage_error(capsys):
@@ -334,16 +354,17 @@ def test_oracle_subcommand(capsys, monkeypatch):
     assert len(out["checks"]) == 7
 
 
-def test_oracle_subcommand_golden_stdout(capsys, monkeypatch):
+def test_oracle_subcommand_golden_stdout(tmp_path, capsys, monkeypatch):
     """The oracle report, byte for byte, under test_oracle_subcommand's
-    radius-1, h_max-3 cover sweep."""
+    radius-1, h_max-3 cover sweep, on stdout and in an --out file."""
     monkeypatch.setattr("lipsurf.harness.cover_sweep",
                         functools.partial(cover_sweep, radius=1, h_max=3))
     assert main(["oracle"]) == 0
     out = capsys.readouterr().out.encode()
     assert len(out) == 2408
-    assert hashlib.sha256(out).hexdigest() == (
-        "6d894cd5671514fb78f44fdbda274ce534f7a0f36c9fcba7cb7f95d0b91d5608")
+    digest = "6d894cd5671514fb78f44fdbda274ce534f7a0f36c9fcba7cb7f95d0b91d5608"
+    assert hashlib.sha256(out).hexdigest() == digest
+    _rerun_to_file(["oracle"], digest, tmp_path, capsys)
 
 
 # (argv, the run_experiment config those flags stand for)
@@ -425,13 +446,14 @@ _CLI_GOLDEN = [
 
 @pytest.mark.parametrize("argv,digest", _CLI_GOLDEN,
                          ids=[" ".join(a) for a, _ in _CLI_GOLDEN])
-def test_surface_and_cover_golden_stdout(argv, digest, capsys):
+def test_surface_and_cover_golden_stdout(argv, digest, tmp_path, capsys):
     assert main(argv) == 0
     out = capsys.readouterr().out
     if "--format" not in argv:
         status = json.loads(out)["status"]
         assert ("unresolved" in status) == ("--growth-cap" in argv)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+    _rerun_to_file(argv, digest, tmp_path, capsys)
 
 
 _SAMPLE_D2 = ["sample", "--d", "2", "--p", "0.9", "--seed", "7", "--replicate", "3"]
@@ -449,12 +471,14 @@ _SAMPLE_GOLDEN = [
 
 @pytest.mark.parametrize("argv,digest", _SAMPLE_GOLDEN,
                          ids=[" ".join(a) for a, _ in _SAMPLE_GOLDEN])
-def test_sample_golden_stdout(argv, digest, capsys):
-    """The sampled box, byte for byte, and each of its states read off the
-    field's closed_mask, with the replicate the flag names."""
+def test_sample_golden_stdout(argv, digest, tmp_path, capsys):
+    """The sampled box, byte for byte, on stdout and in an --out file, and
+    each of its states read off the field's closed_mask, with the replicate
+    the flag names."""
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+    _rerun_to_file(argv, digest, tmp_path, capsys)
     if "--format" in argv:
         rows = [line.split(",") for line in out.splitlines()[1:]]
         sites = [tuple(map(int, site.split())) for site, _ in rows]

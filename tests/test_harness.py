@@ -389,7 +389,7 @@ def test_tail_hit_counts_match_the_broadcast_count(seed):
     chunks = []
     for size in rng.integers(1, 40, size=int(rng.integers(1, 5))):
         lo = rng.integers(-3, levels + 3, size=size)
-        chunks.append((lo, lo + rng.integers(0, 3, size=size), None))
+        chunks.append((lo, lo + rng.integers(0, 3, size=size)))
     exp = Experiment(kind="f_tail", d=2, p=0.99, replicates=sum(len(c[0]) for c in chunks))
     curve = harness._tail_curve(exp, "f_tail", levels, iter(chunks), lambda k: 0.5 ** k)
     n = exp.replicates
@@ -608,9 +608,8 @@ def test_surface_kinds_count_what_a_per_replicate_loop_counts(cfg, monkeypatch):
     exp = Experiment(kind="surface_validity", **cfg)
     want = _loop_kinds(exp)
     monkeypatch.setattr(REACH, "_CHUNK_SITES", 1000)
-    first = SURFACE._floor_box((-exp.base_radius,) * (exp.d - 1),
-                               (exp.base_radius,) * (exp.d - 1),
-                               exp.box_margin, exp.box_height)(0)
+    first = SURFACE._floor_boxes((-exp.base_radius,) * (exp.d - 1),
+                                 (exp.base_radius,) * (exp.d - 1), exp.budget)[0]
     chunk = max(1, 1000 // first.size)
     assert exp.replicates > 2 * chunk and (chunk == 1 or exp.replicates % chunk)
     validity = surface_validity(exp)
@@ -1063,15 +1062,15 @@ def test_growth_golden_bodies(tmp_path, monkeypatch, name):
     runs = []  # per run: box index -> replicates read in it
     settle = SURFACE._settle_replicates
 
-    def counting(count, growth_cap, box_at, closed_at, read_box):
-        index = {box_at(i): i for i in range(growth_cap + 1)}
+    def counting(count, boxes, closed_at, read_box):
+        index = {box: i for i, box in enumerate(boxes)}
         read = collections.Counter()
         runs.append(read)
 
         def hashed(items, box):
             read[index[box]] += len(items)
             return closed_at(items, box)
-        return settle(count, growth_cap, box_at, hashed, read_box)
+        return settle(count, boxes, hashed, read_box)
 
     monkeypatch.setattr(SURFACE, "_settle_replicates", counting)
     digests = _golden_bodies(tmp_path, name, _GROWTH_GOLDEN_CASES)

@@ -10,10 +10,11 @@ from lipsurf.lattice import (BoxRegion, ExplicitConfig, PercolationField,
                              replicate_closed_masks)
 from lipsurf.oracle import exact_event_prob, walk_reach
 import lipsurf.reach as REACH
-from lipsurf.reach import (StepSet, _floor_column_runs, _hash_replicates, _rim,
+from lipsurf.reach import (Budget, StepSet, _floor_column_runs, _hash_replicates, _rim,
                            _seed_sides, _settle_replicates, _unpack,
                            floor_reach_sandwich, reach_masks)
 from lipsurf.stats import wilson_interval
+from lipsurf.surface import build_surface
 
 from fields import closed_at, column_runs, sites
 
@@ -109,27 +110,23 @@ def test_column_runs_batch_matches_per_column_reads(box):
     assert column_runs(masks, box, pick).tolist() == [[w[-1], w[0]] for w in want]
 
 
-@pytest.mark.parametrize("column", [(-3,), (3,)])
-def test_column_reads_reject_columns_outside_the_box(column):
-    """A column past either side of the box, of the wrong length or with a
-    coordinate that is not an integer is named in an error, where an index
-    would wrap round to the far side, read another column or fail unnamed."""
+def test_build_surface_names_malformed_base_columns():
+    """A base column of the wrong length or with a coordinate that is not an
+    integer is named in an error, where an index would read another column
+    or fail unnamed; the reader reads the box's side columns."""
     box = BoxRegion((-2, 0), (2, 3))
     reached = np.ones((2, *box.shape), dtype=bool)
-    with pytest.raises(ValueError, match=rf"column \({column[0]},\) outside box"):
-        _floor_column_runs(~reached, box, [(0,), column], StepSet.FULL)
     # the side columns are inside: all open, only the pessimistic side climbs
     lo, hi = _floor_column_runs(~reached, box, [(-2,), (2,)], StepSet.FULL)
     assert lo.tolist() == [[0, 0]] * 2 and hi.tolist() == [[3, 3]] * 2
+    field = PercolationField(2, 0.9, master_seed=1)
     for cols, bad in (([(0, 99)], r"\(0, 99\)"), ([()], r"\(\)"),
                       ([(0,), (1, 2)], r"\(1, 2\)"), ([(0,), ()], r"\(\)"),
                       ([(0.5,)], r"\(0.5,\)"), ([(0,), (-1.0,)], r"\(-1.0,\)")):
         with pytest.raises(ValueError, match=rf"column {bad} does not have d - 1 = 1 integer"):
-            _floor_column_runs(~reached, box, cols, StepSet.FULL)
-    box3 = BoxRegion((-2, -2, 0), (2, 2, 3))
+            build_surface(field, cols)
     with pytest.raises(ValueError, match=r"column \(1,\) does not have d - 1 = 2"):
-        _floor_column_runs(np.zeros((1, *box3.shape), dtype=bool), box3, [(0, 0), (1,)],
-                           StepSet.FULL)
+        build_surface(PercolationField(3, 0.9, master_seed=1), [(0, 0), (1,)])
 
 
 def test_reach_source_order_free():
@@ -413,7 +410,7 @@ def test_cached_per_shape_arrays_are_read_only():
     tuples, which no caller can write to; a second call returns the same
     objects."""
     from lipsurf.lattice import _box_coords
-    from lipsurf.surface import _climb_box, _cover_grid, _floor_box
+    from lipsurf.surface import _climb_boxes, _cover_grid, _floor_boxes
     box = BoxRegion((-2, -1, 0), (2, 3, 4))
     cached = [(_rim, ((5, 5, 5, 3), StepSet.FULL)), (_box_coords, (box,)),
               (REACH._column_index, (box, ((0, 0), (1, 2)))),
@@ -432,8 +429,10 @@ def test_cached_per_shape_arrays_are_read_only():
             else:  # packed layers and masks: ints, alone or in tuples
                 hash(a)
     assert arrays == 3 + 1 + 2  # coordinates, column index, grid
-    for box_at in (_floor_box((0, 0), (1, 1), 2, 3), _climb_box((0, 0), 2, 3)):
-        assert box_at(2) is box_at(2)
+    budget = Budget(2, 3, 2)
+    for boxes, key in ((_floor_boxes, ((0, 0), (1, 1), budget)),
+                       (_climb_boxes, ((0, 0), budget))):
+        assert boxes(*key) is boxes(*key)
 
 
 def _bool_close(reached, closed, step_set, top):
@@ -705,7 +704,8 @@ def test_settle_replicates_keeps_settled_entries(columns, monkeypatch):
             return lo[:, 0], lo[:, 0] + 5, now[:, 0]
         return lo, lo + 5, now
 
-    chunks = list(_settle_replicates(len(_SETTLE_AT), cap, box_at, closed_at, read))
+    chunks = list(_settle_replicates(len(_SETTLE_AT), [box_at(i) for i in range(cap + 1)],
+                                     closed_at, read))
     assert len(chunks) == 2
     lo, hi, settled = (np.concatenate(a) for a in zip(*chunks))
     assert lo.shape == settled.shape == (len(_SETTLE_AT),) + ((2,) if columns == 2 else ())
@@ -767,7 +767,7 @@ def test_estimate_reach_prob_vs_exact_bracket():
         return hit_lo, hit_hi, hit_lo == hit_hi
 
     hits_lo = hits_hi = 0
-    for lo, hi, _ in _settle_replicates(replicates, 3, box_at,
+    for lo, hi, _ in _settle_replicates(replicates, [box_at(i) for i in range(4)],
                                         _hash_replicates(d, p, 5), read):
         hits_lo += int(lo.sum())
         hits_hi += int(hi.sum())

@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 from lipsurf.lattice import ExplicitConfig, BoxRegion, PercolationField
 from lipsurf.oracle import walk_reach
 from lipsurf.reach import Budget, StepSet, _floor_column_runs, floor_reach_sandwich, reach_masks
-from lipsurf.surface import (COVER_BUDGET, Cert, SurfacePatch, _climb_masks, _read_covers,
-                             build_surface, climb_set, minimal_cover, surface_from_covers,
-                             verify_surface)
+from lipsurf.surface import (COVER_BUDGET, Cert, SurfacePatch, SurfaceReport, _climb_masks,
+                             _read_covers, build_surface, climb_set, minimal_cover,
+                             surface_from_covers, verify_surface)
 
 from fields import closed_at
 
@@ -103,6 +103,14 @@ def test_build_surface_matches_a_growth_loop_over_the_sandwich(d, p, radius, gro
         grown += sum(a > 0 for a in settled_at.values())
     assert unresolved
     assert (grown > 0) == (growth_cap > 0)
+
+
+def test_verify_surface_of_a_patch_with_no_certified_column():
+    # a one-high box with no growth certifies none of these columns
+    field = PercolationField(2, 0.6, master_seed=1)
+    patch = build_surface(field, _base(3), Budget(1, 1, 0))
+    assert patch.certified_columns() == []
+    assert verify_surface(field, patch) == SurfaceReport(0, 0, (), ())
 
 
 def test_verify_surface_fault_injection():
