@@ -110,15 +110,24 @@ def test_column_runs_batch_matches_per_column_reads(box):
     assert column_runs(masks, box, pick).tolist() == [[w[-1], w[0]] for w in want]
 
 
-def test_build_surface_names_malformed_base_columns():
-    """A base column of the wrong length or with a coordinate that is not an
-    integer is named in an error, where an index would read another column
-    or fail unnamed; the reader reads the box's side columns."""
+@pytest.mark.parametrize("column", [(-3,), (3,)])
+def test_column_reads_reject_columns_outside_the_box(column):
+    """A column past either side of the box fails in the index, where an
+    index taken modulo the box would wrap round to the far side; the reader
+    reads the box's side columns."""
     box = BoxRegion((-2, 0), (2, 3))
     reached = np.ones((2, *box.shape), dtype=bool)
+    with pytest.raises(ValueError, match="invalid entry in coordinates array"):
+        _floor_column_runs(~reached, box, [(0,), column], StepSet.FULL)
     # the side columns are inside: all open, only the pessimistic side climbs
     lo, hi = _floor_column_runs(~reached, box, [(-2,), (2,)], StepSet.FULL)
     assert lo.tolist() == [[0, 0]] * 2 and hi.tolist() == [[3, 3]] * 2
+
+
+def test_build_surface_names_malformed_base_columns():
+    """A base column of the wrong length or with a coordinate that is not an
+    integer is named in an error, where an index would read another column
+    or fail unnamed."""
     field = PercolationField(2, 0.9, master_seed=1)
     for cols, bad in (([(0, 99)], r"\(0, 99\)"), ([()], r"\(\)"),
                       ([(0,), (1, 2)], r"\(1, 2\)"), ([(0,), ()], r"\(\)"),
