@@ -65,7 +65,7 @@ gives the two sides of one box's floor reach as masks shaped like the
 box; both floor at the box bottom and unpack once, at the end, as the
 climb sets do.  Constants of a shape are computed once and cached
 read-only, keyed by shape, box or columns and never by seed or replicate:
-the rim, the edge masks and the index and bits of a list of columns
+the rim, the edge masks and the index spans of a list of columns
 (here), the hash's coordinate operands (lattice), the cover reader's
 distance grid and rim mask, and each growth schedule's boxes (surface).
 """
@@ -256,36 +256,29 @@ def floor_reach_sandwich(field: Field, box: BoxRegion,
 
 
 @functools.lru_cache(maxsize=256)
-def _column_index(box: BoxRegion, columns: tuple[Column, ...]) -> np.ndarray:
-    """The C-order indices, among the box's columns, of a tuple of columns
-    inside the box, each of box.dim - 1 integer coordinates (build_surface
-    checks its base; a column outside the box fails in ravel_multi_index
-    rather than wrap round).  Cached read-only, once per box and columns."""
+def _column_spans(box: BoxRegion, columns: tuple[Column, ...]) -> tuple:
+    """How _runs gathers a tuple of columns inside the box, each of
+    box.dim - 1 integer coordinates (build_surface checks its base), out of
+    a packed layer over the box: per run of consecutive C-order column
+    indices, its first index, its length and the place it takes among the
+    columns.  A column outside the box fails in ravel_multi_index rather
+    than wrap round.  Cached once per box and columns, whatever the batch."""
     at = np.array(columns).reshape(-1, box.dim - 1) - box.lo[:-1]
     flat = np.ravel_multi_index(tuple(at.astype(np.intp).T), box.shape[:-1])
-    flat.flags.writeable = False
-    return flat
+    cuts = [0, *(np.flatnonzero(np.diff(flat) != 1) + 1).tolist(), len(flat)]
+    return tuple((int(flat[i]), j - i, i) for i, j in zip(cuts, cuts[1:]))
 
 
-@functools.lru_cache(maxsize=256)
-def _column_bits(box: BoxRegion, columns: tuple[Column, ...], batch: int) -> tuple:
-    """How _runs gathers a tuple of columns out of a packed layer over the
-    box for a batch of batch boxes: per run of consecutive column indices,
-    the shift of its first bit, the mask of its bits and the place they take
-    in the gathered int, the columns' bits in their order."""
-    at = _column_index(box, columns)
-    cuts = [0, *(np.flatnonzero(np.diff(at) != 1) + 1).tolist(), len(at)]
-    return tuple((int(at[i]) * batch, (1 << (j - i) * batch) - 1, i * batch)
-                 for i, j in zip(cuts, cuts[1:]))
-
-
-def _runs(layers: list[int], bits: tuple, shape: tuple[int, ...], count: int) -> np.ndarray:
+def _runs(layers: list[int], spans: tuple, shape: tuple[int, ...], count: int) -> np.ndarray:
     """Runs of packed layers of shape (H+1, n_1, ..., n_(d-1), B) in count
-    columns whose bits _column_bits gathers, as an integer array of shape
+    columns whose _column_spans are spans, as an integer array of shape
     (B, count): entry [b, i] is the largest m with (columns[i], 1..m) all
     reached in box b, 0 when (columns[i], 1) is not.  Gathers only the
-    columns' bits, prefix-ANDs them from layer 1 up and stops at the first
-    empty layer."""
+    columns' bits, B per column, prefix-ANDs them from layer 1 up and stops
+    at the first empty layer."""
+    batch = shape[-1]
+    bits = [(first * batch, (1 << length * batch) - 1, place * batch)
+            for first, length, place in spans]
     runs, run = [], -1
     for x in layers[1:]:
         cols = 0
@@ -295,7 +288,7 @@ def _runs(layers: list[int], bits: tuple, shape: tuple[int, ...], count: int) ->
         if not run:
             break
         runs.append(run)
-    return _unpack(runs, (len(runs), count, shape[-1])).sum(axis=0, dtype=np.intp).T
+    return _unpack(runs, (len(runs), count, batch)).sum(axis=0, dtype=np.intp).T
 
 
 def _floor_column_runs(closed: np.ndarray, box: BoxRegion, columns,
@@ -310,7 +303,8 @@ def _floor_column_runs(closed: np.ndarray, box: BoxRegion, columns,
     columns = tuple(map(tuple, columns))
     pes = list(_rim(shape, step_set))
     _close(pes, lids, moves, 0)
-    hi = _runs(pes, _column_bits(box, columns, shape[-1]), shape, len(columns))
+    spans = _column_spans(box, columns)
+    hi = _runs(pes, spans, shape, len(columns))
     # np.zeros, not zeros_like: a few us less per call on f_tail's chunks
     lo = np.zeros(hi.shape, hi.dtype)
     live = hi.any(axis=1).nonzero()[0]
@@ -318,7 +312,7 @@ def _floor_column_runs(closed: np.ndarray, box: BoxRegion, columns,
         lids, shape, moves = _packed_lids(closed[live], step_set)
         opt = [(1 << math.prod(shape[1:])) - 1] + [0] * (len(lids) - 1)
         _close(opt, lids, moves, 0)
-        lo[live] = _runs(opt, _column_bits(box, columns, len(live)), shape, len(columns))
+        lo[live] = _runs(opt, spans, shape, len(columns))
     return lo, hi
 
 

@@ -187,7 +187,7 @@ def build_surface(field: Field, base, budget: Budget = Budget()) -> SurfacePatch
     values = dict(zip(cols, (lo[0] + 1).tolist()))
     status = {c: Cert.CERTIFIED if ok else Cert.UNRESOLVED
               for c, ok in zip(cols, settled[0].tolist())}
-    return SurfacePatch(tuple(sorted(base)), values, status, "via-floor-reach")
+    return SurfacePatch(tuple(cols), values, status, "via-floor-reach")
 
 
 @dataclass(frozen=True)
@@ -354,14 +354,14 @@ def surface_from_covers(field: Field, base, window,
     surface; they are marked CERTIFIED only when every window climb set is
     itself certified, and the method string records the window.
     """
-    base = [tuple(c) for c in base]
-    window = [tuple(c) for c in window]
+    base = sorted({tuple(c) for c in base})
+    window = sorted({tuple(c) for c in window})
     if not set(base) <= set(window):
         raise ValueError("window must contain every base column")
     cols = np.array(base, dtype=np.intp).reshape(-1, field.d - 1)
     sup = np.ones(len(base), dtype=np.intp)
     all_cert = True
-    for y in sorted(window):
+    for y in window:
         box, heights, _, certified = _climb(field, y, budget)
         all_cert = all_cert and certified
         idx = cols - box.lo[:-1]
@@ -369,5 +369,5 @@ def surface_from_covers(field: Field, base, window,
         sup[inside] = np.maximum(sup[inside], heights[tuple(idx[inside].T)])
     values = dict(zip(base, sup.tolist()))
     status = {c: Cert.CERTIFIED if all_cert else Cert.UNRESOLVED for c in base}
-    return SurfacePatch(tuple(sorted(base)), values, status,
+    return SurfacePatch(tuple(base), values, status,
                         f"via-covers(window={len(window)})")

@@ -19,7 +19,7 @@ from lipsurf.lattice import BoxRegion, ExplicitConfig, Field, PercolationField
 from lipsurf.oracle import exact_event_prob, walk_reach
 import lipsurf.reach as REACH
 import lipsurf.surface as SURFACE
-from lipsurf.reach import StepSet, floor_reach_sandwich, reach_masks
+from lipsurf.reach import Budget, StepSet, floor_reach_sandwich, reach_masks
 from lipsurf.stats import wilson_interval
 from lipsurf.surface import Cert, build_surface, verify_surface
 
@@ -206,21 +206,39 @@ def _hashed(calls) -> collections.Counter:
                                for rep in reps)
 
 
-def _grown_floor_runs(exp: Experiment, rep: int, boxes: list) -> tuple[int, int]:
+def _spy_growth(monkeypatch) -> list:
+    """Record, for every growth run of surface's readers, its tuple of
+    boxes and a Counter of the replicates it hashed, by box index."""
+    runs = []
+    settle = SURFACE._settle_replicates
+
+    def spy(count, boxes, closed_at, read):
+        index = {box: i for i, box in enumerate(boxes)}
+        hashed = collections.Counter()
+        runs.append((boxes, hashed))
+
+        def counting(items, box):
+            hashed[index[box]] += len(items)
+            return closed_at(items, box)
+        return settle(count, boxes, counting, read)
+
+    monkeypatch.setattr(SURFACE, "_settle_replicates", spy)
+    return runs
+
+
+def _grown_floor_runs(exp: Experiment, rep: int, boxes, tried: list) -> tuple[int, int]:
     """Reference f_tail statistic of one replicate: the per-replicate growth
-    loop over floor_reach_sandwich on a single field, recording each box."""
+    loop over floor_reach_sandwich on a single field through the given
+    boxes, recording each box tried, until the two runs agree strictly
+    below the box top."""
     field = PercolationField(exp.d, exp.p, exp.seed, rep)
     origin = [(0,) * (exp.d - 1)]
-    h = max(exp.box_height, exp.k_max + 2)
-    for _ in range(exp.growth_cap + 1):
-        pad = h + exp.box_margin
-        box = BoxRegion((-pad,) * (exp.d - 1) + (0,), (pad,) * (exp.d - 1) + (h,))
-        boxes.append(([rep], box))
+    for box in boxes:
+        tried.append(([rep], box))
         sandwich = np.stack(floor_reach_sandwich(field, box, exp.step_mode))
         ro, rp = column_runs(sandwich, box, origin)[:, 0].tolist()
-        if (ro == rp and rp < h - 1) or ro >= exp.k_max:
+        if ro == rp and rp < box.hi[-1] - 1:
             break
-        h *= 2
     return ro, rp
 
 
@@ -229,31 +247,48 @@ def _grown_floor_runs(exp: Experiment, rep: int, boxes: list) -> tuple[int, int]
 def test_surface_tail_batching_matches_per_replicate_path(cfg, chunk_sites,
                                                           monkeypatch):
     """The batched box-growth driver counts exactly what the per-replicate
-    growth loop counts on single fields, and hashes each replicate in
-    exactly the boxes that loop tries, so a grown box gets only the
-    replicates the smaller ones left unsettled; 1000 sites per chunk splits
-    every config into many chunks with a partial last one."""
+    growth loop counts on single fields through the same boxes, and hashes
+    each replicate in exactly the boxes that loop tries, so a grown box gets
+    only the replicates the smaller ones left unsettled; 1000 sites per
+    chunk splits every config into many chunks with a partial last one."""
     exp = Experiment(kind="f_tail", k_max=4, **cfg)
+    monkeypatch.setattr(REACH, "_CHUNK_SITES", chunk_sites)
+    calls = _spy_hashing(monkeypatch)
+    runs = _spy_growth(monkeypatch)
+    curve = surface_tail_curve(exp)
+    hashed = _hashed(calls)
+    (schedule, _), = runs
     want_lo, want_hi = [0] * 5, [0] * 5
     tried = []
     for rep in range(exp.replicates):
-        ro, rp = _grown_floor_runs(exp, rep, tried)
+        ro, rp = _grown_floor_runs(exp, rep, schedule, tried)
         for k in range(5):
             want_lo[k] += ro >= k
             want_hi[k] += rp >= k
-    monkeypatch.setattr(REACH, "_CHUNK_SITES", chunk_sites)
-    calls = _spy_hashing(monkeypatch)
-    curve = surface_tail_curve(exp)
     assert [r.hits_lo for r in curve.rows] == want_lo
     assert [r.hits_hi for r in curve.rows] == want_hi
     assert all(type(r.hits_lo) is int and type(r.hits_hi) is int
                for r in curve.rows)
     assert "np." not in curve.to_csv()
-    assert _hashed(calls) == _hashed(tried)
+    assert hashed == _hashed(tried)
     if exp.p < 0.99:
         first = calls[0][1]
         assert any(box.hi[-1] > first.hi[-1] for _, box in calls), \
             "no replicate was hashed in a grown box"
+
+
+@pytest.mark.parametrize("box_height, k_max, first", [(8, 4, 8), (8, 7, 9), (2, 4, 6)])
+def test_f_tail_floor_boxes_start_k_max_plus_two_high(box_height, k_max, first,
+                                                      monkeypatch):
+    """f_tail reads the origin column in build_surface's floor boxes, the
+    first one max(box_height, k_max + 2) high, so that every run up to
+    k_max can settle in it."""
+    runs = _spy_growth(monkeypatch)
+    surface_tail_curve(Experiment(kind="f_tail", p=0.99, replicates=10, seed=1,
+                                  k_max=k_max, box_margin=2, box_height=box_height,
+                                  growth_cap=1))
+    (schedule, _), = runs
+    assert schedule == SURFACE._floor_boxes((0,), (0,), Budget(2, first, 1))
 
 
 _COVER_CONFIGS = [
@@ -271,14 +306,14 @@ _COVER_CONFIGS = [
 
 def _grown_cover(exp: Experiment, rep: int, boxes: list) -> tuple[int, bool]:
     """Reference cover statistic of one replicate: the per-replicate growth
-    loop over reach_masks from (0, 0) on a single field, recording each box,
-    until no reached site lies in a side column or the top layer of the
-    box.  Returns the spread radius and whether the loop certified it."""
+    loop over reach_masks from (0, 0) on a single field through the origin
+    column's climb boxes, recording each box, until no reached site lies in
+    a side column or the top layer of the box.  Returns the spread radius
+    and whether the loop certified it."""
     field = PercolationField(exp.d, exp.p, exp.seed, rep)
     origin = (0,) * exp.d
-    m, h = exp.box_margin, exp.box_height
-    for _ in range(exp.growth_cap + 1):
-        box = BoxRegion((-m,) * (exp.d - 1) + (0,), (m,) * (exp.d - 1) + (h,))
+    for box in SURFACE._climb_boxes(origin[:-1], exp.budget):
+        m, h = box.hi[0], box.hi[-1]
         boxes.append(([rep], box))
         closed = field.closed_mask(box)[None]
         seeds = np.zeros(closed.shape, dtype=bool)
@@ -287,7 +322,6 @@ def _grown_cover(exp: Experiment, rep: int, boxes: list) -> tuple[int, bool]:
         certified = not any(s[-1] == h or m in map(abs, s[:-1]) for s in reached)
         if certified:
             break
-        m, h = 2 * m, 2 * h
     return max(sum(map(abs, s)) for s in reached), certified
 
 
@@ -1059,23 +1093,10 @@ _GROWTH_GOLDEN = {
 
 @pytest.mark.parametrize("name", sorted(_GROWTH_GOLDEN_CASES))
 def test_growth_golden_bodies(tmp_path, monkeypatch, name):
-    runs = []  # per run: box index -> replicates read in it
-    settle = SURFACE._settle_replicates
-
-    def counting(count, boxes, closed_at, read_box):
-        index = {box: i for i, box in enumerate(boxes)}
-        read = collections.Counter()
-        runs.append(read)
-
-        def hashed(items, box):
-            read[index[box]] += len(items)
-            return closed_at(items, box)
-        return settle(count, boxes, hashed, read_box)
-
-    monkeypatch.setattr(SURFACE, "_settle_replicates", counting)
+    runs = _spy_growth(monkeypatch)
     digests = _golden_bodies(tmp_path, name, _GROWTH_GOLDEN_CASES)
     hist, want = _GROWTH_GOLDEN[name]
-    assert runs == [hist, hist]  # the csv run, then the json run
+    assert [hashed for _, hashed in runs] == [hist, hist]  # the csv run, then the json run
     assert digests == want
 
 

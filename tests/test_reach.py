@@ -422,8 +422,7 @@ def test_cached_per_shape_arrays_are_read_only():
     from lipsurf.surface import _climb_boxes, _cover_grid, _floor_boxes
     box = BoxRegion((-2, -1, 0), (2, 3, 4))
     cached = [(_rim, ((5, 5, 5, 3), StepSet.FULL)), (_box_coords, (box,)),
-              (REACH._column_index, (box, ((0, 0), (1, 2)))),
-              (REACH._column_bits, (box, ((0, 0), (1, 2)), 3)),
+              (REACH._column_spans, (box, ((0, 0), (1, 2)))),
               (REACH._moves, ((5, 5, 3), StepSet.FULL)),
               (_cover_grid, ((5, 5), (2, 1)))]
     arrays = 0
@@ -437,7 +436,7 @@ def test_cached_per_shape_arrays_are_read_only():
                     a[(0,) * a.ndim] = 1
             else:  # packed layers and masks: ints, alone or in tuples
                 hash(a)
-    assert arrays == 3 + 1 + 2  # coordinates, column index, grid
+    assert arrays == 3 + 2  # coordinates, grid
     budget = Budget(2, 3, 2)
     for boxes, key in ((_floor_boxes, ((0, 0), (1, 1), budget)),
                        (_climb_boxes, ((0, 0), budget))):

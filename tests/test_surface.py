@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lipsurf.lattice import ExplicitConfig, BoxRegion, PercolationField
+import lipsurf.surface as SURFACE
 from lipsurf.oracle import walk_reach
 from lipsurf.reach import Budget, StepSet, _floor_column_runs, floor_reach_sandwich, reach_masks
-from lipsurf.surface import (COVER_BUDGET, Cert, SurfacePatch, SurfaceReport, _climb_masks,
-                             _read_covers, build_surface, climb_set, minimal_cover,
-                             surface_from_covers, verify_surface)
+from lipsurf.surface import (COVER_BUDGET, Cert, SurfacePatch, SurfaceReport, _climb_boxes,
+                             _climb_masks, _floor_boxes, _read_covers, build_surface,
+                             climb_set, minimal_cover, surface_from_covers, verify_surface)
 
 from fields import closed_at
 
@@ -36,6 +37,26 @@ def test_build_surface_single_closed_site():
     assert patch.certified_fraction() == 1.0
 
 
+def test_a_repeated_base_column_counts_once(monkeypatch):
+    """A patch is a surface over a set of columns: a repeated base column
+    gives the patch and report of the deduplicated base, each adjacent pair
+    counted once, and a repeated window center climbs once."""
+    field = PercolationField(2, 0.99, master_seed=7)
+    base, twice = [(0,), (1,), (2,)], [(0,), (1,), (1,), (2,)]
+    patch = build_surface(field, twice)
+    assert patch == build_surface(field, base)
+    assert patch.columns == tuple(base)
+    report = verify_surface(field, patch)
+    assert (report.columns_checked, report.pairs_checked) == (3, 2)
+    climbed = []
+    climb = SURFACE._climb
+    monkeypatch.setattr(SURFACE, "_climb",
+                        lambda f, y, budget: climbed.append(y) or climb(f, y, budget))
+    covers = surface_from_covers(field, twice, [(3,), *twice, (3,)])
+    assert climbed == [*base, (3,)]
+    assert covers == surface_from_covers(field, base, [*base, (3,)])
+
+
 def test_surface_many_columns_validity():
     # one wide patch: every certified column has an open site at its value
     # and neighbours differ by at most one
@@ -50,20 +71,18 @@ def test_surface_many_columns_validity():
 
 
 def _grown_surface(field, base, budget):
-    """Reference build_surface: the growth loop over floor_reach_sandwich in
-    boxes of doubling height, padded by the height plus the margin around
-    the base, until every column's two values agree strictly below the box
-    top.  A column keeps the values of the box that settled it, and each
-    value is read one site at a time.  Returns the values and, for each
-    certified column, the attempt that certified it."""
+    """Reference build_surface: the growth loop over floor_reach_sandwich
+    through the floor boxes of the base's min and max columns, until every
+    column's two values agree strictly below the box top.  A column keeps
+    the values of the box that settled it, and each value is read one site
+    at a time.  Returns the values and, for each certified column, the
+    attempt that certified it."""
     cols = sorted(set(base))
-    lo = [min(c[i] for c in cols) for i in range(field.d - 1)]
-    hi = [max(c[i] for c in cols) for i in range(field.d - 1)]
+    lo = tuple(min(c[i] for c in cols) for i in range(field.d - 1))
+    hi = tuple(max(c[i] for c in cols) for i in range(field.d - 1))
     values, settled_at = {}, {}
-    h = budget.height
-    for attempt in range(budget.growth_cap + 1):
-        pad = h + budget.margin
-        box = BoxRegion((*(a - pad for a in lo), 0), (*(b + pad for b in hi), h))
+    for attempt, box in enumerate(_floor_boxes(lo, hi, budget)):
+        h = box.hi[-1]
         opt, pes = floor_reach_sandwich(field, box)
         for c in cols:
             if c in settled_at:
@@ -79,8 +98,20 @@ def _grown_surface(field, base, budget):
                 settled_at[c] = attempt
         if len(settled_at) == len(cols):
             break
-        h *= 2
     return values, settled_at
+
+
+def test_box_schedules_follow_their_formulas():
+    """Attempt i of a floor box spans heights 0..h, h = height*2^i, and pads
+    the columns by h + margin; attempt i of a climb box pads its column by
+    margin*2^i at the same heights."""
+    budget = Budget(3, 2, 3)
+    assert _floor_boxes((-1, 0), (2, 1), budget) == (
+        BoxRegion((-6, -5, 0), (7, 6, 2)), BoxRegion((-8, -7, 0), (9, 8, 4)),
+        BoxRegion((-12, -11, 0), (13, 12, 8)), BoxRegion((-20, -19, 0), (21, 20, 16)))
+    assert _climb_boxes((1, -1), budget) == (
+        BoxRegion((-2, -4, 0), (4, 2, 2)), BoxRegion((-5, -7, 0), (7, 5, 4)),
+        BoxRegion((-11, -13, 0), (13, 11, 8)), BoxRegion((-23, -25, 0), (25, 23, 16)))
 
 
 @pytest.mark.parametrize("growth_cap", [0, 2])
