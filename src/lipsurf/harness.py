@@ -166,10 +166,7 @@ def experiment_from_config(obj: dict) -> Experiment:
             raise ConfigError("p_grid", "entries must lie in (0,1)")
         kwargs["p_grid"] = tuple(float(x) for x in grid)
     check_values(obj)
-    exp = Experiment(**kwargs)
-    if exp.kind == "existence_curve" and exp.p_grid is None:
-        raise ConfigError("p_grid", "required for existence_curve")
-    return exp
+    return Experiment(**kwargs)
 
 
 class TailRow(NamedTuple):
@@ -254,10 +251,10 @@ def _cover_radii(exp: Experiment, levels: int):
 
 def surface_tail_curve(exp: Experiment) -> TailCurve:
     """Tail of the surface height at the origin column: build_surface's
-    certificate of the origin column, in floor boxes at least k_max + 2
-    high, and F(0) > k exactly when the run reaches height k."""
+    certificate of the origin column, in floor boxes k_max + 2 high at
+    first, and F(0) > k exactly when the run reaches height k."""
     restricted = exp.step_mode is StepSet.NO_STRAIGHT_DOWN
-    budget = Budget(exp.box_margin, max(exp.box_height, exp.k_max + 2), exp.growth_cap)
+    budget = Budget(exp.box_margin, exp.k_max + 2, exp.growth_cap)
     runs = _surface_runs(exp.replicates, _hash_replicates(exp.d, exp.p, exp.seed),
                          [(0,) * (exp.d - 1)], budget, exp.step_mode)
     return _tail_curve(exp, "f_tail", exp.k_max + 1,
@@ -471,7 +468,9 @@ def _validity_job(exp: Experiment):
 
 
 _BOX_READS = ("box_margin", "box_height", "growth_cap")
-_TAIL_READS = ("d", "p", "seed", "replicates", "k_max", "step_mode", *_BOX_READS)
+# f_tail's first box is k_max + 2 high; only the radius tails read box_height
+_TAIL_READS = ("d", "p", "seed", "replicates", "k_max", "step_mode", "box_margin",
+               "growth_cap")
 _PATCH_READS = ("d", "seed", "replicates", "base_radius", "step_mode", *_BOX_READS)
 
 # kind -> (job, the config fields the kind reads besides the common ones).
@@ -481,8 +480,8 @@ _PATCH_READS = ("d", "seed", "replicates", "base_radius", "step_mode", *_BOX_REA
 # tests) reaches the runner.
 _JOBS = {
     "f_tail": (lambda exp: _tail_job(surface_tail_curve(exp)), _TAIL_READS),
-    "radh_tail": (lambda exp: _tail_job(spread_tail_curve(exp)), _TAIL_READS),
-    "rho_tail": (lambda exp: _tail_job(cover_tail_curve(exp)), _TAIL_READS),
+    "radh_tail": (lambda exp: _tail_job(spread_tail_curve(exp)), (*_TAIL_READS, "box_height")),
+    "rho_tail": (lambda exp: _tail_job(cover_tail_curve(exp)), (*_TAIL_READS, "box_height")),
     "surface_validity": (_validity_job, (*_PATCH_READS, "p")),
     "existence_curve": (lambda exp: _table_job("existence_curve", existence_curve(exp)),
                         (*_PATCH_READS, "p_grid")),

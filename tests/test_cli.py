@@ -197,16 +197,27 @@ def test_exit_code_budget_exhausted(tmp_path, capsys):
     cfg = tmp_path / "tight.json"
     cfg.write_text(json.dumps({
         "kind": "f_tail", "d": 2, "p": 0.95, "replicates": 300, "seed": 5,
-        "k_max": 4, "box_height": 3, "box_margin": 1, "growth_cap": 0,
+        "k_max": 4, "box_margin": 1, "growth_cap": 0,
         "unresolved_threshold": 0.0001}))
     assert main(["tails", "--config", str(cfg)]) == 3
+
+
+def test_exit_code_missing_or_one_value_p_grid(tmp_path, capsys):
+    """existence with no --p-grid, and monotonicity (through tails --config)
+    with a one-value grid, exit 1 naming p_grid."""
+    cfg = tmp_path / "monotonicity.json"
+    cfg.write_text(json.dumps({"kind": "monotonicity", "p_grid": [0.99]}))
+    for argv in (["existence", "--replicates", "2"], ["tails", "--config", str(cfg)]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "config field 'p_grid'" in captured.err and captured.out == "", argv
+        assert "Traceback" not in captured.err
 
 
 def test_exit_code_nan_unresolved_threshold(tmp_path, capsys):
     cfg = tmp_path / "nan.json"
     cfg.write_text('{"kind": "f_tail", "d": 2, "p": 0.95, "replicates": 200, '
-                   '"growth_cap": 0, "box_height": 2, "box_margin": 1, '
-                   '"unresolved_threshold": NaN}')
+                   '"growth_cap": 0, "box_margin": 1, "unresolved_threshold": NaN}')
     assert main(["tails", "--config", str(cfg)]) == 1
     assert "unresolved_threshold" in capsys.readouterr().err
 
@@ -273,7 +284,9 @@ _SUBCOMMAND_READS = {
     "sample": "--d --p --seed --box-margin --box-height --format --out",
     "surface": f"--d --p --seed {_BOX} --step-set --format --out",
     "cover": f"--d --p --seed {_BOX} --step-set --out",
-    "tails": f"--d --p --seed --replicates --kmax {_BOX} --step-set --format --out",
+    # the tails run f_tail (_NEEDS), whose first box is k_max + 2 high
+    "tails": "--d --p --seed --replicates --kmax --box-margin --growth-cap --step-set "
+             "--format --out",
     "bounds": "--d --p --kmax --step-set --out",
     "brw": "--d --p --seed --format --out",
     "existence": f"--d --seed --replicates {_BOX} --step-set --format --out",

@@ -61,9 +61,11 @@ _BOX = "box_margin box_height growth_cap"
 _TAIL = f"d p seed replicates k_max step_mode {_BOX}"
 _PATCH = f"d seed replicates base_radius step_mode {_BOX}"
 # the fields each kind reads besides kind, format, out and
-# unresolved_threshold, which every kind reads
+# unresolved_threshold, which every kind reads; f_tail's first box is
+# k_max + 2 high, so it reads no box_height
 _KIND_READS = {
-    "f_tail": _TAIL, "radh_tail": _TAIL, "rho_tail": _TAIL,
+    "f_tail": "d p seed replicates k_max step_mode box_margin growth_cap",
+    "radh_tail": _TAIL, "rho_tail": _TAIL,
     "surface_validity": f"{_PATCH} p", "equivariance": f"{_PATCH} p",
     "existence_curve": f"{_PATCH} p_grid", "monotonicity": f"{_PATCH} p_grid",
     "brw": "d p seed mu runs generations depth_cap weight_floor",
@@ -123,7 +125,7 @@ def test_run_experiment_rejects_what_a_kind_does_not_honour():
 @pytest.mark.parametrize("field", ["box_margin", "box_height"])
 def test_box_size_errors_name_one_field(field):
     with pytest.raises(ConfigError) as err:
-        experiment_from_config({"kind": "f_tail", field: 0})
+        experiment_from_config({"kind": "radh_tail", field: 0})
     assert str(err.value) == f"config field '{field}': must be >= 1"
 
 
@@ -139,6 +141,22 @@ def test_negative_base_radius_names_the_field(kind, extra):
         run_experiment({**config, "base_radius": -1})
     assert str(err.value) == "config field 'base_radius': must be >= 0"
     run_experiment({**config, "base_radius": 0, "unresolved_threshold": 1.0})
+
+
+@pytest.mark.parametrize("config, problem", [
+    ({"kind": "existence_curve"}, "required for existence_curve"),
+    ({"kind": "monotonicity", "p_grid": [0.99]},
+     "monotonicity needs a grid of at least two p values")])
+def test_a_missing_or_one_value_p_grid_names_the_field(config, problem, monkeypatch):
+    """existence_curve needs a grid, and monotonicity two values to compare;
+    either stops before the first replicate is hashed, naming p_grid."""
+    def forbidden(*args):
+        raise AssertionError("a replicate was hashed before the grid was checked")
+
+    monkeypatch.setattr(REACH, "replicate_closed_masks", forbidden)
+    with pytest.raises(ConfigError) as err:
+        run_experiment({**config, "replicates": 2})
+    assert str(err.value) == f"config field 'p_grid': {problem}"
 
 
 def test_surface_tail_k0_row_and_bounds_column():
@@ -182,9 +200,8 @@ _BATCH_CONFIGS = [
     dict(d=3, p=0.99, replicates=40, seed=34, step_mode=StepSet.NO_STRAIGHT_DOWN),
     # small boxes at low p: the first box leaves replicates unsettled
     dict(d=2, p=0.9, replicates=300, seed=35, step_mode=StepSet.NO_STRAIGHT_DOWN,
-         box_height=3, box_margin=1, growth_cap=2),
-    dict(d=2, p=0.95, replicates=300, seed=36, box_height=3, box_margin=1,
-         growth_cap=2),
+         box_margin=1, growth_cap=2),
+    dict(d=2, p=0.95, replicates=300, seed=36, box_margin=1, growth_cap=2),
 ]
 
 
@@ -277,18 +294,33 @@ def test_surface_tail_batching_matches_per_replicate_path(cfg, chunk_sites,
             "no replicate was hashed in a grown box"
 
 
-@pytest.mark.parametrize("box_height, k_max, first", [(8, 4, 8), (8, 7, 9), (2, 4, 6)])
-def test_f_tail_floor_boxes_start_k_max_plus_two_high(box_height, k_max, first,
-                                                      monkeypatch):
+@pytest.mark.parametrize("k_max, first", [(4, 6), (7, 9), (0, 2)])
+def test_f_tail_floor_boxes_start_k_max_plus_two_high(k_max, first, monkeypatch):
     """f_tail reads the origin column in build_surface's floor boxes, the
-    first one max(box_height, k_max + 2) high, so that every run up to
-    k_max can settle in it."""
+    first one k_max + 2 high: every run up to k_max can settle in it, since
+    a run settles below the box top less one."""
     runs = _spy_growth(monkeypatch)
     surface_tail_curve(Experiment(kind="f_tail", p=0.99, replicates=10, seed=1,
-                                  k_max=k_max, box_margin=2, box_height=box_height,
-                                  growth_cap=1))
+                                  k_max=k_max, box_margin=2, growth_cap=1))
     (schedule, _), = runs
     assert schedule == SURFACE._floor_boxes((0,), (0,), Budget(2, first, 1))
+
+
+def test_f_tail_first_box_k_max_plus_two_high_only_narrows_the_bracket():
+    """The k_max + 2 high first box against the 8 high one f_tail used
+    before at k_max = 4, on the same replicates: it settles the same runs
+    up to k_max, so hits_lo is the same on every row, and it leaves fewer
+    side entries unsettled, so hits_hi never rises and falls at k = 1
+    (2792 -> 2789)."""
+    exp = Experiment(kind="f_tail", d=2, p=0.95, replicates=50_000, seed=5)
+    curve = surface_tail_curve(exp)
+    lo, hi, _ = map(np.concatenate, zip(*SURFACE._surface_runs(
+        exp.replicates, REACH._hash_replicates(2, 0.95, 5), [(0,)], Budget(6, 8, 3))))
+    old_lo, old_hi = ([int((runs[:, 0] >= k).sum()) for k in range(exp.k_max + 1)]
+                      for runs in (lo, hi))
+    assert [r.hits_lo for r in curve.rows] == old_lo
+    assert all(r.hits_hi <= old for r, old in zip(curve.rows, old_hi))
+    assert curve.rows[1].hits_hi < old_hi[1]
 
 
 _COVER_CONFIGS = [
@@ -371,8 +403,7 @@ def test_box_growth_hashes_bounded_pieces(monkeypatch):
     At 300 sites per chunk the third and fourth boxes (351 and 1275 sites)
     are larger than a chunk, and are hashed one replicate at a time."""
     exp = Experiment(kind="f_tail", d=2, p=0.9, replicates=300, seed=35,
-                     step_mode=StepSet.NO_STRAIGHT_DOWN, box_height=3,
-                     box_margin=1, growth_cap=3)
+                     step_mode=StepSet.NO_STRAIGHT_DOWN, box_margin=1, growth_cap=3)
     calls = _spy_hashing(monkeypatch)
     for chunk_sites in (2000, 300):
         monkeypatch.setattr(REACH, "_CHUNK_SITES", chunk_sites)
@@ -717,9 +748,8 @@ def test_run_experiment_config_file(tmp_path):
 def test_run_experiment_budget_exceeded(tmp_path):
     out = tmp_path / "tight.csv"
     config = {"kind": "f_tail", "d": 2, "p": 0.95, "replicates": 300,
-              "seed": 5, "k_max": 4, "box_height": 3, "box_margin": 1,
-              "growth_cap": 0, "unresolved_threshold": 0.0001,
-              "out": str(out)}
+              "seed": 5, "k_max": 4, "box_margin": 1, "growth_cap": 0,
+              "unresolved_threshold": 0.0001, "out": str(out)}
     with pytest.raises(BudgetExceededError):
         run_experiment(config)
     assert out.exists()  # artifacts are written before the loud failure
@@ -729,7 +759,7 @@ def test_run_experiment_rejects_nan_unresolved_threshold(tmp_path):
     # 8.5% of these replicates are unresolved: a threshold of 0 fails the
     # run, and NaN would compare false against the share and let it pass
     config = {"kind": "f_tail", "d": 2, "p": 0.95, "replicates": 200,
-              "growth_cap": 0, "box_height": 2, "box_margin": 1}
+              "growth_cap": 0, "box_margin": 1}
     with pytest.raises(BudgetExceededError):
         run_experiment(dict(config, unresolved_threshold=0.0))
     with pytest.raises(ConfigError, match="unresolved_threshold"):
@@ -840,17 +870,17 @@ _GOLDEN_CASES = {
     "f_tail_d2": ({"kind": "f_tail", "replicates": 300, "seed": 41}, None),
     "f_tail_d2_nsd_growth": ({"kind": "f_tail", "p": 0.9, "replicates": 200,
                               "seed": 42, "step_mode": "no-straight-down",
-                              "box_height": 3, "box_margin": 1, "growth_cap": 2,
+                              "box_margin": 1, "growth_cap": 2,
                               "unresolved_threshold": 1.0}, None),
     "f_tail_d2_growth": ({"kind": "f_tail", "p": 0.95, "replicates": 200,
-                          "seed": 43, "box_height": 3, "box_margin": 1,
-                          "growth_cap": 2, "unresolved_threshold": 1.0}, None),
+                          "seed": 43, "box_margin": 1, "growth_cap": 2,
+                          "unresolved_threshold": 1.0}, None),
     "f_tail_d3": ({"kind": "f_tail", "d": 3, "replicates": 20, "seed": 44,
                    "k_max": 3}, None),
     "f_tail_d3_nsd": ({"kind": "f_tail", "d": 3, "replicates": 20, "seed": 45,
                        "k_max": 3, "step_mode": "no-straight-down"}, None),
     "f_tail_budget": ({"kind": "f_tail", "p": 0.95, "replicates": 300, "seed": 5,
-                       "box_height": 3, "box_margin": 1, "growth_cap": 0,
+                       "box_margin": 1, "growth_cap": 0,
                        "unresolved_threshold": 0.0001}, BudgetExceededError),
     "f_tail_hypothesis": ({"kind": "f_tail", "p": 0.9, "replicates": 5},
                           HypothesisError),
@@ -1062,15 +1092,15 @@ def test_surface_kind_golden_bodies(tmp_path, name):
 # optimistic run.
 _GROWTH_GOLDEN_CASES = {
     "f_tail_growth_d2": ({"kind": "f_tail", "p": 0.95, "replicates": 100_000, "seed": 1,
-                          "k_max": 3, "box_margin": 1, "box_height": 2, "growth_cap": 3,
+                          "k_max": 3, "box_margin": 1, "growth_cap": 3,
                           "unresolved_threshold": 1.0}, None),
     "f_tail_kmax0_d2": ({"kind": "f_tail", "p": 0.94, "replicates": 20_000, "seed": 11,
-                         "k_max": 0, "box_margin": 1, "box_height": 1, "growth_cap": 3,
+                         "k_max": 0, "box_margin": 1, "growth_cap": 3,
                          "unresolved_threshold": 1.0}, None),
     "f_tail_kmax0_restricted_d2": ({"kind": "f_tail", "p": 0.95, "replicates": 20_000,
                                     "seed": 11, "step_mode": "no-straight-down",
-                                    "k_max": 0, "box_margin": 1, "box_height": 1,
-                                    "growth_cap": 3, "unresolved_threshold": 1.0}, None),
+                                    "k_max": 0, "box_margin": 1, "growth_cap": 3,
+                                    "unresolved_threshold": 1.0}, None),
     "radh_tail_growth_d3": ({"kind": "radh_tail", "d": 3, "p": 0.995, "replicates": 100_000,
                              "seed": 1, "box_margin": 1, "box_height": 1, "growth_cap": 4,
                              "unresolved_threshold": 1.0}, None),
