@@ -30,22 +30,13 @@ from .brw import OffspringLaw, brw_tables
 from .lattice import BoxRegion, Column, ExplicitConfig
 from .oracle import (NoCoverInBox, attained_spread, cover_fixed_point, enum_paths,
                      partial_expected_visits, path_reach, walk_reach)
-from .reach import Budget, StepSet, _hash_replicates, reach_masks
+from .reach import Budget, ConfigError, StepSet, _hash_replicates, reach_masks
 # unused here: perfbench/selftest.py checks its tracer rebinds this name
 from .reach import floor_reach_sandwich  # noqa: F401
 from .stats import wilson_interval
 from .surface import _cover_entries, _cover_runs, _read_covers, _surface_runs, _violations
 
 TAIL_KINDS = ("f_tail", "radh_tail", "rho_tail")
-
-
-class ConfigError(ValueError):
-    """Invalid experiment description; the message quotes each offending
-    field.  Arguments alternate field and problem: ConfigError("d", "...")."""
-
-    def __init__(self, *fields_and_problems: str):
-        pairs = zip(fields_and_problems[::2], fields_and_problems[1::2])
-        super().__init__("; ".join(f"config field '{f}': {why}" for f, why in pairs))
 
 
 class BudgetExceededError(RuntimeError):
@@ -256,7 +247,7 @@ def surface_tail_curve(exp: Experiment) -> TailCurve:
     restricted = exp.step_mode is StepSet.NO_STRAIGHT_DOWN
     budget = Budget(exp.box_margin, exp.k_max + 2, exp.growth_cap)
     runs = _surface_runs(exp.replicates, _hash_replicates(exp.d, exp.p, exp.seed),
-                         [(0,) * (exp.d - 1)], budget, exp.step_mode)
+                         [(0,) * (exp.d - 1)], budget, exp.step_mode, screened=True)
     return _tail_curve(exp, "f_tail", exp.k_max + 1,
                        ((lo[:, 0], hi[:, 0]) for lo, hi, _ in runs),
                        lambda k: surface_tail_bound(exp.d, exp.p, k, restricted))

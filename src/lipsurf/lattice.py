@@ -75,20 +75,30 @@ def _absorb_vec(h: np.ndarray, value: np.ndarray) -> np.ndarray:
     return x
 
 
-def _box_uniforms(base: np.ndarray, box: BoxRegion) -> np.ndarray:
-    """Per-site uniforms of the box for every stream state in the 1-d base.
+def _column_states(base: np.ndarray, box: BoxRegion) -> np.ndarray:
+    """The stream states of the 1-d base folded with the coordinates of
+    every column of the box, in axis order as in uniform64(): the part of
+    the fold that all heights of a column share.  Shape (1, n_1, ...,
+    n_(d-1), base.size), the storage order of _box_uniforms."""
+    h = base.reshape((1,) * box.dim + base.shape)
+    for coords in _box_coords(box)[:-1]:
+        h = _absorb_vec(h, coords)
+    return h
 
-    The result has shape (base.size, *box.shape); each entry is the state
+
+def _box_uniforms(columns: np.ndarray, box: BoxRegion) -> np.ndarray:
+    """Per-site uniforms of the box from its _column_states, for every
+    stream state in their batch axis.
+
+    The result has shape (batch, *box.shape); each entry is the state
     folded with the site's coordinates in axis order, as in uniform64().
     It is a transposed view: memory holds height first and the stream
-    states last, (H+1, n_1, ..., n_(d-1), base.size) in C order, the
+    states last, (H+1, n_1, ..., n_(d-1), batch) in C order, the
     batch-last layers the reach kernel works on.  A ufunc on it (the
     threshold compare) keeps that memory order.
     """
     dim = box.dim
-    h = base.reshape((1,) * dim + base.shape)
-    for coords in _box_coords(box):
-        h = _absorb_vec(h, coords)
+    h = _absorb_vec(columns, _box_coords(box)[-1])
     return h.transpose(dim, *range(1, dim), 0)
 
 
@@ -257,14 +267,9 @@ class PercolationField(Field):
                 f"master_seed={self.master_seed}, replicate={self.replicate})")
 
 
-def replicate_closed_masks(d: int, p: float, master_seed: int, replicates,
-                           box: BoxRegion) -> np.ndarray:
-    """Closed masks of one box for many replicates in one numpy pass.
-
-    Entry [i] equals PercolationField(d, p, master_seed,
-    replicates[i]).closed_mask(box) bit for bit; the result has shape
-    (len(replicates), *box.shape).
-    """
+def _replicate_states(d: int, master_seed: int, replicates, box: BoxRegion) -> np.ndarray:
+    """The stream state of each replicate, as PercolationField's base,
+    after the checks of the batched hash's arguments."""
     if d < 2:
         raise ValueError("d must be >= 2")
     if box.dim != d:
@@ -273,8 +278,54 @@ def replicate_closed_masks(d: int, p: float, master_seed: int, replicates,
     if reps.ndim != 1 or (reps.size and reps.min() < 0):
         raise ValueError("replicates must be a sequence of integers >= 0")
     seed_state = np.uint64(absorb(0, int(master_seed)))
-    base = _absorb_vec(seed_state, reps.astype(np.uint64))
-    return _box_uniforms(base, box) >= np.uint64(open_threshold(float(p)))
+    return _absorb_vec(seed_state, reps.astype(np.uint64))
+
+
+def replicate_closed_masks(d: int, p: float, master_seed: int, replicates,
+                           box: BoxRegion) -> np.ndarray:
+    """Closed masks of one box for many replicates in one numpy pass.
+
+    Entry [i] equals PercolationField(d, p, master_seed,
+    replicates[i]).closed_mask(box) bit for bit; the result has shape
+    (len(replicates), *box.shape).
+    """
+    base = _replicate_states(d, master_seed, replicates, box)
+    return _box_uniforms(_column_states(base, box), box) >= np.uint64(open_threshold(float(p)))
+
+
+def screened_closed_masks(d: int, p: float, master_seed: int, replicates,
+                          box: BoxRegion, sites: tuple[Site, ...], hits):
+    """replicate_closed_masks of the box for only the replicates a screen
+    of some of its sites lets through.
+
+    hits(closed) maps the closed bits of `sites`, sites of the box, shaped
+    (len(sites), len(replicates)), to a boolean array over the replicates.
+    Returns (hit, masks): hit[i] = hits(...)[i], and masks, shaped
+    (hit.sum(), *box.shape), are the closed masks of the replicates hit,
+    bit for bit those of replicate_closed_masks.  The replicates' column
+    states are folded once; the screen finishes the fold at the sites'
+    heights alone, and the box only for the replicates hit.
+    """
+    base = _replicate_states(d, master_seed, replicates, box)
+    threshold = np.uint64(open_threshold(float(p)))
+    columns = _column_states(base, box)
+    at, heights = _site_operands(box, sites)
+    hit = hits(_absorb_vec(columns.reshape(-1, base.size)[at], heights) >= threshold)
+    if not hit.any():  # no fold to finish: a chunk the screen stops whole
+        return hit, np.zeros((0, *box.shape), bool)
+    return hit, _box_uniforms(columns[..., hit], box) >= threshold
+
+
+@functools.lru_cache(maxsize=256)
+def _site_operands(box: BoxRegion, sites: tuple[Site, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Where each site lies among the flat columns of _column_states, and
+    its height as a uint64 operand shaped (len(sites), 1); read-only, once
+    per box and sites."""
+    at = np.array([s[:-1] for s in sites], dtype=np.int64).reshape(len(sites), box.dim - 1)
+    at = np.ravel_multi_index(tuple((at - box.lo[:-1]).T), box.shape[:-1])
+    heights = np.array([s[-1] for s in sites], dtype=np.int64).astype(np.uint64)[:, None]
+    at.flags.writeable = heights.flags.writeable = False
+    return at, heights
 
 
 @dataclass(frozen=True)

@@ -52,12 +52,12 @@ away.  ROADMAP item 11 records what that does to growth.
 The pessimistic seeds closed under down moves, the rim, are the same for
 every configuration of a batch shape, so they are computed once per shape
 (on all-open boxes) and cached as packed ints, and the pessimistic closure
-starts with a sweep.  Its reach contains the optimistic one.  So one reader
+starts with a sweep.  Its reach contains the optimistic one.  One reader
 of column runs serves f_tail (the origin column) and build_surface (every
-base column): it closes the pessimistic side first, and the optimistic side
-only in the boxes where some pessimistic run is positive, packed apart;
-elsewhere every run is 0.  It reads runs off the packed layers, gathering
-only the requested columns' bits.  That reader and the climb sets
+base column): it packs a batch's lids once, closes the pessimistic side,
+and closes the optimistic side on the same lids unless every pessimistic
+run is 0.  It reads runs off the packed layers, gathering only the
+requested columns' bits.  That reader and the climb sets
 (_climb_masks) seed the packed layers themselves and call _close
 directly.  The public face is boolean masks alone: reach_masks, with its
 checks and seed scan, closes any seed masks, and floor_reach_sandwich
@@ -79,7 +79,8 @@ from enum import Enum
 
 import numpy as np
 
-from .lattice import BoxRegion, Column, Field, replicate_closed_masks
+from .lattice import (BoxRegion, Column, Field, replicate_closed_masks,
+                      screened_closed_masks)
 
 
 class StepSet(Enum):
@@ -296,24 +297,20 @@ def _floor_column_runs(closed: np.ndarray, box: BoxRegion, columns,
     """The runs, as _runs reads them, of both sides of the floor sandwich of
     a batch of closed masks over one box (floor_reach_sandwich's seeds) in a
     list of columns, as integer arrays (lo, hi) of shape (B, len(columns)).
-    The pessimistic side closes from the rim in every box.  The optimistic
-    side lies inside it, so its runs are 0 in a box where every pessimistic
-    run is 0, and it closes only in the other boxes."""
+    The pessimistic side closes from the rim.  The optimistic side lies
+    inside it, so its runs are all 0 where every pessimistic run is;
+    otherwise it closes from the floor on the same packed lids."""
     lids, shape, moves = _packed_lids(closed, step_set)
-    columns = tuple(map(tuple, columns))
+    spans = _column_spans(box, tuple(map(tuple, columns)))
     pes = list(_rim(shape, step_set))
     _close(pes, lids, moves, 0)
-    spans = _column_spans(box, columns)
     hi = _runs(pes, spans, shape, len(columns))
-    # np.zeros, not zeros_like: a few us less per call on f_tail's chunks
-    lo = np.zeros(hi.shape, hi.dtype)
-    live = hi.any(axis=1).nonzero()[0]
-    if live.size:
-        lids, shape, moves = _packed_lids(closed[live], step_set)
-        opt = [(1 << math.prod(shape[1:])) - 1] + [0] * (len(lids) - 1)
-        _close(opt, lids, moves, 0)
-        lo[live] = _runs(opt, spans, shape, len(columns))
-    return lo, hi
+    if not hi.any():
+        # np.zeros, not zeros_like: a few us less per call on f_tail's chunks
+        return np.zeros(hi.shape, hi.dtype), hi
+    opt = [(1 << math.prod(shape[1:])) - 1] + [0] * (len(lids) - 1)
+    _close(opt, lids, moves, 0)
+    return _runs(opt, spans, shape, len(columns)), hi
 
 
 def _climb_masks(closed: np.ndarray, box: BoxRegion, x) -> np.ndarray:
@@ -326,6 +323,15 @@ def _climb_masks(closed: np.ndarray, box: BoxRegion, x) -> np.ndarray:
     reached[0] = ((1 << shape[-1]) - 1) << shape[-1] * int(at)
     _close(reached, lids, moves, 0)  # a floor seed: nothing to descend
     return _unpack(reached, shape)
+
+
+class ConfigError(ValueError):
+    """Invalid experiment description; the message quotes each offending
+    field.  Arguments alternate field and problem: ConfigError("d", "...")."""
+
+    def __init__(self, *fields_and_problems: str):
+        pairs = zip(fields_and_problems[::2], fields_and_problems[1::2])
+        super().__init__("; ".join(f"config field '{f}': {why}" for f, why in pairs))
 
 
 @dataclass(frozen=True)
@@ -349,11 +355,17 @@ _CHUNK_SITES = 1 << 18
 
 def _hash_replicates(d: int, p: float, master_seed: int):
     """Replicates of PercolationField(d, p, master_seed) as the closed_at of
-    _settle_replicates; replicate_closed_masks is looked up at each call."""
-    return lambda reps, box: replicate_closed_masks(d, p, master_seed, reps, box)
+    _settle_replicates, with the screened hash for its screen;
+    replicate_closed_masks and screened_closed_masks are looked up at each
+    call."""
+    def closed_at(reps, box, *screen):
+        if not screen:
+            return replicate_closed_masks(d, p, master_seed, reps, box)
+        return screened_closed_masks(d, p, master_seed, reps, box, *screen)
+    return closed_at
 
 
-def _settle_replicates(count: int, boxes, closed_at, read):
+def _settle_replicates(count: int, boxes, closed_at, read, screen=None):
     """Grow boxes over items 0..count-1 until each one settles.
 
     boxes holds the box of each growth attempt, the first box first;
@@ -366,12 +378,28 @@ def _settle_replicates(count: int, boxes, closed_at, read):
     in pieces of at most _CHUNK_SITES sites.  An entry keeps the values of
     the box that settled it, or else of the last box it was read in.
     Yields (lo, hi, settled) per chunk.
+
+    screen, if given, is an exact attempt ahead of the first box:
+    screen(box) returns sites of the first box and the (lo, hi, settled)
+    of a batch of one that its read gives every item whose sites are all
+    open.  closed_at(items, box, sites) then returns which items have a
+    closed site there and the masks of those alone, as
+    lattice.screened_closed_masks does, and only they are read in the
+    first box; the others keep the screen's values.
     """
     first, *grown = boxes
     chunk = max(1, _CHUNK_SITES // first.size)
     for start in range(0, count, chunk):
         items = np.arange(start, min(start + chunk, count))
-        lo, hi, settled = read(closed_at(items, first), first)
+        if screen is None:
+            lo, hi, settled = read(closed_at(items, first), first)
+        else:
+            sites, hits, *negative = screen(first)
+            hit, closed = closed_at(items, first, sites, hits)
+            lo, hi, settled = (v.repeat(items.size, axis=0) for v in negative)
+            if len(closed):
+                hit = hit.nonzero()[0]
+                lo[hit], hi[hit], settled[hit] = read(closed, first)
         for box in grown:
             if settled.all():  # the usual chunk settles in its first box
                 break

@@ -28,14 +28,16 @@ far kept as certified lower bounds.
 from __future__ import annotations
 
 import functools
+import itertools
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .lattice import BoxRegion, Column, Field, Site
-from .reach import (Budget, StepSet, _climb_masks, _floor_column_runs, _seed_sides,
-                    _settle_replicates)
+from .reach import (Budget, ConfigError, StepSet, _climb_masks, _floor_column_runs,
+                    _seed_sides, _settle_replicates)
 
 
 class Cert(Enum):
@@ -106,6 +108,22 @@ class LocalCoverResult:
         }
 
 
+# the most sites a growth schedule's last box may hold: 128 MiB of uint64
+# uniforms per replicate hashed in it
+_MAX_BOX_SITES = 1 << 24
+
+
+def _schedule(box_at, growth_cap: int) -> tuple[BoxRegion, ...]:
+    """The boxes box_at(i) of attempts 0..growth_cap, once the last one is
+    known to hold at most _MAX_BOX_SITES sites: a larger cap stops here,
+    naming growth_cap, before any box is hashed or the others are built."""
+    size = box_at(growth_cap).size
+    if size > _MAX_BOX_SITES:
+        raise ConfigError("growth_cap", f"{growth_cap} grows the last box to {size} sites, "
+                          f"over the limit of 2**24 = {_MAX_BOX_SITES}")
+    return tuple(box_at(i) for i in range(growth_cap + 1))
+
+
 @functools.lru_cache(maxsize=256)
 def _floor_boxes(lo: Column, hi: Column, budget: Budget) -> tuple[BoxRegion, ...]:
     """The boxes of the floor reach over the columns lo..hi, one per growth
@@ -114,9 +132,11 @@ def _floor_boxes(lo: Column, hi: Column, budget: Budget) -> tuple[BoxRegion, ...
     So in every attempt the rim below reaches the columns at distance
     margin + t from those read at height t: a taller box does not keep
     worst-case side entries further away (ROADMAP item 11)."""
-    heights = [budget.height << i for i in range(budget.growth_cap + 1)]
-    return tuple(BoxRegion((*(c - h - budget.margin for c in lo), 0),
-                           (*(c + h + budget.margin for c in hi), h)) for h in heights)
+    def box_at(i):
+        h = budget.height << i
+        return BoxRegion((*(c - h - budget.margin for c in lo), 0),
+                         (*(c + h + budget.margin for c in hi), h))
+    return _schedule(box_at, budget.growth_cap)
 
 
 @functools.lru_cache(maxsize=256)
@@ -124,36 +144,113 @@ def _climb_boxes(x: Column, budget: Budget) -> tuple[BoxRegion, ...]:
     """The boxes of the climb set of x, one per growth attempt
     0..budget.growth_cap: attempt i pads x by margin*2^i on every side and
     spans heights 0..height*2^i."""
-    return tuple(BoxRegion((*(c - (budget.margin << i) for c in x), 0),
-                           (*(c + (budget.margin << i) for c in x), budget.height << i))
-                 for i in range(budget.growth_cap + 1))
+    return _schedule(lambda i: BoxRegion((*(c - (budget.margin << i) for c in x), 0),
+                                         (*(c + (budget.margin << i) for c in x),
+                                          budget.height << i)),
+                     budget.growth_cap)
+
+
+def _read_only(*values):
+    """values, each array among them made read-only, as a tuple."""
+    for v in values:
+        if isinstance(v, np.ndarray):
+            v.flags.writeable = False
+    return values
+
+
+def _floor_read(closed: np.ndarray, box: BoxRegion, cols, step_set: StepSet):
+    """The floor reader's read of a batch of closed masks over one box:
+    the kernel's runs of each column in the optimistic and pessimistic
+    floor reach, and whether the two agree strictly below the box top."""
+    lo, hi = _floor_column_runs(closed, box, cols, step_set)
+    return lo, hi, (lo == hi) & (hi < box.hi[-1] - 1)
+
+
+@functools.lru_cache(maxsize=256)
+def _floor_screen(box: BoxRegion, x: Column, step_set: StepSet) -> tuple:
+    """The screen of a floor read of the one column x in the box: its
+    sites, the test of their closed bits that lets a replicate through,
+    and the read of a batch of one all-open box, which every replicate the
+    test stops also gets.
+
+    Why.  Let phi(y, t) = t - |y - x|_1 and H be the box top.  Every seed
+    of either side has phi <= 0, and only (x, 0) has phi = 0: a floor site
+    has t = 0, and a side seed of the pessimistic rim sits at |y_j - x_j| =
+    H + margin > t on some axis.  A straight down step lowers phi by 1 and
+    a diagonal one by 0 (towards x) or 2, in both step sets; an up step
+    raises it by 1, onto a closed site.  So the first reached site of
+    phi = 1 is entered by an up step from a reached site u of phi = 0 onto
+    the closed site above it, (y, |y - x|_1 + 1) with |y - x|_1 <= H - 1.
+    Either u = (x, 0), and (x, 1) is closed; or u is not a seed, and
+    following back the steps that reached u, all at phi = 0 (a down step
+    onto phi = 0 comes from phi = 0 or 2, and phi = 2 comes later), they
+    climb diagonally away from x until the one step that is an up step,
+    onto a closed site (w, |w - x|_1) with 1 <= |w - x|_1 <= H.  So where
+    (x, 1) is open and either no site above phi = 0 or no closed site of
+    phi = 0 at heights 1..H is closed, no reached site has phi >= 1: the
+    run of x, which starts at (x, 1), is 0 on both sides, and the reader's
+    own rule settles it where 0 < H - 1, as in the all-open box.
+    Read-only, once per box, column and step set."""
+    top = box.hi[-1]
+    ring = [(y, sum(map(abs, y))) for y in itertools.product(range(-top, top + 1), repeat=len(x))]
+    above = [(*x, 1)] + [(*(c + s for c, s in zip(x, y)), r + 1) for y, r in ring if 0 < r < top]
+    level = [(*(c + s for c, s in zip(x, y)), r) for y, r in ring if 0 < r <= top]
+    n = len(above)
+
+    def hits(closed):
+        return closed[0] | (closed[1:n].any(axis=0) & closed[n:].any(axis=0))
+    return _read_only(tuple(above + level), hits,
+                      *_floor_read(np.zeros((1, *box.shape), bool), box, (x,), step_set))
 
 
 def _surface_runs(count: int, closed_at, cols, budget: Budget,
-                  step_set: StepSet = StepSet.FULL):
+                  step_set: StepSet = StepSet.FULL, screened: bool = False):
     """The one floor reader: build_surface's certificate of items
     0..count-1 of closed_at (as _settle_replicates takes it) over sorted
-    distinct columns.  Yields per chunk the kernel's runs of each column in
-    the optimistic and pessimistic floor reach, and whether the two agree
-    strictly below the box top, each shaped (B, len(cols)); a settled
-    column's surface value is one above its run."""
+    distinct columns.  Yields per chunk _floor_read's runs of each column
+    in the optimistic and pessimistic floor reach, and whether the two
+    agree strictly below the box top, each shaped (B, len(cols)); a
+    settled column's surface value is one above its run.
+
+    screened, for one column and a closed_at of reach._hash_replicates,
+    reads the first box only in the replicates with a closed site of
+    _floor_screen.  The multi-column reads do not screen: over the base
+    ball of radius 5 at d=2 the union of the screens is 140 of the first
+    box's 351 sites, and 76% of the replicates would have a closed one.
+    Nor do the single-field readers build_surface, minimal_cover and
+    climb_set, whose closed_at reads one field's masks."""
     def read(closed, box):
-        lo, hi = _floor_column_runs(closed, box, cols, step_set)
-        return lo, hi, (lo == hi) & (hi < box.hi[-1] - 1)
+        return _floor_read(closed, box, cols, step_set)
 
     boxes = _floor_boxes(tuple(map(min, zip(*cols))), tuple(map(max, zip(*cols))), budget)
-    return _settle_replicates(count, boxes, closed_at, read)
+    screen = functools.partial(_floor_screen, x=tuple(cols[0]), step_set=step_set)
+    return _settle_replicates(count, boxes, closed_at, read, screen if screened else None)
+
+
+@functools.lru_cache(maxsize=256)
+def _cover_screen(box: BoxRegion, x: Column) -> tuple:
+    """The screen of a cover read of x in the box: the one site (x, 1),
+    and the read of a batch of one all-open box.  A climb from (x, 0)
+    leaves it only by an up step onto (x, 1), since no step goes below the
+    floor; with that site open the climb set is {(x, 0)}, of cover radius
+    1, certified (the box has a margin and a height of at least 1), as in
+    the all-open box.  Read-only, once per box and column."""
+    _, rho, certified = _read_covers(np.zeros((1, *box.shape), bool), box, x)
+    return _read_only(((*x, 1),), operator.itemgetter(0), rho, rho, certified)
 
 
 def _cover_runs(count: int, closed_at, x: Column, budget: Budget):
     """The one cover reader of replicates: per chunk of items 0..count-1 of
-    closed_at, (rho, rho, certified) of x's climb set in minimal_cover's
-    climb boxes, each shaped (B,): its cover radius and certificate."""
+    closed_at, a closed_at of reach._hash_replicates, (rho, rho, certified)
+    of x's climb set in minimal_cover's climb boxes, each shaped (B,): its
+    cover radius and certificate.  The first box is read only in the
+    replicates whose _cover_screen site is closed."""
     def read(closed, box):
         _, rho, certified = _read_covers(closed, box, x)
         return rho, rho, certified
 
-    return _settle_replicates(count, _climb_boxes(x, budget), closed_at, read)
+    return _settle_replicates(count, _climb_boxes(x, budget), closed_at, read,
+                              functools.partial(_cover_screen, x=x))
 
 
 def build_surface(field: Field, base, budget: Budget = Budget()) -> SurfacePatch:

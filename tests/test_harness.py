@@ -206,15 +206,22 @@ _BATCH_CONFIGS = [
 
 
 def _spy_hashing(monkeypatch) -> list:
-    """Record (replicates, box) for every hash call of the box-growth driver."""
+    """Record (replicates, box) for every hash call of the box-growth driver:
+    of a screened call, the replicates whose masks it returns."""
     calls = []
-    hash_masks = REACH.replicate_closed_masks
+    hash_masks, screened = REACH.replicate_closed_masks, REACH.screened_closed_masks
 
     def spy(d, p, seed, replicates, box):
         calls.append((np.asarray(replicates).tolist(), box))
         return hash_masks(d, p, seed, replicates, box)
 
+    def screened_spy(d, p, seed, replicates, box, sites, hits):
+        hit, masks = screened(d, p, seed, replicates, box, sites, hits)
+        calls.append((np.asarray(replicates)[hit].tolist(), box))
+        return hit, masks
+
     monkeypatch.setattr(REACH, "replicate_closed_masks", spy)
+    monkeypatch.setattr(REACH, "screened_closed_masks", screened_spy)
     return calls
 
 
@@ -225,33 +232,48 @@ def _hashed(calls) -> collections.Counter:
 
 def _spy_growth(monkeypatch) -> list:
     """Record, for every growth run of surface's readers, its tuple of
-    boxes and a Counter of the replicates it hashed, by box index."""
+    boxes and a Counter of the replicates it read, by box index: in the
+    first box of a screened run, those with a closed screen site."""
     runs = []
     settle = SURFACE._settle_replicates
 
-    def spy(count, boxes, closed_at, read):
+    def spy(count, boxes, closed_at, read, screen=None):
         index = {box: i for i, box in enumerate(boxes)}
         hashed = collections.Counter()
         runs.append((boxes, hashed))
 
-        def counting(items, box):
-            hashed[index[box]] += len(items)
-            return closed_at(items, box)
-        return settle(count, boxes, counting, read)
+        def counting(closed, box):
+            hashed[index[box]] += len(closed)
+            return read(closed, box)
+        return settle(count, boxes, closed_at, counting, screen)
 
     monkeypatch.setattr(SURFACE, "_settle_replicates", spy)
     return runs
+
+
+def _floor_screen_hit(field: Field, box: BoxRegion) -> bool:
+    """Whether the screen of a floor read of the origin column lets the
+    field through to its first box: (0, 1) is closed, or some site
+    (y, |y|_1 + 1) with 1 <= |y|_1 <= H - 1 and some site (y, |y|_1) with
+    1 <= |y|_1 <= H are, H the box top."""
+    top, k = box.hi[-1], field.d - 1
+    ring = [(y, sum(map(abs, y))) for y in itertools.product(range(-top, top + 1), repeat=k)]
+    above = any(field.is_closed((*y, r + 1)) for y, r in ring if 0 < r < top)
+    level = any(field.is_closed((*y, r)) for y, r in ring if 0 < r <= top)
+    return field.is_closed((0,) * k + (1,)) or above and level
 
 
 def _grown_floor_runs(exp: Experiment, rep: int, boxes, tried: list) -> tuple[int, int]:
     """Reference f_tail statistic of one replicate: the per-replicate growth
     loop over floor_reach_sandwich on a single field through the given
     boxes, recording each box tried, until the two runs agree strictly
-    below the box top."""
+    below the box top.  The first box counts as tried only where the screen
+    has a closed site; its runs are read in any case."""
     field = PercolationField(exp.d, exp.p, exp.seed, rep)
     origin = [(0,) * (exp.d - 1)]
-    for box in boxes:
-        tried.append(([rep], box))
+    for i, box in enumerate(boxes):
+        if i or _floor_screen_hit(field, box):
+            tried.append(([rep], box))
         sandwich = np.stack(floor_reach_sandwich(field, box, exp.step_mode))
         ro, rp = column_runs(sandwich, box, origin)[:, 0].tolist()
         if ro == rp and rp < box.hi[-1] - 1:
@@ -340,13 +362,15 @@ def _grown_cover(exp: Experiment, rep: int, boxes: list) -> tuple[int, bool]:
     """Reference cover statistic of one replicate: the per-replicate growth
     loop over reach_masks from (0, 0) on a single field through the origin
     column's climb boxes, recording each box, until no reached site lies in
-    a side column or the top layer of the box.  Returns the spread radius
-    and whether the loop certified it."""
+    a side column or the top layer of the box; the first box counts as
+    recorded only where its screen site (0, 1) is closed.  Returns the
+    spread radius and whether the loop certified it."""
     field = PercolationField(exp.d, exp.p, exp.seed, rep)
     origin = (0,) * exp.d
-    for box in SURFACE._climb_boxes(origin[:-1], exp.budget):
+    for i, box in enumerate(SURFACE._climb_boxes(origin[:-1], exp.budget)):
         m, h = box.hi[0], box.hi[-1]
-        boxes.append(([rep], box))
+        if i or field.is_closed((*origin[:-1], 1)):  # the screen of the first box
+            boxes.append(([rep], box))
         closed = field.closed_mask(box)[None]
         seeds = np.zeros(closed.shape, dtype=bool)
         seeds[(0, *np.subtract(origin, box.lo))] = True
@@ -510,7 +534,12 @@ def test_tail_hypothesis_fails_before_any_hash(monkeypatch):
         hashed.append(args)
         return real(*args)
 
+    def screened_spy(*args, real=REACH.screened_closed_masks):
+        hashed.append(args)
+        return real(*args)
+
     monkeypatch.setattr(REACH, "replicate_closed_masks", spy)
+    monkeypatch.setattr(REACH, "screened_closed_masks", screened_spy)
     restricted = StepSet.NO_STRAIGHT_DOWN
     for tail, kind, p, step_mode in ((surface_tail_curve, "f_tail", 0.9, StepSet.FULL),
                                      (surface_tail_curve, "f_tail", 0.85, restricted),
@@ -1080,16 +1109,18 @@ def test_surface_kind_golden_bodies(tmp_path, name):
 
 # Tail kinds at 1e5 replicates where many replicates grow their box, so a
 # change to the growth loop or to a grown box's reader shows in a digest.
-# Replicates read per box (box 0 is the first) in each format's run:
-#   f_tail_growth_d2:    box 0: 100000, boxes 1-3: 5261 each (unresolved_frac
+# Replicates read per box (box 0 is the first) in each format's run; box 0
+# reads only the replicates with a closed screen site, and the others settle
+# without it:
+#   f_tail_growth_d2:    box 0: 17727, boxes 1-3: 5261 each (unresolved_frac
 #                        0.052 at k=1, 0.017 at k=3)
-#   radh_tail_growth_d3: box 0: 100000, box 1: 511, box 2: 14 (none unresolved)
+#   radh_tail_growth_d3: box 0: 511, box 1: 511, box 2: 14 (none unresolved;
+#                        in a box 1 high, every climb past (0, 1) meets the top)
 # The two f_tail_kmax0 cases, at 2e4 replicates, grow the boxes of runs
 # already at k_max whose sides differ, since f_tail settles a replicate
 # where build_surface does.  A settle rule that also stopped at k_max read
-# box 0 alone ({0: 20000}) in both and wrote the same digests: the bodies
-# clip both sides at k_max, and a grown floor box can only raise the
-# optimistic run.
+# box 0 alone in both and wrote the same digests: the bodies clip both
+# sides at k_max, and a grown floor box can only raise the optimistic run.
 _GROWTH_GOLDEN_CASES = {
     "f_tail_growth_d2": ({"kind": "f_tail", "p": 0.95, "replicates": 100_000, "seed": 1,
                           "k_max": 3, "box_margin": 1, "growth_cap": 3,
@@ -1106,16 +1137,16 @@ _GROWTH_GOLDEN_CASES = {
                              "unresolved_threshold": 1.0}, None),
 }
 _GROWTH_GOLDEN = {
-    "f_tail_growth_d2": ({0: 100_000, 1: 5261, 2: 5261, 3: 5261}, (
+    "f_tail_growth_d2": ({0: 17_727, 1: 5261, 2: 5261, 3: 5261}, (
         "a6b5eb9da7f127d04d2741ad200e574b5a244305f08a4f4a2e11eede5dc8951d",
         "eda29471cc07e0fca5e6653b06fc903e18ca7801ee0b10d80fde94843ee8a94e")),
-    "f_tail_kmax0_d2": ({0: 20_000, 1: 1417, 2: 133, 3: 128}, (
+    "f_tail_kmax0_d2": ({0: 1634, 1: 1417, 2: 133, 3: 128}, (
         "df4b293fe0a0ffb2c093b6bf170dedfca89badf1b5a42180092fb3a148a4128d",
         "bba0d19be042aeed2c5ceaa036418a9131634920e030e00978c468ce602ee435")),
-    "f_tail_kmax0_restricted_d2": ({0: 20_000, 1: 1169, 2: 95, 3: 93}, (
+    "f_tail_kmax0_restricted_d2": ({0: 1328, 1: 1169, 2: 95, 3: 93}, (
         "3d42a95772a9eb17f01fcdb2f7b016c18443a255df97dd63cea1a628d691dfc5",
         "50af2139926cd524638f0ad86ff0181f561bfd9985fb7cdf906dca6dbe75f91c")),
-    "radh_tail_growth_d3": ({0: 100_000, 1: 511, 2: 14}, (
+    "radh_tail_growth_d3": ({0: 511, 1: 511, 2: 14}, (
         "7ec4ff15aee312824d33b38693b9497979ad0f2962248ed7cdc1654963cabd72",
         "0c6b47213b0c9f87fd5f9d8f0ed01a50e07e5d2d40878b6e368670e1f1b9e447")),
 }
