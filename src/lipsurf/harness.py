@@ -17,6 +17,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 import os
 import time
 from dataclasses import dataclass
@@ -66,6 +67,16 @@ class Experiment:
     weight_floor: float = 0.0
     unresolved_threshold: float = 1e-3
 
+    def __post_init__(self):
+        # the rule of check_fields, on the fields that differ from their
+        # defaults, so that a direct Experiment cannot set one in vain either
+        if self.kind not in _UNREAD:
+            raise ConfigError("kind", f"unknown kind {self.kind!r}")
+        names, values, defaults = _UNREAD[self.kind]
+        if values(self) != defaults:
+            names = {n for n, v, d in zip(names, values(self), defaults) if v != d}
+            raise ConfigError(*itertools.chain(*sorted(_unread(names, self.kind).items())))
+
     @functools.cached_property
     def budget(self) -> Budget:
         # built and checked once per experiment; a frozen dataclass still
@@ -85,13 +96,19 @@ _FIELD_TYPES = {
 _STEP_MODES = dict.fromkeys(("f_tail", "bounds"), tuple(s.value for s in StepSet))
 
 
+def _unread(keys, reader: str) -> dict:
+    """The problem of each field a reader does not read: a config field is
+    'not read by' it, and any other key an unknown field."""
+    return {key: f"not read by {reader}" if key in _FIELD_TYPES else "unknown field"
+            for key in keys}
+
+
 def check_fields(config: dict, reader: str, reads: frozenset) -> None:
     """The one check of every config before any work: each field is known,
     has its _FIELD_TYPES type (an int passes as a float, a bool as neither),
     is in the set `reader` reads, and an out path is no directory and lies
     in a writable directory.  The error quotes every offending one."""
-    problems = {key: f"not read by {reader}" if key in _FIELD_TYPES else "unknown field"
-                for key in config.keys() - reads}
+    problems = _unread(config.keys() - reads, reader)
     for key, val in config.items():
         want = _FIELD_TYPES.get(key)
         if type(val) is not want and key not in problems and not (
@@ -490,6 +507,12 @@ KINDS = tuple(_JOBS)
 # every kind reads its kind, format, out path and unresolved threshold
 _READS = {kind: frozenset(("kind", "format", "out", "unresolved_threshold", *reads))
           for kind, (_, reads) in _JOBS.items()}
+# per kind, the Experiment fields it does not read, a getter of their
+# values and their defaults (every kind leaves at least two unread)
+_UNREAD = {kind: (names, operator.attrgetter(*names),
+                  tuple(Experiment.__dataclass_fields__[n].default for n in names))
+           for kind, reads in _READS.items()
+           for names in [tuple(n for n in Experiment.__dataclass_fields__ if n not in reads)]}
 
 
 def _config_dict(config) -> dict:

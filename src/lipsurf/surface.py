@@ -116,11 +116,13 @@ _MAX_BOX_SITES = 1 << 24
 def _schedule(box_at, growth_cap: int) -> tuple[BoxRegion, ...]:
     """The boxes box_at(i) of attempts 0..growth_cap, once the last one is
     known to hold at most _MAX_BOX_SITES sites: a larger cap stops here,
-    naming growth_cap, before any box is hashed or the others are built."""
-    size = box_at(growth_cap).size
-    if size > _MAX_BOX_SITES:
-        raise ConfigError("growth_cap", f"{growth_cap} grows the last box to {size} sites, "
-                          f"over the limit of 2**24 = {_MAX_BOX_SITES}")
+    naming growth_cap, before any box is hashed or the others are built.
+    A box of attempt 24 or later is at least 2**24 + 1 layers high, so such
+    a cap stops before its box is worked out."""
+    if (growth_cap >= _MAX_BOX_SITES.bit_length() - 1
+            or box_at(growth_cap).size > _MAX_BOX_SITES):
+        raise ConfigError("growth_cap", f"{growth_cap} grows the last box past "
+                          f"{_MAX_BOX_SITES} sites (2**24), over the limit")
     return tuple(box_at(i) for i in range(growth_cap + 1))
 
 

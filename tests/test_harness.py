@@ -159,6 +159,43 @@ def test_a_missing_or_one_value_p_grid_names_the_field(config, problem, monkeypa
     assert str(err.value) == f"config field 'p_grid': {problem}"
 
 
+def test_a_growth_cap_past_the_site_limit_stops_before_any_hash(monkeypatch):
+    """A config whose last box would pass 2**24 sites (f_tail at k_max 0,
+    margin 1 and cap 40: boxes 2 * 2**40 high) is rejected, naming
+    growth_cap, before any site is hashed; every batched hash folds
+    through lattice._absorb_vec."""
+    def forbidden(*args):
+        raise AssertionError("a site was hashed before growth_cap was checked")
+
+    monkeypatch.setattr("lipsurf.lattice._absorb_vec", forbidden)
+    config = {"kind": "f_tail", "d": 2, "p": 0.94, "k_max": 0, "box_margin": 1,
+              "growth_cap": 40, "replicates": 200, "seed": 1}
+    for kind, extra in (("f_tail", {}), ("radh_tail", {}), ("surface_validity", {})):
+        cfg = {**config, "kind": kind, **extra}
+        if kind == "surface_validity":
+            del cfg["k_max"]
+        with pytest.raises(ConfigError, match="^config field 'growth_cap': 40 grows"):
+            run_experiment(cfg)
+
+
+def test_a_direct_experiment_rejects_a_field_its_kind_does_not_read(monkeypatch):
+    """An Experiment built directly names a non-default field its kind does
+    not read, with check_fields' message, before any replicate is hashed:
+    f_tail's box_height used to run with no effect."""
+    monkeypatch.setattr("lipsurf.lattice._absorb_vec", None)
+    with pytest.raises(ConfigError) as err:
+        surface_tail_curve(Experiment(kind="f_tail", box_height=3, replicates=5))
+    assert str(err.value) == "config field 'box_height': not read by f_tail"
+    with pytest.raises(ConfigError) as err:
+        Experiment(kind="brw", replicates=9, k_max=3)
+    assert str(err.value) == ("config field 'k_max': not read by brw; "
+                              "config field 'replicates': not read by brw")
+    with pytest.raises(ConfigError, match="config field 'kind': unknown kind 'nope'"):
+        Experiment(kind="nope")
+    # a field at its default is no error, nor one the kind reads
+    assert Experiment(kind="f_tail", box_height=Budget.height, box_margin=2).box_margin == 2
+
+
 def test_surface_tail_k0_row_and_bounds_column():
     exp = Experiment(kind="f_tail", d=2, p=0.99, replicates=400, seed=5, k_max=3)
     curve = surface_tail_curve(exp)
@@ -237,7 +274,7 @@ def _spy_growth(monkeypatch) -> list:
     runs = []
     settle = SURFACE._settle_replicates
 
-    def spy(count, boxes, closed_at, read, screen=None):
+    def spy(count, boxes, closed_at, read, *screen):
         index = {box: i for i, box in enumerate(boxes)}
         hashed = collections.Counter()
         runs.append((boxes, hashed))
@@ -245,7 +282,7 @@ def _spy_growth(monkeypatch) -> list:
         def counting(closed, box):
             hashed[index[box]] += len(closed)
             return read(closed, box)
-        return settle(count, boxes, closed_at, counting, screen)
+        return settle(count, boxes, closed_at, counting, *screen)
 
     monkeypatch.setattr(SURFACE, "_settle_replicates", spy)
     return runs
@@ -314,6 +351,39 @@ def test_surface_tail_batching_matches_per_replicate_path(cfg, chunk_sites,
         first = calls[0][1]
         assert any(box.hi[-1] > first.hi[-1] for _, box in calls), \
             "no replicate was hashed in a grown box"
+
+
+@pytest.mark.parametrize("kind, d, p", [("f_tail", 2, 0.99), ("f_tail", 3, 0.99),
+                                        ("radh_tail", 2, 0.95)])
+def test_screen_stopped_replicates_are_never_hashed_in_box_0(kind, d, p, monkeypatch):
+    """The tails hash the first box only for replicates whose screen lets
+    them through, and for every one of those: a replicate whose screen
+    sites, read one by one from PercolationField.is_closed, stop it never
+    gets box 0's masks from either batched hash."""
+    hashed = collections.defaultdict(set)  # box -> replicates given its masks
+    plain, screened = REACH.replicate_closed_masks, getattr(REACH, "screened_closed_masks", None)
+
+    def plain_spy(d, p, seed, replicates, box):
+        hashed[box].update(np.asarray(replicates).tolist())
+        return plain(d, p, seed, replicates, box)
+
+    def screened_spy(d, p, seed, replicates, box, *screen):
+        hit, masks = screened(d, p, seed, replicates, box, *screen)
+        hashed[box].update(np.asarray(replicates)[hit].tolist())
+        return hit, masks
+
+    monkeypatch.setattr(REACH, "replicate_closed_masks", plain_spy)
+    monkeypatch.setattr(REACH, "screened_closed_masks", screened_spy, raising=False)
+    runs = _spy_growth(monkeypatch)
+    exp = Experiment(kind=kind, d=d, p=p, replicates=300 if d == 2 else 60, seed=12)
+    (surface_tail_curve if kind == "f_tail" else spread_tail_curve)(exp)
+    (boxes, _), = runs
+    fields = [PercolationField(d, p, exp.seed, rep) for rep in range(exp.replicates)]
+    through = {rep for rep, field in enumerate(fields)
+               if (_floor_screen_hit(field, boxes[0]) if kind == "f_tail"
+                   else field.is_closed((0,) * (d - 1) + (1,)))}
+    assert 0 < len(through) < exp.replicates
+    assert hashed[boxes[0]] == through
 
 
 @pytest.mark.parametrize("k_max, first", [(4, 6), (7, 9), (0, 2)])
@@ -648,10 +718,11 @@ def test_equivariance_smoke():
                 assert vpatch.status[col] is patch.status[mapped]
 
 
-def _loop_kinds(exp: Experiment) -> dict:
+def _loop_kinds(exp: Experiment, p_grid) -> dict:
     """Reference counts of the four surface kinds: per replicate, one
-    PercolationField, build_surface and verify_surface, and for each
-    isometry build_surface on a _View of the field."""
+    PercolationField, build_surface and verify_surface, for each isometry
+    build_surface on a _View of the field, and for each p of p_grid
+    build_surface on the coupled field."""
     base = harness._base_ball(exp.d, exp.base_radius)
     counts = collections.Counter()
     for rep in range(exp.replicates):
@@ -669,8 +740,8 @@ def _loop_kinds(exp: Experiment) -> dict:
                 or vpatch.status[c] is not patch.status[view.map_column(c)]
                 for c in base)
         patches = [build_surface(PercolationField(exp.d, p, exp.seed, rep), base, exp.budget)
-                   for p in exp.p_grid]
-        for p, grid_patch in zip(exp.p_grid, patches):
+                   for p in p_grid]
+        for p, grid_patch in zip(p_grid, patches):
             counts["successes", p] += all(
                 s is Cert.CERTIFIED for s in grid_patch.status.values())
         for lo, hi in zip(patches, patches[1:]):
@@ -698,9 +769,11 @@ def test_surface_kinds_count_what_a_per_replicate_loop_counts(cfg, monkeypatch):
     """surface_validity, existence_curve, equivariance and monotonicity on
     hashed replicate batches count exactly what a loop of build_surface and
     verify_surface over single fields counts; 1000 sites per chunk makes
-    the lockstep streams span many chunks with a partial last one."""
-    exp = Experiment(kind="surface_validity", **cfg)
-    want = _loop_kinds(exp)
+    the lockstep streams span many chunks with a partial last one.  The
+    grid kinds read p_grid and the others p, each in its own Experiment."""
+    exp = Experiment(kind="surface_validity", **{k: v for k, v in cfg.items() if k != "p_grid"})
+    grid = Experiment(kind="existence_curve", **{k: v for k, v in cfg.items() if k != "p"})
+    want = _loop_kinds(exp, grid.p_grid)
     monkeypatch.setattr(REACH, "_CHUNK_SITES", 1000)
     first = SURFACE._floor_boxes((-exp.base_radius,) * (exp.d - 1),
                                  (exp.base_radius,) * (exp.d - 1), exp.budget)[0]
@@ -711,10 +784,10 @@ def test_surface_kinds_count_what_a_per_replicate_loop_counts(cfg, monkeypatch):
     assert (validity["columns_total"], validity["columns_certified"],
             validity["openness_violations"], validity["lipschitz_violations"]) == (
         n, want["certified"], want["open_bad"], want["lip_bad"])
-    assert [row["successes"] for row in existence_curve(exp)] == [
-        want["successes", p] for p in exp.p_grid]
+    assert [row["successes"] for row in existence_curve(grid)] == [
+        want["successes", p] for p in grid.p_grid]
     assert equivariance_check(exp)["mismatches"] == want["mismatches"] == 0
-    mono = monotonicity_check(exp)
+    mono = monotonicity_check(grid)
     assert (mono["pairs_checked"], mono["violations"]) == (want["pairs"], want["rises"])
     if exp.d == 3:
         assert (want["certified"], n, want["lip_bad"]) == (4872, 4900, 18)

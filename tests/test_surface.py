@@ -579,3 +579,102 @@ def test_climb_reader_matches_the_height_function():
         for got, ref in zip(_read_covers(closed, box, x), want):
             assert got.shape == ref.shape
             np.testing.assert_array_equal(got, ref)
+
+
+def _screen_bits(closed: np.ndarray, box: BoxRegion, sites) -> np.ndarray:
+    """The closed bits of a batch of masks (B, *box.shape) at the sites,
+    shaped (len(sites), B), as a screen's test reads them."""
+    return np.stack([closed[(slice(None), *np.subtract(s, box.lo))] for s in sites])
+
+
+@pytest.mark.parametrize("step_set", list(StepSet))
+def test_floor_screen_stops_only_boxes_whose_runs_are_zero(step_set):
+    """Every configuration of the lids (heights 1 and 2; no up step lands
+    on the floor) of f_tail's first box at k_max = 0 and margin 1, 7 x 3
+    sites: wherever the screen stops a configuration, the floor reader
+    gives both runs 0, and the screen's own row, settled as H - 1 = 1 > 0
+    says.  It stops configurations with a closed site in either of its
+    two other groups, so its second stage counts."""
+    box = _floor_boxes((0,), (0,), Budget(1, 2, 0))[0]
+    assert box == BoxRegion((-3, 0), (3, 2))
+    lids = np.arange(1 << 14)[:, None] >> np.arange(14) & 1 == 1
+    closed = np.zeros((len(lids), *box.shape), bool)
+    closed[..., 1:] = lids.reshape(-1, 7, 2)
+    sites, hits, *row = SURFACE._floor_screen(box, (0,), step_set)
+    stopped = ~hits(_screen_bits(closed, box, sites))
+    lo, hi = _floor_column_runs(closed[stopped], box, [(0,)], step_set)
+    assert not lo.any() and not hi.any()
+    assert [r.tolist() for r in row] == [[[0]], [[0]], [[True]]]
+    assert 0 < stopped.sum() < len(lids)
+    for group in ([s for s in sites[1:] if s[1] == abs(s[0]) + 1],
+                  [s for s in sites if s[1] == abs(s[0]) > 0]):
+        assert _screen_bits(closed[stopped], box, group).any()
+
+
+@st.composite
+def _screened_boxes(draw):
+    """f_tail's first box for d = 2 or 3, any height H >= 2 and margin >= 1,
+    a step set, and a batch of random closed masks over it in which the
+    screen's test cannot pass: (x, 1) open, and every site of one of its
+    other two groups open."""
+    d = draw(st.integers(2, 3))
+    top, margin = draw(st.integers(2, 5 if d == 2 else 3)), draw(st.integers(1, 3))
+    box = _floor_boxes((0,) * (d - 1), (0,) * (d - 1), Budget(margin, top, 0))[0]
+    step_set = draw(st.sampled_from(list(StepSet)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    closed = rng.random((8, *box.shape)) < draw(st.sampled_from((0.05, 0.3, 0.7)))
+    sites, *_ = SURFACE._floor_screen(box, (0,) * (d - 1), step_set)
+    above = [s for s in sites if sum(map(abs, s[:-1])) + 1 == s[-1]]
+    level = [s for s in sites if sum(map(abs, s[:-1])) == s[-1]]
+    for s in above if draw(st.booleans()) else [sites[0], *level]:
+        closed[(slice(None), *np.subtract(s, box.lo))] = False
+    closed[(slice(None), *np.subtract(sites[0], box.lo))] = False
+    return box, step_set, closed
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(_screened_boxes())
+def test_floor_screen_stopped_boxes_read_zero_runs_settled(case):
+    """With the screen's sites open as its test needs to stop a box, the
+    floor reader gives both runs 0 at d = 2 and 3, whatever the height,
+    margin and step set, and settles them (0 < H - 1): the row the screen
+    keeps for the replicates it stops."""
+    box, step_set, closed = case
+    x = (0,) * (box.dim - 1)
+    sites, hits, *row = SURFACE._floor_screen(box, x, step_set)
+    assert not hits(_screen_bits(closed, box, sites)).any()
+    lo, hi, settled = SURFACE._floor_read(closed, box, [x], step_set)
+    assert not lo.any() and not hi.any() and settled.all()
+    assert all((np.repeat(r, len(closed), axis=0) == v).all()
+               for r, v in zip(row, (lo, hi, settled)))
+
+
+def test_cover_screen_stops_only_covers_of_radius_one():
+    """All 2^15 configurations of cover_sweep's box [-2, 2] x [0, 2]: the
+    cover reader gives radius 1, certified, in every one with (0, 1) open,
+    which the cover screen stops, as in its row; with (0, 1) closed the
+    radius is at least 2."""
+    box = BoxRegion((-2, 0), (2, 2))
+    bits = np.arange(1 << box.size)[:, None] >> np.arange(box.size)
+    closed = ((bits & 1) == 0).reshape(-1, *box.shape)
+    _, rho, certified = _read_covers(closed, box, (0,))
+    sites, hits, *row = SURFACE._cover_screen(box, (0,))
+    assert sites == ((0, 1),)
+    stopped = ~hits(_screen_bits(closed, box, sites))
+    assert stopped.sum() == 1 << 14
+    assert (rho[stopped] == 1).all() and certified[stopped].all()
+    assert [r.tolist() for r in row] == [[1], [1], [True]]
+    assert (rho[~stopped] >= 2).all()
+
+
+def test_schedules_past_the_site_limit_name_growth_cap():
+    """A schedule whose last box would hold more than 2**24 sites stops
+    before its boxes are built; cover d=3 at cap 5 (8.5 M sites), the
+    largest default in use, is inside the limit."""
+    assert _climb_boxes((0, 0), Budget(4, 4, 5))[-1].size == 8_520_321
+    for build, args in ((_climb_boxes, ((0, 0), Budget(4, 4, 6))),
+                        (_floor_boxes, ((0,), (0,), Budget(1, 2, 40)))):
+        with pytest.raises(ValueError, match="config field 'growth_cap': .* over the limit"):
+            build(*args)
+    with pytest.raises(ValueError, match="'growth_cap'"):
+        build_surface(PercolationField(2, 0.99, 1), [(0,)], Budget(6, 8, 10**6))
