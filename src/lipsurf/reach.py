@@ -380,21 +380,22 @@ def _settle_replicates(count: int, boxes, closed_at, read, screen=None):
     Yields (lo, hi, settled) per chunk.
 
     screen, if given, is an exact attempt ahead of the first box:
-    screen(box) returns sites of the first box and the (lo, hi, settled)
-    of a batch of one that its read gives every item whose sites are all
-    open.  closed_at(items, box, sites) then returns which items have a
-    closed site there and the masks of those alone, as
-    lattice.screened_closed_masks does, and only they are read in the
-    first box; the others keep the screen's values.
+    screen(box) returns sites of the first box, a test hits of their
+    closed bits, and the (lo, hi, settled) of a batch of one that the
+    box's read gives every item the test stops.  closed_at(items, box,
+    sites, hits) then returns which items the test lets through and the
+    masks of those alone, as lattice.screened_closed_masks does; only they
+    are read in the first box, and the others keep the screen's values.
     """
     first, *grown = boxes
     chunk = max(1, _CHUNK_SITES // first.size)
+    if screen is not None:
+        sites, hits, *negative = screen(first)
     for start in range(0, count, chunk):
         items = np.arange(start, min(start + chunk, count))
         if screen is None:
             lo, hi, settled = read(closed_at(items, first), first)
         else:
-            sites, hits, *negative = screen(first)
             hit, closed = closed_at(items, first, sites, hits)
             lo, hi, settled = (v.repeat(items.size, axis=0) for v in negative)
             if len(closed):
