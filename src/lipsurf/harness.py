@@ -74,8 +74,9 @@ class Experiment:
             raise ConfigError("kind", f"unknown kind {self.kind!r}")
         names, values, defaults = _UNREAD[self.kind]
         if values(self) != defaults:
-            names = {n for n, v, d in zip(names, values(self), defaults) if v != d}
-            raise ConfigError(*itertools.chain(*sorted(_unread(names, self.kind).items())))
+            changed = {n for n, v, d in zip(names, values(self), defaults) if v != d}
+            raise ConfigError(*itertools.chain(
+                *sorted(_unread_problems(changed, self.kind).items())))
 
     @functools.cached_property
     def budget(self) -> Budget:
@@ -96,7 +97,7 @@ _FIELD_TYPES = {
 _STEP_MODES = dict.fromkeys(("f_tail", "bounds"), tuple(s.value for s in StepSet))
 
 
-def _unread(keys, reader: str) -> dict:
+def _unread_problems(keys, reader: str) -> dict:
     """The problem of each field a reader does not read: a config field is
     'not read by' it, and any other key an unknown field."""
     return {key: f"not read by {reader}" if key in _FIELD_TYPES else "unknown field"
@@ -108,7 +109,7 @@ def check_fields(config: dict, reader: str, reads: frozenset) -> None:
     has its _FIELD_TYPES type (an int passes as a float, a bool as neither),
     is in the set `reader` reads, and an out path is no directory and lies
     in a writable directory.  The error quotes every offending one."""
-    problems = _unread(config.keys() - reads, reader)
+    problems = _unread_problems(config.keys() - reads, reader)
     for key, val in config.items():
         want = _FIELD_TYPES.get(key)
         if type(val) is not want and key not in problems and not (

@@ -300,20 +300,22 @@ def screened_closed_masks(d: int, p: float, master_seed: int, replicates,
 
     hits(closed) maps the closed bits of `sites`, sites of the box, shaped
     (len(sites), len(replicates)), to a boolean array over the replicates.
-    Returns (hit, masks): hit[i] = hits(...)[i], and masks, shaped
-    (hit.sum(), *box.shape), are the closed masks of the replicates hit,
-    bit for bit those of replicate_closed_masks.  The replicates' column
-    states are folded once; the screen finishes the fold at the sites'
-    heights alone, and the box only for the replicates hit.
+    Returns (through, masks): the indices i where hits(...)[i] holds, in
+    order, and the closed masks of those replicates, shaped (len(through),
+    *box.shape), bit for bit those of replicate_closed_masks.  The
+    replicates' column states are folded once; the screen finishes the
+    fold at the sites' heights alone, and the box only for the replicates
+    it lets through.
     """
     base = _replicate_states(d, master_seed, replicates, box)
     threshold = np.uint64(open_threshold(float(p)))
     columns = _column_states(base, box)
     at, heights = _site_operands(box, sites)
-    hit = hits(_absorb_vec(columns.reshape(-1, base.size)[at], heights) >= threshold)
-    if not hit.any():  # no fold to finish: a chunk the screen stops whole
-        return hit, np.zeros((0, *box.shape), bool)
-    return hit, _box_uniforms(columns[..., hit], box) >= threshold
+    through = hits(_absorb_vec(columns.reshape(-1, base.size)[at], heights) >= threshold)
+    through = through.nonzero()[0]
+    if not through.size:  # no fold to finish: a chunk the screen stops whole
+        return through, np.zeros((0, *box.shape), bool)
+    return through, _box_uniforms(columns[..., through], box) >= threshold
 
 
 @functools.lru_cache(maxsize=256)

@@ -42,7 +42,13 @@ influence can enter a box three ways:
   resolution, but nothing computes or reports it yet.
 
 Every certificate grows its boxes in _settle_replicates until its two
-sides agree, walking a tuple of boxes that surface builds whole.  The
+sides agree, walking a tuple of boxes that surface builds whole.  The two
+one-column readers of replicates, f_tail's floor read and the cover read,
+put an exact screen ahead of the first box: a test of a few of its
+sites, which lattice folds from the same column states as the box, that
+stops the replicates whose read the sites already decide (the argument
+is in surface._floor_screen and _cover_screen).  The others alone are
+hashed and read in the first box.  The
 floor reach doubles the box height h and pads the columns by h + margin,
 with the margin fixed (surface._floor_boxes).  So in every box, whatever
 the attempt, the rim below reaches the columns at distance margin + t from
@@ -66,8 +72,9 @@ box; both floor at the box bottom and unpack once, at the end, as the
 climb sets do.  Constants of a shape are computed once and cached
 read-only, keyed by shape, box or columns and never by seed or replicate:
 the rim, the edge masks and the index spans of a list of columns
-(here), the hash's coordinate operands (lattice), the cover reader's
-distance grid and rim mask, and each growth schedule's boxes (surface).
+(here), the hash's coordinate and screen-site operands (lattice), the
+cover reader's distance grid and rim mask, each growth schedule's boxes
+and each screen's sites and row (surface).
 """
 
 from __future__ import annotations
@@ -327,7 +334,8 @@ def _climb_masks(closed: np.ndarray, box: BoxRegion, x) -> np.ndarray:
 
 class ConfigError(ValueError):
     """Invalid experiment description; the message quotes each offending
-    field.  Arguments alternate field and problem: ConfigError("d", "...")."""
+    field.  Arguments alternate field and problem: ConfigError("d", "...").
+    Here, below harness, as surface's box schedules name growth_cap too."""
 
     def __init__(self, *fields_and_problems: str):
         pairs = zip(fields_and_problems[::2], fields_and_problems[1::2])
@@ -383,9 +391,10 @@ def _settle_replicates(count: int, boxes, closed_at, read, screen=None):
     screen(box) returns sites of the first box, a test hits of their
     closed bits, and the (lo, hi, settled) of a batch of one that the
     box's read gives every item the test stops.  closed_at(items, box,
-    sites, hits) then returns which items the test lets through and the
-    masks of those alone, as lattice.screened_closed_masks does; only they
-    are read in the first box, and the others keep the screen's values.
+    sites, hits) then returns the indices of the items the test lets
+    through and the masks of those alone, as lattice.screened_closed_masks
+    does; only they are read in the first box, and the others keep the
+    screen's values.
     """
     first, *grown = boxes
     chunk = max(1, _CHUNK_SITES // first.size)
@@ -396,11 +405,10 @@ def _settle_replicates(count: int, boxes, closed_at, read, screen=None):
         if screen is None:
             lo, hi, settled = read(closed_at(items, first), first)
         else:
-            hit, closed = closed_at(items, first, sites, hits)
+            through, closed = closed_at(items, first, sites, hits)
             lo, hi, settled = (v.repeat(items.size, axis=0) for v in negative)
-            if len(closed):
-                hit = hit.nonzero()[0]
-                lo[hit], hi[hit], settled[hit] = read(closed, first)
+            if through.size:
+                lo[through], hi[through], settled[through] = read(closed, first)
         for box in grown:
             if settled.all():  # the usual chunk settles in its first box
                 break

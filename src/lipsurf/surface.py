@@ -23,6 +23,17 @@ radius plus one.
 Certification statuses are first-class: a column or cover that the growth
 budget cannot pin down is reported Unresolved, with the values computed so
 far kept as certified lower bounds.
+
+The Monte Carlo tails read one column of many replicates, and screen each
+replicate before its first box.  With phi(y, t) = t - |y - x|_1, every
+seed of a floor reach over the column x has phi <= 0 and only an up step,
+onto a closed site, raises phi: so x's run is positive only if (x, 1) is
+closed, or some site (y, |y - x|_1 + 1) and some site (y, |y - x|_1) at
+heights 1..H of the box are (_floor_screen).  A climb from (x, 0) leaves
+it only through (x, 1) (_cover_screen).  A replicate its screen stops
+keeps the read of an all-open first box, which is what that box would
+give it, and is never hashed there.  The multi-column and single-field
+readers read their first box whole (_surface_runs says why).
 """
 
 from __future__ import annotations
@@ -183,24 +194,26 @@ def _floor_screen(box: BoxRegion, x: Column, step_set: StepSet) -> tuple:
     raises it by 1, onto a closed site.  So the first reached site of
     phi = 1 is entered by an up step from a reached site u of phi = 0 onto
     the closed site above it, (y, |y - x|_1 + 1) with |y - x|_1 <= H - 1.
-    Either u = (x, 0), and (x, 1) is closed; or u is not a seed, and
+    Either u = (x, 0), and (x, 1) is closed; or u is no seed, and
     following back the steps that reached u, all at phi = 0 (a down step
-    onto phi = 0 comes from phi = 0 or 2, and phi = 2 comes later), they
-    climb diagonally away from x until the one step that is an up step,
-    onto a closed site (w, |w - x|_1) with 1 <= |w - x|_1 <= H.  So where
-    (x, 1) is open and either no site above phi = 0 or no closed site of
-    phi = 0 at heights 1..H is closed, no reached site has phi >= 1: the
-    run of x, which starts at (x, 1), is 0 on both sides, and the reader's
-    own rule settles it where 0 < H - 1, as in the all-open box.
-    Read-only, once per box, column and step set."""
+    onto phi = 0 comes from phi = 0 or 2, and phi = 2 comes later) and at
+    heights 1..H, they climb diagonally away from x up to the one that is
+    an up step, onto a closed site (w, |w - x|_1), 1 <= |w - x|_1 <= H.
+    So where (x, 1) is open, and either every site (y, |y - x|_1 + 1) with
+    1 <= |y - x|_1 <= H - 1 or every site (w, |w - x|_1) with
+    1 <= |w - x|_1 <= H is open, no reached site has phi >= 1: the run of
+    x, which starts at (x, 1), is 0 on both sides, and the reader's own
+    rule settles it where 0 < H - 1, as in the all-open box.  Read-only,
+    once per box, column and step set."""
     top = box.hi[-1]
     ring = [(y, sum(map(abs, y))) for y in itertools.product(range(-top, top + 1), repeat=len(x))]
     above = [(*x, 1)] + [(*(c + s for c, s in zip(x, y)), r + 1) for y, r in ring if 0 < r < top]
     level = [(*(c + s for c, s in zip(x, y)), r) for y, r in ring if 0 < r <= top]
-    n = len(above)
+    cuts = np.array([0, 1, len(above)])
 
     def hits(closed):
-        return closed[0] | (closed[1:n].any(axis=0) & closed[n:].any(axis=0))
+        at_x, above_zero, at_zero = np.logical_or.reduceat(closed, cuts, axis=0)
+        return at_x | above_zero & at_zero
     return _read_only(tuple(above + level), hits,
                       *_floor_read(np.zeros((1, *box.shape), bool), box, (x,), step_set))
 
@@ -215,12 +228,12 @@ def _surface_runs(count: int, closed_at, cols, budget: Budget,
     settled column's surface value is one above its run.
 
     screened, for one column and a closed_at of reach._hash_replicates,
-    reads the first box only in the replicates with a closed site of
-    _floor_screen.  The multi-column reads do not screen: over the base
-    ball of radius 5 at d=2 the union of the screens is 140 of the first
-    box's 351 sites, and 76% of the replicates would have a closed one.
-    Nor do the single-field readers build_surface, minimal_cover and
-    climb_set, whose closed_at reads one field's masks."""
+    reads the first box only in the replicates _floor_screen lets
+    through.  The multi-column reads do not screen: over the base ball of
+    radius 5 at d=2 the union of the columns' screens is 156 of the first
+    box's 351 sites, and at p = 0.99 it lets 22% of the replicates through
+    (2% for one column).  Nor do the single-field readers build_surface,
+    minimal_cover and climb_set, whose closed_at reads one field's masks."""
     def read(closed, box):
         return _floor_read(closed, box, cols, step_set)
 

@@ -253,9 +253,9 @@ def _spy_hashing(monkeypatch) -> list:
         return hash_masks(d, p, seed, replicates, box)
 
     def screened_spy(d, p, seed, replicates, box, sites, hits):
-        hit, masks = screened(d, p, seed, replicates, box, sites, hits)
-        calls.append((np.asarray(replicates)[hit].tolist(), box))
-        return hit, masks
+        through, masks = screened(d, p, seed, replicates, box, sites, hits)
+        calls.append((np.asarray(replicates)[through].tolist(), box))
+        return through, masks
 
     monkeypatch.setattr(REACH, "replicate_closed_masks", spy)
     monkeypatch.setattr(REACH, "screened_closed_masks", screened_spy)
@@ -368,9 +368,9 @@ def test_screen_stopped_replicates_are_never_hashed_in_box_0(kind, d, p, monkeyp
         return plain(d, p, seed, replicates, box)
 
     def screened_spy(d, p, seed, replicates, box, *screen):
-        hit, masks = screened(d, p, seed, replicates, box, *screen)
-        hashed[box].update(np.asarray(replicates)[hit].tolist())
-        return hit, masks
+        through, masks = screened(d, p, seed, replicates, box, *screen)
+        hashed[box].update(np.asarray(replicates)[through].tolist())
+        return through, masks
 
     monkeypatch.setattr(REACH, "replicate_closed_masks", plain_spy)
     monkeypatch.setattr(REACH, "screened_closed_masks", screened_spy, raising=False)

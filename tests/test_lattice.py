@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from lipsurf.lattice import (BoxRegion, ExplicitConfig, PercolationField,
                              count_l1_sphere, height, open_threshold, radial,
-                             replicate_closed_masks)
+                             replicate_closed_masks, screened_closed_masks)
 
 from fields import closed_at
 
@@ -100,6 +100,26 @@ def test_batched_hash_matches_scalar_is_closed(case):
         for s in box.sites():
             idx = tuple(c - a for c, a in zip(s, box.lo))
             assert mask[idx] == field.is_closed(s), (rep, s)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(_hashed_boxes(), st.randoms(use_true_random=False))
+def test_screened_hash_matches_replicate_closed_masks(case, rnd):
+    """screened_closed_masks lets through exactly the replicates whose
+    closed bits at the sites, read off replicate_closed_masks, pass the
+    test, in order, and gives them replicate_closed_masks' masks bit for
+    bit; a test that passes none gives an empty batch of the box's shape."""
+    d, p, seed, reps, box = case
+    sites = tuple(rnd.sample(list(box.sites()), rnd.randint(1, min(5, box.size))))
+    want = replicate_closed_masks(d, p, seed, reps, box)
+    at = [tuple(np.subtract(s, box.lo)) for s in sites]
+    bits = np.stack([want[(slice(None), *i)] for i in at])
+    for hits in (lambda c: c.any(axis=0), lambda c: c[0] & ~c[-1],
+                 lambda c: np.zeros(c.shape[1], bool)):
+        through, masks = screened_closed_masks(d, p, seed, reps, box, sites, hits)
+        assert through.tolist() == hits(bits).nonzero()[0].tolist()
+        assert masks.shape == (len(through), *box.shape)
+        np.testing.assert_array_equal(masks, want[through])
 
 
 def test_box_independence():
