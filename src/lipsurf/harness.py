@@ -436,24 +436,12 @@ def brw_rows(exp: Experiment) -> list[dict]:
 
 def _rows_to_csv(rows: list[dict]) -> str:
     """A CSV body of one or more rows; its columns are the first row's keys.
-    Numbers go out as repr(), strings (the existence regime) as they are.
-    Each distinct nonzero float is written once per body.  Only floats are
-    looked up, and never a zero: 1 == 1.0 and 0.0 == -0.0 share a dict key."""
+    Numbers go out as repr(), strings (the existence regime) as they are."""
     cols = list(rows[0])
-    text = {}
     lines = [",".join(cols)]
     for r in rows:
-        cells = []
-        for c in cols:
-            v = r[c]
-            if type(v) is float and v:
-                s = text.get(v)
-                if s is None:
-                    s = text[v] = repr(v)
-            else:
-                s = v if isinstance(v, str) else repr(v)
-            cells.append(s)
-        lines.append(",".join(cells))
+        lines.append(",".join([v if type(v) is str else repr(v)
+                               for v in map(r.__getitem__, cols)]))
     return "\n".join(lines) + "\n"
 
 

@@ -294,28 +294,30 @@ def replicate_closed_masks(d: int, p: float, master_seed: int, replicates,
 
 
 def screened_closed_masks(d: int, p: float, master_seed: int, replicates,
-                          box: BoxRegion, sites: tuple[Site, ...], hits):
+                          box: BoxRegion, sites: tuple[Site, ...], test):
     """replicate_closed_masks of the box for only the replicates a screen
     of some of its sites lets through.
 
-    hits(closed) maps the closed bits of `sites`, sites of the box, shaped
-    (len(sites), len(replicates)), to a boolean array over the replicates.
-    Returns (through, masks): the indices i where hits(...)[i] holds, in
-    order, and the closed masks of those replicates, shaped (len(through),
-    *box.shape), bit for bit those of replicate_closed_masks.  The
-    replicates' column states are folded once; the screen finishes the
-    fold at the sites' heights alone, and the box only for the replicates
-    it lets through.
+    test(closed) maps the closed bits of `sites`, sites of the box, shaped
+    (len(sites), len(replicates)), to two arrays over the replicates:
+    rows, each one's row in the screen's table of reads, and whether that
+    row is the one that hashes and reads the replicate in the box.
+    Returns (rows, through, masks): the rows, the indices i where the
+    second array holds, in order, and the closed masks of those replicates,
+    shaped (len(through), *box.shape), bit for bit those of
+    replicate_closed_masks.  The replicates' column states are folded
+    once; the screen finishes the fold at the sites' heights alone, and
+    the box only for the replicates it lets through.
     """
     base = _replicate_states(d, master_seed, replicates, box)
     threshold = np.uint64(open_threshold(float(p)))
     columns = _column_states(base, box)
     at, heights = _site_operands(box, sites)
-    through = hits(_absorb_vec(columns.reshape(-1, base.size)[at], heights) >= threshold)
+    rows, through = test(_absorb_vec(columns.reshape(-1, base.size)[at], heights) >= threshold)
     through = through.nonzero()[0]
     if not through.size:  # no fold to finish: a chunk the screen stops whole
-        return through, np.zeros((0, *box.shape), bool)
-    return through, _box_uniforms(columns[..., through], box) >= threshold
+        return rows, through, np.zeros((0, *box.shape), bool)
+    return rows, through, _box_uniforms(columns[..., through], box) >= threshold
 
 
 @functools.lru_cache(maxsize=256)

@@ -44,11 +44,12 @@ influence can enter a box three ways:
 Every certificate grows its boxes in _settle_replicates until its two
 sides agree, walking a tuple of boxes that surface builds whole.  The two
 one-column readers of replicates, f_tail's floor read and the cover read,
-put an exact screen ahead of the first box: a test of a few of its
-sites, which lattice folds from the same column states as the box, that
-stops the replicates whose read the sites already decide (the argument
-is in surface._floor_screen and _cover_screen).  The others alone are
-hashed and read in the first box.  The
+put an exact screen ahead of the first box: a table of reads.  A test of
+a few of the box's sites, which lattice folds from the same column states
+as the box, maps each replicate to a row: where the sites already decide
+the read, the box's own read of a synthetic box with those sites (the
+argument is in surface._floor_screen and _cover_screen); otherwise the
+row that hashes and reads the replicate in the first box.  The
 floor reach doubles the box height h and pads the columns by h + margin,
 with the margin fixed (surface._floor_boxes).  So in every box, whatever
 the attempt, the rim below reaches the columns at distance margin + t from
@@ -74,7 +75,7 @@ read-only, keyed by shape, box or columns and never by seed or replicate:
 the rim, the edge masks and the index spans of a list of columns
 (here), the hash's coordinate and screen-site operands (lattice), the
 cover reader's distance grid and rim mask, each growth schedule's boxes
-and each screen's sites and row (surface).
+and each screen's sites and table (surface).
 """
 
 from __future__ import annotations
@@ -387,26 +388,28 @@ def _settle_replicates(count: int, boxes, closed_at, read, screen=None):
     the box that settled it, or else of the last box it was read in.
     Yields (lo, hi, settled) per chunk.
 
-    screen, if given, is an exact attempt ahead of the first box:
-    screen(box) returns sites of the first box, a test hits of their
-    closed bits, and the (lo, hi, settled) of a batch of one that the
-    box's read gives every item the test stops.  closed_at(items, box,
-    sites, hits) then returns the indices of the items the test lets
-    through and the masks of those alone, as lattice.screened_closed_masks
-    does; only they are read in the first box, and the others keep the
-    screen's values.
+    screen, if given, is an exact attempt ahead of the first box: a table
+    of reads.  screen(box) returns sites of the first box, a test of their
+    closed bits, and the arrays (lo, hi, settled) of a table, one row per
+    outcome of the test: a row is the box's own read of a synthetic batch
+    of one, which it gives every item of that outcome, and the last row
+    stands for hashing and reading the item in the box.  closed_at(items,
+    box, sites, test) then returns each item's row (a bool is row 0 or 1),
+    the indices of the items of the last row and the masks of those alone,
+    as lattice.screened_closed_masks does; only they are read in the first
+    box, and the others keep their row's values.
     """
     first, *grown = boxes
     chunk = max(1, _CHUNK_SITES // first.size)
     if screen is not None:
-        sites, hits, *negative = screen(first)
+        sites, test, *table = screen(first)
     for start in range(0, count, chunk):
         items = np.arange(start, min(start + chunk, count))
         if screen is None:
             lo, hi, settled = read(closed_at(items, first), first)
         else:
-            through, closed = closed_at(items, first, sites, hits)
-            lo, hi, settled = (v.repeat(items.size, axis=0) for v in negative)
+            rows, through, closed = closed_at(items, first, sites, test)
+            lo, hi, settled = (v.take(rows, axis=0) for v in table)
             if through.size:
                 lo[through], hi[through], settled[through] = read(closed, first)
         for box in grown:

@@ -25,22 +25,26 @@ budget cannot pin down is reported Unresolved, with the values computed so
 far kept as certified lower bounds.
 
 The Monte Carlo tails read one column of many replicates, and screen each
-replicate before its first box.  With phi(y, t) = t - |y - x|_1, every
-seed of a floor reach over the column x has phi <= 0 and only an up step,
-onto a closed site, raises phi: so x's run is positive only if (x, 1) is
-closed, or some site (y, |y - x|_1 + 1) and some site (y, |y - x|_1) at
-heights 1..H of the box are (_floor_screen).  A climb from (x, 0) leaves
-it only through (x, 1) (_cover_screen).  A replicate its screen stops
-keeps the read of an all-open first box, which is what that box would
-give it, and is never hashed there.  The multi-column and single-field
-readers read their first box whole (_surface_runs says why).
+replicate before its first box with a table of reads: a test of a few
+sites maps the replicate to a row, which is either the read the first box
+would give it, worked out once on a synthetic box, or the row that hashes
+and reads it there.  With phi(y, t) = t - |y - x|_1, every seed of a
+floor reach over the column x has phi <= 0 and only an up step, onto a
+closed site, raises phi: so x's run is positive only if (x, 1) is closed,
+or some site (y, |y - x|_1 + 1) and some site (y, |y - x|_1) at heights
+1..H of the box are (_floor_screen); its other replicates take the read
+of an all-open box.  A climb from (x, 0) leaves it only through (x, 1),
+and with (x, 1) closed it goes one step further only through (x, 2) or
+some (x +- e_j, 1) (_cover_screen): its table holds the read of an
+all-open box and of a box whose only closed site is (x, 1).  The
+multi-column and single-field readers read their first box whole
+(_surface_runs says why).
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -182,9 +186,10 @@ def _floor_read(closed: np.ndarray, box: BoxRegion, cols, step_set: StepSet):
 @functools.lru_cache(maxsize=256)
 def _floor_screen(box: BoxRegion, x: Column, step_set: StepSet) -> tuple:
     """The screen of a floor read of the one column x in the box: its
-    sites, the test of their closed bits that lets a replicate through,
-    and the read of a batch of one all-open box, which every replicate the
-    test stops also gets.
+    sites, the test of their closed bits, and a table of two reads, of an
+    all-open box, which every replicate the test stops gets, and the row
+    of the replicates it lets through to the box (_settle_replicates).
+    The test's rows are its bool outcome, so it adds no array operation.
 
     Why.  Let phi(y, t) = t - |y - x|_1 and H be the box top.  Every seed
     of either side has phi <= 0, and only (x, 0) has phi = 0: a floor site
@@ -211,11 +216,12 @@ def _floor_screen(box: BoxRegion, x: Column, step_set: StepSet) -> tuple:
     level = [(*(c + s for c, s in zip(x, y)), r) for y, r in ring if 0 < r <= top]
     cuts = np.array([0, 1, len(above)])
 
-    def hits(closed):
+    def test(closed):
         at_x, above_zero, at_zero = np.logical_or.reduceat(closed, cuts, axis=0)
-        return at_x | above_zero & at_zero
-    return _read_only(tuple(above + level), hits,
-                      *_floor_read(np.zeros((1, *box.shape), bool), box, (x,), step_set))
+        through = at_x | above_zero & at_zero
+        return through, through
+    return _read_only(tuple(above + level), test,
+                      *_floor_read(np.zeros((2, *box.shape), bool), box, (x,), step_set))
 
 
 def _surface_runs(count: int, closed_at, cols, budget: Budget,
@@ -244,14 +250,38 @@ def _surface_runs(count: int, closed_at, cols, budget: Budget,
 
 @functools.lru_cache(maxsize=256)
 def _cover_screen(box: BoxRegion, x: Column) -> tuple:
-    """The screen of a cover read of x in the box: the one site (x, 1),
-    and the read of a batch of one all-open box.  A climb from (x, 0)
-    leaves it only by an up step onto (x, 1), since no step goes below the
-    floor; with that site open the climb set is {(x, 0)}, of cover radius
-    1, certified (the box has a margin and a height of at least 1), as in
-    the all-open box.  Read-only, once per box and column."""
-    _, rho, certified = _read_covers(np.zeros((1, *box.shape), bool), box, x)
-    return _read_only(((*x, 1),), operator.itemgetter(0), rho, rho, certified)
+    """The screen of a cover read of x in the box: its sites (x, 1), the
+    (x +- e_j, 1) and, below the box top, (x, 2); the test of their closed
+    bits; and a table of three reads.
+
+    Why.  No step goes below the floor, so a climb from (x, 0) leaves it
+    only by an up step onto (x, 1).  Where (x, 1) is open the climb set is
+    {(x, 0)}: row 0 is the read of an all-open box, cover radius 1.
+    Where (x, 1) is closed, (x, 2) is open or lies above the box top, and
+    every (x +- e_j, 1) is open, the climb set is exactly {(x, 0), (x, 1),
+    (x +- e_j, 0)}, whatever else is closed: from (x, 1) the up step is
+    not admissible (or leaves the box) and the down steps land on (x, 0)
+    and the (x +- e_j, 0), whose up steps land on open sites and whose
+    down steps would go below the floor.  So row 1 is the read of a box
+    whose only closed site is (x, 1): cover radius 2, certified unless the
+    margin or the height is 1, where the climb set meets the side or the
+    top and the replicate grows as one read in the box would.  Every other
+    replicate takes row 2, hashed and read in the box.  Read-only, once
+    per box and column."""
+    one_step = (*x, 1)
+    sides = [(*x[:j], x[j] + s, *x[j + 1:], 1) for j in range(len(x)) for s in (-1, 1)]
+    above = [(*x, 2)] if box.hi[-1] >= 2 else []
+    sites = (one_step, *sides, *above)
+    cuts = np.array([0, 1])
+
+    def test(closed):
+        at_x, blocked = np.logical_or.reduceat(closed, cuts, axis=0)
+        through = at_x & blocked
+        return np.add(at_x, through, dtype=np.intp), through
+    synthetic = np.zeros((3, *box.shape), bool)
+    synthetic[(1, *np.subtract(one_step, box.lo))] = True
+    _, rho, certified = _read_covers(synthetic, box, x)
+    return _read_only(sites, test, rho, rho, certified)
 
 
 def _cover_runs(count: int, closed_at, x: Column, budget: Budget):
@@ -259,7 +289,8 @@ def _cover_runs(count: int, closed_at, x: Column, budget: Budget):
     closed_at, a closed_at of reach._hash_replicates, (rho, rho, certified)
     of x's climb set in minimal_cover's climb boxes, each shaped (B,): its
     cover radius and certificate.  The first box is read only in the
-    replicates whose _cover_screen site is closed."""
+    replicates _cover_screen lets through; the others take a row of its
+    table."""
     def read(closed, box):
         _, rho, certified = _read_covers(closed, box, x)
         return rho, rho, certified

@@ -105,10 +105,11 @@ def test_batched_hash_matches_scalar_is_closed(case):
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
 @given(_hashed_boxes(), st.randoms(use_true_random=False))
 def test_screened_hash_matches_replicate_closed_masks(case, rnd):
-    """screened_closed_masks lets through exactly the replicates whose
-    closed bits at the sites, read off replicate_closed_masks, pass the
-    test, in order, and gives them replicate_closed_masks' masks bit for
-    bit; a test that passes none gives an empty batch of the box's shape."""
+    """screened_closed_masks gives the rows the test maps the closed bits
+    at the sites to, read off replicate_closed_masks, and lets through
+    exactly the replicates the test lets through, in order, with
+    replicate_closed_masks' masks bit for bit; a test that passes none
+    gives an empty batch of the box's shape."""
     d, p, seed, reps, box = case
     sites = tuple(rnd.sample(list(box.sites()), rnd.randint(1, min(5, box.size))))
     want = replicate_closed_masks(d, p, seed, reps, box)
@@ -116,7 +117,11 @@ def test_screened_hash_matches_replicate_closed_masks(case, rnd):
     bits = np.stack([want[(slice(None), *i)] for i in at])
     for hits in (lambda c: c.any(axis=0), lambda c: c[0] & ~c[-1],
                  lambda c: np.zeros(c.shape[1], bool)):
-        through, masks = screened_closed_masks(d, p, seed, reps, box, sites, hits)
+        def test(c):  # any rows: the hash returns them as the test gives them
+            through = hits(c)
+            return np.add(c[0], through, dtype=np.intp), through
+        rows, through, masks = screened_closed_masks(d, p, seed, reps, box, sites, test)
+        assert rows.tolist() == test(bits)[0].tolist()
         assert through.tolist() == hits(bits).nonzero()[0].tolist()
         assert masks.shape == (len(through), *box.shape)
         np.testing.assert_array_equal(masks, want[through])

@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lipsurf.lattice import ExplicitConfig, BoxRegion, PercolationField
 import lipsurf.surface as SURFACE
@@ -600,11 +600,13 @@ def test_floor_screen_stops_only_boxes_whose_runs_are_zero(step_set):
     lids = np.arange(1 << 14)[:, None] >> np.arange(14) & 1 == 1
     closed = np.zeros((len(lids), *box.shape), bool)
     closed[..., 1:] = lids.reshape(-1, 7, 2)
-    sites, hits, *row = SURFACE._floor_screen(box, (0,), step_set)
-    stopped = ~hits(_screen_bits(closed, box, sites))
+    sites, test, *table = SURFACE._floor_screen(box, (0,), step_set)
+    rows, through = test(_screen_bits(closed, box, sites))
+    assert (rows == through).all()  # row 1 reads the box; row 0 stops
+    stopped = ~through
     lo, hi = _floor_column_runs(closed[stopped], box, [(0,)], step_set)
     assert not lo.any() and not hi.any()
-    assert [r.tolist() for r in row] == [[[0]], [[0]], [[True]]]
+    assert [r[:1].tolist() for r in table] == [[[0]], [[0]], [[True]]]
     assert 0 < stopped.sum() < len(lids)
     for group in ([s for s in sites[1:] if s[1] == abs(s[0]) + 1],
                   [s for s in sites if s[1] == abs(s[0]) > 0]):
@@ -641,30 +643,95 @@ def test_floor_screen_stopped_boxes_read_zero_runs_settled(case):
     keeps for the replicates it stops."""
     box, step_set, closed = case
     x = (0,) * (box.dim - 1)
-    sites, hits, *row = SURFACE._floor_screen(box, x, step_set)
-    assert not hits(_screen_bits(closed, box, sites)).any()
+    sites, test, *table = SURFACE._floor_screen(box, x, step_set)
+    rows, through = test(_screen_bits(closed, box, sites))
+    assert not through.any()
     lo, hi, settled = SURFACE._floor_read(closed, box, [x], step_set)
     assert not lo.any() and not hi.any() and settled.all()
-    assert all((np.repeat(r, len(closed), axis=0) == v).all()
-               for r, v in zip(row, (lo, hi, settled)))
+    assert all((r.take(rows, axis=0) == v).all()
+               for r, v in zip(table, (lo, hi, settled)))
 
 
 def test_cover_screen_stops_only_covers_of_radius_one():
     """All 2^15 configurations of cover_sweep's box [-2, 2] x [0, 2]: the
     cover reader gives radius 1, certified, in every one with (0, 1) open,
-    which the cover screen stops, as in its row; with (0, 1) closed the
-    radius is at least 2."""
+    which the cover screen stops, as in its row 0; with (0, 1) closed the
+    radius is at least 2.  Wherever the screen gives a stopped row, the
+    read of the whole box is exactly that row: radius 2, certified, in
+    row 1, the 2^11 configurations with (0, 1) closed and (+-1, 1) and
+    (0, 2) open."""
     box = BoxRegion((-2, 0), (2, 2))
     bits = np.arange(1 << box.size)[:, None] >> np.arange(box.size)
     closed = ((bits & 1) == 0).reshape(-1, *box.shape)
     _, rho, certified = _read_covers(closed, box, (0,))
-    sites, hits, *row = SURFACE._cover_screen(box, (0,))
-    assert sites == ((0, 1),)
-    stopped = ~hits(_screen_bits(closed, box, sites))
+    sites, test, *table = SURFACE._cover_screen(box, (0,))
+    assert sites == ((0, 1), (-1, 1), (1, 1), (0, 2))
+    rows, through = test(_screen_bits(closed, box, sites))
+    assert ((rows == 2) == through).all()
+    stopped = rows == 0
     assert stopped.sum() == 1 << 14
     assert (rho[stopped] == 1).all() and certified[stopped].all()
-    assert [r.tolist() for r in row] == [[1], [1], [True]]
+    assert [r[0].tolist() for r in table] == [1, 1, True]
     assert (rho[~stopped] >= 2).all()
+    assert (rows == 1).sum() == 1 << 11
+    assert [r[1].tolist() for r in table] == [2, 2, True]
+    for got, row in zip((rho, rho, certified), table):
+        np.testing.assert_array_equal(got[~through], row.take(rows[~through]))
+
+
+def _cover_screen_row_1(closed: np.ndarray, box: BoxRegion, x) -> None:
+    """Set the screen's sites of x in a batch of masks as its row 1 needs
+    them: (x, 1) closed, and every (x +- e_j, 1) and (x, 2) in the box open."""
+    sites = SURFACE._cover_screen(box, x)[0]
+    for s in sites:
+        closed[(slice(None), *np.subtract(s, box.lo))] = s == (*x, 1)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.integers(2, 3), st.integers(1, 3), st.integers(1, 4),
+       st.sampled_from((0.05, 0.3, 0.7)), st.integers(0, 2**32 - 1))
+@example(2, 1, 1, 0.3, 0)  # margin and height 1: the climb meets side and top
+@example(2, 3, 1, 0.7, 1)  # height 1: (x, 2) is off the box, the top is met
+@example(3, 1, 3, 0.3, 2)  # margin 1: the climb meets the side
+def test_cover_screen_row_1_is_the_read_of_its_boxes(d, margin, height, density, seed):
+    """At d = 2 and 3, any margin and height of at least 1: in a batch of
+    random masks with the screen's sites set as its row 1 needs, the
+    screen gives every box row 1, and the cover reader's read of every box
+    is that row exactly.  The row is radius 2, certified unless the margin
+    or the height is 1."""
+    x = (0,) * (d - 1)
+    box = SURFACE._climb_boxes(x, Budget(margin, height, 0))[0]
+    closed = np.random.default_rng(seed).random((8, *box.shape)) < density
+    _cover_screen_row_1(closed, box, x)
+    sites, test, *table = SURFACE._cover_screen(box, x)
+    assert len(sites) == 2 * d - 1 + (height >= 2)
+    rows, through = test(_screen_bits(closed, box, sites))
+    assert (rows == 1).all() and not through.any()
+    _, rho, certified = _read_covers(closed, box, x)
+    assert (rho == 2).all()
+    assert certified.all() == (margin > 1 and height > 1)
+    for got, row in zip((rho, rho, certified), table):
+        np.testing.assert_array_equal(got, row.take(rows))
+
+
+def test_cover_screen_row_1_needs_every_side_site():
+    """A screen that left out (-1, 1) would give row 1, radius 2, to a box
+    with (0, 1) and (-1, 1) closed and the other sites open, whose climb
+    set reaches (-2, 0) on the box side: radius 3, uncertified.  The
+    screen reads (-1, 1) and lets the box through."""
+    box = BoxRegion((-2, 0), (2, 2))
+    closed = np.zeros((1, *box.shape), bool)
+    closed[0, 2, 1] = closed[0, 1, 1] = True  # (0, 1) and (-1, 1)
+    sites, test, *table = SURFACE._cover_screen(box, (0,))
+    without = [s for s in sites if s != (-1, 1)]
+    assert len(without) == len(sites) - 1
+    left = _screen_bits(closed, box, without)
+    assert left[0].all() and not left[1:].any()  # row 1's test on the other sites
+    _, rho, certified = _read_covers(closed, box, (0,))
+    assert rho.tolist() == [3] and certified.tolist() == [False]
+    assert [r[1].tolist() for r in table] == [2, 2, True]
+    rows, through = test(_screen_bits(closed, box, sites))
+    assert rows.tolist() == [2] and through.tolist() == [True]
 
 
 def test_schedules_past_the_site_limit_name_growth_cap():
