@@ -305,31 +305,33 @@ def screened_closed_masks(d: int, p: float, master_seed: int, replicates,
     Returns (rows, through, masks): the rows, the indices i where the
     second array holds, in order, and the closed masks of those replicates,
     shaped (len(through), *box.shape), bit for bit those of
-    replicate_closed_masks.  The replicates' column states are folded
-    once; the screen finishes the fold at the sites' heights alone, and
-    the box only for the replicates it lets through.
+    replicate_closed_masks.  The screen folds only the sites' columns; the
+    box's are folded only for the replicates it lets through.
     """
     base = _replicate_states(d, master_seed, replicates, box)
     threshold = np.uint64(open_threshold(float(p)))
-    columns = _column_states(base, box)
-    at, heights = _site_operands(box, sites)
-    rows, through = test(_absorb_vec(columns.reshape(-1, base.size)[at], heights) >= threshold)
+    sub, at, heights = _site_operands(box, sites)
+    columns = _column_states(base, sub).reshape(-1, base.size)
+    rows, through = test(_absorb_vec(columns[at], heights) >= threshold)
     through = through.nonzero()[0]
     if not through.size:  # no fold to finish: a chunk the screen stops whole
         return rows, through, np.zeros((0, *box.shape), bool)
-    return rows, through, _box_uniforms(columns[..., through], box) >= threshold
+    return rows, through, _box_uniforms(_column_states(base[through], box), box) >= threshold
 
 
 @functools.lru_cache(maxsize=256)
-def _site_operands(box: BoxRegion, sites: tuple[Site, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Where each site lies among the flat columns of _column_states, and
-    its height as a uint64 operand shaped (len(sites), 1); read-only, once
-    per box and sites."""
-    at = np.array([s[:-1] for s in sites], dtype=np.int64).reshape(len(sites), box.dim - 1)
-    at = np.ravel_multi_index(tuple((at - box.lo[:-1]).T), box.shape[:-1])
+def _site_operands(box: BoxRegion, sites: tuple[Site, ...]) -> tuple:
+    """The sub-box of the box over the sites' bounding columns, where each
+    site lies among its flat columns of _column_states, and the site's
+    height as a uint64 operand shaped (len(sites), 1); read-only, once per
+    box and sites."""
+    cols = np.array([s[:-1] for s in sites], dtype=np.int64).reshape(len(sites), box.dim - 1)
+    sub = BoxRegion((*cols.min(axis=0).tolist(), box.lo[-1]),
+                    (*cols.max(axis=0).tolist(), box.hi[-1]))
+    at = np.ravel_multi_index(tuple((cols - sub.lo[:-1]).T), sub.shape[:-1])
     heights = np.array([s[-1] for s in sites], dtype=np.int64).astype(np.uint64)[:, None]
     at.flags.writeable = heights.flags.writeable = False
-    return at, heights
+    return sub, at, heights
 
 
 @dataclass(frozen=True)

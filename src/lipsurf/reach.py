@@ -44,16 +44,12 @@ influence can enter a box three ways:
 Every certificate grows its boxes in _settle_replicates until its two
 sides agree, walking a tuple of boxes that surface builds whole.  The two
 one-column readers of replicates, f_tail's floor read and the cover read,
-put an exact screen ahead of the first box: a table of reads.  A test of
-a few of the box's sites, which lattice folds from the same column states
-as the box, maps each replicate to a row: where the sites already decide
-the read, the box's own read of a synthetic box with those sites (the
-argument is in surface._floor_screen and _cover_screen); otherwise the
-row that hashes and reads the replicate in the first box.  The
-floor reach doubles the box height h and pads the columns by h + margin,
-with the margin fixed (surface._floor_boxes).  So in every box, whatever
-the attempt, the rim below reaches the columns at distance margin + t from
-the columns read at height t: a taller box does not keep the sides further
+put an exact screen, a table of reads, ahead of the first box
+(surface._floor_screen and _cover_screen give the arguments).  The floor
+reach doubles the box height h and pads the columns by h + margin, with
+the margin fixed (surface._floor_boxes).  So in every box, whatever the
+attempt, the rim below reaches the columns at distance margin + t from the
+columns read at height t: a taller box does not keep the sides further
 away.  ROADMAP item 11 records what that does to growth.
 
 The pessimistic seeds closed under down moves, the rim, are the same for
@@ -64,18 +60,18 @@ of column runs serves f_tail (the origin column) and build_surface (every
 base column): it packs a batch's lids once, closes the pessimistic side,
 and closes the optimistic side on the same lids unless every pessimistic
 run is 0.  It reads runs off the packed layers, gathering only the
-requested columns' bits.  That reader and the climb sets
-(_climb_masks) seed the packed layers themselves and call _close
-directly.  The public face is boolean masks alone: reach_masks, with its
-checks and seed scan, closes any seed masks, and floor_reach_sandwich
-gives the two sides of one box's floor reach as masks shaped like the
-box; both floor at the box bottom and unpack once, at the end, as the
-climb sets do.  Constants of a shape are computed once and cached
-read-only, keyed by shape, box or columns and never by seed or replicate:
-the rim, the edge masks and the index spans of a list of columns
-(here), the hash's coordinate and screen-site operands (lattice), the
-cover reader's distance grid and rim mask, each growth schedule's boxes
-and each screen's sites and table (surface).
+requested columns' bits.  That reader and the climb sets (_climb_masks)
+seed the packed layers themselves and call _close directly.  The public
+face is boolean masks alone: reach_masks, with its checks and seed scan,
+closes any seed masks, and floor_reach_sandwich gives the two sides of one
+box's floor reach as masks shaped like the box; both floor at the box
+bottom and unpack once, at the end, as the climb sets do.  Constants of a
+shape are computed once and cached read-only, keyed by shape, box or
+columns and never by seed or replicate: the rim, the edge masks and the
+index spans of a list of columns (here), the hash's coordinate and
+screen-site operands (lattice), the cover reader's distance grid and rim
+mask, each growth schedule's boxes and each screen's sites and table
+(surface).
 """
 
 from __future__ import annotations
@@ -358,7 +354,8 @@ class Budget:
 
 # sites hashed and swept per piece of replicates: keeps a piece's arrays to
 # a few MB whatever the box size, in the first box and in every grown one
-# (about 1000 replicates of f_tail's default d=2 box, about 35 at d=3)
+# (about 1500 replicates of f_tail's default first box, 175 sites at d=2,
+# and about 60 of its 4375 at d=3)
 _CHUNK_SITES = 1 << 18
 
 
@@ -388,16 +385,14 @@ def _settle_replicates(count: int, boxes, closed_at, read, screen=None):
     the box that settled it, or else of the last box it was read in.
     Yields (lo, hi, settled) per chunk.
 
-    screen, if given, is an exact attempt ahead of the first box: a table
-    of reads.  screen(box) returns sites of the first box, a test of their
-    closed bits, and the arrays (lo, hi, settled) of a table, one row per
-    outcome of the test: a row is the box's own read of a synthetic batch
-    of one, which it gives every item of that outcome, and the last row
-    stands for hashing and reading the item in the box.  closed_at(items,
-    box, sites, test) then returns each item's row (a bool is row 0 or 1),
-    the indices of the items of the last row and the masks of those alone,
-    as lattice.screened_closed_masks does; only they are read in the first
-    box, and the others keep their row's values.
+    screen, if given, is an exact attempt ahead of the first box, a table
+    of reads: screen(box) returns sites of the first box, a test of their
+    closed bits, and arrays (lo, hi, settled) with one row per outcome of
+    the test, each the box's own read of a synthetic batch of one but the
+    last, which stands for hashing and reading the item in the box.
+    closed_at(items, box, sites, test) then returns each item's row, the
+    indices of the items of the last row and the masks of those alone, as
+    lattice.screened_closed_masks does; only they are read in the box.
     """
     first, *grown = boxes
     chunk = max(1, _CHUNK_SITES // first.size)

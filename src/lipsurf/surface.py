@@ -28,17 +28,9 @@ The Monte Carlo tails read one column of many replicates, and screen each
 replicate before its first box with a table of reads: a test of a few
 sites maps the replicate to a row, which is either the read the first box
 would give it, worked out once on a synthetic box, or the row that hashes
-and reads it there.  With phi(y, t) = t - |y - x|_1, every seed of a
-floor reach over the column x has phi <= 0 and only an up step, onto a
-closed site, raises phi: so x's run is positive only if (x, 1) is closed,
-or some site (y, |y - x|_1 + 1) and some site (y, |y - x|_1) at heights
-1..H of the box are (_floor_screen); its other replicates take the read
-of an all-open box.  A climb from (x, 0) leaves it only through (x, 1),
-and with (x, 1) closed it goes one step further only through (x, 2) or
-some (x +- e_j, 1) (_cover_screen): its table holds the read of an
-all-open box and of a box whose only closed site is (x, 1).  The
-multi-column and single-field readers read their first box whole
-(_surface_runs says why).
+and reads it there.  _floor_screen and _cover_screen each give their
+argument; the multi-column and single-field readers read their first box
+whole (_surface_runs says why).
 """
 
 from __future__ import annotations
@@ -185,43 +177,55 @@ def _floor_read(closed: np.ndarray, box: BoxRegion, cols, step_set: StepSet):
 
 @functools.lru_cache(maxsize=256)
 def _floor_screen(box: BoxRegion, x: Column, step_set: StepSet) -> tuple:
-    """The screen of a floor read of the one column x in the box: its
-    sites, the test of their closed bits, and a table of two reads, of an
-    all-open box, which every replicate the test stops gets, and the row
-    of the replicates it lets through to the box (_settle_replicates).
-    The test's rows are its bool outcome, so it adds no array operation.
+    """The screen of a floor read of the one column x in a box at least 2
+    high: its sites, the test of their closed bits and a table of three
+    reads (_settle_replicates), of an all-open box, of a box whose only
+    closed site is (x, 1), and the row that reads the box.
 
     Why.  Let phi(y, t) = t - |y - x|_1 and H be the box top.  Every seed
-    of either side has phi <= 0, and only (x, 0) has phi = 0: a floor site
-    has t = 0, and a side seed of the pessimistic rim sits at |y_j - x_j| =
-    H + margin > t on some axis.  A straight down step lowers phi by 1 and
-    a diagonal one by 0 (towards x) or 2, in both step sets; an up step
-    raises it by 1, onto a closed site.  So the first reached site of
-    phi = 1 is entered by an up step from a reached site u of phi = 0 onto
-    the closed site above it, (y, |y - x|_1 + 1) with |y - x|_1 <= H - 1.
-    Either u = (x, 0), and (x, 1) is closed; or u is no seed, and
-    following back the steps that reached u, all at phi = 0 (a down step
-    onto phi = 0 comes from phi = 0 or 2, and phi = 2 comes later) and at
-    heights 1..H, they climb diagonally away from x up to the one that is
-    an up step, onto a closed site (w, |w - x|_1), 1 <= |w - x|_1 <= H.
-    So where (x, 1) is open, and either every site (y, |y - x|_1 + 1) with
-    1 <= |y - x|_1 <= H - 1 or every site (w, |w - x|_1) with
-    1 <= |w - x|_1 <= H is open, no reached site has phi >= 1: the run of
-    x, which starts at (x, 1), is 0 on both sides, and the reader's own
-    rule settles it where 0 < H - 1, as in the all-open box.  Read-only,
-    once per box, column and step set."""
-    top = box.hi[-1]
-    ring = [(y, sum(map(abs, y))) for y in itertools.product(range(-top, top + 1), repeat=len(x))]
-    above = [(*x, 1)] + [(*(c + s for c, s in zip(x, y)), r + 1) for y, r in ring if 0 < r < top]
-    level = [(*(c + s for c, s in zip(x, y)), r) for y, r in ring if 0 < r <= top]
-    cuts = np.array([0, 1, len(above)])
+    of either side has phi <= 0, and only (x, 0) has phi = 0 (a side seed
+    sits at |y_j - x_j| = H + margin > t).  A straight down step lowers phi
+    by 1, a diagonal one by 0 (towards x) or 2, in both step sets; an up
+    step, onto a closed site, raises it by 1.  So the first reached site of
+    phi = 1 is entered by an up step from a reached u of phi = 0.  Either
+    u = (x, 0), or the steps that reached u after the last up step, onto a
+    closed (w, |w - x|_1), are diagonal towards x: each u_j lies between
+    x_j and w_j, u = w allowed.  So where no pair (u, |u - x|_1 + 1),
+    1 <= |u - x|_1 <= H - 1, and (w, |w - x|_1), 1 <= |w - x|_1 <= H, is
+    closed, that site is (x, 1).  If (x, 1) is open, x's run is 0 on both
+    sides (row 0).  If (x, 1) is closed and (x, 2) open, the steps out of
+    (x, 1) go down onto the floor, so it is the only reached site of
+    phi >= 1 and the run is 1 on both sides (row 1).  Either read settles
+    by the reader's own rule.  The test finds a pair by an orthant
+    prefix-OR: the above bits at u - x, each orthant's ORed outward from 0
+    along every axis, give at w - x whether some u between x and w is
+    closed.  Read-only, once per box, column and step set."""
+    top, k = box.hi[-1], len(x)
+    ring = [(y, sum(map(abs, y))) for y in itertools.product(range(-top, top + 1), repeat=k)]
+    level = [(y, r) for y, r in ring if 0 < r <= top]
+    above = [(y, r + 1) for y, r in level if r < top]
+    sites = ((*x, 1), (*x, 2), *((*(c + s for c, s in zip(x, y)), t) for y, t in above + level))
+    # the orthant grid: per column axis a sign and an offset 0..H, y = 0 in every orthant
+    row = {u: 2 + i for i, (u, _) in enumerate(above)}
+    grid = [tuple(s * a for s, a in zip(t[::2], t[1::2]))
+            for t in itertools.product(*[(-1, 1), range(top + 1)] * k)]
+    gather = np.array([row.get(y, 0) for y in grid], np.intp)
+    valid = np.array([y in row for y in grid])[:, None]
+    at_level = np.array([grid.index(w) for w, _ in level], np.intp)
+    shifts = [((slice(None),) * axis + (slice(n, None),), (slice(None),) * axis + (slice(-n),))
+              for axis in range(1, 2 * k, 2) for n in (1 << i for i in range(top.bit_length()))]
 
     def test(closed):
-        at_x, above_zero, at_zero = np.logical_or.reduceat(closed, cuts, axis=0)
-        through = at_x | above_zero & at_zero
-        return through, through
-    return _read_only(tuple(above + level), test,
-                      *_floor_read(np.zeros((2, *box.shape), bool), box, (x,), step_set))
+        cone = closed.take(gather, axis=0) & valid
+        cube = cone.reshape(*(2, top + 1) * k, -1)
+        for to, by in shifts:  # doubling shifts: an OR over offsets 0..a at each a
+            cube[to] |= cube[by]
+        through = (cone.take(at_level, axis=0) & closed[-len(level):]).any(axis=0)
+        through |= closed[0] & closed[1]
+        return np.where(through, 2, closed[0]), through
+    synthetic = np.zeros((3, *box.shape), bool)
+    synthetic[(1, *np.subtract((*x, 1), box.lo))] = True
+    return _read_only(sites, test, *_floor_read(synthetic, box, (x,), step_set))
 
 
 def _surface_runs(count: int, closed_at, cols, budget: Budget,
@@ -235,11 +239,10 @@ def _surface_runs(count: int, closed_at, cols, budget: Budget,
 
     screened, for one column and a closed_at of reach._hash_replicates,
     reads the first box only in the replicates _floor_screen lets
-    through.  The multi-column reads do not screen: over the base ball of
-    radius 5 at d=2 the union of the columns' screens is 156 of the first
-    box's 351 sites, and at p = 0.99 it lets 22% of the replicates through
-    (2% for one column).  Nor do the single-field readers build_surface,
-    minimal_cover and climb_set, whose closed_at reads one field's masks."""
+    through.  Neither the multi-column reads screen (the union of the
+    columns' screens covers much of the first box) nor the single-field
+    readers build_surface, minimal_cover and climb_set, whose closed_at
+    reads one field's masks."""
     def read(closed, box):
         return _floor_read(closed, box, cols, step_set)
 

@@ -1,12 +1,13 @@
 import itertools
 import json
+import math
 import random
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lipsurf.lattice import ExplicitConfig, BoxRegion, PercolationField
+from lipsurf.lattice import ExplicitConfig, BoxRegion, PercolationField, screened_closed_masks
 import lipsurf.surface as SURFACE
 from lipsurf.oracle import walk_reach
 from lipsurf.reach import Budget, StepSet, _floor_column_runs, floor_reach_sandwich, reach_masks
@@ -587,67 +588,177 @@ def _screen_bits(closed: np.ndarray, box: BoxRegion, sites) -> np.ndarray:
     return np.stack([closed[(slice(None), *np.subtract(s, box.lo))] for s in sites])
 
 
+def _lid_configs(box: BoxRegion) -> np.ndarray:
+    """Every configuration of the lids (the heights above the floor; no up
+    step lands on the floor) of a box, as a batch of closed masks."""
+    lid = box.size // box.shape[-1] * (box.shape[-1] - 1)
+    lids = np.arange(1 << lid)[:, None] >> np.arange(lid) & 1 == 1
+    closed = np.zeros((len(lids), *box.shape), bool)
+    closed[..., 1:] = lids.reshape(-1, *box.shape[:-1], box.shape[-1] - 1)
+    return closed
+
+
+def _pair_sites(top: int, x) -> list:
+    """The floor screen's pairs of x in a box of top H, found site by site:
+    ((u, |u - x|_1 + 1), (w, |w - x|_1)) with 1 <= |u - x|_1 <= H - 1,
+    1 <= |w - x|_1 <= H and each u_j between x_j and w_j."""
+    ring = [(y, sum(map(abs, y))) for y in itertools.product(range(-top, top + 1),
+                                                              repeat=len(x))]
+    return [((*(c + i for c, i in zip(x, u)), a + 1), (*(c + j for c, j in zip(x, w)), b))
+            for u, a in ring for w, b in ring
+            if 0 < a < top and 0 < b <= top
+            and all(0 <= i * j and abs(i) <= abs(j) for i, j in zip(u, w))]
+
+
+def _pairs(closed: np.ndarray, box: BoxRegion, x) -> np.ndarray:
+    """Whether each box of a batch holds a closed pair of the floor screen."""
+    found = np.zeros(len(closed), bool)
+    for u, w in _pair_sites(box.hi[-1], x):
+        found |= _screen_bits(closed, box, [u, w]).all(axis=0)
+    return found
+
+
 @pytest.mark.parametrize("step_set", list(StepSet))
 def test_floor_screen_stops_only_boxes_whose_runs_are_zero(step_set):
-    """Every configuration of the lids (heights 1 and 2; no up step lands
-    on the floor) of f_tail's first box at k_max = 0 and margin 1, 7 x 3
-    sites: wherever the screen stops a configuration, the floor reader
-    gives both runs 0, and the screen's own row, settled as H - 1 = 1 > 0
-    says.  It stops configurations with a closed site in either of its
-    two other groups, so its second stage counts."""
+    """Every configuration of the lids of f_tail's first box at k_max = 0
+    and margin 1, 7 x 3 sites: the screen lets through exactly the boxes
+    with (0, 1) and (0, 2) closed or a closed pair, and wherever it gives
+    row 0 or 1, the floor reader's read of the whole box is that row
+    exactly: runs 0, settled as H - 1 = 1 > 0 says, in the 3200 boxes with
+    (0, 1) open, and runs 1, unsettled, in the 1600 with (0, 1) closed and
+    (0, 2) open.  It stops boxes with a closed site in either group of a
+    pair, so its pair test counts."""
     box = _floor_boxes((0,), (0,), Budget(1, 2, 0))[0]
     assert box == BoxRegion((-3, 0), (3, 2))
-    lids = np.arange(1 << 14)[:, None] >> np.arange(14) & 1 == 1
-    closed = np.zeros((len(lids), *box.shape), bool)
-    closed[..., 1:] = lids.reshape(-1, 7, 2)
+    closed = _lid_configs(box)
+    assert len(closed) == 1 << 14
     sites, test, *table = SURFACE._floor_screen(box, (0,), step_set)
     rows, through = test(_screen_bits(closed, box, sites))
-    assert (rows == through).all()  # row 1 reads the box; row 0 stops
-    stopped = ~through
-    lo, hi = _floor_column_runs(closed[stopped], box, [(0,)], step_set)
-    assert not lo.any() and not hi.any()
-    assert [r[:1].tolist() for r in table] == [[[0]], [[0]], [[True]]]
-    assert 0 < stopped.sum() < len(lids)
-    for group in ([s for s in sites[1:] if s[1] == abs(s[0]) + 1],
+    assert ((rows == 2) == through).all()
+    assert (through == (_pairs(closed, box, (0,)) | closed[:, 3, 1] & closed[:, 3, 2])).all()
+    assert np.bincount(rows).tolist() == [3200, 1600, (1 << 14) - 4800]
+    assert [r[:2].tolist() for r in table] == [[[0], [1]], [[0], [1]], [[True], [False]]]
+    for row in (0, 1):
+        lo, hi, settled = SURFACE._floor_read(closed[rows == row], box, [(0,)], step_set)
+        for got, want in zip((lo, hi, settled), table):
+            assert (got == want[row]).all()
+    stopped = closed[~through]
+    for group in ([s for s in sites if s[1] == abs(s[0]) + 1 > 1],
                   [s for s in sites if s[1] == abs(s[0]) > 0]):
-        assert _screen_bits(closed[stopped], box, group).any()
+        assert _screen_bits(stopped, box, group).any()
+
+
+def _oracle_runs(closed: np.ndarray, box: BoxRegion, step_set: StepSet) -> tuple[int, int]:
+    """The origin column's runs, optimistic and pessimistic, in one closed
+    mask of a box over the columns -m..m at d = 2, read off oracle.walk_reach
+    from the floor, and from the floor and both side columns."""
+    config = ExplicitConfig(box, tuple(int(not c) for c in closed.ravel()))
+    floor = [s for s in box.sites() if s[-1] == 0]
+    sides = [s for s in box.sites() if abs(s[0]) == box.hi[0]]
+    runs = []
+    for sources in (floor, floor + sides):
+        reached = walk_reach(config, sources, step_set, height_floor=0)
+        runs.append(next(t for t in range(1, box.hi[-1] + 2) if (0, t) not in reached) - 1)
+    return tuple(runs)
+
+
+@pytest.mark.parametrize("step_set", list(StepSet))
+def test_floor_screen_rows_agree_with_the_oracle(step_set):
+    """Every seventh configuration the floor screen stops in f_tail's first
+    box at k_max = 0 and margin 1, 7 x 3 sites: the oracle's walks, which
+    share no code with the engine, give the origin column the runs of the
+    configuration's row."""
+    box = _floor_boxes((0,), (0,), Budget(1, 2, 0))[0]
+    closed = _lid_configs(box)
+    sites, test, lo, hi, _ = SURFACE._floor_screen(box, (0,), step_set)
+    rows, through = test(_screen_bits(closed, box, sites))
+    stopped = np.flatnonzero(~through)[::7]
+    assert len(stopped) == 686
+    for i in stopped.tolist():
+        assert _oracle_runs(closed[i], box, step_set) == (lo[rows[i], 0], hi[rows[i], 0])
+
+
+def test_floor_screen_pairs_need_u_between_x_and_w():
+    """A closed (1, 2) above and a closed (-1, 1) level site, the rest
+    open: the earlier rule, some closed site above and some closed level
+    site, let the box through.  No pair is closed, since 1 does not lie
+    between 0 and -1, so the screen stops the box in row 0, and its runs
+    are 0, as the floor reader and the oracle read them."""
+    box = _floor_boxes((0,), (0,), Budget(1, 2, 0))[0]
+    closed = np.zeros((1, *box.shape), bool)
+    closed[0, 4, 2] = closed[0, 2, 1] = True  # (1, 2) and (-1, 1)
+    sites, test, *table = SURFACE._floor_screen(box, (0,), StepSet.FULL)
+    above = [s for s in sites if s[1] == abs(s[0]) + 1 > 1]
+    level = [s for s in sites if s[1] == abs(s[0]) > 0]
+    assert (1, 2) in above and (-1, 1) in level
+    assert _screen_bits(closed, box, above).any() and _screen_bits(closed, box, level).any()
+    rows, through = test(_screen_bits(closed, box, sites))
+    assert rows.tolist() == [0] and through.tolist() == [False]
+    lo, hi, settled = SURFACE._floor_read(closed, box, [(0,)], StepSet.FULL)
+    assert (lo.tolist(), hi.tolist(), settled.tolist()) == ([[0]], [[0]], [[True]])
+    assert _oracle_runs(closed[0], box, StepSet.FULL) == (0, 0)
+
+
+def test_floor_screen_pairs_take_u_equal_to_w():
+    """A closed (1, 1) and (1, 2), the rest open: the climb (1, 0), (1, 1),
+    (1, 2) steps down diagonally onto (0, 1), so the origin column's run is
+    1.  The only pair is u = w = (1,); a screen that asked for u strictly
+    between x and w would stop the box in row 0, with run 0.  The screen
+    lets it through."""
+    box = _floor_boxes((0,), (0,), Budget(1, 2, 0))[0]
+    closed = np.zeros((1, *box.shape), bool)
+    closed[0, 4, 1] = closed[0, 4, 2] = True  # (1, 1) and (1, 2)
+    assert _pairs(closed, box, (0,)).tolist() == [True]
+    sites, test, *table = SURFACE._floor_screen(box, (0,), StepSet.FULL)
+    assert [r[0].tolist() for r in table] == [[0], [0], [True]]
+    lo, hi, _ = SURFACE._floor_read(closed, box, [(0,)], StepSet.FULL)
+    assert (lo.tolist(), hi.tolist()) == ([[1]], [[1]])
+    assert _oracle_runs(closed[0], box, StepSet.FULL) == (1, 1)
+    rows, through = test(_screen_bits(closed, box, sites))
+    assert rows.tolist() == [2] and through.tolist() == [True]
 
 
 @st.composite
 def _screened_boxes(draw):
     """f_tail's first box for d = 2 or 3, any height H >= 2 and margin >= 1,
-    a step set, and a batch of random closed masks over it in which the
-    screen's test cannot pass: (x, 1) open, and every site of one of its
-    other two groups open."""
+    a step set, a row 0 or 1, and a batch of random closed masks over it
+    that the screen's test cannot let through: no closed pair, where each
+    closed pair found opens its above site or, in some batches, every level
+    site whose box between x and it holds a closed above site; and (x, 1)
+    open for row 0, or closed with (x, 2) open for row 1."""
     d = draw(st.integers(2, 3))
     top, margin = draw(st.integers(2, 5 if d == 2 else 3)), draw(st.integers(1, 3))
-    box = _floor_boxes((0,) * (d - 1), (0,) * (d - 1), Budget(margin, top, 0))[0]
-    step_set = draw(st.sampled_from(list(StepSet)))
+    x = (0,) * (d - 1)
+    box = _floor_boxes(x, x, Budget(margin, top, 0))[0]
+    step_set, row = draw(st.sampled_from(list(StepSet))), draw(st.integers(0, 1))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     closed = rng.random((8, *box.shape)) < draw(st.sampled_from((0.05, 0.3, 0.7)))
-    sites, *_ = SURFACE._floor_screen(box, (0,) * (d - 1), step_set)
-    above = [s for s in sites if sum(map(abs, s[:-1])) + 1 == s[-1]]
-    level = [s for s in sites if sum(map(abs, s[:-1])) == s[-1]]
-    for s in above if draw(st.booleans()) else [sites[0], *level]:
-        closed[(slice(None), *np.subtract(s, box.lo))] = False
-    closed[(slice(None), *np.subtract(sites[0], box.lo))] = False
-    return box, step_set, closed
+    open_above = draw(st.booleans())
+    for u, w in _pair_sites(top, x):
+        at_u, at_w = ((slice(None), *np.subtract(s, box.lo)) for s in (u, w))
+        pair = closed[at_u] & closed[at_w]
+        closed[at_u if open_above else at_w] &= ~pair
+    closed[(slice(None), *np.subtract((*x, 1), box.lo))] = row == 1
+    closed[(slice(None), *np.subtract((*x, 2), box.lo))] = False
+    return box, step_set, row, closed
 
 
-@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
 @given(_screened_boxes())
 def test_floor_screen_stopped_boxes_read_zero_runs_settled(case):
-    """With the screen's sites open as its test needs to stop a box, the
-    floor reader gives both runs 0 at d = 2 and 3, whatever the height,
-    margin and step set, and settles them (0 < H - 1): the row the screen
-    keeps for the replicates it stops."""
-    box, step_set, closed = case
+    """With no closed pair and (x, 1) open, the floor reader gives both
+    runs 0 at d = 2 and 3, whatever the height, margin and step set, and
+    settles them (0 < H - 1); with (x, 1) closed and (x, 2) open it gives
+    both runs 1, settled where 1 < H - 1.  Each is the row the screen
+    gives those boxes."""
+    box, step_set, row, closed = case
     x = (0,) * (box.dim - 1)
     sites, test, *table = SURFACE._floor_screen(box, x, step_set)
     rows, through = test(_screen_bits(closed, box, sites))
-    assert not through.any()
+    assert not through.any() and (rows == row).all()
     lo, hi, settled = SURFACE._floor_read(closed, box, [x], step_set)
-    assert not lo.any() and not hi.any() and settled.all()
+    assert (lo == row).all() and (hi == row).all()
+    assert (settled == (row < box.hi[-1] - 1)).all()
     assert all((r.take(rows, axis=0) == v).all()
                for r, v in zip(table, (lo, hi, settled)))
 
@@ -732,6 +843,76 @@ def test_cover_screen_row_1_needs_every_side_site():
     assert [r[1].tolist() for r in table] == [2, 2, True]
     rows, through = test(_screen_bits(closed, box, sites))
     assert rows.tolist() == [2] and through.tolist() == [True]
+
+
+# the two-sided 99.9% normal quantile
+_Z_999 = 3.2905267314919255
+
+
+def _screen_row_counts(d: int, p: float, box: BoxRegion, screen, replicates: int) -> list[int]:
+    """How many of the replicates 0..replicates-1 of seed 7 the screen's
+    test maps to each row, hashing only its sites: a test that lets no
+    replicate through to the box."""
+    sites, test, *_ = screen
+
+    def stop_all(closed):
+        return test(closed)[0], np.zeros(closed.shape[1], bool)
+    counts = np.zeros(3, np.int64)
+    for start in range(0, replicates, 100_000):
+        reps = np.arange(start, min(start + 100_000, replicates))
+        rows, through, _ = screened_closed_masks(d, p, 7, reps, box, sites, stop_all)
+        assert not through.size
+        counts += np.bincount(rows, minlength=3)
+    return counts.tolist()
+
+
+def _within_wilson_999(counts: list[int], law: list[float]) -> None:
+    n = sum(counts)
+    for k, want in zip(counts, law):
+        phat, z2 = k / n, _Z_999 ** 2
+        center = (phat + z2 / (2 * n)) / (1 + z2 / n)
+        margin = _Z_999 / (1 + z2 / n) * math.sqrt(phat * (1 - phat) / n + z2 / (4 * n * n))
+        assert center - margin <= want <= center + margin, (counts, law)
+
+
+@pytest.mark.parametrize("p", [0.99, 0.95])
+def test_floor_screen_rows_follow_their_exact_law(p):
+    """At d = 2, 10^6 replicates of f_tail's first box at k_max = 4 fall in
+    each row of the floor screen within the 99.9% Wilson interval of its
+    exact law: a pair lies on one side of x, so no pair is a product over
+    the two sides, each enumerated over its 2^(2H - 1) states, and row 0
+    has (x, 1) open, row 1 (x, 1) closed and (x, 2) open."""
+    box = _floor_boxes((0,), (0,), Budget(6, 6, 0))[0]
+    screen = SURFACE._floor_screen(box, (0,), StepSet.FULL)
+    q, free = 1 - p, 1.0
+    for side in (-1, 1):
+        above = [s[0] for s in screen[0][2:] if s[0] * side > 0 and s[1] == abs(s[0]) + 1]
+        level = [s[0] for s in screen[0][2:] if s[0] * side > 0 and s[1] == abs(s[0])]
+        assert len(above) + len(level) == 2 * box.hi[-1] - 1
+        none = 0.0
+        for bits in itertools.product((False, True), repeat=len(above) + len(level)):
+            u, w = bits[:len(above)], bits[len(above):]
+            if not any(a and b and abs(i) <= abs(j) for i, a in zip(above, u)
+                       for j, b in zip(level, w)):
+                none += q ** sum(bits) * p ** (len(bits) - sum(bits))
+        free *= none
+    law = [p * free, q * p * free]
+    _within_wilson_999(_screen_row_counts(2, p, box, screen, 10**6), [*law, 1 - sum(law)])
+
+
+@pytest.mark.parametrize("p", [0.99, 0.95])
+@pytest.mark.parametrize("d", [2, 3])
+def test_cover_screen_rows_follow_their_exact_law(d, p):
+    """10^6 replicates of the cover tails' first box fall in each row of the
+    cover screen within the 99.9% Wilson interval of its exact law: row 0
+    has (x, 1) open, with probability p, and row 1 (x, 1) closed and its
+    2(d - 1) + 1 other sites open, q p^(2(d - 1) + 1)."""
+    x = (0,) * (d - 1)
+    box = _climb_boxes(x, COVER_BUDGET)[0]
+    screen = SURFACE._cover_screen(box, x)
+    assert len(screen[0]) == 2 * (d - 1) + 2
+    law = [p, (1 - p) * p ** (2 * (d - 1) + 1)]
+    _within_wilson_999(_screen_row_counts(d, p, box, screen, 10**6), [*law, 1 - sum(law)])
 
 
 def test_schedules_past_the_site_limit_name_growth_cap():
