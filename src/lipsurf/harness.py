@@ -68,8 +68,8 @@ class Experiment:
     unresolved_threshold: float = 1e-3
 
     def __post_init__(self):
-        # the rule of check_fields, on the fields that differ from their
-        # defaults, so that a direct Experiment cannot set one in vain either
+        # the rules of check_fields, on the fields that differ from their
+        # defaults, and of check_values: a direct Experiment is checked too
         if self.kind not in _UNREAD:
             raise ConfigError("kind", f"unknown kind {self.kind!r}")
         names, values, defaults = _UNREAD[self.kind]
@@ -77,6 +77,7 @@ class Experiment:
             changed = {n for n, v, d in zip(names, values(self), defaults) if v != d}
             raise ConfigError(*itertools.chain(
                 *sorted(_unread_problems(changed, self.kind).items())))
+        check_values(vars(self))
 
     @functools.cached_property
     def budget(self) -> Budget:
@@ -174,7 +175,6 @@ def experiment_from_config(obj: dict) -> Experiment:
         if any(not 0.0 < x < 1.0 for x in grid):
             raise ConfigError("p_grid", "entries must lie in (0,1)")
         kwargs["p_grid"] = tuple(float(x) for x in grid)
-    check_values(obj)
     return Experiment(**kwargs)
 
 
@@ -522,8 +522,8 @@ def run_experiment(config) -> dict:
 
     Returns {"payload": ..., "csv": ..., "paths": [...]} and, when config
     names an "out" path, writes the CSV (or JSON) body there plus a sibling
-    .meta.json with seed, version, and wall time.  The body is a pure
-    function of the config; only the metadata carries timing.
+    .meta.json with seed, version, numpy version and wall time.  The body
+    is a pure function of the config; only the metadata carries timing.
     """
     config = _config_dict(config)
     exp = experiment_from_config(config)
@@ -544,7 +544,7 @@ def run_experiment(config) -> dict:
             "config": {k: (list(v) if isinstance(v, tuple) else v)
                        for k, v in config.items()},
             "kind": exp.kind, "seed": exp.seed, "version": _version,
-            "wall_time_s": elapsed,
+            "numpy": np.__version__, "wall_time_s": elapsed,
         }
         meta_path = out_path + ".meta.json"
         with open(meta_path, "w", encoding="utf-8") as fh:

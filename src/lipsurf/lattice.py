@@ -18,6 +18,10 @@ package:
 
 The uniform is quantized to 64 bits, so p is honoured to resolution 2**-64,
 far below Monte Carlo noise at any feasible sample size.
+
+replicate_closed_masks hashes a box and replicate_closed_sites a tuple of
+sites, each for many replicates in one numpy pass, bit for bit as
+PercolationField; neither knows which replicates a caller's screen picks.
 """
 
 from __future__ import annotations
@@ -269,7 +273,7 @@ class PercolationField(Field):
 
 def _replicate_states(d: int, master_seed: int, replicates, box: BoxRegion) -> np.ndarray:
     """The stream state of each replicate, as PercolationField's base,
-    after the checks of the batched hash's arguments."""
+    after the checks of the batched hashes' arguments."""
     if d < 2:
         raise ValueError("d must be >= 2")
     if box.dim != d:
@@ -293,45 +297,30 @@ def replicate_closed_masks(d: int, p: float, master_seed: int, replicates,
     return _box_uniforms(_column_states(base, box), box) >= np.uint64(open_threshold(float(p)))
 
 
-def screened_closed_masks(d: int, p: float, master_seed: int, replicates,
-                          box: BoxRegion, sites: tuple[Site, ...], test):
-    """replicate_closed_masks of the box for only the replicates a screen
-    of some of its sites lets through.
-
-    test(closed) maps the closed bits of `sites`, sites of the box, shaped
-    (len(sites), len(replicates)), to two arrays over the replicates:
-    rows, each one's row in the screen's table of reads, and whether that
-    row is the one that hashes and reads the replicate in the box.
-    Returns (rows, through, masks): the rows, the indices i where the
-    second array holds, in order, and the closed masks of those replicates,
-    shaped (len(through), *box.shape), bit for bit those of
-    replicate_closed_masks.  The screen folds only the sites' columns; the
-    box's are folded only for the replicates it lets through.
-    """
+def replicate_closed_sites(d: int, p: float, master_seed: int, replicates,
+                           sites: tuple[Site, ...]) -> np.ndarray:
+    """Closed bits of a tuple of sites for many replicates in one numpy
+    pass, shaped (len(sites), len(replicates)): entry [j, i] equals
+    PercolationField(d, p, master_seed, replicates[i]).is_closed(sites[j]).
+    Only the sites' columns are folded."""
+    box, at, heights = _site_operands(sites)
     base = _replicate_states(d, master_seed, replicates, box)
     threshold = np.uint64(open_threshold(float(p)))
-    sub, at, heights = _site_operands(box, sites)
-    columns = _column_states(base, sub).reshape(-1, base.size)
-    rows, through = test(_absorb_vec(columns[at], heights) >= threshold)
-    through = through.nonzero()[0]
-    if not through.size:  # no fold to finish: a chunk the screen stops whole
-        return rows, through, np.zeros((0, *box.shape), bool)
-    return rows, through, _box_uniforms(_column_states(base[through], box), box) >= threshold
+    return _absorb_vec(_column_states(base, box)[at], heights) >= threshold
 
 
 @functools.lru_cache(maxsize=256)
-def _site_operands(box: BoxRegion, sites: tuple[Site, ...]) -> tuple:
-    """The sub-box of the box over the sites' bounding columns, where each
-    site lies among its flat columns of _column_states, and the site's
-    height as a uint64 operand shaped (len(sites), 1); read-only, once per
-    box and sites."""
-    cols = np.array([s[:-1] for s in sites], dtype=np.int64).reshape(len(sites), box.dim - 1)
-    sub = BoxRegion((*cols.min(axis=0).tolist(), box.lo[-1]),
-                    (*cols.max(axis=0).tolist(), box.hi[-1]))
-    at = np.ravel_multi_index(tuple((cols - sub.lo[:-1]).T), sub.shape[:-1])
-    heights = np.array([s[-1] for s in sites], dtype=np.int64).astype(np.uint64)[:, None]
-    at.flags.writeable = heights.flags.writeable = False
-    return sub, at, heights
+def _site_operands(sites: tuple[Site, ...]) -> tuple:
+    """The box over the sites' bounding columns and heights, the index of
+    each site's column in that box's _column_states, and the site's height
+    as a uint64 operand shaped (len(sites), 1); read-only, once per tuple
+    of sites."""
+    coords = np.array(sites, dtype=np.int64).reshape(len(sites), -1)
+    box = BoxRegion(tuple(coords.min(axis=0).tolist()), tuple(coords.max(axis=0).tolist()))
+    cols = (coords[:, :-1] - box.lo[:-1]).T
+    heights = coords[:, -1].astype(np.uint64)[:, None]
+    cols.flags.writeable = heights.flags.writeable = False
+    return box, (0, *cols), heights
 
 
 @dataclass(frozen=True)

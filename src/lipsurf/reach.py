@@ -45,11 +45,12 @@ Every certificate grows its boxes in _settle_replicates until its two
 sides agree, walking a tuple of boxes that surface builds whole.  The two
 one-column readers of replicates, f_tail's floor read and the cover read,
 put an exact screen, a table of reads, ahead of the first box
-(surface._floor_screen and _cover_screen give the arguments).  The floor
-reach doubles the box height h and pads the columns by h + margin, with
-the margin fixed (surface._floor_boxes).  So in every box, whatever the
-attempt, the rim below reaches the columns at distance margin + t from the
-columns read at height t: a taller box does not keep the sides further
+(surface._floor_screen and _cover_screen give the arguments), which
+_settle_replicates applies through the same hash as its boxes.  The
+floor reach doubles the box height h and pads the columns by h + margin,
+with the margin fixed (surface._floor_boxes).  So in every box, whatever
+the attempt, the rim below reaches the columns at distance margin + t from
+the columns read at height t: a taller box does not keep the sides further
 away.  ROADMAP item 11 records what that does to growth.
 
 The pessimistic seeds closed under down moves, the rim, are the same for
@@ -68,8 +69,8 @@ box's floor reach as masks shaped like the box; both floor at the box
 bottom and unpack once, at the end, as the climb sets do.  Constants of a
 shape are computed once and cached read-only, keyed by shape, box or
 columns and never by seed or replicate: the rim, the edge masks and the
-index spans of a list of columns (here), the hash's coordinate and
-screen-site operands (lattice), the cover reader's distance grid and rim
+index spans of a list of columns (here), the hash's operands of a box
+or a tuple of sites (lattice), the cover reader's distance grid and rim
 mask, each growth schedule's boxes and each screen's sites and table
 (surface).
 """
@@ -84,7 +85,7 @@ from enum import Enum
 import numpy as np
 
 from .lattice import (BoxRegion, Column, Field, replicate_closed_masks,
-                      screened_closed_masks)
+                      replicate_closed_sites)
 
 
 class StepSet(Enum):
@@ -361,13 +362,12 @@ _CHUNK_SITES = 1 << 18
 
 def _hash_replicates(d: int, p: float, master_seed: int):
     """Replicates of PercolationField(d, p, master_seed) as the closed_at of
-    _settle_replicates, with the screened hash for its screen;
-    replicate_closed_masks and screened_closed_masks are looked up at each
-    call."""
-    def closed_at(reps, box, *screen):
-        if not screen:
+    _settle_replicates, of a box (replicate_closed_masks) or a tuple of
+    sites (replicate_closed_sites), each looked up at each call."""
+    def closed_at(reps, box):
+        if isinstance(box, BoxRegion):
             return replicate_closed_masks(d, p, master_seed, reps, box)
-        return screened_closed_masks(d, p, master_seed, reps, box, *screen)
+        return replicate_closed_sites(d, p, master_seed, reps, box)
     return closed_at
 
 
@@ -386,26 +386,29 @@ def _settle_replicates(count: int, boxes, closed_at, read, screen=None):
     Yields (lo, hi, settled) per chunk.
 
     screen, if given, is an exact attempt ahead of the first box, a table
-    of reads: screen(box) returns sites of the first box, a test of their
-    closed bits, and arrays (lo, hi, settled) with one row per outcome of
-    the test, each the box's own read of a synthetic batch of one but the
-    last, which stands for hashing and reading the item in the box.
-    closed_at(items, box, sites, test) then returns each item's row, the
-    indices of the items of the last row and the masks of those alone, as
-    lattice.screened_closed_masks does; only they are read in the box.
+    of reads: screen(box) returns a tuple of sites of the first box, a test
+    and arrays (lo, hi, settled) with one row per outcome of the test, each
+    the box's own read of a synthetic batch of one but the last.  Each
+    chunk's items are hashed at the sites alone, closed_at(items, sites),
+    shaped (len(sites), len(items)), and the test maps those bits to each
+    item's row.  An item of the last row is hashed and read in the first
+    box, as without a screen; every other item takes its row's read.
     """
     first, *grown = boxes
     chunk = max(1, _CHUNK_SITES // first.size)
     if screen is not None:
         sites, test, *table = screen(first)
+        last = len(table[0]) - 1
     for start in range(0, count, chunk):
         items = np.arange(start, min(start + chunk, count))
         if screen is None:
             lo, hi, settled = read(closed_at(items, first), first)
         else:
-            rows, through, closed = closed_at(items, first, sites, test)
+            rows = test(closed_at(items, sites))
             lo, hi, settled = (v.take(rows, axis=0) for v in table)
+            through = np.flatnonzero(rows == last)
             if through.size:
+                closed = closed_at(items[through], first)
                 lo[through], hi[through], settled[through] = read(closed, first)
         for box in grown:
             if settled.all():  # the usual chunk settles in its first box

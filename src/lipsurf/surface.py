@@ -25,12 +25,12 @@ budget cannot pin down is reported Unresolved, with the values computed so
 far kept as certified lower bounds.
 
 The Monte Carlo tails read one column of many replicates, and screen each
-replicate before its first box with a table of reads: a test of a few
-sites maps the replicate to a row, which is either the read the first box
-would give it, worked out once on a synthetic box, or the row that hashes
-and reads it there.  _floor_screen and _cover_screen each give their
-argument; the multi-column and single-field readers read their first box
-whole (_surface_runs says why).
+replicate before its first box with a table of reads: a test maps its
+closed bits at a few sites to a row, the read the first box would give
+it, worked out once on a synthetic box, or else the last row, which reads
+it there (reach._settle_replicates applies the table).  _floor_screen and
+_cover_screen each give their argument; the multi-column and single-field
+readers read their first box whole (_surface_runs says why).
 """
 
 from __future__ import annotations
@@ -178,9 +178,9 @@ def _floor_read(closed: np.ndarray, box: BoxRegion, cols, step_set: StepSet):
 @functools.lru_cache(maxsize=256)
 def _floor_screen(box: BoxRegion, x: Column, step_set: StepSet) -> tuple:
     """The screen of a floor read of the one column x in a box at least 2
-    high: its sites, the test of their closed bits and a table of three
-    reads (_settle_replicates), of an all-open box, of a box whose only
-    closed site is (x, 1), and the row that reads the box.
+    high: its sites, the test mapping their closed bits to rows and a
+    table of three reads (_settle_replicates), of an all-open box, of a box
+    whose only closed site is (x, 1), and the last, which reads the box.
 
     Why.  Let phi(y, t) = t - |y - x|_1 and H be the box top.  Every seed
     of either side has phi <= 0, and only (x, 0) has phi = 0 (a side seed
@@ -222,7 +222,7 @@ def _floor_screen(box: BoxRegion, x: Column, step_set: StepSet) -> tuple:
             cube[to] |= cube[by]
         through = (cone.take(at_level, axis=0) & closed[-len(level):]).any(axis=0)
         through |= closed[0] & closed[1]
-        return np.where(through, 2, closed[0]), through
+        return np.where(through, 2, closed[0])
     synthetic = np.zeros((3, *box.shape), bool)
     synthetic[(1, *np.subtract((*x, 1), box.lo))] = True
     return _read_only(sites, test, *_floor_read(synthetic, box, (x,), step_set))
@@ -254,8 +254,8 @@ def _surface_runs(count: int, closed_at, cols, budget: Budget,
 @functools.lru_cache(maxsize=256)
 def _cover_screen(box: BoxRegion, x: Column) -> tuple:
     """The screen of a cover read of x in the box: its sites (x, 1), the
-    (x +- e_j, 1) and, below the box top, (x, 2); the test of their closed
-    bits; and a table of three reads.
+    (x +- e_j, 1) and, below the box top, (x, 2); the test that maps their
+    closed bits to rows; and a table of three reads.
 
     Why.  No step goes below the floor, so a climb from (x, 0) leaves it
     only by an up step onto (x, 1).  Where (x, 1) is open the climb set is
@@ -279,8 +279,7 @@ def _cover_screen(box: BoxRegion, x: Column) -> tuple:
 
     def test(closed):
         at_x, blocked = np.logical_or.reduceat(closed, cuts, axis=0)
-        through = at_x & blocked
-        return np.add(at_x, through, dtype=np.intp), through
+        return np.add(at_x, at_x & blocked, dtype=np.intp)
     synthetic = np.zeros((3, *box.shape), bool)
     synthetic[(1, *np.subtract(one_step, box.lo))] = True
     _, rho, certified = _read_covers(synthetic, box, x)

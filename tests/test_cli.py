@@ -241,7 +241,7 @@ def test_exit_code_unwritable_out_path(argv, tmp_path, capsys):
 # is a portable case of an unwritable --out
 @pytest.mark.parametrize("argv, work", [
     (["tails", "--kind", "f_tail", "--d", "2", "--p", "0.99", "--replicates", "10"],
-     "lipsurf.reach.replicate_closed_masks"),
+     "lipsurf.lattice._absorb_vec"),
     (["oracle", "--p", "0.99"], "lipsurf.cli.oracle_suite"),
 ], ids=["tails", "oracle"])
 def test_unwritable_out_path_stops_before_any_work(argv, work, tmp_path, monkeypatch, capsys):

@@ -196,6 +196,20 @@ def test_a_direct_experiment_rejects_a_field_its_kind_does_not_read(monkeypatch)
     assert Experiment(kind="f_tail", box_height=Budget.height, box_margin=2).box_margin == 2
 
 
+@pytest.mark.parametrize("field, value, problem", [
+    ("replicates", 0, "must be >= 1"), ("k_max", -1, "must be >= 0"),
+    ("p", 1.5, "must lie in (0,1)")])
+def test_a_direct_experiment_checks_its_values(field, value, problem, monkeypatch):
+    """An Experiment built directly names a field out of range, with
+    check_values' message, before any replicate is hashed: replicates=0
+    used to raise ZeroDivisionError in the tail curve, and k_max=-1 to
+    return a curve with no rows."""
+    monkeypatch.setattr("lipsurf.lattice._absorb_vec", None)
+    with pytest.raises(ConfigError) as err:
+        surface_tail_curve(Experiment(kind="f_tail", **{field: value}))
+    assert str(err.value) == f"config field '{field}': {problem}"
+
+
 def test_surface_tail_k0_row_and_bounds_column():
     exp = Experiment(kind="f_tail", d=2, p=0.99, replicates=400, seed=5, k_max=3)
     curve = surface_tail_curve(exp)
@@ -243,22 +257,15 @@ _BATCH_CONFIGS = [
 
 
 def _spy_hashing(monkeypatch) -> list:
-    """Record (replicates, box) for every hash call of the box-growth driver:
-    of a screened call, the replicates whose masks it returns."""
+    """Record (replicates, box) for every box hash of the box-growth driver."""
     calls = []
-    hash_masks, screened = REACH.replicate_closed_masks, REACH.screened_closed_masks
+    hash_masks = REACH.replicate_closed_masks
 
     def spy(d, p, seed, replicates, box):
         calls.append((np.asarray(replicates).tolist(), box))
         return hash_masks(d, p, seed, replicates, box)
 
-    def screened_spy(d, p, seed, replicates, box, sites, test):
-        rows, through, masks = screened(d, p, seed, replicates, box, sites, test)
-        calls.append((np.asarray(replicates)[through].tolist(), box))
-        return rows, through, masks
-
     monkeypatch.setattr(REACH, "replicate_closed_masks", spy)
-    monkeypatch.setattr(REACH, "screened_closed_masks", screened_spy)
     return calls
 
 
@@ -270,7 +277,7 @@ def _hashed(calls) -> collections.Counter:
 def _spy_growth(monkeypatch) -> list:
     """Record, for every growth run of surface's readers, its tuple of
     boxes and a Counter of the replicates it read, by box index: in the
-    first box of a screened run, those with a closed screen site."""
+    first box of a screened run, those the screen lets through."""
     runs = []
     settle = SURFACE._settle_replicates
 
@@ -362,7 +369,7 @@ def test_surface_tail_batching_matches_per_replicate_path(cfg, chunk_sites,
     assert "np." not in curve.to_csv()
     assert hashed == _hashed(tried)
     if exp.p < 0.99:
-        first = calls[0][1]
+        first = schedule[0]
         assert any(box.hi[-1] > first.hi[-1] for _, box in calls), \
             "no replicate was hashed in a grown box"
 
@@ -373,21 +380,15 @@ def test_screen_stopped_replicates_are_never_hashed_in_box_0(kind, d, p, monkeyp
     """The tails hash the first box only for replicates whose screen lets
     them through, and for every one of those: a replicate whose screen
     sites, read one by one from PercolationField.is_closed, stop it never
-    gets box 0's masks from either batched hash."""
+    gets box 0's masks."""
     hashed = collections.defaultdict(set)  # box -> replicates given its masks
-    plain, screened = REACH.replicate_closed_masks, getattr(REACH, "screened_closed_masks", None)
+    plain = REACH.replicate_closed_masks
 
     def plain_spy(d, p, seed, replicates, box):
         hashed[box].update(np.asarray(replicates).tolist())
         return plain(d, p, seed, replicates, box)
 
-    def screened_spy(d, p, seed, replicates, box, *screen):
-        rows, through, masks = screened(d, p, seed, replicates, box, *screen)
-        hashed[box].update(np.asarray(replicates)[through].tolist())
-        return rows, through, masks
-
     monkeypatch.setattr(REACH, "replicate_closed_masks", plain_spy)
-    monkeypatch.setattr(REACH, "screened_closed_masks", screened_spy, raising=False)
     runs = _spy_growth(monkeypatch)
     # radh_tail's screen lets 0.7% through at p = 0.95: 3000 replicates
     exp = Experiment(kind=kind, d=d, p=p, seed=12,
@@ -498,7 +499,7 @@ def test_cover_tail_batching_matches_per_replicate_path(cfg, chunk_sites,
         assert "np." not in curve.to_csv()
         assert _hashed(calls) == _hashed(tried)
         if exp.p < 0.99 and exp.growth_cap:
-            first = calls[0][1]
+            first = SURFACE._climb_boxes((0,) * (exp.d - 1), exp.budget)[0]
             assert any(box.hi[-1] > first.hi[-1] for _, box in calls), \
                 "no replicate was hashed in a grown box"
     if exp.growth_cap == 0:
@@ -620,12 +621,12 @@ def test_tail_hypothesis_fails_before_any_hash(monkeypatch):
         hashed.append(args)
         return real(*args)
 
-    def screened_spy(*args, real=REACH.screened_closed_masks):
+    def sites_spy(*args, real=REACH.replicate_closed_sites):
         hashed.append(args)
         return real(*args)
 
     monkeypatch.setattr(REACH, "replicate_closed_masks", spy)
-    monkeypatch.setattr(REACH, "screened_closed_masks", screened_spy)
+    monkeypatch.setattr(REACH, "replicate_closed_sites", sites_spy)
     restricted = StepSet.NO_STRAIGHT_DOWN
     for tail, kind, p, step_mode in ((surface_tail_curve, "f_tail", 0.9, StepSet.FULL),
                                      (surface_tail_curve, "f_tail", 0.85, restricted),
@@ -842,6 +843,8 @@ def test_run_experiment_deterministic_csv(tmp_path):
     assert text.splitlines()[0] == TAIL_CSV_HEADER
     meta = json.loads((tmp_path / "a.csv.meta.json").read_text())
     assert meta["seed"] == 12 and "wall_time_s" in meta
+    # BRW bodies come from numpy's Generator: the metadata names the numpy
+    assert meta["numpy"] == np.__version__
 
 
 def test_run_experiment_json_format(tmp_path):

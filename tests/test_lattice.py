@@ -3,11 +3,11 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lipsurf.lattice import (BoxRegion, ExplicitConfig, PercolationField,
                              count_l1_sphere, height, open_threshold, radial,
-                             replicate_closed_masks, screened_closed_masks)
+                             replicate_closed_masks, replicate_closed_sites)
 
 from fields import closed_at
 
@@ -102,29 +102,34 @@ def test_batched_hash_matches_scalar_is_closed(case):
             assert mask[idx] == field.is_closed(s), (rep, s)
 
 
+@st.composite
+def _site_tuples(draw):
+    """One to five sites of a box of _hashed_boxes, repeats allowed, with
+    its replicates or none."""
+    d, p, seed, reps, box = draw(_hashed_boxes())
+    sites = draw(st.lists(st.tuples(*map(st.integers, box.lo, box.hi)), min_size=1, max_size=5))
+    return d, p, seed, draw(st.sampled_from((reps, []))), box, tuple(sites)
+
+
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
-@given(_hashed_boxes(), st.randoms(use_true_random=False))
-def test_screened_hash_matches_replicate_closed_masks(case, rnd):
-    """screened_closed_masks gives the rows the test maps the closed bits
-    at the sites to, read off replicate_closed_masks, and lets through
-    exactly the replicates the test lets through, in order, with
-    replicate_closed_masks' masks bit for bit; a test that passes none
-    gives an empty batch of the box's shape."""
-    d, p, seed, reps, box = case
-    sites = tuple(rnd.sample(list(box.sites()), rnd.randint(1, min(5, box.size))))
-    want = replicate_closed_masks(d, p, seed, reps, box)
-    at = [tuple(np.subtract(s, box.lo)) for s in sites]
-    bits = np.stack([want[(slice(None), *i)] for i in at])
-    for hits in (lambda c: c.any(axis=0), lambda c: c[0] & ~c[-1],
-                 lambda c: np.zeros(c.shape[1], bool)):
-        def test(c):  # any rows: the hash returns them as the test gives them
-            through = hits(c)
-            return np.add(c[0], through, dtype=np.intp), through
-        rows, through, masks = screened_closed_masks(d, p, seed, reps, box, sites, test)
-        assert rows.tolist() == test(bits)[0].tolist()
-        assert through.tolist() == hits(bits).nonzero()[0].tolist()
-        assert masks.shape == (len(through), *box.shape)
-        np.testing.assert_array_equal(masks, want[through])
+@given(_site_tuples())
+@example((2, 0.5, 3, [], BoxRegion((-3, 0), (-1, 2)), ((-3, 0),)))
+@example((3, 0.7, 11, [0, 5, 2], BoxRegion((-4, -2, 0), (0, 1, 0)),
+          ((-4, -2, 0), (0, 1, 0), (-1, -2, 0))))
+@example((2, 0.3, -1, [9], BoxRegion((-2**40, 0), (-2**40 + 3, 4)), ((-2**40, 0),)))
+def test_site_hash_matches_is_closed_and_replicate_closed_masks(case):
+    """replicate_closed_sites, the hash of a screen's sites, equals
+    PercolationField.is_closed and replicate_closed_masks bit for bit,
+    shaped (len(sites), len(replicates)): at negative column coordinates
+    and height 0, for a single site, and for no replicates."""
+    d, p, seed, reps, box, sites = case
+    bits = replicate_closed_sites(d, p, seed, reps, sites)
+    assert bits.shape == (len(sites), len(reps)) and bits.dtype == bool
+    masks = replicate_closed_masks(d, p, seed, reps, box)
+    for at, site in zip(bits, sites):
+        np.testing.assert_array_equal(at, masks[(slice(None), *np.subtract(site, box.lo))])
+        for bit, rep in zip(at.tolist(), reps):
+            assert bit == PercolationField(d, p, seed, rep).is_closed(site), (rep, site)
 
 
 def test_box_independence():

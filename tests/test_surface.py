@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lipsurf.lattice import ExplicitConfig, BoxRegion, PercolationField, screened_closed_masks
+from lipsurf.lattice import ExplicitConfig, BoxRegion, PercolationField, replicate_closed_sites
 import lipsurf.surface as SURFACE
 from lipsurf.oracle import walk_reach
 from lipsurf.reach import Budget, StepSet, _floor_column_runs, floor_reach_sandwich, reach_masks
@@ -633,8 +633,8 @@ def test_floor_screen_stops_only_boxes_whose_runs_are_zero(step_set):
     closed = _lid_configs(box)
     assert len(closed) == 1 << 14
     sites, test, *table = SURFACE._floor_screen(box, (0,), step_set)
-    rows, through = test(_screen_bits(closed, box, sites))
-    assert ((rows == 2) == through).all()
+    rows = test(_screen_bits(closed, box, sites))
+    through = rows == 2
     assert (through == (_pairs(closed, box, (0,)) | closed[:, 3, 1] & closed[:, 3, 2])).all()
     assert np.bincount(rows).tolist() == [3200, 1600, (1 << 14) - 4800]
     assert [r[:2].tolist() for r in table] == [[[0], [1]], [[0], [1]], [[True], [False]]]
@@ -671,8 +671,8 @@ def test_floor_screen_rows_agree_with_the_oracle(step_set):
     box = _floor_boxes((0,), (0,), Budget(1, 2, 0))[0]
     closed = _lid_configs(box)
     sites, test, lo, hi, _ = SURFACE._floor_screen(box, (0,), step_set)
-    rows, through = test(_screen_bits(closed, box, sites))
-    stopped = np.flatnonzero(~through)[::7]
+    rows = test(_screen_bits(closed, box, sites))
+    stopped = np.flatnonzero(rows < 2)[::7]
     assert len(stopped) == 686
     for i in stopped.tolist():
         assert _oracle_runs(closed[i], box, step_set) == (lo[rows[i], 0], hi[rows[i], 0])
@@ -692,8 +692,7 @@ def test_floor_screen_pairs_need_u_between_x_and_w():
     level = [s for s in sites if s[1] == abs(s[0]) > 0]
     assert (1, 2) in above and (-1, 1) in level
     assert _screen_bits(closed, box, above).any() and _screen_bits(closed, box, level).any()
-    rows, through = test(_screen_bits(closed, box, sites))
-    assert rows.tolist() == [0] and through.tolist() == [False]
+    assert test(_screen_bits(closed, box, sites)).tolist() == [0]
     lo, hi, settled = SURFACE._floor_read(closed, box, [(0,)], StepSet.FULL)
     assert (lo.tolist(), hi.tolist(), settled.tolist()) == ([[0]], [[0]], [[True]])
     assert _oracle_runs(closed[0], box, StepSet.FULL) == (0, 0)
@@ -714,8 +713,7 @@ def test_floor_screen_pairs_take_u_equal_to_w():
     lo, hi, _ = SURFACE._floor_read(closed, box, [(0,)], StepSet.FULL)
     assert (lo.tolist(), hi.tolist()) == ([[1]], [[1]])
     assert _oracle_runs(closed[0], box, StepSet.FULL) == (1, 1)
-    rows, through = test(_screen_bits(closed, box, sites))
-    assert rows.tolist() == [2] and through.tolist() == [True]
+    assert test(_screen_bits(closed, box, sites)).tolist() == [2]
 
 
 @st.composite
@@ -754,8 +752,8 @@ def test_floor_screen_stopped_boxes_read_zero_runs_settled(case):
     box, step_set, row, closed = case
     x = (0,) * (box.dim - 1)
     sites, test, *table = SURFACE._floor_screen(box, x, step_set)
-    rows, through = test(_screen_bits(closed, box, sites))
-    assert not through.any() and (rows == row).all()
+    rows = test(_screen_bits(closed, box, sites))
+    assert (rows == row).all()
     lo, hi, settled = SURFACE._floor_read(closed, box, [x], step_set)
     assert (lo == row).all() and (hi == row).all()
     assert (settled == (row < box.hi[-1] - 1)).all()
@@ -777,8 +775,8 @@ def test_cover_screen_stops_only_covers_of_radius_one():
     _, rho, certified = _read_covers(closed, box, (0,))
     sites, test, *table = SURFACE._cover_screen(box, (0,))
     assert sites == ((0, 1), (-1, 1), (1, 1), (0, 2))
-    rows, through = test(_screen_bits(closed, box, sites))
-    assert ((rows == 2) == through).all()
+    rows = test(_screen_bits(closed, box, sites))
+    through = rows == 2
     stopped = rows == 0
     assert stopped.sum() == 1 << 14
     assert (rho[stopped] == 1).all() and certified[stopped].all()
@@ -816,8 +814,8 @@ def test_cover_screen_row_1_is_the_read_of_its_boxes(d, margin, height, density,
     _cover_screen_row_1(closed, box, x)
     sites, test, *table = SURFACE._cover_screen(box, x)
     assert len(sites) == 2 * d - 1 + (height >= 2)
-    rows, through = test(_screen_bits(closed, box, sites))
-    assert (rows == 1).all() and not through.any()
+    rows = test(_screen_bits(closed, box, sites))
+    assert (rows == 1).all()
     _, rho, certified = _read_covers(closed, box, x)
     assert (rho == 2).all()
     assert certified.all() == (margin > 1 and height > 1)
@@ -841,28 +839,21 @@ def test_cover_screen_row_1_needs_every_side_site():
     _, rho, certified = _read_covers(closed, box, (0,))
     assert rho.tolist() == [3] and certified.tolist() == [False]
     assert [r[1].tolist() for r in table] == [2, 2, True]
-    rows, through = test(_screen_bits(closed, box, sites))
-    assert rows.tolist() == [2] and through.tolist() == [True]
+    assert test(_screen_bits(closed, box, sites)).tolist() == [2]
 
 
 # the two-sided 99.9% normal quantile
 _Z_999 = 3.2905267314919255
 
 
-def _screen_row_counts(d: int, p: float, box: BoxRegion, screen, replicates: int) -> list[int]:
+def _screen_row_counts(d: int, p: float, screen, replicates: int) -> list[int]:
     """How many of the replicates 0..replicates-1 of seed 7 the screen's
-    test maps to each row, hashing only its sites: a test that lets no
-    replicate through to the box."""
+    test maps to each row, hashing only its sites."""
     sites, test, *_ = screen
-
-    def stop_all(closed):
-        return test(closed)[0], np.zeros(closed.shape[1], bool)
     counts = np.zeros(3, np.int64)
     for start in range(0, replicates, 100_000):
         reps = np.arange(start, min(start + 100_000, replicates))
-        rows, through, _ = screened_closed_masks(d, p, 7, reps, box, sites, stop_all)
-        assert not through.size
-        counts += np.bincount(rows, minlength=3)
+        counts += np.bincount(test(replicate_closed_sites(d, p, 7, reps, sites)), minlength=3)
     return counts.tolist()
 
 
@@ -897,7 +888,7 @@ def test_floor_screen_rows_follow_their_exact_law(p):
                 none += q ** sum(bits) * p ** (len(bits) - sum(bits))
         free *= none
     law = [p * free, q * p * free]
-    _within_wilson_999(_screen_row_counts(2, p, box, screen, 10**6), [*law, 1 - sum(law)])
+    _within_wilson_999(_screen_row_counts(2, p, screen, 10**6), [*law, 1 - sum(law)])
 
 
 @pytest.mark.parametrize("p", [0.99, 0.95])
@@ -912,7 +903,7 @@ def test_cover_screen_rows_follow_their_exact_law(d, p):
     screen = SURFACE._cover_screen(box, x)
     assert len(screen[0]) == 2 * (d - 1) + 2
     law = [p, (1 - p) * p ** (2 * (d - 1) + 1)]
-    _within_wilson_999(_screen_row_counts(d, p, box, screen, 10**6), [*law, 1 - sum(law)])
+    _within_wilson_999(_screen_row_counts(d, p, screen, 10**6), [*law, 1 - sum(law)])
 
 
 def test_schedules_past_the_site_limit_name_growth_cap():
