@@ -3,11 +3,11 @@
 Subcommands: sample, surface, cover, tails, bounds, brw, existence, oracle.
 Shared flags (--d, --p, --seed, ...) may also come from a JSON config file
 via --config; explicit flags win over config values.  A flag or field the
-subcommand does not read, an unknown or mistyped one, or an --out naming a
-directory or outside a writable one stops the run before any work.  Exit
-codes: 0 success, 1 invalid config or usage or an unwritable output path,
-2 bound-hypothesis violation, 3 certification budget exhausted beyond the
-configured threshold.
+subcommand does not read, an unknown, mistyped or out-of-range one, or an
+--out naming a directory or outside a writable one stops the run before any
+work.  Exit codes: 0 success, 1 invalid config or usage or an unwritable
+output path, 2 bound-hypothesis violation, 3 certification budget exhausted
+beyond the configured threshold.
 """
 
 from __future__ import annotations
@@ -120,11 +120,6 @@ def _budget(config: dict, default: Budget) -> Budget:
 
 
 def _cmd_sample(args, config: dict) -> int:
-    check_values({key: config[key] for key in ("d", "p") if key in config})
-    # the box fields size the emitted box, not a budget: 0 is a box too
-    for key in ("box_margin", "box_height"):
-        if config.get(key, 0) < 0:
-            raise ConfigError(key, "must be >= 0")
     d = config.get("d", 2)
     p = config.get("p", 0.99)
     m = config.get("box_margin", 4)
@@ -144,7 +139,6 @@ def _cmd_sample(args, config: dict) -> int:
 
 
 def _cmd_surface(args, config: dict) -> int:
-    check_values(config)
     d = config.get("d", 2)
     radius = config.get("base_radius", 5)
     field = PercolationField(d, config.get("p", 0.99), config.get("seed", 0))
@@ -159,7 +153,6 @@ def _cmd_surface(args, config: dict) -> int:
 
 
 def _cmd_cover(args, config: dict) -> int:
-    check_values(config)
     d = config.get("d", 2)
     field = PercolationField(d, config.get("p", 0.99), config.get("seed", 0))
     cover = minimal_cover(field, (0,) * (d - 1), _budget(config, COVER_BUDGET))
@@ -180,7 +173,6 @@ def _cmd_run(args, config: dict, kind: str | None = None) -> int:
 
 
 def _cmd_bounds(args, config: dict) -> int:
-    check_values(config)
     summary = constants_summary(config.get("d", 2), config.get("p", 0.99),
                                 config.get("step_mode") == "no-straight-down",
                                 config.get("k_max", 5))
@@ -189,7 +181,6 @@ def _cmd_bounds(args, config: dict) -> int:
 
 
 def _cmd_oracle(args, config: dict) -> int:
-    check_values(config)
     suite = oracle_suite(p=config.get("p", 0.99))
     _emit(json.dumps(suite, sort_keys=True, indent=2) + "\n", config.get("out"))
     return EXIT_OK if suite["all_passed"] else EXIT_CONFIG
@@ -222,6 +213,7 @@ def main(argv=None) -> int:
         config = _gather_config(args)
         if args.command in _READS:
             check_fields(config, args.command, _READS[args.command])
+            check_values(config, args.command)
         return _COMMANDS[args.command][0](args, config)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -46,7 +46,9 @@ class BudgetExceededError(RuntimeError):
 
 @dataclass(frozen=True)
 class Experiment:
-    """One experiment description; JSON configs mirror these fields."""
+    """One experiment description; JSON configs mirror these fields.  Built
+    directly or from a config, it meets the same checks, then stores
+    step_mode (a StepSet or its name) as a StepSet and p_grid as floats."""
 
     kind: str
     d: int = 2
@@ -68,8 +70,8 @@ class Experiment:
     unresolved_threshold: float = 1e-3
 
     def __post_init__(self):
-        # the rules of check_fields, on the fields that differ from their
-        # defaults, and of check_values: a direct Experiment is checked too
+        # check_fields' unread rule, on the fields that differ from their
+        # defaults, and check_values: every route to an Experiment meets both
         if self.kind not in _UNREAD:
             raise ConfigError("kind", f"unknown kind {self.kind!r}")
         names, values, defaults = _UNREAD[self.kind]
@@ -77,7 +79,11 @@ class Experiment:
             changed = {n for n, v, d in zip(names, values(self), defaults) if v != d}
             raise ConfigError(*itertools.chain(
                 *sorted(_unread_problems(changed, self.kind).items())))
-        check_values(vars(self))
+        check_values(vars(self), self.kind)
+        if not isinstance(self.step_mode, StepSet):
+            object.__setattr__(self, "step_mode", StepSet(self.step_mode))
+        if self.p_grid is not None:
+            object.__setattr__(self, "p_grid", tuple(map(float, self.p_grid)))
 
     @functools.cached_property
     def budget(self) -> Budget:
@@ -93,9 +99,6 @@ _FIELD_TYPES = {
     "runs": int, "generations": int, "depth_cap": int, "weight_floor": float,
     "unresolved_threshold": float, "out": str, "format": str,
 }
-# the step sets each reader of step_mode takes: f_tail and bounds take both;
-# every other reader builds surfaces or climb sets, defined for the full set
-_STEP_MODES = dict.fromkeys(("f_tail", "bounds"), tuple(s.value for s in StepSet))
 
 
 def _unread_problems(keys, reader: str) -> dict:
@@ -106,10 +109,10 @@ def _unread_problems(keys, reader: str) -> dict:
 
 
 def check_fields(config: dict, reader: str, reads: frozenset) -> None:
-    """The one check of every config before any work: each field is known,
-    has its _FIELD_TYPES type (an int passes as a float, a bool as neither),
-    is in the set `reader` reads, and an out path is no directory and lies
-    in a writable directory.  The error quotes every offending one."""
+    """The check of a config's keys before check_values: each is a known field
+    of its _FIELD_TYPES type (an int passes as a float, a bool as neither) that
+    `reader` reads, format is csv or json, and an out path is no directory and
+    lies in a writable directory.  The error quotes every offending one."""
     problems = _unread_problems(config.keys() - reads, reader)
     for key, val in config.items():
         want = _FIELD_TYPES.get(key)
@@ -126,22 +129,26 @@ def check_fields(config: dict, reader: str, reads: frozenset) -> None:
         raise ConfigError("out", f"cannot write {out!r}: it is a directory")
     if out and not os.access(os.path.dirname(out) or ".", os.W_OK):
         raise ConfigError("out", f"cannot write {out!r}: no such writable directory")
-    modes = _STEP_MODES.get(reader, ("full",))
-    if config.get("step_mode", "full") not in modes:
-        raise ConfigError("step_mode",
-                          f"expected {' or '.join(map(repr, modes))} for {reader}")
 
 
 # the least value of each bounded field, wherever it is read
 _MINIMA = {"d": 2, "replicates": 1, "k_max": 0, "box_margin": 1, "box_height": 1,
            "growth_cap": 0, "base_radius": 0, "runs": 1, "generations": 1,
            "depth_cap": 1, "weight_floor": 0}
+# sample's box fields size the emitted box, not a budget: 0 is a box too
+_READER_MINIMA = {"sample": {**_MINIMA, "box_margin": 0, "box_height": 0}}
+# the step sets each reader of step_mode takes: f_tail and bounds take both;
+# every other reader builds surfaces or climb sets, defined for the full set
+_STEP_MODES = dict.fromkeys(("f_tail", "bounds"), tuple(s.value for s in StepSet))
 
 
-def check_values(config: dict) -> None:
-    """Each numeric field of a config that passed check_fields is in range
-    (NaN is in none); the error quotes every offending one."""
-    problems = {key: f"must be >= {least}" for key, least in _MINIMA.items()
+def check_values(config: dict, reader: str) -> None:
+    """The one check of values, for `reader`, a kind or CLI subcommand: each
+    bounded field is in range (NaN is in none), p_grid (None if absent) is a
+    nonempty ascending list of numbers in (0,1), and step_mode, a name or a
+    StepSet, is one the reader takes.  The error quotes every offending one."""
+    problems = {key: f"must be >= {least}"
+                for key, least in _READER_MINIMA.get(reader, _MINIMA).items()
                 if key in config and not config[key] >= least}
     if "p" in config and not 0.0 < config["p"] < 1.0:
         problems["p"] = "must lie in (0,1)"
@@ -149,6 +156,19 @@ def check_values(config: dict) -> None:
         problems["mu"] = "must be > 0"
     if math.isnan(config.get("unresolved_threshold", 0.0)):
         problems["unresolved_threshold"] = "must be a number, not NaN"
+    grid = config.get("p_grid")
+    if grid is not None:
+        if not grid or any(not isinstance(x, (int, float)) or isinstance(x, bool)
+                           for x in grid):
+            problems["p_grid"] = "must be a nonempty list of numbers"
+        elif sorted(grid) != list(grid):
+            problems["p_grid"] = "must be sorted ascending"
+        elif any(not 0.0 < x < 1.0 for x in grid):
+            problems["p_grid"] = "entries must lie in (0,1)"
+    mode = config.get("step_mode", "full")
+    modes = _STEP_MODES.get(reader, ("full",))
+    if (mode.value if isinstance(mode, StepSet) else mode) not in modes:
+        problems["step_mode"] = f"expected {' or '.join(map(repr, modes))} for {reader}"
     if problems:
         raise ConfigError(*itertools.chain(*sorted(problems.items())))
 
@@ -162,20 +182,7 @@ def experiment_from_config(obj: dict) -> Experiment:
         raise ConfigError("kind", f"unknown kind {kind!r}" if "kind" in obj
                           else "missing (one of %s)" % ", ".join(KINDS))
     check_fields(obj, kind, _READS[kind])
-    kwargs = {k: v for k, v in obj.items() if k in Experiment.__dataclass_fields__}
-    if "step_mode" in obj:
-        kwargs["step_mode"] = StepSet(obj["step_mode"])
-    if "p_grid" in obj:
-        grid = obj["p_grid"]
-        if not grid or any(not isinstance(x, (int, float)) or isinstance(x, bool)
-                           for x in grid):
-            raise ConfigError("p_grid", "must be a nonempty list of numbers")
-        if sorted(grid) != list(grid):
-            raise ConfigError("p_grid", "must be sorted ascending")
-        if any(not 0.0 < x < 1.0 for x in grid):
-            raise ConfigError("p_grid", "entries must lie in (0,1)")
-        kwargs["p_grid"] = tuple(float(x) for x in grid)
-    return Experiment(**kwargs)
+    return Experiment(**{k: v for k, v in obj.items() if k in Experiment.__dataclass_fields__})
 
 
 class TailRow(NamedTuple):

@@ -9,7 +9,10 @@ z^2/(n+z^2), which falls below the bound value b = A*nu^4 ~ 3.175e-6 only
 when n >= z^2(1-b)/b ~ 2.09e6.  At 1e5 replicates the zero-hit limit is
 6.6e-5, so the row could not tell a correct engine from a wrong one.  At
 3e6 replicates 0 hits give 2.21e-6 and 1 hit gives 2.84e-6, both below
-the bound; the test checks that precondition before it samples.
+the bound; the test checks that precondition before it samples.  One
+dimension up, at d=3 and p=0.99, the k = 4 bound is ~2.154e-5: at 4e5
+replicates 0 hits give a Wilson upper of 1.659e-5 and 1 hit 2.129e-5, below
+it, and 2 hits 2.561e-5, above it, so that row too can pass or fail.
 """
 
 import hashlib
@@ -36,6 +39,7 @@ _CSV_SHA256 = {
     "surface": "daef3fd400e714555a9c32ee1226b1b3f7ffec0c69266fd960be4d6fda7c5e5b",
     "spread": "f2d775d7be04d8de47c9b075b3f285b77f30a7f2fdae33afc7de87cb8e5be715",
     "cover": "8d15bbc48fd2a0d7cf82a7da6e774324eafc5b0d34e9a4fd7517d3fd18a3c74d",
+    "surface_d3": "9b0c6e26701264469da40c825cf4144b81acafdd58d50ba83b2ec11633662954",
 }
 
 
@@ -94,17 +98,21 @@ def _exact_surface_level1_bracket(d=2, p=0.99):
             exact_event_prob(d, p, box, pes_hit))
 
 
-def test_acceptance_2_surface_tail_bound():
-    start = time.time()
-    exp = Experiment(kind="f_tail", d=2, p=0.99, replicates=3_000_000,
-                     seed=SEED, k_max=4)
-    # the sample must be able to decide the deepest row: a zero-hit Wilson
-    # upper limit above its bound would fail whatever the engine does
+def _assert_deepest_row_decidable(exp):
+    """The sample must be able to decide the deepest row: a zero-hit Wilson
+    upper limit above its bound would fail whatever the engine does."""
     zero_hit_hi = wilson_interval(0, exp.replicates)[1]
     deepest = surface_tail_bound(exp.d, exp.p, exp.k_max)
     assert zero_hit_hi < deepest, (
         f"{exp.replicates} replicates cannot decide k={exp.k_max}: zero-hit "
         f"Wilson upper {zero_hit_hi:.3e} >= bound {deepest:.3e}")
+
+
+def test_acceptance_2_surface_tail_bound():
+    start = time.time()
+    exp = Experiment(kind="f_tail", d=2, p=0.99, replicates=3_000_000,
+                     seed=SEED, k_max=4)
+    _assert_deepest_row_decidable(exp)
     curve = surface_tail_curve(exp)
     problems = []
     lines = []
@@ -134,6 +142,30 @@ def test_acceptance_2_surface_tail_bound():
         problems.append(f"runtime {elapsed:.0f}s over 5 minutes")
     _report(2, "surface-height tail vs A*nu^k", not problems,
             "; ".join(lines), elapsed, 300)
+    assert not problems, problems
+
+
+def test_acceptance_2_surface_tail_bound_d3():
+    """Criterion 2 one dimension up, at acceptance 2's seed: every row's
+    Wilson upper limit below the bound, to k = 4."""
+    start = time.time()
+    exp = Experiment(kind="f_tail", d=3, p=0.99, replicates=400_000,
+                     seed=SEED, k_max=4)
+    _assert_deepest_row_decidable(exp)
+    curve = surface_tail_curve(exp)
+    problems = [f"k={row.k}: Wilson upper {row.ci_hi:.3e} > bound {row.bound:.3e} "
+                f"with hits={row.hits_hi}/{row.trials}"
+                for row in curve.rows if row.ci_hi > row.bound]
+    if curve.max_unresolved_frac() >= 0.001:
+        problems.append(f"unresolved fraction {curve.max_unresolved_frac()}")
+    problems += _csv_drift("surface_d3", curve)
+    elapsed = time.time() - start
+    if elapsed >= 300:
+        problems.append(f"runtime {elapsed:.0f}s over 5 minutes")
+    detail = "; ".join(f"k={row.k} hits={row.hits_hi} ci_hi={row.ci_hi:.3e} "
+                       f"bound={row.bound:.3e}" for row in curve.rows)
+    _report(2, "surface-height tail vs A*nu^k at d=3", not problems, detail,
+            elapsed, 300)
     assert not problems, problems
 
 

@@ -210,6 +210,92 @@ def test_a_direct_experiment_checks_its_values(field, value, problem, monkeypatc
     assert str(err.value) == f"config field '{field}': {problem}"
 
 
+@pytest.mark.parametrize("job, fields, problem", [
+    (monotonicity_check, dict(kind="monotonicity", p_grid=(0.99, 0.97), replicates=30,
+                              seed=2, base_radius=3), "'p_grid': must be sorted ascending"),
+    (existence_curve, dict(kind="existence_curve", p_grid=()),
+     "'p_grid': must be a nonempty list of numbers"),
+    (existence_curve, dict(kind="existence_curve", p_grid=(0.9, 1.5)),
+     "'p_grid': entries must lie in (0,1)"),
+    (spread_tail_curve, dict(kind="radh_tail", step_mode=StepSet.NO_STRAIGHT_DOWN),
+     "'step_mode': expected 'full' for radh_tail"),
+    (surface_validity, dict(kind="surface_validity", step_mode=StepSet.NO_STRAIGHT_DOWN),
+     "'step_mode': expected 'full' for surface_validity"),
+    (surface_tail_curve, dict(kind="f_tail", step_mode="sideways"),
+     "'step_mode': expected 'full' or 'no-straight-down' for f_tail")])
+def test_a_direct_experiment_checks_its_grid_and_step_set(job, fields, problem, monkeypatch):
+    """A direct Experiment meets experiment_from_config's grid and step-set
+    rules before any replicate is hashed: a descending grid made
+    monotonicity_check report violations of the exact coupling, and the
+    surface and cover kinds ran the full step set whatever they were given."""
+    monkeypatch.setattr("lipsurf.lattice._absorb_vec", None)
+    with pytest.raises(ConfigError) as err:
+        job(Experiment(**fields))
+    assert str(err.value) == f"config field {problem}"
+
+
+# per field, well-typed values: in range and out of it, for one kind or another
+_ROUTE_VALUES = {
+    "d": [2, 3, 1, 0], "p": [0.5, 0.0, 1.0, 1.5, float("nan")],
+    "p_grid": [[0.9, 0.99], [0.5, 0.5], [], [0.99, 0.9], [0.9, 1.5], [0.9, "x"],
+               [0.9, True], [-0.5, 0.5]],
+    "replicates": [1, 0, -3], "seed": [0, -5, 2**40], "k_max": [0, 5, -1],
+    "box_margin": [1, 0], "box_height": [1, 0], "growth_cap": [0, 2, -1],
+    "step_mode": ["full", "no-straight-down", "sideways"], "base_radius": [0, -1],
+    "mu": [0.5, 0, -1.0, float("nan")], "runs": [1, 0], "generations": [1, 0],
+    "depth_cap": [1, 0], "weight_floor": [0.0, 0.5, -0.5],
+    "unresolved_threshold": [0.0, 1.0, -1.0, float("nan")],
+}
+
+
+def _python_form(config: dict) -> dict:
+    """The Experiment fields of a config, as Python code writes them: a grid
+    as a tuple, and a step set as a StepSet where the name is one."""
+    names = {s.value: s for s in StepSet}
+    return {key: tuple(val) if key == "p_grid" else
+            names.get(val, val) if key == "step_mode" else val
+            for key, val in config.items() if key in Experiment.__dataclass_fields__}
+
+
+def _outcome(build, config):
+    try:
+        return build(config)
+    except ConfigError as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("kind", sorted(_KIND_READS))
+def test_config_and_direct_routes_agree(kind):
+    """For every field a kind reads, alone and with a second field out of
+    range: experiment_from_config and a direct Experiment raise the same
+    ConfigError message or build equal experiments."""
+    reads = _KIND_READS[kind].split() + ["unresolved_threshold"]
+    seen = collections.Counter()
+    for field in reads:
+        for value in _ROUTE_VALUES[field]:
+            for extra in ({}, {"replicates": 0} if kind != "brw" else {"runs": 0}):
+                config = {**_kind_config(kind, **extra), field: value}
+                by_config = _outcome(experiment_from_config, config)
+                direct = _outcome(lambda c: Experiment(**_python_form(c)), config)
+                assert by_config == direct, (config, by_config, direct)
+                seen[type(direct) is str] += 1
+    assert seen[False] and seen[True]
+
+
+def test_a_step_set_by_name_is_the_step_set():
+    """f_tail with step_mode "no-straight-down" is the Experiment with
+    StepSet.NO_STRAIGHT_DOWN, and writes the same body: the restricted
+    bound column, which the name used to miss."""
+    by_name = Experiment(kind="f_tail", replicates=300, seed=4, k_max=2,
+                         step_mode="no-straight-down")
+    by_enum = Experiment(kind="f_tail", replicates=300, seed=4, k_max=2,
+                         step_mode=StepSet.NO_STRAIGHT_DOWN)
+    assert by_name == by_enum and by_name.step_mode is StepSet.NO_STRAIGHT_DOWN
+    curve = surface_tail_curve(by_name)
+    assert curve.to_csv() == surface_tail_curve(by_enum).to_csv()
+    assert curve.rows[0].bound == surface_tail_bound(2, 0.99, 0, True)
+
+
 def test_surface_tail_k0_row_and_bounds_column():
     exp = Experiment(kind="f_tail", d=2, p=0.99, replicates=400, seed=5, k_max=3)
     curve = surface_tail_curve(exp)
